@@ -175,26 +175,29 @@ def tail(latencies: list[float]) -> tuple[float, float, int]:
     return ordered[idx], 100.0 * (idx + 1) / len(ordered), len(ordered) - idx - 1
 
 
-def typical(samples: list) -> list[float]:
-    """Every sample replaced by the median latency of its op over the run's passes.
+def upper_quartiles(samples: list) -> list[float]:
+    """Every sample replaced by the upper quartile of its op's latencies over the run's passes.
 
-    Each pass repeats the same ops, so this keeps the spread between ops and
-    drops most of the noise a shared host adds to single samples.
+    Each pass repeats the same ops, so this keeps the spread between ops.  The
+    host shares its cores with other tenants: pure-Python work runs up to twice
+    as slow while a co-tenant is busy, which is most of the time, and the share
+    of quiet moments drifts from minute to minute.  An op's median moves with
+    that share; its upper quartile stays at the busy-core speed.
     """
     by_key: dict = {}
     for key, t in samples:
         by_key.setdefault(key, []).append(t)
-    med = {key: statistics.median(ts) for key, ts in by_key.items()}
-    return [med[key] for key, _ in samples]
+    q3 = {key: statistics.quantiles(ts, n=4, method="inclusive")[2] if len(ts) > 1 else ts[0]
+          for key, ts in by_key.items()}
+    return [q3[key] for key, _ in samples]
 
 
 def end_to_end(result: dict, setup_times: list[float]) -> tuple[dict, dict]:
-    raw = [t for _, t in result["samples"]]
-    lat = typical(result["samples"])
+    lat = upper_quartiles(result["samples"])
     tail_s, tail_pct, beyond = tail(lat)
     metrics = {
         "setup_s": (statistics.median(setup_times), "s"),
-        "ops_per_s": (len(raw) / sum(raw), "1/s"),
+        "ops_per_s": (len(lat) / sum(lat), "1/s"),
         "op_p50_ms": (1e3 * statistics.median_low(lat), "ms"),
         "op_tail_ms": (1e3 * tail_s, "ms"),
         "peak_rss_mb": (result["peak_rss_kb"] / 1024.0, "MB"),
