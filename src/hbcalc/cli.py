@@ -36,7 +36,9 @@ Asymptotics file (for ``enumerate``)::
      "punctures": [{"sign": "+", "orbit": {"simple": "rot_p", "k": 1},
                     "constraint": 0.0}]}
 
-Exit codes: 0 success or ok-verdict, 1 verdict violations, 2 input errors.
+Exit codes: 0 success or ok-verdict, 1 verdict violations, 2 input errors
+(and internal errors, reported without a traceback).  Non-finite numbers
+(NaN, Infinity) are input errors.
 JSON output is byte-stable for fixed inputs (sorted keys, sorted lists).
 """
 
@@ -45,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from .buildings import (
@@ -103,7 +106,10 @@ def _int(value, path) -> int:
 def _num(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{path}: expected a number")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise InputError(f"{path}: expected a finite number, got {value}")
+    return value
 
 
 def _get(obj: dict, key: str, path: str):
@@ -119,9 +125,12 @@ def _check_format(obj: dict, path: str) -> None:
 
 
 def _load_json(filename: str):
+    def reject_constant(name):
+        raise InputError(f"{filename}: non-finite number {name} is not allowed")
+
     try:
         with open(filename, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=reject_constant)
     except OSError as exc:
         raise InputError(f"cannot read {filename}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -662,6 +671,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (HbcalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means "verdict with violations", so a crash must not reach it
+        log.debug("internal error", exc_info=True)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

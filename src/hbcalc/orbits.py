@@ -43,6 +43,9 @@ from .spectral import (
 
 #: Window growth is capped here; needing more means the request is off-scale.
 MAX_WINDOW = 500.0
+#: Bound on the window growths of one _table_past call.  Growth starts at a
+#: window >= 8 and 8 * 1.7**8 > MAX_WINDOW, so finite requests stop sooner.
+MAX_GROWTHS = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -178,12 +181,14 @@ class Catalog:
 
     def spectrum_of(self, ref: OrbitRef, window: float, grid: int | None = None) -> SpectralTable:
         """Public spectral query (CLI `spectrum` maps straight onto this)."""
-        if window <= 0:
-            raise CatalogError(f"window must be positive, got {window}")
+        if not (math.isfinite(window) and window > 0):
+            raise CatalogError(f"window must be finite and positive, got {window}")
         return self.table(ref, window, grid)
 
     def _table_past(self, ref: OrbitRef, threshold: float) -> SpectralTable:
         """A table whose kept range strictly brackets the threshold."""
+        if not math.isfinite(threshold):
+            raise CatalogError(f"spectral threshold must be finite, got {threshold}")
         orbit = self.orbit(ref.simple)
         if not orbit.is_flow:
             stored = orbit.model.get(ref.k)
@@ -200,17 +205,18 @@ class Catalog:
                 )
             return stored
         need = abs(threshold) + self._strength(orbit) * ref.k + 8.0
-        while True:
+        for _ in range(MAX_GROWTHS):
             table = self.table(ref, need)
             lo, hi = table.kept_range()
             if lo < threshold < hi:
                 return table
             if need > MAX_WINDOW:
-                raise SpectralResolutionError(
-                    f"orbit {ref.simple!r} cover {ref.k}: spectrum not resolved "
-                    f"past threshold {threshold}"
-                )
+                break
             need *= 1.7
+        raise SpectralResolutionError(
+            f"orbit {ref.simple!r} cover {ref.k}: spectrum not resolved "
+            f"past threshold {threshold}"
+        )
 
     # --- integer invariants ---------------------------------------------
 

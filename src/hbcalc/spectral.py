@@ -22,6 +22,14 @@ integrates the linearized flow  Psi' = J0 S(t) Psi  and classifies the
 swept angles (crossing-form/rotation-number computation); it never touches
 the eigensolver, so the two routes cross-check each other.
 
+The flow is integrated by classical RK4 over one period.  Because the ODE is
+linear, each step is a 2x2 matrix M_j built in closed form from S on the
+half grid; all M_j are formed by batched matrix products and the frames
+Psi(t_j) = M_{j-1} ... M_0 by a log-depth prefix-product scan.  Covers need
+no further integration: with P = Psi(1) the one-period monodromy,
+Psi(t + j) = Psi(t) P^j, so the k-fold path is the one-period path times
+P^j for j < k and the k-fold monodromy is P^k.
+
 All integers produced here are relative to the trivialization implicit in
 the flow-loop coordinates; only comparisons made in one consistent
 trivialization are meaningful.
@@ -550,7 +558,10 @@ def spectrum_from_loop(
 
 
 def monodromy(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> np.ndarray:
-    """Endpoint of the linearized flow Psi' = J0 S(t) Psi over `cover` periods."""
+    """Endpoint of the linearized flow Psi' = J0 S(t) Psi over `cover` periods.
+
+    This is P**cover, with P the RK4 monodromy of one period.
+    """
     return _integrate_frames(loop, cover, steps, keep_path=False)[-1]
 
 
@@ -568,25 +579,33 @@ def _integrate_frames(
     s_half = loop.value_at(ts % 1.0)
     a_half = np.einsum("ij,tjk->tik", J0, s_half)
 
-    total = cover * n_steps
-    if keep_path:
-        path = np.empty((total + 1, 2, 2))
-    psi = np.eye(2)
-    if keep_path:
-        path[0] = psi
-    for step in range(total):
-        j = 2 * (step % n_steps)
-        a0, a1, a2 = a_half[j], a_half[j + 1], a_half[j + 2]
-        k1 = a0 @ psi
-        k2 = a1 @ (psi + 0.5 * h * k1)
-        k3 = a1 @ (psi + 0.5 * h * k2)
-        k4 = a2 @ (psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if keep_path:
-            path[step + 1] = psi
-    if keep_path:
-        return path
-    return np.array([psi])
+    # The flow is linear, so RK4 step j is psi -> M_j psi with
+    # M_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4) built from S at t_j, t_j + h/2, t_j + h.
+    a0, a1, a2 = a_half[0:-1:2], a_half[1::2], a_half[2::2]
+    eye = np.eye(2)
+    k = a1 @ (eye + (0.5 * h) * a0)  # K2, with K1 = a0
+    frames = a0 + 2 * k
+    k = a1 @ (eye + (0.5 * h) * k)  # K3
+    frames += 2 * k
+    frames += a2 @ (eye + h * k)  # K4
+    frames *= h / 6.0
+    frames += eye
+    # Hillis-Steele scan: after the pass with offset d, frames[j] is the
+    # product M_j ... M_{j-2d+1} (truncated at M_0), so frames[j] = Psi((j + 1) h).
+    d = 1
+    while d < n_steps:
+        frames[d:] = frames[d:] @ frames[:-d]
+        d *= 2
+    p = frames[-1].copy()  # a view would keep all frames alive in callers' caches
+    if not keep_path:
+        return np.linalg.matrix_power(p, cover)[None]
+    # S is periodic, so Psi(t + j) = Psi(t) P^j: covers need no further steps.
+    powers = np.array([np.linalg.matrix_power(p, j) for j in range(cover + 1)])
+    period = np.concatenate([eye[None], frames[:-1]])
+    path = np.empty((cover * n_steps + 1, 2, 2))
+    np.matmul(period, powers[:-1, None], out=path[:-1].reshape(cover, n_steps, 2, 2))
+    path[-1] = powers[-1]
+    return path
 
 
 def _swept_angles(path: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -606,9 +625,11 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
     """Conley-Zehnder index of the orbit via the linearized-flow rotation number.
 
     Independent of the eigensolver route: integrates Psi' = J0 S(t) Psi with
-    RK4 and classifies the monodromy.  Positive hyperbolic monodromies give
-    the even index 2n from the integer swept angle of an eigenvector; all
-    other nondegenerate monodromies give the odd index 2*floor(angle/2pi)+1.
+    RK4 over one period, extends the path to the cover by Psi(t + j) =
+    Psi(t) P^j, and classifies the monodromy.  Positive hyperbolic
+    monodromies give the even index 2n from the integer swept angle of an
+    eigenvector; all other nondegenerate monodromies give the odd index
+    2*floor(angle/2pi)+1.
     """
     path = _integrate_frames(loop, cover, steps, keep_path=True)
     p = path[-1]

@@ -16,7 +16,7 @@ from hbcalc.buildings import (
 )
 from hbcalc.errors import DegenerateThresholdError, SpectralResolutionError
 from hbcalc.orbits import Catalog, OrbitRef
-from hbcalc.spectral import FlowLoop, monodromy, spectrum_from_loop
+from hbcalc.spectral import J0, FlowLoop, monodromy, spectrum_from_loop
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -101,6 +101,42 @@ def nondegenerate_trig_loop(rng: np.random.Generator, **kwargs) -> FlowLoop:
             ok = False
         if ok:
             return loop
+
+
+# --- sequential RK4 reference ------------------------------------------------
+
+
+def reference_integrate_frames(loop: FlowLoop, cover: int, steps: int | None,
+                               keep_path: bool) -> np.ndarray:
+    """RK4 for Psi' = J0 S(t) Psi taken one step at a time over every period.
+
+    Drop-in oracle for ``hbcalc.spectral._integrate_frames``: same step count,
+    same half-grid samples, but no closed-form step matrices, no scan and no
+    cover shortcut.
+    """
+    if cover < 1:
+        raise ValueError(f"cover must be >= 1, got {cover}")
+    strength = loop.strength()
+    n_steps = steps or max(2048, 256 * int(math.ceil(strength + 1)))
+    h = 1.0 / n_steps
+    ts = np.arange(2 * n_steps + 1) * (h / 2)
+    s_half = loop.value_at(ts % 1.0)
+    a_half = np.einsum("ij,tjk->tik", J0, s_half)
+
+    total = cover * n_steps
+    path = np.empty((total + 1, 2, 2))
+    psi = np.eye(2)
+    path[0] = psi
+    for step in range(total):
+        j = 2 * (step % n_steps)
+        a0, a1, a2 = a_half[j], a_half[j + 1], a_half[j + 2]
+        k1 = a0 @ psi
+        k2 = a1 @ (psi + 0.5 * h * k1)
+        k3 = a1 @ (psi + 0.5 * h * k2)
+        k4 = a2 @ (psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        path[step + 1] = psi
+    return path if keep_path else path[-1:]
 
 
 # --- random building corpus ---------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+from hbcalc import cli
 from hbcalc.cli import (
     building_from_data,
     building_to_data,
@@ -9,8 +14,10 @@ from hbcalc.cli import (
     catalog_to_data,
     main,
 )
+from hbcalc.errors import CatalogError, InputError
+from hbcalc.orbits import OrbitRef
 
-from support import FIXTURES
+from support import FIXTURES, REPO
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
 CATALOGS = [n for n in ALL_FIXTURES if n.startswith("catalog")]
@@ -251,3 +258,117 @@ class TestHumanOutput:
         )
         assert code == 0
         assert "-3.141592654" in out
+
+
+def _with_value(name, keys, value):
+    """A fixture's JSON data with the entry at `keys` replaced by `value`."""
+    data = json.loads((FIXTURES / name).read_text())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return data
+
+
+# loader -> (fixture, keys of a number in it, JSON path the loader reports)
+NON_FINITE_SITES = {
+    "catalog": (
+        "catalog_demo.json",
+        ("orbits", 0, "model", "samples", 0, 0),
+        "orbits[0].model.samples[0][0]",
+    ),
+    "building": (
+        "building_figure3.json",
+        ("components", 0, "punctures", 1, "constraint"),
+        "components[0].punctures[1].constraint",
+    ),
+    "asymptotics": (
+        "asymptotics_demo.json",
+        ("punctures", 0, "constraint"),
+        "punctures[0].constraint",
+    ),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", sorted(NON_FINITE_SITES))
+    def test_file_loaders_exit_2(self, kind, value, tmp_path):
+        name, keys, _ = NON_FINITE_SITES[kind]
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text(json.dumps(_with_value(name, keys, value)))
+        files = {
+            "catalog": str(FIXTURES / "catalog_demo.json"),
+            "building": str(FIXTURES / "building_figure3.json"),
+            "asymptotics": str(FIXTURES / "asymptotics_demo.json"),
+        }
+        files[kind] = str(bad)
+        if kind == "asymptotics":
+            argv = ["enumerate", "--catalog", files["catalog"],
+                    "--asymptotics", files["asymptotics"]]
+        else:
+            argv = ["index", "--catalog", files["catalog"], "--building", files["building"]]
+        # a fresh process, so a hang is caught by the timeout
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hbcalc.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert str(bad) in proc.stderr
+        assert "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kind", sorted(NON_FINITE_SITES))
+    def test_schema_layer_cites_path(self, kind, value):
+        name, keys, json_path = NON_FINITE_SITES[kind]
+        data = _with_value(name, keys, value)
+        loader = {
+            "catalog": catalog_from_data,
+            "building": building_from_data,
+            "asymptotics": cli.asymptotics_from_data,
+        }[kind]
+        with pytest.raises(InputError, match=re.escape(f"{kind}.{json_path}")):
+            loader(data)
+
+
+class TestNonFiniteWindow:
+    @pytest.mark.parametrize("window", ["nan", "inf", "-inf", "0"])
+    def test_spectrum_window_rejected(self, capsys, window):
+        code, out, err = run(
+            capsys,
+            "spectrum",
+            "--catalog", str(FIXTURES / "catalog_demo.json"),
+            "--orbit", "rot_p",
+            f"--window={window}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "window must be finite and positive" in err
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_threshold_rejected(self, demo_catalog, threshold):
+        ref = OrbitRef("rot_p", 1)
+        with pytest.raises(CatalogError, match="finite"):
+            demo_catalog.alpha(ref, threshold, "minus")
+        with pytest.raises(CatalogError, match="finite"):
+            demo_catalog.cz_index(ref, threshold)
+
+
+class TestInternalError:
+    def test_stray_exception_exits_2_without_traceback(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_check", boom)
+        code, out, err = run(
+            capsys,
+            "check",
+            "--catalog", str(FIXTURES / "catalog_demo.json"),
+            "--building", str(FIXTURES / "building_figure3.json"),
+            "--theorem", "stable",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: boom\n"

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hbcalc.errors import DegenerateThresholdError, SpectralResolutionError
+from hbcalc import spectral
+from hbcalc.errors import DegenerateThresholdError, HbcalcError, SpectralResolutionError
 from hbcalc.spectral import (
     J0,
     DiscreteLoop,
@@ -21,6 +22,7 @@ from support import (
     analytic_rotation_table,
     hyperbolic_loop,
     nondegenerate_trig_loop,
+    reference_integrate_frames,
     rotating_axis_loop,
     rotation_loop,
 )
@@ -217,3 +219,58 @@ class TestMonodromy:
         got = monodromy(rotating_axis_loop(1, a=0.7))
         expected = -np.diag([math.exp(0.7), math.exp(-0.7)])
         assert np.max(np.abs(got - expected)) < 1e-9
+
+
+ORACLE_COVERS = (1, 2, 3, 4, 8, 16)
+FIXTURE_ORBITS = ("hyp2", "hyp_even", "hyp_odd", "rot3", "rot_m", "rot_p")
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except HbcalcError as exc:
+        return type(exc)
+
+
+class TestPropagatorOracle:
+    """The batched propagator against the sequential RK4 loop in support."""
+
+    @pytest.mark.parametrize("name", FIXTURE_ORBITS + ("trig0", "trig1", "zero"))
+    def test_matches_sequential_rk4(self, name, fixture_catalog, monkeypatch):
+        if name in FIXTURE_ORBITS:
+            loop = fixture_catalog.orbit(name).model
+        elif name == "zero":
+            loop = FlowLoop(np.zeros((3, 2, 2)))
+        else:
+            loop = nondegenerate_trig_loop(np.random.default_rng(11 + int(name[-1])), n=63)
+        # The loop repeats the same step matrices every period, so the
+        # reference path of a k-fold cover is the first k periods of the
+        # 16-fold one: integrate once and slice.
+        top = max(ORACLE_COVERS)
+        full = reference_integrate_frames(loop, top, None, keep_path=True)
+        n_steps = (len(full) - 1) // top
+        for k in ORACLE_COVERS:
+            got_p = monodromy(loop, k)
+            got_cz = _outcome(lambda: cz_crossing(loop, k))
+            path = full[: k * n_steps + 1]
+            got_path = spectral._integrate_frames(loop, k, None, keep_path=True)
+            scale = np.max(np.abs(path), axis=(1, 2), keepdims=True)
+            assert np.max(np.abs(got_path - path) / scale) <= 1e-9, k
+            want_p = path[-1]
+            assert np.max(np.abs(got_p - want_p)) <= 1e-9 * np.max(np.abs(want_p)), k
+            power = np.linalg.matrix_power(monodromy(loop), k)
+            assert np.max(np.abs(got_p - power)) <= 1e-12 * np.max(np.abs(power)), k
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    spectral, "_integrate_frames",
+                    lambda *args, keep_path: path if keep_path else path[-1:],
+                )
+                want_cz = _outcome(lambda: cz_crossing(loop, k))
+            assert got_cz == want_cz, k
+            if name == "zero" or (name, k) == ("rot3", 4):
+                assert want_cz is DegenerateThresholdError
+
+    def test_rejects_cover_below_one(self):
+        for compute in (monodromy, cz_crossing):
+            with pytest.raises(ValueError, match="cover"):
+                compute(rotation_loop(1.0), 0)
