@@ -16,7 +16,7 @@ extracting subbuildings) returns new values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .errors import BuildingError, NoCoreError
@@ -110,6 +110,10 @@ class Building:
     components: tuple[Component, ...]
     breaking_pairs: tuple[BreakingPair, ...] = ()
     nodal_pairs: tuple[NodalPair, ...] = ()
+    # lookup indexes built once per value; not part of equality or hashing
+    _by_id: dict[str, Component] = field(init=False, repr=False, compare=False)
+    _partner: dict[Site, Site] = field(init=False, repr=False, compare=False)
+    _node_ends: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_id = {}
@@ -117,7 +121,7 @@ class Building:
             if comp.id in by_id:
                 raise BuildingError(f"duplicate component id {comp.id!r}")
             by_id[comp.id] = comp
-        seen_sites: set[Site] = set()
+        partner: dict[Site, Site] = {}
         for pair in self.breaking_pairs:
             pos_site, neg_site = pair
             pos = self._puncture_checked(by_id, pos_site)
@@ -137,13 +141,19 @@ class Building:
                     "punctures are unconstrained"
                 )
             for site in pair:
-                if site in seen_sites:
+                if site in partner:
                     raise BuildingError(f"puncture {site} appears in two breaking pairs")
-                seen_sites.add(site)
+            partner[pos_site] = neg_site
+            partner[neg_site] = pos_site
+        node_ends: dict[str, int] = {}
         for pair in self.nodal_pairs:
             for cid in pair:
                 if cid not in by_id:
                     raise BuildingError(f"nodal pair {pair} references unknown component {cid!r}")
+                node_ends[cid] = node_ends.get(cid, 0) + 1
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_partner", partner)
+        object.__setattr__(self, "_node_ends", node_ends)
 
     @staticmethod
     def _puncture_checked(by_id, site: Site) -> Puncture:
@@ -158,45 +168,35 @@ class Building:
     # --- lookups ---------------------------------------------------------
 
     def component(self, cid: str) -> Component:
-        for comp in self.components:
-            if comp.id == cid:
-                return comp
-        raise BuildingError(f"unknown component {cid!r}")
+        try:
+            return self._by_id[cid]
+        except KeyError:
+            raise BuildingError(f"unknown component {cid!r}") from None
 
     def has_component(self, cid: str) -> bool:
-        return any(c.id == cid for c in self.components)
+        return cid in self._by_id
 
     def puncture(self, site: Site) -> Puncture:
         return self.component(site[0]).punctures[site[1]]
 
     def breaking_sites(self) -> set[Site]:
-        out: set[Site] = set()
-        for pos_site, neg_site in self.breaking_pairs:
-            out.add(pos_site)
-            out.add(neg_site)
-        return out
+        return set(self._partner)
 
     def external_sites(self) -> list[Site]:
         """Sites of punctures not swallowed by breaking pairs, sorted."""
-        internal = self.breaking_sites()
         out = [
             (comp.id, i)
             for comp in self.components
             for i in range(len(comp.punctures))
-            if (comp.id, i) not in internal
+            if (comp.id, i) not in self._partner
         ]
         return sorted(out)
 
     def node_endpoints(self, cid: str) -> int:
-        return sum((a == cid) + (b == cid) for a, b in self.nodal_pairs)
+        return self._node_ends.get(cid, 0)
 
     def pair_partner(self, site: Site) -> Site | None:
-        for pos_site, neg_site in self.breaking_pairs:
-            if site == pos_site:
-                return neg_site
-            if site == neg_site:
-                return pos_site
-        return None
+        return self._partner.get(site)
 
     def canonical(self) -> "Building":
         """Components sorted by id, pairs sorted; used for emission and equality."""
@@ -281,35 +281,66 @@ def arithmetic_genus(building: Building) -> int:
     return num // 2
 
 
-def assert_stability(building: Building) -> None:
-    """Constant components must have negative punctured Euler characteristic."""
-    for comp in building.components:
-        if comp.kind != "constant":
+def trivial_breaking_pairs(building: Building) -> set[int]:
+    """Indices of the trivial breaking pairs, found in one depth-first pass.
+
+    A breaking pair is trivial if deleting its edge splits its connected piece
+    and one side consists entirely of trivial cylinders.  The component graph
+    is a multigraph (breaking pairs and nodal pairs are its edges), so an edge
+    disconnects exactly when it is a bridge: a tree edge u-v whose subtree
+    below v has no edge back above v (low[v] > disc[u]; Tarjan 1974).  Parallel
+    and self-glued pairs are never bridges.  Each subtree also counts its
+    components that are not trivial cylinders; a bridge is trivial when that
+    count is zero below it or zero in the rest of its piece.
+    """
+    index = {comp.id: i for i, comp in enumerate(building.components)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in building.components]
+    edges = [(pos[0], neg[0]) for pos, neg in building.breaking_pairs]
+    edges += building.nodal_pairs
+    for e, (a, b) in enumerate(edges):
+        adj[index[a]].append((index[b], e))
+        adj[index[b]].append((index[a], e))
+    n_pairs = len(building.breaking_pairs)
+
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    # components other than trivial cylinders in each DFS subtree
+    below = [0 if is_trivial_cylinder(comp) else 1 for comp in building.components]
+    bridges: list[tuple[int, int, int]] = []  # (pair index, child, root)
+    clock = 0
+    for root in range(len(adj)):
+        if disc[root] >= 0:
             continue
-        chi_dot = 2 - 2 * comp.genus - building.node_endpoints(comp.id)
-        if chi_dot >= 0:
-            raise BuildingError(
-                f"constant component {comp.id!r} is unstable: chi = {chi_dot} >= 0"
-            )
-
-
-def _trivial_breaking_unchecked(building: Building, pair_index: int) -> bool:
-    pos_site, neg_site = building.breaking_pairs[pair_index]
-    trimmed = replace(
-        building,
-        breaking_pairs=tuple(
-            p for i, p in enumerate(building.breaking_pairs) if i != pair_index
-        ),
-    )
-    adj = component_graph(trimmed)
-    side = _reachable(adj, pos_site[0])
-    if neg_site[0] in side:
-        return False  # deletion does not disconnect
-    other = _reachable(adj, neg_site[0])
-    for piece in (side, other):
-        if all(is_trivial_cylinder(trimmed.component(cid)) for cid in piece):
-            return True
-    return False
+        disc[root] = low[root] = clock
+        clock += 1
+        # frames: (vertex, edge it was entered by, next adjacency position)
+        stack = [(root, -1, 0)]
+        while stack:
+            v, via, pos = stack[-1]
+            if pos < len(adj[v]):
+                stack[-1] = (v, via, pos + 1)
+                w, e = adj[v][pos]
+                if e == via:
+                    continue
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, e, 0))
+                elif disc[w] < low[v]:
+                    low[v] = disc[w]
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                below[u] += below[v]
+                if low[v] > disc[u] and via < n_pairs:
+                    bridges.append((via, v, root))
+    return {
+        pair
+        for pair, child, root in bridges
+        if below[child] == 0 or below[root] == below[child]
+    }
 
 
 def is_trivial_breaking(building: Building, pair_index: int) -> bool:
@@ -319,7 +350,7 @@ def is_trivial_breaking(building: Building, pair_index: int) -> bool:
         raise BuildingError(f"breaking pair index {pair_index} out of range")
     if not is_connected(building):
         raise BuildingError("trivial-breaking test needs a connected building")
-    return _trivial_breaking_unchecked(building, pair_index)
+    return pair_index in trivial_breaking_pairs(building)
 
 
 # --- surgery ----------------------------------------------------------------

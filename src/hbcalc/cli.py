@@ -67,7 +67,7 @@ from .degeneration import (
     validate_nice,
 )
 from .errors import HbcalcError, InputError
-from .index_calculus import IndexReport, index_report
+from .index_calculus import IndexReport, index_report, verify_additivity
 from .orbits import Catalog, OrbitRef, SimpleOrbit
 from .spectral import FlowLoop, SpectralEntry, SpectralTable
 
@@ -470,6 +470,7 @@ def _cmd_index(args) -> int:
     catalog = load_catalog(args.catalog)
     building = load_building(args.building)
     report = index_report(catalog, building)
+    verify_additivity(catalog, building)  # raises InternalCheckError on a mismatch
     if args.json:
         sys.stdout.write(
             _dump_json({"format": FORMAT_VERSION, "report": index_report_to_data(report)})

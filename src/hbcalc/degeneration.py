@@ -32,12 +32,12 @@ from .buildings import (
     Building,
     Component,
     Puncture,
-    _trivial_breaking_unchecked,
     core,
     detach_component,
     is_connected,
     is_trivial_cylinder,
     set_constraints,
+    trivial_breaking_pairs,
 )
 from .errors import (
     BuildingError,
@@ -154,8 +154,9 @@ def validate_nice(catalog: Catalog, building: Building) -> NiceVerdict:
                     )
                 )
 
+    trivial = trivial_breaking_pairs(building)
     for i, (pos_site, _neg_site) in enumerate(building.breaking_pairs):
-        if _trivial_breaking_unchecked(building, i):
+        if i in trivial:
             continue
         ref = building.puncture(pos_site).orbit
         if catalog.parity(ref) != 0:
@@ -701,17 +702,19 @@ def enumerate_limits(catalog: Catalog, asymptotics: Asymptotics) -> list[LimitTy
     validate_stable_input(catalog, asymptotics)
     punctures = asymptotics.punctures
     n = len(punctures)
-    candidates = breaking_candidates(catalog)
+    mus = [_signed_mu(catalog, p) for p in punctures]
+    candidates = [
+        (delta, catalog.cz_index(delta).mu_cz) for delta in breaking_candidates(catalog)
+    ]
     out = []
     for top_mask in itertools.product((False, True), repeat=n):
         top = tuple(i for i in range(n) if top_mask[i])
         bottom = tuple(i for i in range(n) if not top_mask[i])
-        mu_top = sum(_signed_mu(catalog, punctures[i]) for i in top)
-        mu_bottom = sum(_signed_mu(catalog, punctures[i]) for i in bottom)
+        mu_top = sum(mus[i] for i in top)
+        mu_bottom = sum(mus[i] for i in bottom)
         chi_top = 1 - len(top)
         chi_bottom = 1 - len(bottom)
-        for delta in candidates:
-            mu_delta = catalog.cz_index(delta).mu_cz
+        for delta, mu_delta in candidates:
             ind_top = -chi_top + mu_top - mu_delta
             ind_bottom = -chi_bottom + mu_bottom + mu_delta
             if ind_top == 1 and ind_bottom == 1:

@@ -35,6 +35,7 @@ from .errors import CatalogError, InternalCheckError, SpectralResolutionError
 from .spectral import (
     FlowLoop,
     SpectralTable,
+    check_grid_budget,
     cz_crossing,
     default_grid,
     monodromy,
@@ -117,6 +118,7 @@ class Catalog:
         self._tables: dict[tuple[str, int], SpectralTable] = {}
         self._monodromy: dict[tuple[str, int], np.ndarray] = {}
         self._summaries: dict[tuple[str, int, float], SpectralSummary] = {}
+        self._alphas: dict[tuple[str, int, float, str], int] = {}
         self._audit()
 
     def __contains__(self, orbit_id: str) -> bool:
@@ -143,6 +145,7 @@ class Catalog:
                             grid: int | None) -> SpectralTable:
         loop = orbit.model
         n = grid if grid is not None else default_grid(loop.n, k, window, loop.strength())
+        check_grid_budget(n)  # before loop.cover samples n points
         table = spectrum_from_loop(loop.cover(k, grid=n), window, grid=n)
         if table.min_abs_eigenvalue() <= table.cluster_tol():
             raise CatalogError(
@@ -222,12 +225,19 @@ class Catalog:
 
     def alpha(self, ref: OrbitRef, threshold: float, side: str) -> int:
         """Extremal winding below ("minus") or above ("plus") a spectral cut."""
+        key = (ref.simple, ref.k, float(threshold), side)
+        cached = self._alphas.get(key)
+        if cached is not None:
+            return cached
         table = self._table_past(ref, threshold)
         if side == "minus":
-            return table.alpha_minus(threshold)
-        if side == "plus":
-            return table.alpha_plus(threshold)
-        raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
+            value = table.alpha_minus(threshold)
+        elif side == "plus":
+            value = table.alpha_plus(threshold)
+        else:
+            raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
+        self._alphas[key] = value
+        return value
 
     def cz_index(self, ref: OrbitRef, threshold: float = 0.0) -> SpectralSummary:
         """Spectral summary at a signed cut, verified against eigenvalue counting."""

@@ -59,6 +59,11 @@ CLUSTER_TOL = 1e-7
 WINDING_GUARD = 0.1
 #: Maximum allowed per-step angle when reading a winding off a discrete loop.
 MAX_STEP_ANGLE = math.pi / 2
+#: Resource budget, checked before anything of that size is allocated: rows of
+#: the dense operator (2 * grid; 4096 rows are 128 MiB of float64) and RK4 steps
+#: of one linearized-flow integration (cover * steps per period).
+MAX_DENSE_DIM = 4096
+MAX_RK4_STEPS = 2**20
 
 
 def next_odd(n: int) -> int:
@@ -86,6 +91,8 @@ class FlowLoop:
         n = arr.shape[0]
         if n < 3 or n % 2 == 0:
             raise ValueError(f"sample count must be odd and >= 3, got {n}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coefficient samples must be finite (found NaN or infinity)")
         defect = np.max(np.abs(arr[:, 0, 1] - arr[:, 1, 0]))
         if defect > SYMMETRY_TOL:
             raise ValueError(
@@ -93,8 +100,8 @@ class FlowLoop:
             )
         if not period > 0:
             raise ValueError(f"period must be positive, got {period}")
-        # store exactly symmetrized, read-only
-        arr = 0.5 * (arr + np.transpose(arr, (0, 2, 1)))
+        # store exactly symmetrized, read-only; halving first cannot overflow
+        arr = 0.5 * arr + 0.5 * np.transpose(arr, (0, 2, 1))
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "period", float(period))
@@ -425,6 +432,15 @@ class InternalAudit(SpectralResolutionError):
     """A computed table failed its own consistency audit."""
 
 
+def check_grid_budget(grid: int) -> None:
+    """Reject a grid whose dense operator would exceed MAX_DENSE_DIM rows."""
+    if 2 * grid > MAX_DENSE_DIM:
+        raise SpectralResolutionError(
+            f"grid {grid} needs a dense operator of dimension {2 * grid}, above the "
+            f"budget of {MAX_DENSE_DIM}; lower the window, cover or grid"
+        )
+
+
 def default_grid(base_n: int, k: int, window: float, base_strength: float) -> int:
     """Grid heuristic: resolve the covered loop and the requested window."""
     w_max = (window + k * base_strength) / (2 * math.pi) + 2
@@ -453,6 +469,7 @@ def spectrum_from_loop(
         if grid % 2 == 0 or grid < 3:
             raise ValueError(f"grid must be odd and >= 3, got {grid}")
         n = grid
+    check_grid_budget(n)
     work = loop.resample(n)
     vals, vecs = solve_symmetric(build_operator(work), solver)
 
@@ -572,6 +589,11 @@ def _integrate_frames(
         raise ValueError(f"cover must be >= 1, got {cover}")
     strength = loop.strength()
     n_steps = steps or max(2048, 256 * int(math.ceil(strength + 1)))
+    if cover * n_steps > MAX_RK4_STEPS:
+        raise SpectralResolutionError(
+            f"cover {cover} needs {cover} x {n_steps} RK4 steps, above the budget of "
+            f"{MAX_RK4_STEPS}"
+        )
     h = 1.0 / n_steps
     # RK4 needs S on the half grid of every period; the cover scales S by k
     # and traverses the base loop k times, so one period's samples suffice.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -12,7 +13,9 @@ from hbcalc.buildings import (
     Building,
     Component,
     Puncture,
+    component_graph,
     connected_component_ids,
+    is_trivial_cylinder,
 )
 from hbcalc.errors import DegenerateThresholdError, SpectralResolutionError
 from hbcalc.orbits import Catalog, OrbitRef
@@ -137,6 +140,45 @@ def reference_integrate_frames(loop: FlowLoop, cover: int, steps: int | None,
         psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         path[step + 1] = psi
     return path if keep_path else path[-1:]
+
+
+# --- per-pair trivial-breaking reference ---------------------------------------
+
+
+def reference_trivial_breaking(building: Building, pair_index: int) -> bool:
+    """Whether one breaking pair is trivial, decided by deleting it and searching.
+
+    Oracle for ``hbcalc.buildings.trivial_breaking_pairs``: rebuilds the
+    building without the pair, then searches the graph from both endpoints
+    (no low-links, no subtree counts).  Works on disconnected buildings.
+    """
+    pos_site, neg_site = building.breaking_pairs[pair_index]
+    trimmed = replace(
+        building,
+        breaking_pairs=tuple(
+            p for i, p in enumerate(building.breaking_pairs) if i != pair_index
+        ),
+    )
+    adj = component_graph(trimmed)
+
+    def reachable(start):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    side = reachable(pos_site[0])
+    if neg_site[0] in side:
+        return False  # deletion does not disconnect
+    other = reachable(neg_site[0])
+    return any(
+        all(is_trivial_cylinder(trimmed.component(cid)) for cid in piece)
+        for piece in (side, other)
+    )
 
 
 # --- random building corpus ---------------------------------------------------

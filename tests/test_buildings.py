@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,17 @@ from hbcalc.buildings import (
     is_trivial_cylinder,
     maximal_trivial_subbuildings,
     subbuilding,
+    trivial_breaking_pairs,
 )
 from hbcalc.errors import BuildingError, NoCoreError
 from hbcalc.orbits import OrbitRef
 
-from support import build_trivial_building, iter_trivial_buildings
+from support import (
+    build_trivial_building,
+    iter_trivial_buildings,
+    random_building,
+    reference_trivial_breaking,
+)
 
 G = OrbitRef("gamma", 1)
 G2 = OrbitRef("gamma", 2)
@@ -161,6 +169,172 @@ class TestTrivialBreaking:
         )
         assert not is_trivial_breaking(b, 0)
         assert not is_trivial_breaking(b, 1)
+
+
+def reference_pairs(b):
+    return {i for i in range(len(b.breaking_pairs)) if reference_trivial_breaking(b, i)}
+
+
+def random_multigraph(rng):
+    """Cylinders, other trivial curves, nontrivial and constant components over
+    one orbit, with breaking pairs matched at random (self-glued and parallel
+    pairs included), random nodes, and no connectivity guarantee."""
+    components = []
+    for i in range(int(rng.integers(1, 9))):
+        roll = rng.random()
+        if roll < 0.45:
+            components.append(tcyl(f"t{i}"))
+        elif roll < 0.55:
+            components.append(Component(f"k{i}", 0, (), kind="constant"))
+        elif roll < 0.65:
+            components.append(
+                Component(f"r{i}", 1, (Puncture(1, G), Puncture(-1, G)), kind="trivial")
+            )
+        else:
+            n_pos, n_neg = rng.integers(0, 3, size=2)
+            components.append(
+                plain(f"v{i}", *([(1, G)] * int(n_pos) + [(-1, G)] * int(n_neg)))
+            )
+    pos = [(c.id, j) for c in components for j, p in enumerate(c.punctures) if p.sign == 1]
+    neg = [(c.id, j) for c in components for j, p in enumerate(c.punctures) if p.sign == -1]
+    count = int(rng.integers(0, min(len(pos), len(neg)) + 1))
+    pairs = tuple(
+        (pos[a], neg[b])
+        for a, b in zip(rng.permutation(len(pos))[:count], rng.permutation(len(neg))[:count])
+    )
+    ids = [c.id for c in components]
+    nodes = tuple(
+        (str(rng.choice(ids)), str(rng.choice(ids))) for _ in range(int(rng.integers(0, 3)))
+    )
+    return Building(components=tuple(components), breaking_pairs=pairs, nodal_pairs=nodes)
+
+
+class TestTrivialBreakingPairs:
+    """The one-pass bridge routine against the per-pair deletion oracle."""
+
+    HAND_BUILT = {
+        "self_glued_cylinder": (
+            Building(components=(tcyl("t"),), breaking_pairs=((("t", 0), ("t", 1)),)),
+            set(),
+        ),
+        "two_parallel_pairs": (
+            Building(
+                components=(plain("v", (1, G), (1, G)), plain("w", (-1, G), (-1, G))),
+                breaking_pairs=((("v", 0), ("w", 0)), (("v", 1), ("w", 1))),
+            ),
+            set(),
+        ),
+        # the cylinder hangs off w, but the node joins w to v: neither side is
+        # all cylinders once node edges count
+        "node_only_connection": (
+            Building(
+                components=(plain("v", (1, G)), tcyl("t"), plain("w", (-1, G))),
+                breaking_pairs=((("t", 0), ("w", 0)),),
+                nodal_pairs=(("t", "v"),),
+            ),
+            set(),
+        ),
+        "cylinder_chain_on_a_curve": (
+            Building(
+                components=(tcyl("t1"), tcyl("t2"), plain("v", (1, G), (-1, G))),
+                breaking_pairs=((("v", 0), ("t1", 1)), (("t1", 0), ("t2", 1))),
+            ),
+            {0, 1},
+        ),
+        "cycle_of_cylinders": (
+            Building(
+                components=(tcyl("t1"), tcyl("t2"), tcyl("t3")),
+                breaking_pairs=(
+                    (("t1", 0), ("t2", 1)),
+                    (("t2", 0), ("t3", 1)),
+                    (("t3", 0), ("t1", 1)),
+                ),
+            ),
+            set(),
+        ),
+        "disconnected": (
+            Building(
+                components=(
+                    plain("v", (1, G)), tcyl("t"),
+                    plain("w1", (1, G)), plain("w2", (-1, G)),
+                    tcyl("u1"), tcyl("u2"),
+                ),
+                breaking_pairs=(
+                    (("v", 0), ("t", 1)),
+                    (("w1", 0), ("w2", 0)),
+                    (("u1", 0), ("u2", 1)),
+                ),
+            ),
+            {0, 2},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built(self, name):
+        b, expected = self.HAND_BUILT[name]
+        assert trivial_breaking_pairs(b) == expected
+        assert reference_pairs(b) == expected
+
+    def test_random_multigraphs(self):
+        rng = np.random.default_rng(2024)
+        seen = dict.fromkeys(("trivial", "nontrivial", "self", "parallel", "node", "split"), 0)
+        for _ in range(3000):
+            b = random_multigraph(rng)
+            got = trivial_breaking_pairs(b)
+            assert got == reference_pairs(b), b
+            ends = [(p[0], n[0]) for p, n in b.breaking_pairs]
+            seen["trivial"] += len(got)
+            seen["nontrivial"] += len(ends) - len(got)
+            seen["self"] += sum(a == c for a, c in ends)
+            seen["parallel"] += len(ends) - len({tuple(sorted(e)) for e in ends})
+            seen["node"] += bool(b.nodal_pairs)
+            seen["split"] += not is_connected(b)
+        assert min(seen.values()) >= 100, seen
+
+    def test_random_buildings_and_augments(self, fixture_catalog):
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            b = random_building(rng, fixture_catalog)
+            assert trivial_breaking_pairs(b) == reference_pairs(b)
+            for where in list(range(len(b.breaking_pairs))) + b.external_sites():
+                a = augment(b, where)
+                assert trivial_breaking_pairs(a) == reference_pairs(a)
+
+    def test_trivial_building_structures(self):
+        rng = np.random.default_rng(5)
+        seen = 0
+        for _chi, _genus2, _n_ext, (combo, edges) in iter_trivial_buildings(3, 3, 1):
+            if rng.random() < 0.1:
+                b = build_trivial_building(combo, edges)
+                assert trivial_breaking_pairs(b) == reference_pairs(b)
+                seen += 1
+        assert seen > 50
+
+    def test_is_trivial_breaking_needs_connected(self):
+        b, _ = self.HAND_BUILT["disconnected"]
+        with pytest.raises(BuildingError, match="connected"):
+            is_trivial_breaking(b, 0)
+        with pytest.raises(BuildingError, match="out of range"):
+            is_trivial_breaking(b, 3)
+
+
+class TestBuildingIndex:
+    def test_index_is_not_part_of_the_value(self):
+        b = Building(
+            components=(tcyl("t"), plain("v", (1, G), (-1, G))),
+            breaking_pairs=((("v", 0), ("t", 1)),),
+            nodal_pairs=(("v", "v"),),
+        )
+        again = replace(b)
+        assert again == b and hash(again) == hash(b)
+        assert "_partner" not in repr(b)
+        assert b.canonical() == b.canonical()
+        assert b.pair_partner(("t", 1)) == ("v", 0)
+        assert b.pair_partner(("t", 0)) is None
+        assert b.node_endpoints("v") == 2 and b.node_endpoints("t") == 0
+        assert b.has_component("t") and not b.has_component("x")
+        with pytest.raises(BuildingError, match="unknown component"):
+            b.component("x")
 
 
 class TestDisjointUnion:

@@ -14,7 +14,7 @@ from hbcalc.cli import (
     catalog_to_data,
     main,
 )
-from hbcalc.errors import CatalogError, InputError
+from hbcalc.errors import CatalogError, InputError, InternalCheckError
 from hbcalc.orbits import OrbitRef
 
 from support import FIXTURES, REPO
@@ -372,3 +372,52 @@ class TestInternalError:
         assert code == 2
         assert out == ""
         assert err == "error: internal error: RuntimeError: boom\n"
+
+
+class TestResourceBudget:
+    @pytest.mark.parametrize(
+        "flags, grid",
+        [(["--window", "1e5"], 159179), (["--cover", "1000"], 33001),
+         (["--grid", "100001"], 100001)],
+    )
+    def test_spectrum_over_budget_exits_2(self, flags, grid):
+        argv = ["spectrum", "--catalog", str(FIXTURES / "catalog_demo.json"),
+                "--orbit", "rot_p", "--window", "10", *flags]
+        # a fresh process with a timeout: the check must fire before allocating
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hbcalc.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert f"grid {grid} needs a dense operator" in proc.stderr
+        assert "budget of 4096" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestIndexAdditivity:
+    ARGV = ("index", "--catalog", str(FIXTURES / "catalog_demo.json"),
+            "--building", str(FIXTURES / "building_figure3.json"), "--json")
+
+    def test_index_runs_the_additivity_audit(self, capsys, monkeypatch):
+        calls = []
+        real = cli.verify_additivity
+        monkeypatch.setattr(
+            cli, "verify_additivity", lambda *a: calls.append(a) or real(*a)
+        )
+        code, out, _ = run(capsys, *self.ARGV)
+        assert code == 0 and len(calls) == 1
+        catalog, building = calls[0]
+        expected = cli.index_report_to_data(cli.index_report(catalog, building))
+        assert out == cli._dump_json({"format": cli.FORMAT_VERSION, "report": expected})
+
+    def test_additivity_failure_exits_2(self, capsys, monkeypatch):
+        def broken(catalog, building):
+            raise InternalCheckError("index additivity failed: 1 != 0 + 0")
+
+        monkeypatch.setattr(cli, "verify_additivity", broken)
+        code, out, err = run(capsys, *self.ARGV)
+        assert code == 2
+        assert out == ""
+        assert err == "error: index additivity failed: 1 != 0 + 0\n"

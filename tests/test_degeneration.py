@@ -13,7 +13,7 @@ from hbcalc.buildings import (
 )
 from hbcalc import degeneration as dg
 from hbcalc import index_calculus as ic
-from hbcalc.cli import load_building
+from hbcalc.cli import load_building, load_catalog
 from hbcalc.errors import IncompleteInputError, InputError
 from hbcalc.orbits import OrbitRef
 
@@ -434,6 +434,21 @@ class TestEnumerateLimits:
         )
         got = [(lt.top, lt.bottom, lt.breaking) for lt in dg.enumerate_limits(cat, asym)]
         assert got == oracle_limits(cat, asym)
+
+    def test_cold_and_warm_catalog_agree(self):
+        asym = dg.Asymptotics(
+            punctures=(
+                Puncture(1, RP, constraint=0.7), Puncture(1, RP), Puncture(1, RM),
+                Puncture(1, RM), Puncture(-1, RP), Puncture(1, RM),
+            )
+        )
+        cold = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        first = dg.enumerate_limits(cold, asym)
+        built = [dg.limit_to_building(cold, asym, lt) for lt in first]
+        assert len(first) > 4
+        assert dg.enumerate_limits(cold, asym) == first
+        assert [dg.limit_to_building(cold, asym, lt) for lt in first] == built
+        assert [(lt.top, lt.bottom, lt.breaking) for lt in first] == oracle_limits(cold, asym)
 
     def test_higher_mu_catalog(self, cat):
         # with only the mu=2 even orbit, the single balanced split parks both

@@ -14,9 +14,10 @@ from hbcalc.orbits import (
     SimpleOrbit,
     is_simply_covered_eigenfunction,
 )
-from hbcalc.spectral import build_operator, spectrum_from_loop
+from hbcalc.cli import load_catalog
+from hbcalc.spectral import FlowLoop, build_operator, spectrum_from_loop
 
-from support import hyperbolic_loop, rotating_axis_loop, rotation_loop
+from support import FIXTURES, hyperbolic_loop, rotating_axis_loop, rotation_loop
 
 
 class TestAlpha:
@@ -35,6 +36,28 @@ class TestAlpha:
     def test_threshold_on_eigenvalue_rejected(self, fixture_catalog):
         with pytest.raises(DegenerateThresholdError):
             fixture_catalog.alpha(OrbitRef("hyp_even"), 1.0, "minus")
+
+    def test_memo_matches_cold_catalog(self):
+        warm = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        queries = []
+        for orbit_id in warm.ids():
+            for k in (1, 2):
+                ref = OrbitRef(orbit_id, k)
+                eigenvalues = warm.table(ref, 6.0).eigenvalues()
+                for t in (-3.1, -2.0, -0.7, 0.0, 0.7, 2.0, 3.1):
+                    if min(abs(x - t) for x in eigenvalues) > 0.05:
+                        queries += [(ref, t, "minus"), (ref, t, "plus")]
+        first = [warm.alpha(*q) for q in queries]
+        assert [warm.alpha(*q) for q in queries] == first  # warm: memo hits
+        cold = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        assert [cold.alpha(*q) for q in reversed(queries)] == first[::-1]
+        direct = [
+            getattr(warm.table(ref, 12.0), f"alpha_{side}")(t) for ref, t, side in queries
+        ]
+        assert first == direct
+        for _ in range(2):  # a rejected side is never memoized
+            with pytest.raises(ValueError, match="side"):
+                warm.alpha(OrbitRef("rot_p"), 0.0, "up")
 
 
 class TestCzIndex:
@@ -146,6 +169,24 @@ class TestCoveringLemma:
 
 
 class TestCatalogAudit:
+    def test_non_finite_flow_samples_rejected(self):
+        rows = [[1.0, 0.0, 1.0], [math.nan, 0.0, 1.0], [1.0, 0.0, 1.0]]
+        with pytest.raises(ValueError, match="finite"):
+            Catalog([SimpleOrbit("bad", 1.0, FlowLoop.from_triples(rows))])
+        with pytest.raises(ValueError, match="finite"):
+            SimpleOrbit("bad", 1.0, FlowLoop.constant([[math.inf, 0.0], [0.0, 1.0]]))
+
+    def test_dense_budget_checked_before_solving(self, demo_catalog):
+        # a strength of 1e6 makes the audit ask for a grid near 3e6
+        with pytest.raises(SpectralResolutionError, match="budget"):
+            Catalog([SimpleOrbit("big", 1.0, rotation_loop(1e6))])
+        with pytest.raises(SpectralResolutionError, match="grid 159179"):
+            demo_catalog.spectrum_of(OrbitRef("rot_p"), 1e5)
+        with pytest.raises(SpectralResolutionError, match="budget"):
+            demo_catalog.spectrum_of(OrbitRef("rot_p", 1000), 10.0)
+        with pytest.raises(SpectralResolutionError, match="grid 2049 needs .* dimension 4098"):
+            demo_catalog.spectrum_of(OrbitRef("rot_p"), 10.0, grid=2049)
+
     def test_even_orbit_without_hyperbolic_flag_rejected(self):
         table = spectrum_from_loop(hyperbolic_loop(), window=8.0)
         with pytest.raises(CatalogError, match="even"):

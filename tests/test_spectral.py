@@ -43,6 +43,25 @@ class TestFlowLoop:
         with pytest.raises(ValueError, match="symmetric"):
             FlowLoop(samples)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0, 0), (1, 1, 1), (2, 0, 1)])
+    def test_rejects_non_finite_sample(self, value, entry):
+        i, a, b = entry
+        samples = np.zeros((3, 2, 2))
+        samples[i, a, b] = samples[i, b, a] = value  # symmetric, so only finiteness fails
+        with pytest.raises(ValueError, match="finite"):
+            FlowLoop(samples)
+
+    def test_library_routes_to_non_finite_samples(self):
+        with pytest.raises(ValueError, match="finite"):
+            FlowLoop.constant(np.full((2, 2), math.nan))
+        with pytest.raises(ValueError, match="finite"):
+            FlowLoop.from_triples([[0.0, math.inf, 0.0]] * 3)
+        huge = FlowLoop.constant(1e308 * np.eye(2), n=3)
+        assert np.all(np.isfinite(huge.samples))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            huge.cover(2)  # k * S overflows
+
     def test_trig_interpolation_is_exact_for_resolved_loops(self):
         loop = rotating_axis_loop(1, n=11)
         fine = loop.resample(33)
@@ -269,6 +288,15 @@ class TestPropagatorOracle:
             assert got_cz == want_cz, k
             if name == "zero" or (name, k) == ("rot3", 4):
                 assert want_cz is DegenerateThresholdError
+
+    def test_rk4_budget(self):
+        loop = rotation_loop(1.0)  # 2048 steps per period
+        assert spectral.MAX_RK4_STEPS // 2048 == 512
+        for compute in (monodromy, cz_crossing):
+            with pytest.raises(SpectralResolutionError, match="cover 513 needs 513 x 2048"):
+                compute(loop, 513)
+        with pytest.raises(SpectralResolutionError, match="budget"):
+            monodromy(loop, 1, steps=spectral.MAX_RK4_STEPS + 1)
 
     def test_rejects_cover_below_one(self):
         for compute in (monodromy, cz_crossing):
