@@ -14,14 +14,12 @@ from .errors import (
     SpectralResolutionError,
 )
 from .spectral import (
-    DiscreteLoop,
     FlowLoop,
     SpectralEntry,
     SpectralTable,
     build_operator,
     cz_crossing,
     fourier_diff_matrix,
-    jacobi_eigh,
     spectrum_from_loop,
     winding,
 )
@@ -30,7 +28,6 @@ __all__ = [
     "BuildingError",
     "CatalogError",
     "DegenerateThresholdError",
-    "DiscreteLoop",
     "FlowLoop",
     "HbcalcError",
     "IncompleteInputError",
@@ -44,7 +41,6 @@ __all__ = [
     "build_operator",
     "cz_crossing",
     "fourier_diff_matrix",
-    "jacobi_eigh",
     "spectrum_from_loop",
     "winding",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .buildings import (
     Building,
@@ -48,7 +48,9 @@ from .errors import (
 )
 from .index_calculus import (
     ConstraintMap,
+    End,
     defect,
+    ends,
     fredholm_index,
     resolve_constraints,
 )
@@ -191,7 +193,7 @@ def validate_nice(catalog: Catalog, building: Building) -> NiceVerdict:
     # controlling eigenfunctions of embedded ends are simply covered, and
     # ends of distinct embedded components over one simple orbit with the
     # same sign share multiplicity and winding
-    ends: dict[tuple[str, int], list[tuple[str, str, int, int]]] = {}
+    by_orbit: dict[tuple[str, int], list[tuple[str, str, int, int]]] = {}
     for comp in nontrivial:
         class_key = comp.image_class if comp.image_class is not None else f"#{comp.id}"
         for idx, p in enumerate(comp.punctures):
@@ -210,10 +212,10 @@ def validate_nice(catalog: Catalog, building: Building) -> NiceVerdict:
                         f"winding {w} with gcd({p.orbit.k}, {w}) > 1",
                     )
                 )
-            ends.setdefault((p.orbit.simple, p.sign), []).append(
+            by_orbit.setdefault((p.orbit.simple, p.sign), []).append(
                 (class_key, comp.id, p.orbit.k, w)
             )
-    for (simple, sign), group in sorted(ends.items()):
+    for (simple, sign), group in sorted(by_orbit.items()):
         classes = {g[0] for g in group}
         if len(classes) < 2:
             continue
@@ -326,15 +328,7 @@ def classify_stable_limit(catalog: Catalog, building: Building,
                         f"broken-pair side has induced index {side_ind} != 1",
                     )
                 )
-            evens = [
-                site
-                for site in piece.external_sites()
-                if catalog.cz_index(
-                    piece.puncture(site).orbit,
-                    -induced[site] if piece.puncture(site).sign == 1 else induced[site],
-                ).parity
-                == 0
-            ]
+            evens = [e.site for e in ends(catalog, piece, induced) if e.parity == 0]
             breaking_sites_here = {
                 s for pair in collapsed.breaking_pairs for s in pair if s[0] == comp.id
             }
@@ -649,14 +643,8 @@ class LimitType:
     c_n_bottom: int = 0
 
 
-def _signed_mu(catalog: Catalog, p: Puncture) -> int:
-    cut = -p.constraint if p.sign == 1 else p.constraint
-    mu = catalog.cz_index(p.orbit, cut).mu_cz
-    return mu if p.sign == 1 else -mu
-
-
-def validate_stable_input(catalog: Catalog, asymptotics: Asymptotics) -> None:
-    """Reject inputs that do not describe a stable index-2 genus-0 curve."""
+def _asymptotic_ends(catalog: Catalog, asymptotics: Asymptotics) -> list[End]:
+    """The ends of a validated stable index-2 genus-0 curve, keyed by position."""
     if asymptotics.rel_c1 != 0:
         raise InputError(
             "enumerate expects rel_c1 = 0 (sides are materialized with zero "
@@ -664,20 +652,22 @@ def validate_stable_input(catalog: Catalog, asymptotics: Asymptotics) -> None:
         )
     if not asymptotics.punctures:
         raise InputError("a stable curve has at least one puncture")
-    evens = []
-    for i, p in enumerate(asymptotics.punctures):
-        cut = -p.constraint if p.sign == 1 else p.constraint
-        if catalog.cz_index(p.orbit, cut).parity == 0:
-            evens.append(i)
+    rows = [End(catalog, i, p, p.constraint) for i, p in enumerate(asymptotics.punctures)]
+    evens = [e.site for e in rows if e.parity == 0]
     if evens:
         raise InputError(
             f"stability needs no even constrained punctures; punctures {evens} are even "
             "(2c_N = ind - 2 + 2g + #even fails for ind=2, g=0, c_N=0)"
         )
-    n = len(asymptotics.punctures)
-    ind = (n - 2) + sum(_signed_mu(catalog, p) for p in asymptotics.punctures)
+    ind = (len(rows) - 2) + sum(e.sign * e.mu for e in rows)
     if ind != 2:
         raise InputError(f"input curve has index {ind} != 2")
+    return rows
+
+
+def validate_stable_input(catalog: Catalog, asymptotics: Asymptotics) -> None:
+    """Reject inputs that do not describe a stable index-2 genus-0 curve."""
+    _asymptotic_ends(catalog, asymptotics)
 
 
 def breaking_candidates(catalog: Catalog) -> list[OrbitRef]:
@@ -699,10 +689,8 @@ def enumerate_limits(catalog: Catalog, asymptotics: Asymptotics) -> list[LimitTy
     negative breaking puncture is the top.  Output is sorted and
     deterministic.
     """
-    validate_stable_input(catalog, asymptotics)
-    punctures = asymptotics.punctures
-    n = len(punctures)
-    mus = [_signed_mu(catalog, p) for p in punctures]
+    mus = [e.sign * e.mu for e in _asymptotic_ends(catalog, asymptotics)]
+    n = len(mus)
     candidates = [
         (delta, catalog.cz_index(delta).mu_cz) for delta in breaking_candidates(catalog)
     ]
@@ -729,31 +717,15 @@ def limit_to_building(catalog: Catalog, asymptotics: Asymptotics,
     controlling windings, ready for validate_nice / classify_stable_limit."""
 
     def side(name: str, indices: tuple[int, ...], breaking_sign: int) -> Component:
-        puncts = []
-        for i in indices:
-            p = asymptotics.punctures[i]
-            cut = -p.constraint if p.sign == 1 else p.constraint
-            side_name = "minus" if p.sign == 1 else "plus"
-            puncts.append(
-                Puncture(
-                    sign=p.sign,
-                    orbit=p.orbit,
-                    constraint=p.constraint,
-                    controlling_winding=catalog.alpha(p.orbit, cut, side_name),
-                )
-            )
-        side_name = "minus" if breaking_sign == 1 else "plus"
-        puncts.append(
-            Puncture(
-                sign=breaking_sign,
-                orbit=limit.breaking,
-                controlling_winding=catalog.alpha(limit.breaking, 0.0, side_name),
-            )
-        )
+        punctures = [asymptotics.punctures[i] for i in indices]
+        punctures.append(Puncture(sign=breaking_sign, orbit=limit.breaking))
         return Component(
             id=name,
             genus=0,
-            punctures=tuple(puncts),
+            punctures=tuple(
+                replace(p, controlling_winding=End(catalog, None, p, p.constraint).extremal)
+                for p in punctures
+            ),
             rel_c1=0,
             kind="nontrivial",
             wind_pi=0,

@@ -22,6 +22,10 @@ unit per nodal *point* (two per stored nodal pair):
 
 Disconnected buildings are accepted by ind/c_N (chi sums over pieces);
 arithmetic genus, and hence the displayed identity, needs connectedness.
+
+Every formula is a sum over the rows of `ends`, one per external end with its
+signed cut, CZ index, parity and extremal winding; a report builds the rows
+once for the building and once per detached component.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 from .buildings import (
     Building,
+    Puncture,
     Site,
     arithmetic_genus,
     detach_component,
@@ -37,7 +42,7 @@ from .buildings import (
     is_connected,
 )
 from .errors import BuildingError, IncompleteInputError, InconsistentDataError, InternalCheckError
-from .orbits import Catalog
+from .orbits import Catalog, SpectralSummary
 
 ConstraintMap = dict[Site, float]
 
@@ -58,63 +63,112 @@ def resolve_constraints(building: Building, constraints: ConstraintMap | None) -
     return out
 
 
-def _threshold(sign: int, constraint: float) -> float:
-    # positive punctures are cut at -c, negative punctures at +c
-    return -constraint if sign == 1 else constraint
+class End:
+    """One end under its constraint c, read through its signed spectral cut.
+
+    This is the one place the cut convention lives: a positive end is cut at
+    -c and its extremal winding is alpha_minus there, a negative end is cut at
+    +c and read with alpha_plus.  `mu`, `parity` and `extremal` are the
+    orbit's own (unsigned) values at the cut.  Each is asked of the catalog on
+    first use and then kept, so a caller that needs no extremal winding makes
+    no alpha query and no end is queried twice.
+    """
+
+    __slots__ = ("site", "sign", "orbit", "constraint", "cut", "_catalog", "_summary",
+                 "_extremal")
+
+    def __init__(self, catalog: Catalog, site, puncture: Puncture, constraint: float):
+        self.site = site
+        self.sign = puncture.sign
+        self.orbit = puncture.orbit
+        self.constraint = constraint
+        self.cut = -constraint if puncture.sign == 1 else constraint
+        self._catalog = catalog
+        self._summary = None
+        self._extremal = None
+
+    def summary(self) -> SpectralSummary:
+        if self._summary is None:
+            self._summary = self._catalog.cz_index(self.orbit, self.cut)
+        return self._summary
+
+    @property
+    def mu(self) -> int:
+        return self.summary().mu_cz
+
+    @property
+    def parity(self) -> int:
+        return self.summary().parity
+
+    @property
+    def extremal(self) -> int:
+        if self._extremal is None:
+            side = "minus" if self.sign == 1 else "plus"
+            self._extremal = self._catalog.alpha(self.orbit, self.cut, side)
+        return self._extremal
+
+
+def ends(catalog: Catalog, building: Building,
+         constraints: ConstraintMap | None = None) -> list[End]:
+    """The external ends of a building, sorted by site, under the resolved
+    constraints; every index and Chern-number formula is a sum over these."""
+    cs = resolve_constraints(building, constraints)
+    return [End(catalog, site, building.puncture(site), c) for site, c in cs.items()]
+
+
+def _c1(building: Building) -> int:
+    return sum(c.rel_c1 for c in building.components)
+
+
+def _mu(rows: list[End]) -> int:
+    return sum(e.sign * e.mu for e in rows)
+
+
+def _index(building: Building, rows: list[End]) -> int:
+    return -euler_char(building) + 2 * _c1(building) + _mu(rows)
+
+
+def _parities(rows: list[End]) -> tuple[tuple[Site, ...], tuple[Site, ...]]:
+    gamma0 = tuple(e.site for e in rows if e.parity == 0)
+    return gamma0, tuple(e.site for e in rows if e.parity != 0)
+
+
+def _chern(building: Building, rows: list[End]) -> int:
+    """c_N from the ends, asserting 2c_N = ind - 2 + 2g + #even when connected."""
+    chi = euler_char(building)
+    cn = _c1(building) - chi + sum(e.sign * e.extremal for e in rows)
+    if is_connected(building):
+        ind = _index(building, rows)
+        genus = (2 - len(rows) - chi) // 2  # arithmetic genus; 2 - n_ext - chi is even
+        n_even = sum(1 for e in rows if e.parity == 0)
+        if 2 * cn != ind - 2 + 2 * genus + n_even:
+            raise InternalCheckError(
+                f"normal Chern number {cn} violates 2c_N = ind - 2 + 2g + #even "
+                f"(ind={ind}, g={genus}, #even={n_even})"
+            )
+    return cn
 
 
 def cz_total(catalog: Catalog, building: Building,
              constraints: ConstraintMap | None = None) -> int:
-    cs = resolve_constraints(building, constraints)
-    total = 0
-    for site, c in cs.items():
-        p = building.puncture(site)
-        mu = catalog.cz_index(p.orbit, _threshold(p.sign, c)).mu_cz
-        total += mu if p.sign == 1 else -mu
-    return total
+    return _mu(ends(catalog, building, constraints))
 
 
 def fredholm_index(catalog: Catalog, building: Building,
                    constraints: ConstraintMap | None = None) -> int:
-    c1 = sum(c.rel_c1 for c in building.components)
-    return -euler_char(building) + 2 * c1 + cz_total(catalog, building, constraints)
+    return _index(building, ends(catalog, building, constraints))
 
 
 def puncture_parities(catalog: Catalog, building: Building,
                       constraints: ConstraintMap | None = None
                       ) -> tuple[tuple[Site, ...], tuple[Site, ...]]:
     """External punctures partitioned by constrained parity (even, odd)."""
-    cs = resolve_constraints(building, constraints)
-    gamma0, gamma1 = [], []
-    for site in sorted(cs):
-        p = building.puncture(site)
-        parity = catalog.cz_index(p.orbit, _threshold(p.sign, cs[site])).parity
-        (gamma0 if parity == 0 else gamma1).append(site)
-    return tuple(gamma0), tuple(gamma1)
+    return _parities(ends(catalog, building, constraints))
 
 
 def normal_chern(catalog: Catalog, building: Building,
                  constraints: ConstraintMap | None = None) -> int:
-    cs = resolve_constraints(building, constraints)
-    c1 = sum(c.rel_c1 for c in building.components)
-    alpha_sum = 0
-    for site, c in cs.items():
-        p = building.puncture(site)
-        if p.sign == 1:
-            alpha_sum += catalog.alpha(p.orbit, _threshold(1, c), "minus")
-        else:
-            alpha_sum -= catalog.alpha(p.orbit, _threshold(-1, c), "plus")
-    cn = c1 - euler_char(building) + alpha_sum
-    if is_connected(building):
-        ind = fredholm_index(catalog, building, constraints)
-        genus = arithmetic_genus(building)
-        gamma0, _ = puncture_parities(catalog, building, constraints)
-        if 2 * cn != ind - 2 + 2 * genus + len(gamma0):
-            raise InternalCheckError(
-                f"normal Chern number {cn} violates 2c_N = ind - 2 + 2g + #even "
-                f"(ind={ind}, g={genus}, #even={len(gamma0)})"
-            )
-    return cn
+    return _chern(building, ends(catalog, building, constraints))
 
 
 @dataclass(frozen=True)
@@ -144,30 +198,30 @@ def defect(catalog: Catalog, building: Building, comp_id: str,
         for site, value in constraints.items():
             if site in induced and site in external:
                 induced[site] = float(value)
-    missing = [site for site in piece.external_sites()
-               if piece.puncture(site).controlling_winding is None]
+    windings = _controlling_windings(comp)
+    return _defect(piece, ends(catalog, piece, induced), windings)
+
+
+def _controlling_windings(comp) -> list[int]:
+    missing = [(comp.id, i) for i, p in enumerate(comp.punctures) if p.controlling_winding is None]
     if missing:
         raise IncompleteInputError(
-            f"component {comp_id!r} lacks controlling windings at {missing}",
+            f"component {comp.id!r} lacks controlling windings at {missing}",
             fields=[f"{site[0]}.punctures[{site[1]}].controlling_winding" for site in missing],
         )
-    per = []
-    total = 0
-    for site in piece.external_sites():
-        p = piece.puncture(site)
-        c = induced[site]
-        if p.sign == 1:
-            extremal = catalog.alpha(p.orbit, _threshold(1, c), "minus")
-        else:
-            extremal = catalog.alpha(p.orbit, _threshold(-1, c), "plus")
-        d = abs(extremal - p.controlling_winding)
-        per.append((site, d))
-        total += d
-    cn = normal_chern(catalog, piece, induced)
+    return [p.controlling_winding for p in comp.punctures]
+
+
+def _defect(piece: Building, rows: list[End], windings: list[int]) -> DefectReport:
+    """The defect report of a detached nontrivial component from its ends."""
+    comp = piece.components[0]
+    per = tuple((e.site, abs(e.extremal - w)) for e, w in zip(rows, windings))
+    total = sum(d for _, d in per)
+    cn = _chern(piece, rows)
     if comp.wind_pi is not None:
         if comp.wind_pi + total != cn:
             raise InconsistentDataError(
-                f"component {comp_id!r}: wind_pi {comp.wind_pi} + defect {total} "
+                f"component {comp.id!r}: wind_pi {comp.wind_pi} + defect {total} "
                 f"!= c_N {cn}"
             )
         wind_pi = comp.wind_pi
@@ -175,10 +229,10 @@ def defect(catalog: Catalog, building: Building, comp_id: str,
         wind_pi = cn - total
         if wind_pi < 0:
             raise InconsistentDataError(
-                f"component {comp_id!r}: defect {total} exceeds c_N {cn}, "
+                f"component {comp.id!r}: defect {total} exceeds c_N {cn}, "
                 "forcing wind_pi < 0"
             )
-    return DefectReport(per_puncture=tuple(per), total=total, wind_pi=wind_pi)
+    return DefectReport(per_puncture=per, total=total, wind_pi=wind_pi)
 
 
 @dataclass(frozen=True)
@@ -213,21 +267,30 @@ class AdditivityReport:
 
 def component_reports(catalog: Catalog, building: Building,
                       constraints: ConstraintMap | None = None) -> list[ComponentReport]:
-    cs = resolve_constraints(building, constraints)
+    return _component_reports(catalog, building, ends(catalog, building, constraints))
+
+
+def _component_reports(catalog: Catalog, building: Building,
+                       rows: list[End]) -> list[ComponentReport]:
+    """Per-component index, c_N and defect, each from one pass over the ends
+    of the detached component (breaking ends at zero, external ends at the
+    constraints of `rows`)."""
+    given = {e.site: e.constraint for e in rows}
     out = []
     for comp in sorted(building.components, key=lambda c: c.id):
         piece, induced = detach_component(building, comp.id)
-        for site in induced:
-            if site in cs:
-                induced[site] = cs[site]
-        ind = fredholm_index(catalog, piece, induced)
-        cn = normal_chern(catalog, piece, induced)
+        piece_rows = [
+            End(catalog, site, piece.puncture(site), given.get(site, c))
+            for site, c in induced.items()
+        ]
+        ind = _index(piece, piece_rows)
+        cn = _chern(piece, piece_rows)
         defect_total = None
         consistent = True
         if comp.kind == "nontrivial":
             try:
-                report = defect(catalog, building, comp.id, constraints)
-                defect_total = report.total
+                windings = _controlling_windings(comp)
+                defect_total = _defect(piece, piece_rows, windings).total
             except IncompleteInputError:
                 pass
             except InconsistentDataError:
@@ -235,7 +298,7 @@ def component_reports(catalog: Catalog, building: Building,
         out.append(
             ComponentReport(
                 component=comp.id,
-                induced_constraints=tuple(sorted(induced.items())),
+                induced_constraints=tuple((e.site, e.constraint) for e in piece_rows),
                 index=ind,
                 c_n=cn,
                 defect_total=defect_total,
@@ -292,15 +355,16 @@ class IndexReport:
 
 def index_report(catalog: Catalog, building: Building,
                  constraints: ConstraintMap | None = None) -> IndexReport:
-    gamma0, gamma1 = puncture_parities(catalog, building, constraints)
+    rows = ends(catalog, building, constraints)
+    gamma0, gamma1 = _parities(rows)
     return IndexReport(
         chi=euler_char(building),
         genus=arithmetic_genus(building) if is_connected(building) else None,
-        c1_total=sum(c.rel_c1 for c in building.components),
-        mu_total=cz_total(catalog, building, constraints),
-        index=fredholm_index(catalog, building, constraints),
-        c_n=normal_chern(catalog, building, constraints),
+        c1_total=_c1(building),
+        mu_total=_mu(rows),
+        index=_index(building, rows),
+        c_n=_chern(building, rows),
         gamma0=gamma0,
         gamma1=gamma1,
-        per_component=tuple(component_reports(catalog, building, constraints)),
+        per_component=tuple(_component_reports(catalog, building, rows)),
     )

@@ -207,7 +207,10 @@ class Catalog:
                     f"reach past threshold {threshold}"
                 )
             return stored
-        need = abs(threshold) + self._strength(orbit) * ref.k + 8.0
+        try:
+            need = abs(threshold) + self._strength(orbit) * ref.k + 8.0
+        except OverflowError:  # a cover past the float range; default_grid rejects it
+            need = math.inf
         for _ in range(MAX_GROWTHS):
             table = self.table(ref, need)
             lo, hi = table.kept_range()

@@ -105,6 +105,8 @@ class FlowLoop:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "period", float(period))
+        if not math.isfinite(self.strength()):
+            raise ValueError("coefficient samples must have a finite spectral norm (it overflows)")
 
     def __setattr__(self, name, value):
         raise AttributeError("FlowLoop is immutable")
@@ -139,7 +141,8 @@ class FlowLoop:
         a = self.samples[:, 0, 0]
         b = self.samples[:, 0, 1]
         c = self.samples[:, 1, 1]
-        radius = np.abs(a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b**2)
+        with np.errstate(over="ignore"):  # an overflow is rejected on construction
+            radius = np.abs(a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b**2)
         return float(np.max(radius))
 
     def value_at(self, ts) -> np.ndarray:
@@ -177,31 +180,16 @@ class FlowLoop:
         return FlowLoop(k * self.value_at(ts), k * self.period)
 
 
-@dataclass(frozen=True)
-class DiscreteLoop:
-    """An ordered loop of nonzero plane vectors (e.g. a sampled eigenfunction)."""
-
-    points: tuple[tuple[float, float], ...]
-
-    @classmethod
-    def from_array(cls, arr) -> "DiscreteLoop":
-        pts = np.asarray(arr, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"expected points of shape (n, 2), got {pts.shape}")
-        return cls(tuple((float(x), float(y)) for x, y in pts))
-
-
-def winding(loop: DiscreteLoop) -> int:
-    """Total signed angle of the loop divided by 2*pi, rounded to an integer.
+def winding(points) -> int:
+    """Total signed angle of a loop of plane vectors, an (n, 2) array, divided
+    by 2*pi and rounded to an integer.
 
     Rejects zero vectors; per-step angles >= pi/2 or a pre-rounding value
     further than 0.1 from an integer mean the loop is under-resolved.
     """
-    pts = np.asarray(loop.points, dtype=float)
-    return _winding_of_points(pts)
-
-
-def _winding_of_points(pts: np.ndarray) -> int:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected points of shape (n, 2), got {pts.shape}")
     norms = np.hypot(pts[:, 0], pts[:, 1])
     if np.min(norms) <= 1e-13 * max(1.0, float(np.max(norms))):
         raise ValueError("loop contains a (numerically) zero vector")
@@ -252,75 +240,6 @@ def build_operator(loop: FlowLoop) -> np.ndarray:
     for i in range(n):
         a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] -= loop.samples[i]
     return a
-
-
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
-    """Self-contained cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Rotations are applied in round-robin rounds of disjoint pivot pairs so
-    each round is a handful of vectorized row/column updates.  Returns
-    (eigenvalues ascending, column eigenvectors), like numpy.linalg.eigh.
-    Intended for desk-scale matrices and as an eigensolver cross-check.
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
-        raise ValueError("matrix must be symmetric")
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    # round-robin tournament schedule over (padded) indices
-    m = n if n % 2 == 0 else n + 1
-    ring = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [(ring[i], ring[m - 1 - i]) for i in range(m // 2)]
-        rounds.append([(p, q) if p < q else (q, p) for p, q in pairs if p < n and q < n])
-        ring = [ring[0]] + [ring[-1]] + ring[1:-1]
-
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.square(a - np.diag(a.diagonal()))))
-        if off <= tol * scale:
-            break
-        for pairs in rounds:
-            p = np.array([pq[0] for pq in pairs])
-            q = np.array([pq[1] for pq in pairs])
-            apq = a[p, q]
-            active = np.abs(apq) > 1e-300
-            if not np.any(active):
-                continue
-            phi = 0.5 * np.arctan2(2 * apq, a[p, p] - a[q, q])
-            c = np.cos(phi)
-            s = np.sin(phi)
-            c[~active] = 1.0
-            s[~active] = 0.0
-            rp = a[p, :].copy()
-            rq = a[q, :].copy()
-            a[p, :] = c[:, None] * rp + s[:, None] * rq
-            a[q, :] = -s[:, None] * rp + c[:, None] * rq
-            cp = a[:, p].copy()
-            cq = a[:, q].copy()
-            a[:, p] = c[None, :] * cp + s[None, :] * cq
-            a[:, q] = -s[None, :] * cp + c[None, :] * cq
-            vp = v[:, p].copy()
-            vq = v[:, q].copy()
-            v[:, p] = c[None, :] * vp + s[None, :] * vq
-            v[:, q] = -s[None, :] * vp + c[None, :] * vq
-    vals = a.diagonal().copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
-
-
-def solve_symmetric(matrix, solver: str = "eigh"):
-    if solver == "eigh":
-        return np.linalg.eigh(matrix)
-    if solver == "jacobi":
-        return jacobi_eigh(matrix)
-    raise ValueError(f"unknown solver {solver!r}")
 
 
 @dataclass(frozen=True)
@@ -443,15 +362,20 @@ def check_grid_budget(grid: int) -> None:
 
 def default_grid(base_n: int, k: int, window: float, base_strength: float) -> int:
     """Grid heuristic: resolve the covered loop and the requested window."""
-    w_max = (window + k * base_strength) / (2 * math.pi) + 2
-    return next_odd(max(k * base_n, int(math.ceil(10 * w_max)) | 1, 33))
+    try:
+        cells = math.ceil(10 * ((window + k * base_strength) / (2 * math.pi) + 2))
+    except OverflowError:  # the grid size is not even a float
+        raise SpectralResolutionError(
+            f"window {window} at cover {k} needs a grid past the float range, above the "
+            f"budget of {MAX_DENSE_DIM}; lower the window or cover"
+        ) from None
+    return next_odd(max(k * base_n, cells | 1, 33))
 
 
 def spectrum_from_loop(
     loop: FlowLoop,
     window: float,
     grid: int | None = None,
-    solver: str = "eigh",
 ) -> SpectralTable:
     """Windowed spectral table of the operator defined by a coefficient loop.
 
@@ -471,7 +395,7 @@ def spectrum_from_loop(
         n = grid
     check_grid_budget(n)
     work = loop.resample(n)
-    vals, vecs = solve_symmetric(build_operator(work), solver)
+    vals, vecs = np.linalg.eigh(build_operator(work))
 
     scan = window + 2.0 * strength + 8.0
     tol = CLUSTER_TOL * max(1.0, window)
@@ -482,7 +406,7 @@ def spectrum_from_loop(
     for i in range(lo, hi):
         pts = vecs[:, i].reshape(n, 2)
         try:
-            winds[i] = _winding_of_points(pts)
+            winds[i] = winding(pts)
         except (SpectralResolutionError, ValueError):
             if abs(vals[i]) <= window:
                 raise SpectralResolutionError(

@@ -8,16 +8,41 @@ import pathlib
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from hbcalc import degeneration
 from hbcalc.buildings import (
     Building,
     Component,
     Puncture,
+    arithmetic_genus,
     component_graph,
     connected_component_ids,
+    core,
+    detach_component,
+    euler_char,
+    is_connected,
     is_trivial_cylinder,
+    set_constraints,
 )
-from hbcalc.errors import DegenerateThresholdError, SpectralResolutionError
+from hbcalc.degeneration import Asymptotics, LimitType, breaking_candidates, validate_nice
+from hbcalc.errors import (
+    BuildingError,
+    DegenerateThresholdError,
+    IncompleteInputError,
+    InconsistentDataError,
+    InputError,
+    InternalCheckError,
+    NoCoreError,
+    SpectralResolutionError,
+)
+from hbcalc.index_calculus import (
+    AdditivityReport,
+    ComponentReport,
+    ConstraintMap,
+    DefectReport,
+    IndexReport,
+)
 from hbcalc.orbits import Catalog, OrbitRef
 from hbcalc.spectral import J0, FlowLoop, monodromy, spectrum_from_loop
 
@@ -106,6 +131,70 @@ def nondegenerate_trig_loop(rng: np.random.Generator, **kwargs) -> FlowLoop:
             return loop
 
 
+# --- eigensolver oracle --------------------------------------------------------
+
+
+def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
+    """Self-contained cyclic Jacobi diagonalization of a symmetric matrix.
+
+    Rotations are applied in round-robin rounds of disjoint pivot pairs so
+    each round is a handful of vectorized row/column updates.  Returns
+    (eigenvalues ascending, column eigenvectors), like numpy.linalg.eigh.
+    Intended for desk-scale matrices and as an eigensolver cross-check.
+    """
+    a = np.array(matrix, dtype=float, copy=True)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
+        raise ValueError("matrix must be symmetric")
+    v = np.eye(n)
+    if n == 1:
+        return a.diagonal().copy(), v
+
+    # round-robin tournament schedule over (padded) indices
+    m = n if n % 2 == 0 else n + 1
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [(ring[i], ring[m - 1 - i]) for i in range(m // 2)]
+        rounds.append([(p, q) if p < q else (q, p) for p, q in pairs if p < n and q < n])
+        ring = [ring[0]] + [ring[-1]] + ring[1:-1]
+
+    scale = max(1.0, float(np.max(np.abs(a))))
+    for _ in range(max_sweeps):
+        off = np.sqrt(np.sum(np.square(a - np.diag(a.diagonal()))))
+        if off <= tol * scale:
+            break
+        for pairs in rounds:
+            p = np.array([pq[0] for pq in pairs])
+            q = np.array([pq[1] for pq in pairs])
+            apq = a[p, q]
+            active = np.abs(apq) > 1e-300
+            if not np.any(active):
+                continue
+            phi = 0.5 * np.arctan2(2 * apq, a[p, p] - a[q, q])
+            c = np.cos(phi)
+            s = np.sin(phi)
+            c[~active] = 1.0
+            s[~active] = 0.0
+            rp = a[p, :].copy()
+            rq = a[q, :].copy()
+            a[p, :] = c[:, None] * rp + s[:, None] * rq
+            a[q, :] = -s[:, None] * rp + c[:, None] * rq
+            cp = a[:, p].copy()
+            cq = a[:, q].copy()
+            a[:, p] = c[None, :] * cp + s[None, :] * cq
+            a[:, q] = -s[None, :] * cp + c[None, :] * cq
+            vp = v[:, p].copy()
+            vq = v[:, q].copy()
+            v[:, p] = c[None, :] * vp + s[None, :] * vq
+            v[:, q] = -s[None, :] * vp + c[None, :] * vq
+    vals = a.diagonal().copy()
+    order = np.argsort(vals, kind="stable")
+    return vals[order], v[:, order]
+
+
 # --- sequential RK4 reference ------------------------------------------------
 
 
@@ -179,6 +268,311 @@ def reference_trivial_breaking(building: Building, pair_index: int) -> bool:
         all(is_trivial_cylinder(trimmed.component(cid)) for cid in piece)
         for piece in (side, other)
     )
+
+
+# --- per-function index formulas ----------------------------------------------
+#
+# The index layer as it was before every formula became a sum over the rows of
+# ``hbcalc.index_calculus.ends``: each function resolves the constraints and
+# asks the catalog again.  Oracle for the single pass (same values, same
+# exception classes, same spectral queries).
+
+
+def reference_resolve_constraints(building: Building,
+                                  constraints: ConstraintMap | None) -> ConstraintMap:
+    """Constraints for every external puncture: inline values overridden by
+    the supplied map (whose keys must be external sites)."""
+    sites = building.external_sites()
+    out = {site: building.puncture(site).constraint for site in sites}
+    if constraints:
+        site_set = set(sites)
+        for site, value in constraints.items():
+            if site not in site_set:
+                raise BuildingError(f"constraint keyed by non-external site {site}")
+            if value < 0:
+                raise BuildingError(f"constraint at {site} must be >= 0, got {value}")
+            out[site] = float(value)
+    return out
+
+
+def reference_threshold(sign: int, constraint: float) -> float:
+    # positive punctures are cut at -c, negative punctures at +c
+    return -constraint if sign == 1 else constraint
+
+
+def reference_cz_total(catalog: Catalog, building: Building,
+             constraints: ConstraintMap | None = None) -> int:
+    cs = reference_resolve_constraints(building, constraints)
+    total = 0
+    for site, c in cs.items():
+        p = building.puncture(site)
+        mu = catalog.cz_index(p.orbit, reference_threshold(p.sign, c)).mu_cz
+        total += mu if p.sign == 1 else -mu
+    return total
+
+
+def reference_fredholm_index(catalog: Catalog, building: Building,
+                   constraints: ConstraintMap | None = None) -> int:
+    c1 = sum(c.rel_c1 for c in building.components)
+    return -euler_char(building) + 2 * c1 + reference_cz_total(catalog, building, constraints)
+
+
+def reference_puncture_parities(catalog: Catalog, building: Building,
+                      constraints: ConstraintMap | None = None
+                      ) -> tuple[tuple[Site, ...], tuple[Site, ...]]:
+    """External punctures partitioned by constrained parity (even, odd)."""
+    cs = reference_resolve_constraints(building, constraints)
+    gamma0, gamma1 = [], []
+    for site in sorted(cs):
+        p = building.puncture(site)
+        parity = catalog.cz_index(p.orbit, reference_threshold(p.sign, cs[site])).parity
+        (gamma0 if parity == 0 else gamma1).append(site)
+    return tuple(gamma0), tuple(gamma1)
+
+
+def reference_normal_chern(catalog: Catalog, building: Building,
+                 constraints: ConstraintMap | None = None) -> int:
+    cs = reference_resolve_constraints(building, constraints)
+    c1 = sum(c.rel_c1 for c in building.components)
+    alpha_sum = 0
+    for site, c in cs.items():
+        p = building.puncture(site)
+        if p.sign == 1:
+            alpha_sum += catalog.alpha(p.orbit, reference_threshold(1, c), "minus")
+        else:
+            alpha_sum -= catalog.alpha(p.orbit, reference_threshold(-1, c), "plus")
+    cn = c1 - euler_char(building) + alpha_sum
+    if is_connected(building):
+        ind = reference_fredholm_index(catalog, building, constraints)
+        genus = arithmetic_genus(building)
+        gamma0, _ = reference_puncture_parities(catalog, building, constraints)
+        if 2 * cn != ind - 2 + 2 * genus + len(gamma0):
+            raise InternalCheckError(
+                f"normal Chern number {cn} violates 2c_N = ind - 2 + 2g + #even "
+                f"(ind={ind}, g={genus}, #even={len(gamma0)})"
+            )
+    return cn
+
+
+def reference_defect(catalog: Catalog, building: Building, comp_id: str,
+           constraints: ConstraintMap | None = None) -> DefectReport | None:
+    """Per-puncture |extremal winding - controlling winding| for one component.
+
+    The component is taken with its induced constraints (breaking punctures
+    at zero).  Trivial and constant components have no defect; returns None.
+    When the component declares wind_pi, wind_pi + total defect must equal its
+    normal Chern number; otherwise the implied wind_pi must be nonnegative.
+    """
+    comp = building.component(comp_id)
+    if comp.kind != "nontrivial":
+        return None
+    piece, induced = detach_component(building, comp_id)
+    if constraints:
+        external = set(building.external_sites())
+        for site, value in constraints.items():
+            if site in induced and site in external:
+                induced[site] = float(value)
+    missing = [site for site in piece.external_sites()
+               if piece.puncture(site).controlling_winding is None]
+    if missing:
+        raise IncompleteInputError(
+            f"component {comp_id!r} lacks controlling windings at {missing}",
+            fields=[f"{site[0]}.punctures[{site[1]}].controlling_winding" for site in missing],
+        )
+    per = []
+    total = 0
+    for site in piece.external_sites():
+        p = piece.puncture(site)
+        c = induced[site]
+        if p.sign == 1:
+            extremal = catalog.alpha(p.orbit, reference_threshold(1, c), "minus")
+        else:
+            extremal = catalog.alpha(p.orbit, reference_threshold(-1, c), "plus")
+        d = abs(extremal - p.controlling_winding)
+        per.append((site, d))
+        total += d
+    cn = reference_normal_chern(catalog, piece, induced)
+    if comp.wind_pi is not None:
+        if comp.wind_pi + total != cn:
+            raise InconsistentDataError(
+                f"component {comp_id!r}: wind_pi {comp.wind_pi} + defect {total} "
+                f"!= c_N {cn}"
+            )
+        wind_pi = comp.wind_pi
+    else:
+        wind_pi = cn - total
+        if wind_pi < 0:
+            raise InconsistentDataError(
+                f"component {comp_id!r}: defect {total} exceeds c_N {cn}, "
+                "forcing wind_pi < 0"
+            )
+    return DefectReport(per_puncture=tuple(per), total=total, wind_pi=wind_pi)
+
+
+def reference_component_reports(catalog: Catalog, building: Building,
+                      constraints: ConstraintMap | None = None) -> list[ComponentReport]:
+    cs = reference_resolve_constraints(building, constraints)
+    out = []
+    for comp in sorted(building.components, key=lambda c: c.id):
+        piece, induced = detach_component(building, comp.id)
+        for site in induced:
+            if site in cs:
+                induced[site] = cs[site]
+        ind = reference_fredholm_index(catalog, piece, induced)
+        cn = reference_normal_chern(catalog, piece, induced)
+        defect_total = None
+        consistent = True
+        if comp.kind == "nontrivial":
+            try:
+                report = reference_defect(catalog, building, comp.id, constraints)
+                defect_total = report.total
+            except IncompleteInputError:
+                pass
+            except InconsistentDataError:
+                consistent = False
+        out.append(
+            ComponentReport(
+                component=comp.id,
+                induced_constraints=tuple(sorted(induced.items())),
+                index=ind,
+                c_n=cn,
+                defect_total=defect_total,
+                wind_pi_consistent=consistent,
+            )
+        )
+    return out
+
+
+def reference_verify_additivity(catalog: Catalog, building: Building,
+                      constraints: ConstraintMap | None = None) -> AdditivityReport:
+    """Check index and c_N additivity over components exactly; mismatches are
+    internal errors (these are theorems, not data checks)."""
+    reports = reference_component_reports(catalog, building, constraints)
+    parity_sum = 0
+    for pos_site, _ in building.breaking_pairs:
+        parity_sum += catalog.parity(building.puncture(pos_site).orbit)
+    report = AdditivityReport(
+        index_total=reference_fredholm_index(catalog, building, constraints),
+        index_component_sum=sum(r.index for r in reports),
+        c_n_total=reference_normal_chern(catalog, building, constraints),
+        c_n_component_sum=sum(r.c_n for r in reports),
+        breaking_parity_sum=parity_sum,
+        nodal_points=2 * len(building.nodal_pairs),
+    )
+    if not report.index_ok:
+        raise InternalCheckError(
+            f"index additivity failed: {report.index_total} != "
+            f"{report.index_component_sum} + {report.nodal_points}"
+        )
+    if not report.c_n_ok:
+        raise InternalCheckError(
+            f"c_N additivity failed: {report.c_n_total} != "
+            f"{report.c_n_component_sum} + {report.breaking_parity_sum} "
+            f"+ {report.nodal_points}"
+        )
+    return report
+
+
+def reference_index_report(catalog: Catalog, building: Building,
+                 constraints: ConstraintMap | None = None) -> IndexReport:
+    gamma0, gamma1 = reference_puncture_parities(catalog, building, constraints)
+    return IndexReport(
+        chi=euler_char(building),
+        genus=arithmetic_genus(building) if is_connected(building) else None,
+        c1_total=sum(c.rel_c1 for c in building.components),
+        mu_total=reference_cz_total(catalog, building, constraints),
+        index=reference_fredholm_index(catalog, building, constraints),
+        c_n=reference_normal_chern(catalog, building, constraints),
+        gamma0=gamma0,
+        gamma1=gamma1,
+        per_component=tuple(reference_component_reports(catalog, building, constraints)),
+    )
+
+
+def reference_signed_mu(catalog: Catalog, p: Puncture) -> int:
+    cut = -p.constraint if p.sign == 1 else p.constraint
+    mu = catalog.cz_index(p.orbit, cut).mu_cz
+    return mu if p.sign == 1 else -mu
+
+
+def reference_validate_stable_input(catalog: Catalog, asymptotics: Asymptotics) -> None:
+    """Reject inputs that do not describe a stable index-2 genus-0 curve."""
+    if asymptotics.rel_c1 != 0:
+        raise InputError(
+            "enumerate expects rel_c1 = 0 (sides are materialized with zero "
+            "relative Chern number)"
+        )
+    if not asymptotics.punctures:
+        raise InputError("a stable curve has at least one puncture")
+    evens = []
+    for i, p in enumerate(asymptotics.punctures):
+        cut = -p.constraint if p.sign == 1 else p.constraint
+        if catalog.cz_index(p.orbit, cut).parity == 0:
+            evens.append(i)
+    if evens:
+        raise InputError(
+            f"stability needs no even constrained punctures; punctures {evens} are even "
+            "(2c_N = ind - 2 + 2g + #even fails for ind=2, g=0, c_N=0)"
+        )
+    n = len(asymptotics.punctures)
+    ind = (n - 2) + sum(reference_signed_mu(catalog, p) for p in asymptotics.punctures)
+    if ind != 2:
+        raise InputError(f"input curve has index {ind} != 2")
+
+
+def reference_enumerate_limits(catalog: Catalog, asymptotics: Asymptotics) -> list[LimitType]:
+    """All (top, bottom, breaking orbit) splittings with both side indices 1.
+
+    Ordered partitions with empty parts allowed; the side carrying the
+    negative breaking puncture is the top.  Output is sorted and
+    deterministic.
+    """
+    reference_validate_stable_input(catalog, asymptotics)
+    punctures = asymptotics.punctures
+    n = len(punctures)
+    mus = [reference_signed_mu(catalog, p) for p in punctures]
+    candidates = [
+        (delta, catalog.cz_index(delta).mu_cz) for delta in breaking_candidates(catalog)
+    ]
+    out = []
+    for top_mask in itertools.product((False, True), repeat=n):
+        top = tuple(i for i in range(n) if top_mask[i])
+        bottom = tuple(i for i in range(n) if not top_mask[i])
+        mu_top = sum(mus[i] for i in top)
+        mu_bottom = sum(mus[i] for i in bottom)
+        chi_top = 1 - len(top)
+        chi_bottom = 1 - len(bottom)
+        for delta, mu_delta in candidates:
+            ind_top = -chi_top + mu_top - mu_delta
+            ind_bottom = -chi_bottom + mu_bottom + mu_delta
+            if ind_top == 1 and ind_bottom == 1:
+                out.append(LimitType(top=top, bottom=bottom, breaking=delta))
+    out.sort(key=lambda lt: (lt.top, lt.breaking.simple, lt.breaking.k))
+    return out
+
+
+def reference_classify_queries(catalog: Catalog, building: Building) -> None:
+    """Make the spectral queries ``classify_stable_limit`` made before the
+    single ends pass, in its order: the nice-building checks (with the
+    per-function defect), the induced index of every nontrivial component, the
+    total index and, for a two-component core, each side's induced index.
+    Its even-end test read the same cuts as that side index."""
+    building = set_constraints(building, reference_resolve_constraints(building, None))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(degeneration, "defect", reference_defect)
+        validate_nice(catalog, building)
+    for comp in building.components:
+        if comp.kind == "nontrivial":
+            reference_fredholm_index(catalog, *detach_component(building, comp.id))
+    if reference_fredholm_index(catalog, building) not in (1, 2):
+        return
+    try:
+        collapsed = core(building)
+    except NoCoreError:
+        return
+    if len(collapsed.components) == 2:
+        for comp in collapsed.components:
+            reference_fredholm_index(catalog, *detach_component(collapsed, comp.id))
 
 
 # --- random building corpus ---------------------------------------------------

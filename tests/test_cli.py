@@ -396,6 +396,35 @@ class TestResourceBudget:
         assert "Traceback" not in proc.stderr
 
 
+class TestGridPastFloatRange:
+    """Requests whose grid size overflows a float are over budget (exit 2), not
+    an OverflowError."""
+
+    def test_constraint_near_float_limit(self, capsys, tmp_path):
+        data = json.loads((FIXTURES / "asymptotics_demo.json").read_text())
+        data["punctures"][0]["constraint"] = 1.7e308
+        path = tmp_path / "asymptotics.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "enumerate", "--catalog",
+                             str(FIXTURES / "catalog_demo.json"), "--asymptotics", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: window 1.7e+308 at cover 1 needs a grid past the float")
+
+    def test_cover_past_float_range(self, capsys, tmp_path):
+        data = json.loads((FIXTURES / "asymptotics_demo.json").read_text())
+        data["punctures"][0]["orbit"]["k"] = 10**400
+        path = tmp_path / "asymptotics.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "enumerate", "--catalog",
+                             str(FIXTURES / "catalog_demo.json"), "--asymptotics", str(path))
+        assert (code, out) == (2, "")
+        assert "needs a grid past the float range" in err
+        code, out, err = run(capsys, "spectrum", "--catalog", str(FIXTURES / "catalog_demo.json"),
+                             "--orbit", "rot_p", "--cover", str(10**400), "--window", "10")
+        assert (code, out) == (2, "")
+        assert "needs a grid past the float range" in err
+
+
 class TestIndexAdditivity:
     ARGV = ("index", "--catalog", str(FIXTURES / "catalog_demo.json"),
             "--building", str(FIXTURES / "building_figure3.json"), "--json")
@@ -421,3 +450,24 @@ class TestIndexAdditivity:
         assert code == 2
         assert out == ""
         assert err == "error: index additivity failed: 1 != 0 + 0\n"
+
+
+class TestHugeFlowSamples:
+    def test_overflowing_strength_cites_samples_path(self, tmp_path):
+        data = json.loads((FIXTURES / "catalog_demo.json").read_text())
+        data["orbits"][0]["model"]["samples"] = [[1e308, 0.0, 1e308]] * 3
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hbcalc.cli", "spectrum", "--catalog", str(bad),
+             "--orbit", data["orbits"][0]["id"], "--window", "10"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        # one error line naming the JSON path: no numpy warning, no internal error
+        assert proc.stderr == (
+            f"error: {bad}.orbits[0].model.samples: coefficient samples must have a "
+            "finite spectral norm (it overflows)\n"
+        )

@@ -488,6 +488,21 @@ class TestEnumerateLimits:
             assert verdict.kind == "BROKEN_PAIR"
             assert ic.fredholm_index(demo_catalog, b) == 2
 
+    def test_materialized_ends_read_their_signed_cuts(self, demo_catalog):
+        # constraint 2 cuts the first end below the eigenvalue -pi/2 of rot_p,
+        # so its mu drops to -1 and its extremal winding alpha_minus(-2) to -1
+        asym = dg.Asymptotics(
+            punctures=(Puncture(1, RP, constraint=2.0), Puncture(1, RP), Puncture(1, RP))
+        )
+        limits = dg.enumerate_limits(demo_catalog, asym)
+        assert limits
+        for limit in limits:
+            b = dg.limit_to_building(demo_catalog, asym, limit)
+            windings = {(p.constraint, p.orbit): p.controlling_winding
+                        for comp in b.components for p in comp.punctures if p.sign == 1}
+            assert windings[(2.0, RP)] == demo_catalog.alpha(RP, -2.0, "minus") == -1
+            assert windings[(0.0, RP)] == demo_catalog.alpha(RP, 0.0, "minus") == 0
+
     def test_even_puncture_input_rejected(self, cat):
         asym = dg.Asymptotics(punctures=(Puncture(1, HE), Puncture(1, H2)))
         with pytest.raises(InputError, match="even"):

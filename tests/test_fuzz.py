@@ -1,0 +1,166 @@
+"""Seeded mutation fuzzing of the three JSON loaders through ``cli.main``.
+
+Each mutant is a fixture document with one random edit: a dropped key,
+a value of another JSON type, a replaced number, a truncated array or a
+duplicated array element.  Whatever the edit, the command must end with a
+verdict or an input error: exit code 0, 1 or 2, no traceback and no
+"internal error".  Mutated covers ``k`` stay in 1..4, so every case runs in
+well under a second (oversized requests are the resource-budget tests' job).
+"""
+
+import copy
+import json
+
+import numpy as np
+import pytest
+
+from hbcalc import cli
+from hbcalc.cli import main
+
+from support import FIXTURES
+
+MUTANTS_PER_LOADER = 100
+
+#: replacement numbers: signs, zero, fractions, huge, tiny and near the float limit
+NUMBERS = (0, 1, -1, 2, 3, 0.5, -0.5, 1e-9, 1e-308, 1e6, -1e6, 10**20, 2**53 + 1,
+           1e154, 1e200, 1e308, -1e308, 1.7e308)
+#: one value of every JSON type
+OTHER_TYPES = ("x", 7, 1.5, True, None, [], {})
+
+
+def _nodes(doc, path=()):
+    """(path, value) for every node of a JSON tree, the root first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def mutate(rng: np.random.Generator, doc):
+    """One random edit of a JSON document, in place; returns a short description."""
+    nodes = list(_nodes(doc))
+    candidates = {
+        "drop": [(p, v) for p, v in nodes if isinstance(v, dict) and v],
+        "retype": nodes[1:],
+        "set": [(p, v) for p, v in nodes[1:] if _is_number(v)],
+        "truncate": [(p, v) for p, v in nodes if isinstance(v, list) and v],
+    }
+    candidates["duplicate"] = candidates["truncate"]
+    ops = [op for op, found in candidates.items() if found]
+    op = ops[int(rng.integers(len(ops)))]
+    # pick a kind of node first (its path with indices blanked), so the long
+    # sample arrays do not crowd out the scalar fields
+    kinds: dict[tuple, list] = {}
+    for path, node in candidates[op]:
+        kinds.setdefault(tuple("*" if isinstance(k, int) else k for k in path), []).append(
+            (path, node))
+    group = kinds[sorted(kinds)[int(rng.integers(len(kinds)))]]
+    path, node = group[int(rng.integers(len(group)))]
+    if op == "drop":
+        key = sorted(node)[int(rng.integers(len(node)))]
+        del node[key]
+        return f"drop {path + (key,)}"
+    if op == "retype":
+        others = [v for v in OTHER_TYPES if type(v) is not type(node)]
+        value = copy.deepcopy(others[int(rng.integers(len(others)))])
+    elif op == "set":
+        value = int(rng.integers(1, 5)) if path[-1] == "k" else NUMBERS[
+            int(rng.integers(len(NUMBERS)))]
+    elif op == "truncate":
+        del node[int(rng.integers(len(node))):]
+        return f"truncate {path}"
+    else:
+        node.insert(int(rng.integers(len(node) + 1)),
+                    copy.deepcopy(node[int(rng.integers(len(node)))]))
+        return f"duplicate an element of {path}"
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return f"{op} {path} to {value!r}"
+
+
+def mutants(seed: int, bases: list[str]):
+    """MUTANTS_PER_LOADER (base name, edit, mutated document) triples."""
+    rng = np.random.default_rng(seed)
+    docs = {name: json.loads((FIXTURES / name).read_text()) for name in bases}
+    for i in range(MUTANTS_PER_LOADER):
+        name = bases[i % len(bases)]
+        doc = copy.deepcopy(docs[name])
+        yield name, mutate(rng, doc), doc
+
+
+@pytest.fixture
+def warm_fixture_catalogs(monkeypatch):
+    """Load each unmutated fixture catalog once; mutated files load as usual."""
+    real = cli.load_catalog
+    cache = {}
+
+    def load(filename):
+        if not filename.startswith(str(FIXTURES)):
+            return real(filename)
+        if filename not in cache:
+            cache[filename] = real(filename)
+        return cache[filename]
+
+    monkeypatch.setattr(cli, "load_catalog", load)
+
+
+def assert_clean_exit(capsys, argv, case):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (case, code, err)
+    assert "Traceback" not in out + err, (case, err)
+    assert "internal error" not in err, (case, err)
+
+
+class TestLoaderFuzz:
+    def test_catalog_mutants(self, capsys, tmp_path):
+        bases = ["catalog_demo.json", "catalog_fixture.json", "catalog_table.json"]
+        path = tmp_path / "catalog.json"
+        for i, (name, edit, doc) in enumerate(mutants(303, bases)):
+            path.write_text(json.dumps(doc))
+            if name == "catalog_table.json":
+                argv = ["spectrum", "--catalog", str(path), "--orbit", "rot_tab",
+                        "--window", "5"]
+            elif i % 2:
+                argv = ["spectrum", "--catalog", str(path), "--orbit", "rot_p",
+                        "--cover", "2", "--window", "10", "--json"]
+            else:
+                argv = ["index", "--catalog", str(path), "--building",
+                        str(FIXTURES / "building_figure3.json")]
+            assert_clean_exit(capsys, argv, (name, edit))
+
+    def test_building_mutants(self, capsys, tmp_path, warm_fixture_catalogs):
+        bases = ["building_cylinder.json", "building_figure3.json",
+                 "building_fig3_oddbreak.json"]
+        path = tmp_path / "building.json"
+        commands = (["index", "--json"], ["validate"], ["check", "--theorem", "stable"])
+        for i, (name, edit, doc) in enumerate(mutants(101, bases)):
+            path.write_text(json.dumps(doc))
+            command, *flags = commands[i % len(commands)]
+            argv = [command, "--catalog", str(FIXTURES / "catalog_fixture.json"),
+                    "--building", str(path), *flags]
+            assert_clean_exit(capsys, argv, (name, edit))
+
+    def test_asymptotics_mutants(self, capsys, tmp_path, warm_fixture_catalogs):
+        path = tmp_path / "asymptotics.json"
+        for name, edit, doc in mutants(202, ["asymptotics_demo.json"]):
+            path.write_text(json.dumps(doc))
+            argv = ["enumerate", "--catalog", str(FIXTURES / "catalog_demo.json"),
+                    "--asymptotics", str(path), "--json"]
+            assert_clean_exit(capsys, argv, (name, edit))
+
+    def test_mutations_are_seeded_and_varied(self):
+        first = [edit for _, edit, _ in mutants(7, ["building_figure3.json"])]
+        again = [edit for _, edit, _ in mutants(7, ["building_figure3.json"])]
+        assert first == again
+        kinds = {edit.split()[0] for edit in first}
+        assert kinds == {"drop", "retype", "set", "truncate", "duplicate"}

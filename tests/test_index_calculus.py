@@ -1,12 +1,32 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hbcalc.buildings import Building, Component, Puncture, add_node, augment
-from hbcalc.errors import InconsistentDataError, IncompleteInputError
+from hbcalc import degeneration
 from hbcalc import index_calculus as ic
-from hbcalc.orbits import OrbitRef
+from hbcalc.buildings import (
+    Building,
+    Component,
+    Puncture,
+    add_node,
+    augment,
+    is_connected,
+    set_constraints,
+)
+from hbcalc.cli import load_asymptotics, load_building, load_catalog
+from hbcalc.degeneration import (
+    Asymptotics,
+    classify_stable_limit,
+    enumerate_limits,
+    validate_nice,
+)
+from hbcalc.errors import HbcalcError, InconsistentDataError, IncompleteInputError
+from hbcalc.orbits import Catalog, OrbitRef
 
-from support import random_building
+import support
+from support import FIXTURES, random_building, safe_constraint
 
 RP = OrbitRef("rot_p")
 RM = OrbitRef("rot_m")
@@ -200,3 +220,173 @@ class TestRandomCorpus:
                     == 0
                 )
                 assert (comp_report.index + piece_gamma0) % 2 == 0
+
+
+# --- the single ends pass against the per-function formulas --------------------
+
+
+def outcome(fn, *args):
+    """A call's value, or the class of the exception it raised."""
+    try:
+        return ("value", fn(*args))
+    except HbcalcError as exc:
+        return ("raised", type(exc))
+
+
+def constraint_map(rng, catalog, building):
+    """Safe constraints on a random half of the external sites (None if none)."""
+    sites = [s for s in building.external_sites() if rng.random() < 0.5]
+    return {s: safe_constraint(catalog, building.puncture(s).orbit, rng) for s in sites} or None
+
+
+def with_windings(rng, building):
+    """The building with random controlling windings and wind_pi on its
+    nontrivial components, so that defects come out as values or as
+    inconsistencies."""
+    comps = []
+    for comp in building.components:
+        if comp.kind == "nontrivial":
+            punctures = tuple(replace(p, controlling_winding=int(rng.integers(-2, 3)))
+                              for p in comp.punctures)
+            wind_pi = [None, 0, 1][int(rng.integers(3))]
+            comp = replace(comp, punctures=punctures, wind_pi=wind_pi)
+        comps.append(comp)
+    return replace(building, components=tuple(comps))
+
+
+def variants(rng, building):
+    """The building with and without controlling windings, augmented at a
+    breaking pair and at an external site, and noded."""
+    building = with_windings(rng, building) if rng.random() < 0.5 else building
+    out = [building]
+    if building.breaking_pairs:
+        out.append(augment(building, int(rng.integers(len(building.breaking_pairs)))))
+    external = building.external_sites()
+    if external:
+        out.append(augment(building, external[int(rng.integers(len(external)))]))
+    ids = [c.id for c in building.components]
+    out.append(add_node(building, str(rng.choice(ids)), str(rng.choice(ids))))
+    return out
+
+
+def fixture_cases():
+    for cat_name in ("catalog_demo.json", "catalog_fixture.json", "catalog_table.json"):
+        catalog = load_catalog(str(FIXTURES / cat_name))
+        for b_name in ("building_cylinder.json", "building_figure3.json",
+                       "building_fig3_oddbreak.json"):
+            yield catalog, load_building(str(FIXTURES / b_name))
+
+
+def random_cases(catalog, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        for b in variants(rng, random_building(rng, catalog)):
+            yield b, None
+            yield b, constraint_map(rng, catalog, b)
+
+
+PAIRS = [
+    (ic.cz_total, support.reference_cz_total),
+    (ic.fredholm_index, support.reference_fredholm_index),
+    (ic.puncture_parities, support.reference_puncture_parities),
+    (ic.normal_chern, support.reference_normal_chern),
+    (ic.component_reports, support.reference_component_reports),
+    (ic.verify_additivity, support.reference_verify_additivity),
+    (ic.index_report, support.reference_index_report),
+]
+
+
+def assert_same_as_reference(catalog, building, constraints):
+    for new, old in PAIRS:
+        assert outcome(new, catalog, building, constraints) == outcome(
+            old, catalog, building, constraints), (new.__name__, building, constraints)
+    for comp in building.components:
+        assert outcome(ic.defect, catalog, building, comp.id, constraints) == outcome(
+            support.reference_defect, catalog, building, comp.id, constraints), comp.id
+
+
+class TestEndsOracle:
+    def test_fixtures(self):
+        for catalog, building in fixture_cases():
+            assert_same_as_reference(catalog, building, None)
+
+    def test_random_buildings_and_variants(self, cat):
+        for building, constraints in random_cases(cat, 150, 4):
+            assert_same_as_reference(cat, building, constraints)
+
+    def test_rejected_constraint_maps(self, cat):
+        b = Building(components=(Component("p", 0, (Puncture(1, RP),)),))
+        for bad in ({("p", 1): 1.0}, {("p", 0): -1.0}):
+            assert_same_as_reference(cat, b, bad)
+
+    def test_signed_cut_rule(self, cat):
+        pos, neg = Puncture(1, RP), Puncture(-1, RP)
+        a = ic.End(cat, ("p", 0), pos, 2.0)
+        b = ic.End(cat, ("n", 0), neg, 2.0)
+        assert (a.cut, b.cut) == (-2.0, 2.0)
+        assert a.extremal == cat.alpha(RP, -2.0, "minus")
+        assert b.extremal == cat.alpha(RP, 2.0, "plus")
+        assert (a.mu, a.parity) == (cat.cz_index(RP, -2.0).mu_cz, cat.cz_index(RP, -2.0).parity)
+
+
+def queried(catalog, fn, *args):
+    """Whether fn raised (and what), and the spectral memo keys it created."""
+    catalog._summaries.clear()
+    catalog._alphas.clear()
+    kind, value = outcome(fn, catalog, *args)
+    return (value if kind == "raised" else None), set(catalog._summaries), set(catalog._alphas)
+
+
+class TestEndsQueries:
+    """The single pass asks the catalog nothing the per-function formulas did
+    not (so it adds no error path), and drops nothing they asked."""
+
+    def cases(self, cat):
+        yield from fixture_cases()
+        # a constrained end moved onto a trivial cylinder: the core moves the
+        # constraint back, so a broken-pair side reads a cut that no component
+        # of the building itself reads
+        for catalog, building in fixture_cases():
+            for site in building.external_sites():
+                yield catalog, augment(set_constraints(building, {site: 0.1}), site)
+        for building, _ in random_cases(cat, 25, 11):
+            yield cat, building
+
+    def test_building_entry_points(self, cat, monkeypatch):
+        for catalog, building in self.cases(cat):
+            assert queried(catalog, ic.index_report, building) == queried(
+                catalog, support.reference_index_report, building)
+            new = queried(catalog, validate_nice, building)
+            with monkeypatch.context() as mp:
+                mp.setattr(degeneration, "defect", support.reference_defect)
+                assert new == queried(catalog, validate_nice, building)
+            if is_connected(building):
+                assert queried(catalog, classify_stable_limit, building) == queried(
+                    catalog, support.reference_classify_queries, building)
+
+    def test_enumerate(self, cat):
+        asymptotics = load_asymptotics(str(FIXTURES / "asymptotics_demo.json"))
+        rng = np.random.default_rng(5)
+        corpus = [asymptotics]
+        for _ in range(20):
+            comp = random_building(rng, cat, max_components=1).components[0]
+            corpus.append(Asymptotics(punctures=comp.punctures))
+        for catalog, _ in list(fixture_cases())[::3]:
+            for curve in corpus:
+                assert queried(catalog, enumerate_limits, curve) == queried(
+                    catalog, support.reference_enumerate_limits, curve)
+
+    def test_index_report_asks_once_per_end(self, cat, monkeypatch):
+        building = random_building(np.random.default_rng(8), cat, max_components=6)
+        ic.index_report(cat, building)  # warm
+        calls = Counter()
+        for name in ("cz_index", "alpha"):
+            real = getattr(Catalog, name)
+            monkeypatch.setattr(Catalog, name, lambda self, *a, _real=real, _name=name: (
+                calls.update([_name]) or _real(self, *a)))
+        real_resolve = ic.resolve_constraints
+        monkeypatch.setattr(ic, "resolve_constraints",
+                            lambda *a: calls.update(["resolve"]) or real_resolve(*a))
+        ic.index_report(cat, building)
+        ends = len(building.external_sites()) + sum(len(c.punctures) for c in building.components)
+        assert calls == Counter(cz_index=ends, alpha=ends, resolve=1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,10 @@ from hbcalc import spectral
 from hbcalc.errors import DegenerateThresholdError, HbcalcError, SpectralResolutionError
 from hbcalc.spectral import (
     J0,
-    DiscreteLoop,
     FlowLoop,
     build_operator,
     cz_crossing,
     fourier_diff_matrix,
-    jacobi_eigh,
     monodromy,
     spectrum_from_loop,
     winding,
@@ -21,6 +20,7 @@ from hbcalc.spectral import (
 from support import (
     analytic_rotation_table,
     hyperbolic_loop,
+    jacobi_eigh,
     nondegenerate_trig_loop,
     reference_integrate_frames,
     rotating_axis_loop,
@@ -57,10 +57,18 @@ class TestFlowLoop:
             FlowLoop.constant(np.full((2, 2), math.nan))
         with pytest.raises(ValueError, match="finite"):
             FlowLoop.from_triples([[0.0, math.inf, 0.0]] * 3)
-        huge = FlowLoop.constant(1e308 * np.eye(2), n=3)
-        assert np.all(np.isfinite(huge.samples))
+        huge = FlowLoop.constant(8e307 * np.eye(2), n=3)
+        assert np.all(np.isfinite(huge.samples)) and huge.strength() == 8e307
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            huge.cover(2)  # k * S overflows
+            huge.cover(3)  # k * S overflows
+
+    @pytest.mark.parametrize("triple", [[1e308, 0.0, 1e308], [1e200, 0.0, 0.0],
+                                        [0.0, 1e160, 0.0], [1e308, 1e308, -1e308]])
+    def test_rejects_overflowing_strength(self, triple):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match="finite spectral norm"):
+                FlowLoop.from_triples([triple] * 3)
 
     def test_trig_interpolation_is_exact_for_resolved_loops(self):
         loop = rotating_axis_loop(1, n=11)
@@ -103,28 +111,33 @@ class TestOperator:
 
 class TestWinding:
     def test_constant_loop(self):
-        assert winding(DiscreteLoop.from_array([[1.0, 0.0]] * 7)) == 0
+        assert winding(np.array([[1.0, 0.0]] * 7)) == 0
 
     def test_one_counterclockwise_turn(self):
         ts = np.arange(9) / 9
         pts = np.stack([np.cos(2 * math.pi * ts), np.sin(2 * math.pi * ts)], axis=1)
-        assert winding(DiscreteLoop.from_array(pts)) == 1
+        assert winding(pts) == 1
 
     def test_two_clockwise_turns(self):
         ts = np.arange(17) / 17
         pts = np.stack([np.cos(4 * math.pi * ts), -np.sin(4 * math.pi * ts)], axis=1)
-        assert winding(DiscreteLoop.from_array(pts)) == -2
+        assert winding(pts) == -2
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            winding(DiscreteLoop.from_array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+            winding(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 3), (2, 7, 2)])
+    def test_rejects_points_not_of_shape_n_by_2(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            winding(np.ones(shape))
 
     def test_under_resolved_loop_rejected(self):
         # three turns over ten points: 0.6*pi per step, beyond the guard
         ts = np.arange(10) / 10
         pts = np.stack([np.cos(6 * math.pi * ts), np.sin(6 * math.pi * ts)], axis=1)
         with pytest.raises(SpectralResolutionError):
-            winding(DiscreteLoop.from_array(pts))
+            winding(pts)
 
 
 class TestRotationSpectrum:
@@ -211,10 +224,11 @@ class TestJacobi:
         assert np.max(np.abs(vals - expected)) < 1e-10
         assert np.max(np.abs(m @ vecs - vecs * vals[None, :])) < 1e-9
 
-    def test_spectrum_solver_option(self):
+    def test_spectrum_solver_option(self, monkeypatch):
         loop = rotation_loop(math.pi / 2, n=21)
-        via_jacobi = spectrum_from_loop(loop, window=8.0, grid=21, solver="jacobi")
         via_eigh = spectrum_from_loop(loop, window=8.0, grid=21)
+        monkeypatch.setattr(np.linalg, "eigh", jacobi_eigh)
+        via_jacobi = spectrum_from_loop(loop, window=8.0, grid=21)
         assert table_as_tuples(via_jacobi, 8) == table_as_tuples(via_eigh, 8)
 
 
