@@ -90,9 +90,6 @@ class Component:
                     f"trivial component {self.id!r} has no punctures; declare it constant"
                 )
 
-    def signed_sites(self, sign: int) -> list[int]:
-        return [i for i, p in enumerate(self.punctures) if p.sign == sign]
-
 
 def is_trivial_cylinder(component: Component) -> bool:
     """Trivial kind, genus 0, exactly one positive and one negative puncture
@@ -121,11 +118,12 @@ class Building:
             if comp.id in by_id:
                 raise BuildingError(f"duplicate component id {comp.id!r}")
             by_id[comp.id] = comp
+        object.__setattr__(self, "_by_id", by_id)
         partner: dict[Site, Site] = {}
         for pair in self.breaking_pairs:
             pos_site, neg_site = pair
-            pos = self._puncture_checked(by_id, pos_site)
-            neg = self._puncture_checked(by_id, neg_site)
+            pos = self.puncture(pos_site)
+            neg = self.puncture(neg_site)
             if pos.sign != 1 or neg.sign != -1:
                 raise BuildingError(
                     f"breaking pair {pair} must join a positive puncture to a negative one"
@@ -151,19 +149,8 @@ class Building:
                 if cid not in by_id:
                     raise BuildingError(f"nodal pair {pair} references unknown component {cid!r}")
                 node_ends[cid] = node_ends.get(cid, 0) + 1
-        object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_partner", partner)
         object.__setattr__(self, "_node_ends", node_ends)
-
-    @staticmethod
-    def _puncture_checked(by_id, site: Site) -> Puncture:
-        cid, idx = site
-        if cid not in by_id:
-            raise BuildingError(f"site {site} references unknown component {cid!r}")
-        punctures = by_id[cid].punctures
-        if not 0 <= idx < len(punctures):
-            raise BuildingError(f"site {site} is out of range for component {cid!r}")
-        return punctures[idx]
 
     # --- lookups ---------------------------------------------------------
 
@@ -177,7 +164,13 @@ class Building:
         return cid in self._by_id
 
     def puncture(self, site: Site) -> Puncture:
-        return self.component(site[0]).punctures[site[1]]
+        cid, idx = site
+        if cid not in self._by_id:
+            raise BuildingError(f"site {site} references unknown component {cid!r}")
+        punctures = self._by_id[cid].punctures
+        if not 0 <= idx < len(punctures):
+            raise BuildingError(f"site {site} is out of range for component {cid!r}")
+        return punctures[idx]
 
     def breaking_sites(self) -> set[Site]:
         return set(self._partner)
@@ -495,75 +488,45 @@ def augment(building: Building, site) -> Building:
 def core(building: Building) -> Building:
     """Collapse every trivial cylinder, splicing its two ends together.
 
-    The result is the unique building the input augments; it exists iff no
-    connected piece consists purely of trivial cylinders (a lone cylinder,
-    a cycle of cylinders, or a self-glued cylinder has no core).
+    One pass: from each puncture of another component that is glued to a
+    cylinder, walk the chain of cylinders through the breaking pairs.  A chain
+    reaching another such puncture becomes one breaking pair, recorded from
+    its positive end; a chain ending at an external puncture moves that
+    puncture's constraint onto the starting site.  The result is the unique
+    building the input augments; it exists iff every cylinder lies on such a
+    chain and none carries a node (a lone cylinder, a chain of cylinders, a
+    cycle of cylinders, or a self-glued cylinder has no core).
     """
-    current = building
-    while True:
-        cylinders = sorted(
-            c.id for c in current.components if is_trivial_cylinder(c)
+    cylinders = {c.id for c in building.components if is_trivial_cylinder(c)}
+    if not cylinders:
+        return building
+    reached: set[str] = set()
+    pairs: list[BreakingPair] = []
+    moved: dict[Site, float] = {}
+    for pos_site, neg_site in building.breaking_pairs:
+        for start, end in ((pos_site, neg_site), (neg_site, pos_site)):
+            if start[0] in cylinders:
+                continue
+            while end is not None and end[0] in cylinders:
+                reached.add(end[0])
+                outer = (end[0], 1 - end[1])
+                end = building.pair_partner(outer)
+            if end is None:
+                moved[start] = building.puncture(outer).constraint
+            elif start == pos_site:
+                pairs.append((start, end))
+    if reached != cylinders or any(building.node_endpoints(cid) for cid in cylinders):
+        raise NoCoreError(
+            "building has no core: a connected piece consists entirely of "
+            "trivial cylinders"
         )
-        if not cylinders:
-            return current
-        progressed = False
-        for cid in cylinders:
-            if current.node_endpoints(cid) > 0:
-                continue  # augmentation never attaches nodes to its cylinders
-            comp = current.component(cid)
-            pos_idx = comp.signed_sites(1)[0]
-            neg_idx = comp.signed_sites(-1)[0]
-            pos_site: Site = (cid, pos_idx)
-            neg_site: Site = (cid, neg_idx)
-            up = current.pair_partner(pos_site)  # negative puncture above
-            down = current.pair_partner(neg_site)  # positive puncture below
-            if up is not None and up[0] == cid:
-                continue  # self-glued cylinder: irreducible
-            if up is None and down is None:
-                continue  # standalone cylinder piece: irreducible
-            pairs = [
-                p
-                for p in current.breaking_pairs
-                if pos_site not in p and neg_site not in p
-            ]
-            comps = tuple(c for c in current.components if c.id != cid)
-            if up is not None and down is not None:
-                pairs.append((down, up))
-                current = Building(
-                    components=comps,
-                    breaking_pairs=tuple(pairs),
-                    nodal_pairs=current.nodal_pairs,
-                )
-            else:
-                # one end external: its constraint moves to the severed partner
-                if up is None:
-                    outer = current.puncture(pos_site)
-                    partner = down
-                else:
-                    outer = current.puncture(neg_site)
-                    partner = up
-                new_comps = []
-                for c in comps:
-                    if c.id != partner[0]:
-                        new_comps.append(c)
-                        continue
-                    puncts = list(c.punctures)
-                    puncts[partner[1]] = replace(
-                        puncts[partner[1]], constraint=outer.constraint
-                    )
-                    new_comps.append(replace(c, punctures=tuple(puncts)))
-                current = Building(
-                    components=tuple(new_comps),
-                    breaking_pairs=tuple(pairs),
-                    nodal_pairs=current.nodal_pairs,
-                )
-            progressed = True
-            break
-        if not progressed:
-            raise NoCoreError(
-                "building has no core: a connected piece consists entirely of "
-                "trivial cylinders"
-            )
+    return Building(
+        components=_with_constraints(
+            (c for c in building.components if c.id not in cylinders), moved
+        ),
+        breaking_pairs=tuple(pairs),
+        nodal_pairs=building.nodal_pairs,
+    )
 
 
 def subbuilding(building: Building, ids: Iterable[str]) -> tuple[Building, dict[Site, float]]:
@@ -618,17 +581,23 @@ def set_constraints(building: Building, values: dict[Site, float]) -> Building:
     for site in values:
         if site not in external:
             raise BuildingError(f"constraint keyed by non-external site {site}")
-    comps = []
-    for comp in building.components:
-        puncts = list(comp.punctures)
-        changed = False
-        for idx in range(len(puncts)):
-            site = (comp.id, idx)
-            if site in values:
-                puncts[idx] = replace(puncts[idx], constraint=float(values[site]))
-                changed = True
-        comps.append(replace(comp, punctures=tuple(puncts)) if changed else comp)
-    return replace(building, components=tuple(comps))
+    values = {site: float(value) for site, value in values.items()}
+    return replace(building, components=_with_constraints(building.components, values))
+
+
+def _with_constraints(components: Iterable[Component],
+                      values: dict[Site, float]) -> tuple[Component, ...]:
+    """The components with the puncture constraints at the given sites replaced."""
+    out = []
+    for comp in components:
+        sites = [(comp.id, i) for i in range(len(comp.punctures))]
+        if any(site in values for site in sites):
+            comp = replace(comp, punctures=tuple(
+                replace(p, constraint=values[site]) if site in values else p
+                for site, p in zip(sites, comp.punctures)
+            ))
+        out.append(comp)
+    return tuple(out)
 
 
 def maximal_trivial_subbuildings(building: Building) -> list[list[str]]:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 
@@ -70,8 +69,6 @@ from .errors import HbcalcError, InputError
 from .index_calculus import IndexReport, index_report, verify_additivity
 from .orbits import Catalog, OrbitRef, SimpleOrbit
 from .spectral import FlowLoop, SpectralEntry, SpectralTable
-
-log = logging.getLogger("hbcalc")
 
 FORMAT_VERSION = 1
 
@@ -614,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hbcalc",
         description="Spectra, indices and degeneration checks for holomorphic buildings.",
     )
-    parser.add_argument("--log-level", default="WARNING", help="python logging level")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="windowed spectrum of an orbit cover")
@@ -667,7 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
     try:
         return args.func(args)
     except (HbcalcError, ValueError) as exc:
@@ -675,7 +670,6 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         # exit 1 means "verdict with violations", so a crash must not reach it
-        log.debug("internal error", exc_info=True)
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -153,6 +153,16 @@ class Catalog:
             )
         return table
 
+    @staticmethod
+    def _stored_table(orbit: SimpleOrbit, ref: OrbitRef) -> SpectralTable:
+        stored = orbit.model.get(ref.k)
+        if stored is None:
+            raise CatalogError(
+                f"orbit {ref.simple!r} lists no table for cover {ref.k}; "
+                "table-mode orbits must list every cover they are used with"
+            )
+        return stored
+
     def table(self, ref: OrbitRef, window: float, grid: int | None = None) -> SpectralTable:
         """Spectral table of gamma^k trusted on [-window, window].
 
@@ -161,12 +171,7 @@ class Catalog:
         """
         orbit = self.orbit(ref.simple)
         if not orbit.is_flow:
-            stored = orbit.model.get(ref.k)
-            if stored is None:
-                raise CatalogError(
-                    f"orbit {ref.simple!r} lists no table for cover {ref.k}; "
-                    "table-mode orbits must list every cover they are used with"
-                )
+            stored = self._stored_table(orbit, ref)
             if window > stored.window:
                 raise SpectralResolutionError(
                     f"orbit {ref.simple!r} cover {ref.k}: stored table window "
@@ -194,12 +199,7 @@ class Catalog:
             raise CatalogError(f"spectral threshold must be finite, got {threshold}")
         orbit = self.orbit(ref.simple)
         if not orbit.is_flow:
-            stored = orbit.model.get(ref.k)
-            if stored is None:
-                raise CatalogError(
-                    f"orbit {ref.simple!r} lists no table for cover {ref.k}; "
-                    "table-mode orbits must list every cover they are used with"
-                )
+            stored = self._stored_table(orbit, ref)
             lo, hi = stored.kept_range()
             if not lo < threshold < hi:
                 raise SpectralResolutionError(

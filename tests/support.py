@@ -270,6 +270,84 @@ def reference_trivial_breaking(building: Building, pair_index: int) -> bool:
     )
 
 
+# --- iterative core reference ---------------------------------------------------
+
+
+def reference_core(building: Building) -> Building:
+    """Collapse trivial cylinders one at a time, rebuilding after each.
+
+    Oracle for ``hbcalc.buildings.core``: scans the cylinders in id order,
+    collapses the first one it can (splicing its two partners, or moving its
+    external constraint onto its one partner) into a new validated building,
+    and restarts; raises NoCoreError when cylinders remain and none collapses.
+    """
+    current = building
+    while True:
+        cylinders = sorted(
+            c.id for c in current.components if is_trivial_cylinder(c)
+        )
+        if not cylinders:
+            return current
+        progressed = False
+        for cid in cylinders:
+            if current.node_endpoints(cid) > 0:
+                continue  # augmentation never attaches nodes to its cylinders
+            comp = current.component(cid)
+            pos_idx = next(i for i, p in enumerate(comp.punctures) if p.sign == 1)
+            neg_idx = next(i for i, p in enumerate(comp.punctures) if p.sign == -1)
+            pos_site = (cid, pos_idx)
+            neg_site = (cid, neg_idx)
+            up = current.pair_partner(pos_site)  # negative puncture above
+            down = current.pair_partner(neg_site)  # positive puncture below
+            if up is not None and up[0] == cid:
+                continue  # self-glued cylinder: irreducible
+            if up is None and down is None:
+                continue  # standalone cylinder piece: irreducible
+            pairs = [
+                p
+                for p in current.breaking_pairs
+                if pos_site not in p and neg_site not in p
+            ]
+            comps = tuple(c for c in current.components if c.id != cid)
+            if up is not None and down is not None:
+                pairs.append((down, up))
+                current = Building(
+                    components=comps,
+                    breaking_pairs=tuple(pairs),
+                    nodal_pairs=current.nodal_pairs,
+                )
+            else:
+                # one end external: its constraint moves to the severed partner
+                if up is None:
+                    outer = current.puncture(pos_site)
+                    partner = down
+                else:
+                    outer = current.puncture(neg_site)
+                    partner = up
+                new_comps = []
+                for c in comps:
+                    if c.id != partner[0]:
+                        new_comps.append(c)
+                        continue
+                    puncts = list(c.punctures)
+                    puncts[partner[1]] = replace(
+                        puncts[partner[1]], constraint=outer.constraint
+                    )
+                    new_comps.append(replace(c, punctures=tuple(puncts)))
+                current = Building(
+                    components=tuple(new_comps),
+                    breaking_pairs=tuple(pairs),
+                    nodal_pairs=current.nodal_pairs,
+                )
+            progressed = True
+            break
+        if not progressed:
+            raise NoCoreError(
+                "building has no core: a connected piece consists entirely of "
+                "trivial cylinders"
+            )
+
+
 # --- per-function index formulas ----------------------------------------------
 #
 # The index layer as it was before every formula became a sum over the rows of

@@ -21,6 +21,7 @@ from hbcalc.buildings import (
     subbuilding,
     trivial_breaking_pairs,
 )
+from hbcalc.cli import _dump_json, building_to_data
 from hbcalc.errors import BuildingError, NoCoreError
 from hbcalc.orbits import OrbitRef
 
@@ -28,6 +29,7 @@ from support import (
     build_trivial_building,
     iter_trivial_buildings,
     random_building,
+    reference_core,
     reference_trivial_breaking,
 )
 
@@ -336,6 +338,15 @@ class TestBuildingIndex:
         with pytest.raises(BuildingError, match="unknown component"):
             b.component("x")
 
+    def test_puncture_rejects_out_of_range_sites(self):
+        b = Building(components=(plain("v", (1, G), (-1, G)),))
+        assert b.puncture(("v", 1)).sign == -1
+        for site in (("v", -1), ("v", 2)):
+            with pytest.raises(BuildingError, match="out of range"):
+                b.puncture(site)
+        with pytest.raises(BuildingError, match="unknown component"):
+            b.puncture(("x", 0))
+
 
 class TestDisjointUnion:
     def test_identity_on_empty(self):
@@ -514,6 +525,127 @@ class TestCore:
         assert is_connected(augment(b, ("v", 0)))
         assert is_connected(augment(b, 0))
         assert is_connected(core(b))
+
+
+def collapse(fn, building):
+    """The core of `building` under `fn`, or the NoCoreError message."""
+    try:
+        return fn(building)
+    except NoCoreError as exc:
+        return f"NoCoreError: {exc}"
+
+
+def as_json(outcome) -> str:
+    return outcome if isinstance(outcome, str) else _dump_json(building_to_data(outcome))
+
+
+class TestCoreOracle:
+    """The one-pass core against the iterative reference: the same canonical
+    JSON or the same NoCoreError message, from at most one new Building."""
+
+    HAND_BUILT = {
+        # v <- t1 <- t2, the chain capped by t2's constrained positive end
+        "constrained_chain_end": Building(
+            components=(
+                plain("v", (1, G), (-1, G)),
+                tcyl("t1"),
+                Component("t2", 0, (Puncture(1, G, constraint=1.25), Puncture(-1, G)),
+                          kind="trivial"),
+            ),
+            breaking_pairs=((("v", 0), ("t1", 1)), (("t1", 0), ("t2", 1))),
+        ),
+        # w's positive end climbs two cylinders back into w itself
+        "chain_back_to_its_curve": Building(
+            components=(tcyl("t1"), plain("w", (1, G), (-1, G)), tcyl("t2")),
+            breaking_pairs=((("w", 0), ("t1", 1)), (("t1", 0), ("t2", 1)),
+                            (("t2", 0), ("w", 1))),
+        ),
+        "cycle_of_cylinders": Building(
+            components=(plain("v", (1, G), (-1, G)), tcyl("t1"), tcyl("t2")),
+            breaking_pairs=((("t1", 0), ("t2", 1)), (("t2", 0), ("t1", 1))),
+        ),
+        "self_glued_cylinder": Building(
+            components=(plain("v", (1, G), (-1, G)), tcyl("t")),
+            breaking_pairs=((("t", 0), ("t", 1)),),
+        ),
+        "standalone_chain": Building(
+            components=(plain("v", (1, G), (-1, G)), tcyl("t1"), tcyl("t2")),
+            breaking_pairs=((("t1", 0), ("t2", 1)),),
+        ),
+        "noded_cylinder": Building(
+            components=(plain("v", (1, G), (-1, G)), tcyl("m"), plain("w", (1, G), (-1, G))),
+            breaking_pairs=((("m", 0), ("v", 1)), (("w", 0), ("m", 1))),
+            nodal_pairs=(("m", "m"),),
+        ),
+    }
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """A one-element list counting Building constructions."""
+        count = [0]
+        real = Building.__post_init__
+
+        def counting(self):
+            count[0] += 1
+            real(self)
+
+        monkeypatch.setattr(Building, "__post_init__", counting)
+        return count
+
+    def check(self, building, built):
+        expected = as_json(collapse(reference_core, building))
+        built[0] = 0
+        got = collapse(core, building)
+        assert built[0] <= 1, building
+        assert as_json(got) == expected, building
+        return got
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built(self, name, built):
+        got = self.check(self.HAND_BUILT[name], built)
+        if name == "constrained_chain_end":
+            assert got.breaking_pairs == ()
+            assert got.puncture(("v", 0)).constraint == 1.25
+        elif name == "chain_back_to_its_curve":
+            assert got.breaking_pairs == ((("w", 0), ("w", 1)),)
+        else:
+            assert isinstance(got, str) and got.startswith("NoCoreError: building has no core")
+
+    def test_random_buildings_augments_and_nodes(self, fixture_catalog, built):
+        rng = np.random.default_rng(31)
+        outcomes = {"core": 0, "none": 0}
+        for _ in range(120):
+            b = random_building(rng, fixture_catalog)
+            variants = [b]
+            for where in list(range(len(b.breaking_pairs))) + b.external_sites():
+                a = augment(b, where)
+                sites = list(range(len(a.breaking_pairs))) + a.external_sites()
+                variants.append(a)
+                variants.append(augment(a, sites[int(rng.integers(len(sites)))]))
+                ids = [c.id for c in a.components]
+                variants.append(add_node(a, ids[-1], str(rng.choice(ids))))
+            for v in variants:
+                outcomes["none" if isinstance(self.check(v, built), str) else "core"] += 1
+        assert min(outcomes.values()) >= 200, outcomes
+
+    def test_random_multigraphs(self, built):
+        rng = np.random.default_rng(2025)
+        outcomes = {"core": 0, "none": 0}
+        for _ in range(1500):
+            got = self.check(random_multigraph(rng), built)
+            outcomes["none" if isinstance(got, str) else "core"] += 1
+        assert min(outcomes.values()) >= 200, outcomes
+
+    def test_trivial_building_structures(self, built):
+        rng = np.random.default_rng(17)
+        seen = 0
+        for _chi, _genus2, _n_ext, (combo, edges) in iter_trivial_buildings(3, 3, 1):
+            if rng.random() < 0.1:
+                b = build_trivial_building(combo, edges)
+                self.check(b, built)
+                self.check(augment(b, b.external_sites()[0]), built)
+                seen += 1
+        assert seen > 50
 
 
 class TestSubbuilding:

@@ -235,6 +235,18 @@ class TestSurgery:
         assert code == 2
         assert "ghost" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--op", "augment", "--site", "cyl_top:5"],
+        ["--op", "glue", "--pos", "cyl_top:7", "--neg", "cyl_bot:1"],
+    ])
+    def test_out_of_range_puncture_is_input_error(self, capsys, flags):
+        fig3 = str(FIXTURES / "building_figure3.json")
+        code, out, err = run(capsys, "surgery", "--building", fig3, *flags)
+        assert code == 2
+        assert out == ""
+        assert "internal error" not in err and "Traceback" not in err
+        assert "out of range for component 'cyl_top'" in err
+
 
 class TestHumanOutput:
     def test_validate_ok_output(self, capsys):

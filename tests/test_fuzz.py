@@ -1,11 +1,16 @@
-"""Seeded mutation fuzzing of the three JSON loaders through ``cli.main``.
+"""Seeded mutation fuzzing of the three JSON loaders and of the flags,
+through ``cli.main``.
 
-Each mutant is a fixture document with one random edit: a dropped key,
+Each loader mutant is a fixture document with one random edit: a dropped key,
 a value of another JSON type, a replaced number, a truncated array or a
-duplicated array element.  Whatever the edit, the command must end with a
-verdict or an input error: exit code 0, 1 or 2, no traceback and no
-"internal error".  Mutated covers ``k`` stay in 1..4, so every case runs in
-well under a second (oversized requests are the resource-budget tests' job).
+duplicated array element.  Each flag mutant is a ``spectrum`` or ``surgery``
+command line whose flag values are drawn from small pools of valid, malformed,
+non-finite, out-of-range and over-budget values.  Whatever the edit, the
+command must end with a verdict or an input error: exit code 0, 1 or 2 (2 also
+when argparse rejects a value), no traceback and no "internal error".
+Mutated covers ``k`` stay in 1..4, in-budget flag covers at 3 or below and
+windows at 40 or below, so every case runs in well under a second (oversized
+requests that would be solved are the resource-budget tests' job).
 """
 
 import copy
@@ -20,12 +25,36 @@ from hbcalc.cli import main
 from support import FIXTURES
 
 MUTANTS_PER_LOADER = 100
+FLAG_MUTANTS = 400
 
 #: replacement numbers: signs, zero, fractions, huge, tiny and near the float limit
 NUMBERS = (0, 1, -1, 2, 3, 0.5, -0.5, 1e-9, 1e-308, 1e6, -1e6, 10**20, 2**53 + 1,
            1e154, 1e200, 1e308, -1e308, 1.7e308)
 #: one value of every JSON type
 OTHER_TYPES = ("x", 7, 1.5, True, None, [], {})
+
+#: per flag: values its command accepts (None omits the flag), then malformed,
+#: non-finite, out-of-range and over-budget ones; a cover, window or grid past
+#: the budget must be rejected before anything is allocated
+FLAG_VALUES = {
+    "--cover": ((None, "1", "2", "3"), ("0", "-1", "nan", "inf", "x", "1000000")),
+    "--window": (("5", "10", "40"), ("0", "-1", "nan", "inf", "-inf", "x", "1e5", "1e308")),
+    "--grid": ((None,), ("0", "-1", "33", "2048", "2049", "100001", "nan", "x")),
+    "--site": (("cyl_top:0", "main_bot:0", "cyl:1"),
+               ("cyl_top:5", "cyl_top:-1", "cyl:2", ":0", "a:b:c", "cyl_top", "",
+                "ghost:0", "cyl_top:x", "cyl_top:99999999999999999999")),
+    "--pair": (("0", "1", "2"), ("-1", "3", "99", "x", "")),
+    "--pos": (("cyl_top:0", "cyl:0"), ("cyl_top:7", "cyl:-2", ":0", "a:b:c", "cyl_bot:1")),
+    "--neg": (("cyl_bot:1", "cyl:1"), ("cyl_bot:9", "cyl:-1", ":1", "a:b:c", "cyl_top:0")),
+    "--components": (("main_top,main_bot", "cyl,cyl"), ("a", "a,b,c", ",", "", "ghost,cyl")),
+}
+SPECTRUM_ORBITS = (("catalog_demo.json", "rot_p"), ("catalog_fixture.json", "hyp2"),
+                   ("catalog_table.json", "rot_tab"))
+BUILDINGS = ("building_figure3.json", "building_cylinder.json",
+             "building_fig3_oddbreak.json")
+#: surgery ops with the flags each one reads
+OPS = (("augment", ("--site",)), ("augment", ("--pair",)), ("glue", ("--pos", "--neg")),
+       ("node", ("--components",)), ("core", ()))
 
 
 def _nodes(doc, path=()):
@@ -97,6 +126,30 @@ def mutants(seed: int, bases: list[str]):
         yield name, mutate(rng, doc), doc
 
 
+def flag_mutants(seed: int):
+    """FLAG_MUTANTS seeded ``spectrum`` and ``surgery`` command lines, each
+    with at most one flag given a wrong value."""
+    rng = np.random.default_rng(seed)
+
+    def pick(pool):
+        return pool[int(rng.integers(len(pool)))]
+
+    for i in range(FLAG_MUTANTS):
+        if i % 2:
+            catalog, orbit = pick(SPECTRUM_ORBITS)
+            argv = ["spectrum", "--catalog", str(FIXTURES / catalog), "--orbit", orbit]
+            flags = ("--cover", "--window", "--grid")
+        else:
+            op, flags = pick(OPS)
+            argv = ["surgery", "--building", str(FIXTURES / pick(BUILDINGS)), "--op", op]
+        wrong = pick(flags) if flags and rng.random() < 0.8 else None
+        for flag in flags:
+            value = pick(FLAG_VALUES[flag][flag == wrong])
+            if value is not None:
+                argv += [flag, value]
+        yield argv
+
+
 @pytest.fixture
 def warm_fixture_catalogs(monkeypatch):
     """Load each unmutated fixture catalog once; mutated files load as usual."""
@@ -114,7 +167,10 @@ def warm_fixture_catalogs(monkeypatch):
 
 
 def assert_clean_exit(capsys, argv, case):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed flag value
+        code = exc.code
     out, err = capsys.readouterr()
     assert code in (0, 1, 2), (case, code, err)
     assert "Traceback" not in out + err, (case, err)
@@ -164,3 +220,16 @@ class TestLoaderFuzz:
         assert first == again
         kinds = {edit.split()[0] for edit in first}
         assert kinds == {"drop", "retype", "set", "truncate", "duplicate"}
+
+
+class TestFlagFuzz:
+    def test_flag_mutants(self, capsys, warm_fixture_catalogs):
+        for argv in flag_mutants(404):
+            assert_clean_exit(capsys, argv, argv)
+
+    def test_flag_mutants_are_seeded_and_varied(self):
+        first = list(flag_mutants(404))  # the seed test_flag_mutants runs
+        assert first == list(flag_mutants(404))
+        words = {word for argv in first for word in argv}
+        wrong = {value for _, values in FLAG_VALUES.values() for value in values}
+        assert wrong | {"spectrum", "augment", "glue", "node", "core"} <= words
