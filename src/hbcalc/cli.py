@@ -39,7 +39,8 @@ Asymptotics file (for ``enumerate``)::
 Exit codes: 0 success or ok-verdict, 1 verdict violations, 2 input errors
 (and internal errors, reported without a traceback).  Non-finite numbers
 (NaN, Infinity) are input errors.
-JSON output is byte-stable for fixed inputs (sorted keys, sorted lists).
+JSON output is byte-stable for fixed inputs (sorted keys, sorted lists, and
+computed eigenvalues rounded to 12 significant digits).
 """
 
 from __future__ import annotations
@@ -136,6 +137,16 @@ def _load_json(filename: str):
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _canonical_float(x: float) -> float:
+    """A computed float rounded to 12 significant digits for JSON output.
+
+    Far finer than the eigenvalue clustering tolerance (1e-7 relative), far
+    coarser than the last-digit noise of the eigensolver (about 1e-13, which
+    varies with the BLAS thread count and the solution route).
+    """
+    return float(f"{x:.12g}")
 
 
 # --- catalog (de)serialization ------------------------------------------------
@@ -452,7 +463,10 @@ def _cmd_spectrum(args) -> int:
             "orbit": {"simple": ref.simple, "k": ref.k},
             "window": table.window,
             "grid": table.grid,
-            "entries": [[e.eigenvalue, e.winding, e.multiplicity] for e in table.entries],
+            "entries": [
+                [_canonical_float(e.eigenvalue), e.winding, e.multiplicity]
+                for e in table.entries
+            ],
         }
         sys.stdout.write(_dump_json(payload))
     else:

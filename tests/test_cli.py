@@ -88,6 +88,26 @@ class TestDeterminism:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("orbit, catalog, cover, window", [
+        ("hyp2", "catalog_fixture.json", "3", "40"),
+        ("rot_p", "catalog_demo.json", "2", "10"),
+    ])
+    def test_spectrum_json_independent_of_blas_threads(self, orbit, catalog, cover, window):
+        # eigenvalue literals are rounded to 12 significant digits, so the
+        # last-digit noise of a threaded eigensolver never reaches stdout
+        argv = [sys.executable, "-m", "hbcalc.cli", "spectrum", "--catalog",
+                str(FIXTURES / catalog), "--orbit", orbit, "--cover", cover,
+                "--window", window, "--json"]
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        for eigenvalue, _, _ in json.loads(outs[0])["entries"]:
+            assert float(f"{eigenvalue:.12g}") == eigenvalue
+
 
 class TestExitCodes:
     def test_index_ok(self, capsys):
