@@ -113,41 +113,56 @@ class Building:
     _node_ends: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # messages cite the offending field by its path, e.g. breaking_pairs[0][1],
+        # which is also its JSON path in a building file
         by_id = {}
-        for comp in self.components:
+        for i, comp in enumerate(self.components):
             if comp.id in by_id:
-                raise BuildingError(f"duplicate component id {comp.id!r}")
+                raise BuildingError(f"components[{i}].id: duplicate component id {comp.id!r}")
             by_id[comp.id] = comp
         object.__setattr__(self, "_by_id", by_id)
         partner: dict[Site, Site] = {}
-        for pair in self.breaking_pairs:
+        for i, pair in enumerate(self.breaking_pairs):
             pos_site, neg_site = pair
-            pos = self.puncture(pos_site)
-            neg = self.puncture(neg_site)
+            try:
+                pos = self.puncture(pos_site)
+            except BuildingError as exc:
+                raise BuildingError(f"breaking_pairs[{i}][0]: {exc}") from None
+            try:
+                neg = self.puncture(neg_site)
+            except BuildingError as exc:
+                raise BuildingError(f"breaking_pairs[{i}][1]: {exc}") from None
             if pos.sign != 1 or neg.sign != -1:
                 raise BuildingError(
-                    f"breaking pair {pair} must join a positive puncture to a negative one"
+                    f"breaking_pairs[{i}]: breaking pair {pair} must join a positive "
+                    "puncture to a negative one"
                 )
             if pos.orbit != neg.orbit:
                 raise BuildingError(
-                    f"breaking pair {pair} joins distinct orbits "
+                    f"breaking_pairs[{i}]: breaking pair {pair} joins distinct orbits "
                     f"{pos.orbit} and {neg.orbit}"
                 )
             if pos.constraint != 0.0 or neg.constraint != 0.0:
                 raise BuildingError(
-                    f"breaking pair {pair} has a nonzero constraint; breaking "
-                    "punctures are unconstrained"
+                    f"breaking_pairs[{i}]: breaking pair {pair} has a nonzero constraint; "
+                    "breaking punctures are unconstrained"
                 )
-            for site in pair:
-                if site in partner:
-                    raise BuildingError(f"puncture {site} appears in two breaking pairs")
+            if pos_site in partner or neg_site in partner:
+                j = 0 if pos_site in partner else 1
+                raise BuildingError(
+                    f"breaking_pairs[{i}][{j}]: puncture {pair[j]} appears in two "
+                    "breaking pairs"
+                )
             partner[pos_site] = neg_site
             partner[neg_site] = pos_site
         node_ends: dict[str, int] = {}
-        for pair in self.nodal_pairs:
-            for cid in pair:
+        for i, pair in enumerate(self.nodal_pairs):
+            for j, cid in enumerate(pair):
                 if cid not in by_id:
-                    raise BuildingError(f"nodal pair {pair} references unknown component {cid!r}")
+                    raise BuildingError(
+                        f"nodal_pairs[{i}][{j}]: nodal pair {pair} references unknown "
+                        f"component {cid!r}"
+                    )
                 node_ends[cid] = node_ends.get(cid, 0) + 1
         object.__setattr__(self, "_partner", partner)
         object.__setattr__(self, "_node_ends", node_ends)

@@ -454,6 +454,8 @@ def _print_violations(violations) -> None:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.grid is not None and (args.grid < 3 or args.grid % 2 == 0):
+        raise InputError(f"--grid must be odd and >= 3, got {args.grid}")
     catalog = load_catalog(args.catalog)
     ref = OrbitRef(args.orbit, args.cover)
     table = catalog.spectrum_of(ref, args.window, args.grid)

@@ -144,9 +144,12 @@ class Catalog:
     def _compute_flow_table(self, orbit: SimpleOrbit, k: int, window: float,
                             grid: int | None) -> SpectralTable:
         loop = orbit.model
-        n = grid if grid is not None else default_grid(loop.n, k, window, loop.strength())
-        check_grid_budget(n)  # before loop.cover samples n points
-        table = spectrum_from_loop(loop.cover(k, grid=n), window, grid=n)
+        if grid is None and k > 1:  # the Bloch blocks of the cover
+            table = spectrum_from_loop(loop, window, cover=k)
+        else:  # k = 1 or an explicit grid: one dense solve
+            n = grid if grid is not None else default_grid(loop.n, k, window, loop.strength())
+            check_grid_budget(n)  # before loop.cover samples n points
+            table = spectrum_from_loop(loop.cover(k, grid=n), window, grid=n)
         if table.min_abs_eigenvalue() <= table.cluster_tol():
             raise CatalogError(
                 f"orbit {orbit.id!r} cover {k} is degenerate (0 is an eigenvalue)"

@@ -17,10 +17,34 @@ odd number of points: the differentiation matrix is then exactly
 antisymmetric, so the discretized operator is exactly symmetric and the
 eigenproblem is solved by a dense symmetric solver.  Eigenvector winding
 numbers are read off directly from the discrete loops, guarded against
-under-resolution.  An independent route to the Conley-Zehnder index
-integrates the linearized flow  Psi' = J0 S(t) Psi  and classifies the
-swept angles (crossing-form/rotation-number computation); it never touches
-the eigensolver, so the two routes cross-check each other.
+under-resolution.
+
+A k-fold cover (spectrum_from_loop(loop, window, cover=k), which the catalog
+uses for k >= 2 on its default grid) is not solved as one dense problem on
+its n-point grid.  The cover operator commutes with the deck shift
+t -> t + 1/k, so with s = kt every eigenfunction is u(s) = exp(2 pi i j s/k) w(s)
+with w 1-periodic (Floquet-Bloch; Kuchment, Floquet Theory for Partial
+Differential Equations, 1993).  Block j is the Hermitian matrix
+
+    build_operator(loop.resample(m)) - (2 pi j / k) (I_m (x) i J0)
+
+on the base grid of m = next_odd(ceil(n / k)) points, and its eigenvalues
+times k are eigenvalues of the cover.  Blocks j and k - j are complex
+conjugates, so blocks 0..k//2 are solved.  On the k*m-point cover grid the
+real eigenfunctions are the real and imaginary parts of exp(2 pi i j t) w(kt)
+for 0 < j < k/2 (one eigenvalue of multiplicity two) and the phase-fixed real
+part for j in {0, k/2}; they go through the same winding, clustering and
+audit code as the dense route.  The block index is a free cross-check: the
+winding of a block-j eigenfunction is +-j mod k (its deck-shift eigenvalues
+are exp(+-2 pi i j / k)), and any other winding inside the window raises
+SpectralResolutionError.  An explicit grid names a
+dense discretization, so loop.cover(k) with a grid stays dense; the catalog
+uses that route for explicit grids, and the tests use it as the oracle.
+
+An independent route to the Conley-Zehnder index integrates the linearized
+flow  Psi' = J0 S(t) Psi  and classifies the swept angles
+(crossing-form/rotation-number computation); it never touches the
+eigensolver, so the two routes cross-check each other.
 
 The flow is integrated by classical RK4 over one period.  Because the ODE is
 linear, each step is a 2x2 matrix M_j built in closed form from S on the
@@ -193,7 +217,7 @@ def winding(points) -> int:
     norms = np.hypot(pts[:, 0], pts[:, 1])
     if np.min(norms) <= 1e-13 * max(1.0, float(np.max(norms))):
         raise ValueError("loop contains a (numerically) zero vector")
-    nxt = np.roll(pts, -1, axis=0)
+    nxt = np.concatenate((pts[1:], pts[:1]))
     cross = pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]
     dot = pts[:, 0] * nxt[:, 0] + pts[:, 1] * nxt[:, 1]
     steps = np.arctan2(cross, dot)
@@ -376,27 +400,88 @@ def spectrum_from_loop(
     loop: FlowLoop,
     window: float,
     grid: int | None = None,
+    cover: int = 1,
 ) -> SpectralTable:
     """Windowed spectral table of the operator defined by a coefficient loop.
 
-    Covers are handled by passing loop.cover(k).  The audit trims winding
-    classes that the window cuts at its edges and raises
-    SpectralResolutionError when the interior of the window is not resolved
-    (too-coarse grid, inconsistent windings, gaps in the winding run).
+    With cover=1 this is one dense symmetric solve on `grid` points (by
+    default the grid heuristic); pass loop.cover(k) to solve a cover densely.
+    With cover=k >= 2 the k-fold cover of `loop` is solved by its Bloch blocks
+    on the base grid (module docstring) and the table reports the grid the
+    dense solve would use; an explicit grid names a dense discretization, so
+    it cannot be combined with cover >= 2.  The audit trims winding classes
+    that the window cuts at its edges and raises SpectralResolutionError when
+    the interior of the window is not resolved (too-coarse grid, inconsistent
+    windings, gaps in the winding run, a winding off its Bloch block).
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
+    if cover < 1:
+        raise ValueError(f"cover must be >= 1, got {cover}")
     strength = loop.strength()
     if grid is None:
-        n = default_grid(loop.n, 1, window, strength)
+        n = default_grid(loop.n, cover, window, strength)
+    elif cover > 1:
+        raise ValueError("an explicit grid names a dense cover; pass loop.cover(k) instead")
+    elif grid % 2 == 0 or grid < 3:
+        raise ValueError(f"grid must be odd and >= 3, got {grid}")
     else:
-        if grid % 2 == 0 or grid < 3:
-            raise ValueError(f"grid must be odd and >= 3, got {grid}")
         n = grid
     check_grid_budget(n)
-    work = loop.resample(n)
-    vals, vecs = np.linalg.eigh(build_operator(work))
+    vals, blocks, points = _bloch_eigenpairs(loop, cover, n)
+    return _audited_table(vals, blocks, points, cover, window, cover * strength, n)
 
+
+def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
+    """Eigenvalues of the k-fold cover, sorted, with their Bloch block and a
+    function giving the real eigenfunction of entry i on the k*m-point cover
+    grid, m = next_odd(ceil(n / k)).  For k = 1 this is the dense solve of
+    build_operator(loop.resample(n)).
+    """
+    m = next_odd(math.ceil(n / k))
+    base = build_operator(loop.resample(m))
+    vals, vecs = np.linalg.eigh(base)
+    # (eigenvalues, block, eigenvectors, phases, part): 0 real, 1 imaginary, 2 phase-fixed
+    parts = [(vals, 0, vecs, None, 0)]
+    x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
+    cells = np.arange(k * m)
+    for j in range(1, k // 2 + 1):
+        # base - (2 pi j / k) (I (x) i J0), written into the 2x2 diagonal blocks
+        block = base.astype(complex)
+        block[x, y] += (2j * math.pi * j / k)
+        block[y, x] -= (2j * math.pi * j / k)
+        vals, vecs = np.linalg.eigh(block)
+        phases = np.exp((2j * math.pi * j / (k * m)) * cells)[:, None]
+        if 2 * j == k:
+            parts.append((vals, j, vecs, phases, 2))
+        else:  # block k - j is the conjugate of block j: one solve, two real parts
+            parts += [(vals, j, vecs, phases, 0), (vals, j, vecs, phases, 1)]
+    all_vals = k * np.concatenate([p[0] for p in parts])
+    order = np.argsort(all_vals, kind="stable")
+    owner = np.repeat(np.arange(len(parts)), 2 * m)[order]
+    column = np.tile(np.arange(2 * m), len(parts))[order]
+
+    def points(i: int) -> np.ndarray:
+        _, j, vecs, phases, part = parts[owner[i]]
+        w = np.tile(vecs[:, column[i]].reshape(m, 2), (k, 1))
+        if j == 0:
+            return w
+        v = phases * w
+        if part == 2:  # a conjugation-invariant block: rotate v onto the real axis
+            v *= np.exp(-0.5j * np.angle(np.sum(v * v)))
+        return v.imag if part == 1 else v.real
+
+    return all_vals[order], np.array([p[1] for p in parts])[owner], points
+
+
+def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
+                   n: int) -> SpectralTable:
+    """Read windings off the eigenfunctions, cluster and audit them into a table.
+
+    `vals` are sorted eigenvalues, `blocks[i]` the Bloch block of entry i of a
+    k-fold cover and `points(i)` its real eigenfunction; `strength` bounds the
+    coefficient loop and `n` is the reported grid.
+    """
     scan = window + 2.0 * strength + 8.0
     tol = CLUSTER_TOL * max(1.0, window)
 
@@ -404,9 +489,8 @@ def spectrum_from_loop(
     hi = int(np.searchsorted(vals, scan, side="right"))
     winds: dict[int, int | None] = {}
     for i in range(lo, hi):
-        pts = vecs[:, i].reshape(n, 2)
         try:
-            winds[i] = winding(pts)
+            w = winding(points(i))
         except (SpectralResolutionError, ValueError):
             if abs(vals[i]) <= window:
                 raise SpectralResolutionError(
@@ -414,7 +498,17 @@ def spectrum_from_loop(
                     "increase the grid"
                 )
             # outside the window the scan is best-effort
-            winds[i] = None
+            w = None
+        j = int(blocks[i])
+        if w is not None and (w - j) % k and (w + j) % k:
+            # u(t) = exp(2 pi i j t) w(kt) winds j times mod k, up to conjugation
+            if abs(vals[i]) <= window:
+                raise SpectralResolutionError(
+                    f"eigenvector at lambda={vals[i]:.6g} from Bloch block {j} of {k} has "
+                    f"winding {w}, not +-{j} mod {k}; increase the grid"
+                )
+            w = None
+        winds[i] = w
 
     # cluster scanned eigenvalues into (eigenvalue, winding, multiplicity)
     clusters: list[list[int]] = []

@@ -29,6 +29,7 @@ from hbcalc.degeneration import Asymptotics, LimitType, breaking_candidates, val
 from hbcalc.errors import (
     BuildingError,
     DegenerateThresholdError,
+    HbcalcError,
     IncompleteInputError,
     InconsistentDataError,
     InputError,
@@ -44,7 +45,7 @@ from hbcalc.index_calculus import (
     IndexReport,
 )
 from hbcalc.orbits import Catalog, OrbitRef
-from hbcalc.spectral import J0, FlowLoop, monodromy, spectrum_from_loop
+from hbcalc.spectral import CLUSTER_TOL, J0, FlowLoop, default_grid, monodromy, spectrum_from_loop
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -193,6 +194,67 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
     vals = a.diagonal().copy()
     order = np.argsort(vals, kind="stable")
     return vals[order], v[:, order]
+
+
+# --- dense cover oracle ----------------------------------------------------------
+
+
+class DenseCoverCatalog(Catalog):
+    """A Catalog that solves every flow cover as one dense problem on the
+    default grid, spectrum_from_loop(loop.cover(k, grid=n), window, grid=n):
+    the oracle for the Bloch-block route of ``Catalog``."""
+
+    def _compute_flow_table(self, orbit, k, window, grid):
+        if grid is None:
+            loop = orbit.model
+            grid = default_grid(loop.n, k, window, loop.strength())
+        return super()._compute_flow_table(orbit, k, window, grid)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except HbcalcError as exc:
+        return type(exc)
+
+
+def cover_outcomes(catalog: Catalog, ref: OrbitRef, windows, invariants: bool = True) -> list:
+    """(query, result or exception class) for the tables of `ref` at each
+    window, in order, then its cz_index, both alphas at cut 0 and is_bad."""
+    out = []
+    for window in windows:
+        table = _outcome(lambda: catalog.table(ref, window))
+        if isinstance(table, type):
+            out.append((("table", window), table))
+        else:
+            rows = [(e.winding, e.multiplicity) for e in table.entries]
+            out.append((("table", window), (rows, table.grid, table.eigenvalues())))
+    if invariants:
+        out.append((("cz_index",), _outcome(lambda: catalog.cz_index(ref))))
+        for side in ("minus", "plus"):
+            out.append((("alpha", side), _outcome(lambda: catalog.alpha(ref, 0.0, side))))
+        out.append((("is_bad",), _outcome(lambda: catalog.is_bad(ref))))
+    return out
+
+
+def outcome_differences(got: list, want: list) -> list[str]:
+    """How two cover_outcomes lists differ: rows, grid, invariants and exception
+    classes must be identical, eigenvalues within CLUSTER_TOL * window."""
+    problems = []
+    for (query, a), (query_b, b) in zip(got, want, strict=True):
+        assert query == query_b
+        if query[0] != "table" or isinstance(a, type) or isinstance(b, type):
+            if a != b:
+                problems.append(f"{query}: {a} != {b}")
+            continue
+        if a[:2] != b[:2]:
+            problems.append(f"{query}: rows or grid differ")
+            continue
+        tol = CLUSTER_TOL * max(1.0, query[1])
+        worst = max((abs(x - y) for x, y in zip(a[2], b[2])), default=0.0)
+        if worst > tol:
+            problems.append(f"{query}: eigenvalues differ by {worst:.3g} > {tol:.3g}")
+    return problems
 
 
 # --- sequential RK4 reference ------------------------------------------------

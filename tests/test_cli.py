@@ -88,16 +88,13 @@ class TestDeterminism:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
-    @pytest.mark.parametrize("orbit, catalog, cover, window", [
-        ("hyp2", "catalog_fixture.json", "3", "40"),
-        ("rot_p", "catalog_demo.json", "2", "10"),
-    ])
-    def test_spectrum_json_independent_of_blas_threads(self, orbit, catalog, cover, window):
+    def test_spectrum_json_independent_of_blas_threads(self):
         # eigenvalue literals are rounded to 12 significant digits, so the
         # last-digit noise of a threaded eigensolver never reaches stdout
+        # (unrounded, 14 of these 14 literals differed between 1 and 2 threads)
         argv = [sys.executable, "-m", "hbcalc.cli", "spectrum", "--catalog",
-                str(FIXTURES / catalog), "--orbit", orbit, "--cover", cover,
-                "--window", window, "--json"]
+                str(FIXTURES / "catalog_fixture.json"), "--orbit", "hyp2", "--cover", "3",
+                "--window", "40", "--json"]
         outs = []
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
@@ -208,6 +205,43 @@ class TestExitCodes:
         )
         assert code == 2
         assert "odd" in err
+
+
+class TestGridFlag:
+    @pytest.mark.parametrize("grid", ["-1", "0", "1", "2", "2048"])
+    def test_bad_grid_names_the_flag_and_value(self, capsys, grid):
+        code, out, err = run(capsys, "spectrum", "--catalog", str(FIXTURES / "catalog_demo.json"),
+                             "--orbit", "rot_p", "--window", "10", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == f"error: --grid must be odd and >= 3, got {grid}\n"
+
+
+class TestBuildingErrorPaths:
+    """Structural errors of a building file cite the JSON path of the field."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["breaking_pairs"][0][0].__setitem__(1, 7),
+         "breaking_pairs[0][0]: site ('cyl_bot', 7) is out of range for component 'cyl_bot'"),
+        (lambda d: d["breaking_pairs"][2][1].__setitem__(0, "ghost"),
+         "breaking_pairs[2][1]: site ('ghost', 1) references unknown component 'ghost'"),
+        (lambda d: d["breaking_pairs"].append(d["breaking_pairs"][1]),
+         "breaking_pairs[3][0]: puncture ('main_bot', 0) appears in two breaking pairs"),
+        (lambda d: d["breaking_pairs"][1].reverse(),
+         "breaking_pairs[1]: breaking pair (('main_top', 1), ('main_bot', 0)) must join"),
+        (lambda d: d.__setitem__("nodal_pairs", [["main_top", "cyl_top"], ["main_bot", "x"]]),
+         "nodal_pairs[1][1]: nodal pair ('main_bot', 'x') references unknown component 'x'"),
+        (lambda d: d["components"][3].__setitem__("id", "cyl_bot"),
+         "components[3].id: duplicate component id 'cyl_bot'"),
+    ])
+    def test_message_cites_json_path(self, capsys, tmp_path, edit, message):
+        doc = json.loads((FIXTURES / "building_figure3.json").read_text())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "index", "--catalog", str(FIXTURES / "catalog_demo.json"),
+                             "--building", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {message}"), err
 
 
 class TestSurgery:

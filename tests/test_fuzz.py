@@ -10,7 +10,9 @@ command must end with a verdict or an input error: exit code 0, 1 or 2 (2 also
 when argparse rejects a value), no traceback and no "internal error".
 Mutated covers ``k`` stay in 1..4, in-budget flag covers at 3 or below and
 windows at 40 or below, so every case runs in well under a second (oversized
-requests that would be solved are the resource-budget tests' job).
+requests that would be solved are the resource-budget tests' job).  A small
+pool of large covers (``LARGE_COVERS``) is run against the real budget: each
+must exit 2 with the budget message before anything of its size is allocated.
 """
 
 import copy
@@ -19,8 +21,9 @@ import json
 import numpy as np
 import pytest
 
-from hbcalc import cli
+from hbcalc import cli, spectral
 from hbcalc.cli import main
+from hbcalc.spectral import MAX_DENSE_DIM
 
 from support import FIXTURES
 
@@ -48,6 +51,9 @@ FLAG_VALUES = {
     "--neg": (("cyl_bot:1", "cyl:1"), ("cyl_bot:9", "cyl:-1", ":1", "a:b:c", "cyl_top:0")),
     "--components": (("main_top,main_bot", "cyl,cyl"), ("a", "a,b,c", ",", "", "ghost,cyl")),
 }
+#: covers far past the dense budget (a 1000-fold cover of a 33-sample orbit
+#: needs a grid of 33001), up to one past the float range
+LARGE_COVERS = (1000, 10**6, 10**400)
 SPECTRUM_ORBITS = (("catalog_demo.json", "rot_p"), ("catalog_fixture.json", "hyp2"),
                    ("catalog_table.json", "rot_tab"))
 BUILDINGS = ("building_figure3.json", "building_cylinder.json",
@@ -124,6 +130,24 @@ def mutants(seed: int, bases: list[str]):
         name = bases[i % len(bases)]
         doc = copy.deepcopy(docs[name])
         yield name, mutate(rng, doc), doc
+
+
+def large_cover_mutants(seed: int):
+    """(base name, orbit, cover, document) for every loader fixture with ends and
+    every large cover: all punctures over one seeded orbit cover move to it, so
+    breaking pairs and trivial cylinders stay well formed."""
+    rng = np.random.default_rng(seed)
+    for name in ("building_cylinder.json", "building_figure3.json",
+                 "building_fig3_oddbreak.json", "asymptotics_demo.json"):
+        for cover in LARGE_COVERS:
+            doc = json.loads((FIXTURES / name).read_text())
+            punctures = [p for c in doc.get("components", [doc]) for p in c["punctures"]]
+            refs = sorted({(p["orbit"]["simple"], p["orbit"]["k"]) for p in punctures})
+            ref = refs[int(rng.integers(len(refs)))]
+            for p in punctures:
+                if (p["orbit"]["simple"], p["orbit"]["k"]) == ref:
+                    p["orbit"]["k"] = cover
+            yield name, ref, cover, doc
 
 
 def flag_mutants(seed: int):
@@ -213,6 +237,44 @@ class TestLoaderFuzz:
             argv = ["enumerate", "--catalog", str(FIXTURES / "catalog_demo.json"),
                     "--asymptotics", str(path), "--json"]
             assert_clean_exit(capsys, argv, (name, edit))
+
+    def test_large_covers_fail_the_budget_before_allocating(self, capsys, tmp_path,
+                                                            warm_fixture_catalogs, monkeypatch):
+        sizes = {"eigh": [0], "value_at": [0]}
+        real_eigh, real_value_at = np.linalg.eigh, spectral.FlowLoop.value_at
+
+        def eigh(a, *args, **kwargs):
+            sizes["eigh"].append(np.shape(a)[-1])
+            return real_eigh(a, *args, **kwargs)
+
+        def value_at(loop, ts):
+            sizes["value_at"].append(np.size(ts))
+            return real_value_at(loop, ts)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(spectral.FlowLoop, "value_at", value_at)
+        path = tmp_path / "input.json"
+        cases = list(large_cover_mutants(505))
+        assert {cover for _, _, cover, _ in cases} == set(LARGE_COVERS)
+        for i, (name, ref, cover, doc) in enumerate(cases):
+            path.write_text(json.dumps(doc))
+            if name.startswith("asymptotics"):
+                argv = ["enumerate", "--catalog", str(FIXTURES / "catalog_demo.json"),
+                        "--asymptotics", str(path)]
+            else:
+                command = (["index"], ["check", "--theorem", "stable"])[i % 2]
+                argv = [command[0], "--catalog", str(FIXTURES / "catalog_fixture.json"),
+                        "--building", str(path), *command[1:]]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            case = (name, ref, cover)
+            assert (code, out) == (2, ""), (case, err)
+            assert "budget of 4096" in err, (case, err)
+            assert "Traceback" not in err and "internal error" not in err, (case, err)
+        # nothing of a large cover's size was sampled or solved: the largest
+        # legitimate sample request is the 4097-point RK4 half grid
+        assert max(sizes["eigh"]) <= MAX_DENSE_DIM
+        assert max(sizes["value_at"]) <= 2 * MAX_DENSE_DIM
 
     def test_mutations_are_seeded_and_varied(self):
         first = [edit for _, edit, _ in mutants(7, ["building_figure3.json"])]

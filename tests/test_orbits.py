@@ -15,9 +15,19 @@ from hbcalc.orbits import (
     is_simply_covered_eigenfunction,
 )
 from hbcalc.cli import load_catalog
+from hbcalc import spectral
 from hbcalc.spectral import FlowLoop, build_operator, spectrum_from_loop
 
-from support import FIXTURES, hyperbolic_loop, rotating_axis_loop, rotation_loop
+from support import (
+    FIXTURES,
+    DenseCoverCatalog,
+    cover_outcomes,
+    hyperbolic_loop,
+    nondegenerate_trig_loop,
+    outcome_differences,
+    rotating_axis_loop,
+    rotation_loop,
+)
 
 
 class TestAlpha:
@@ -215,3 +225,118 @@ class TestCatalogAudit:
                     fixture_catalog.cz_via_crossing(ref)
                     == fixture_catalog.cz_index(ref, 0.0).mu_cz
                 )
+
+
+class TestBlochRoute:
+    """The Catalog solves covers k >= 2 by Bloch blocks; the dense solve of
+    loop.cover(k, grid=n) on the same default grid is the oracle."""
+
+    @staticmethod
+    def assert_routes_agree(orbits, covers, windows, invariants=True):
+        bloch, dense = Catalog(orbits), DenseCoverCatalog(orbits)
+        checked = 0
+        for orbit in orbits:
+            for k in covers:
+                ref = OrbitRef(orbit.id, k)
+                got = cover_outcomes(bloch, ref, windows, invariants)
+                want = cover_outcomes(dense, ref, windows, invariants)
+                assert outcome_differences(got, want) == [], (orbit.id, k)
+                checked += len(got)
+        return checked
+
+    def test_fixture_orbits(self):
+        catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        orbits = [catalog.orbit(i) for i in catalog.ids()]
+        assert len(orbits) == 6
+        self.assert_routes_agree(orbits, (2, 3, 5, 8), (10.0, 40.0, 100.0))
+        self.assert_routes_agree(orbits, (16,), (10.0,), invariants=False)
+
+    def test_trig_loops(self):
+        rng = np.random.default_rng(20261018)
+        orbits = [SimpleOrbit(f"trig{i}", 1.0, nondegenerate_trig_loop(rng, n=25, scale=1.0))
+                  for i in range(5)]
+        self.assert_routes_agree(orbits, (2, 3, 5, 8), (10.0,))
+
+    def test_degenerate_cover_raises_like_the_dense_route(self):
+        # rotation by 2 pi / 3: the third cover has 0 in its spectrum
+        orbits = [SimpleOrbit("r", 1.0, rotation_loop(2 * math.pi / 3))]
+        bloch, dense = Catalog(orbits), DenseCoverCatalog(orbits)
+        for catalog in (bloch, dense):
+            with pytest.raises(CatalogError, match="degenerate"):
+                catalog.table(OrbitRef("r", 3), 10.0)
+        assert (outcome_differences(cover_outcomes(bloch, OrbitRef("r", 6), (10.0,)),
+                                    cover_outcomes(dense, OrbitRef("r", 6), (10.0,))) == [])
+
+    def test_block_index_pins_the_winding(self, monkeypatch):
+        loop = rotating_axis_loop(1)
+        real = spectral._bloch_eigenpairs
+        spectrum_from_loop(loop, 10.0, cover=3)  # correctly labelled: passes the audit
+
+        def mislabelled(*args):
+            vals, blocks, points = real(*args)
+            return vals, (blocks + 1) % 3, points
+
+        monkeypatch.setattr(spectral, "_bloch_eigenpairs", mislabelled)
+        with pytest.raises(SpectralResolutionError, match="Bloch block"):
+            spectrum_from_loop(loop, 10.0, cover=3)
+
+    def test_eigenfunctions_do_not_depend_on_eigenvector_phases(self, monkeypatch):
+        # eigh fixes each complex eigenvector only up to a unit factor: turn them
+        # by a spread of phases.  Every rebuilt eigenfunction must keep the norm
+        # of a real (j = 0), real or imaginary (0 < j < k/2) or phase-fixed
+        # (j = k/2) part, and for odd k be an eigenvector of the dense cover
+        # operator on the k*m-point grid, whose Fourier modes the blocks split.
+        loop = rotating_axis_loop(1)
+        tables = {k: spectrum_from_loop(loop, 10.0, cover=k) for k in (2, 3, 4)}
+        real = np.linalg.eigh
+
+        def turned(a):
+            vals, vecs = real(a)
+            if np.iscomplexobj(vecs):
+                vecs = vecs * np.exp(0.37j * np.arange(vecs.shape[1]))
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", turned)
+        for k, table in tables.items():
+            assert spectrum_from_loop(loop, 10.0, cover=k) == table
+            n = spectral.default_grid(loop.n, k, 10.0, loop.strength())
+            m = spectral.next_odd(math.ceil(n / k))
+            vals, blocks, points = spectral._bloch_eigenpairs(loop, k, n)
+            dense = build_operator(loop.cover(k, grid=k * m)) if k % 2 else None
+            inside = np.flatnonzero(np.abs(vals) <= 10.0)
+            basis = np.array([points(i).reshape(-1) for i in inside])
+            assert basis.dtype == float
+            for i, e in zip(inside, basis):
+                full = 2 * blocks[i] not in (0, k)
+                assert np.linalg.norm(e) >= math.sqrt(k / 2 if full else k) * (1 - 1e-9)
+                if dense is not None:
+                    assert np.linalg.norm(dense @ e - vals[i] * e) <= 1e-8 * np.linalg.norm(e)
+            # simple cover eigenvalues: the real and imaginary parts of one block
+            # eigenvector are two orthogonal eigenfunctions, not one read twice
+            basis /= np.linalg.norm(basis, axis=1)[:, None]
+            assert np.allclose(basis @ basis.T, np.eye(len(inside)), atol=1e-8)
+
+    def test_cover_and_grid_are_exclusive(self):
+        loop = rotating_axis_loop(1)
+        with pytest.raises(ValueError, match="explicit grid"):
+            spectrum_from_loop(loop, 10.0, grid=101, cover=2)
+        with pytest.raises(ValueError, match="cover"):
+            spectrum_from_loop(loop, 10.0, cover=0)
+
+    def test_explicit_grid_and_simple_orbits_stay_dense(self, monkeypatch):
+        catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        dims = []
+        real = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            dims.append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        table = catalog.spectrum_of(OrbitRef("hyp2", 3), 10.0, grid=151)
+        assert (dims, table.grid) == ([302], 151)
+        dims.clear()
+        table = catalog.spectrum_of(OrbitRef("hyp2", 3), 10.0)
+        n = spectral.default_grid(33, 3, 10.0, catalog.orbit("hyp2").model.strength())
+        m = spectral.next_odd(math.ceil(n / 3))
+        assert (dims, table.grid) == ([2 * m, 2 * m], n)
