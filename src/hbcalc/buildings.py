@@ -262,18 +262,6 @@ def is_connected(building: Building) -> bool:
     return len(_reachable(adj, building.components[0].id)) == len(adj)
 
 
-def connected_component_ids(building: Building) -> list[list[str]]:
-    adj = component_graph(building)
-    out = []
-    remaining = set(adj)
-    while remaining:
-        start = min(remaining)
-        piece = _reachable(adj, start)
-        remaining -= piece
-        out.append(sorted(piece))
-    return out
-
-
 def arithmetic_genus(building: Building) -> int:
     """Genus of the glued compactified surface of a connected building."""
     if not is_connected(building):
@@ -349,16 +337,6 @@ def trivial_breaking_pairs(building: Building) -> set[int]:
         for pair, child, root in bridges
         if below[child] == 0 or below[root] == below[child]
     }
-
-
-def is_trivial_breaking(building: Building, pair_index: int) -> bool:
-    """A breaking pair is trivial if deleting its edge splits the graph and one
-    side consists entirely of trivial cylinders."""
-    if not 0 <= pair_index < len(building.breaking_pairs):
-        raise BuildingError(f"breaking pair index {pair_index} out of range")
-    if not is_connected(building):
-        raise BuildingError("trivial-breaking test needs a connected building")
-    return pair_index in trivial_breaking_pairs(building)
 
 
 # --- surgery ----------------------------------------------------------------

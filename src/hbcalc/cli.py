@@ -38,7 +38,10 @@ Asymptotics file (for ``enumerate``)::
 
 Exit codes: 0 success or ok-verdict, 1 verdict violations, 2 input errors
 (and internal errors, reported without a traceback).  Non-finite numbers
-(NaN, Infinity) are input errors.
+(NaN, Infinity) and integers past the float range are input errors.  A file
+error cites the file and the JSON path of the field, as in
+``bad.json.components[2].punctures[0].constraint``; one reader (``_read``)
+checks every field's presence and JSON kind.
 JSON output is byte-stable for fixed inputs (sorted keys, sorted lists, and
 computed eigenvalues rounded to 12 significant digits).
 """
@@ -66,7 +69,7 @@ from .degeneration import (
     enumerate_limits,
     validate_nice,
 )
-from .errors import HbcalcError, InputError
+from .errors import BuildingError, CatalogError, HbcalcError, InputError
 from .index_calculus import IndexReport, index_report, verify_additivity
 from .orbits import Catalog, OrbitRef, SimpleOrbit
 from .spectral import FlowLoop, SpectralEntry, SpectralTable
@@ -74,50 +77,54 @@ from .spectral import FlowLoop, SpectralEntry, SpectralTable
 FORMAT_VERSION = 1
 
 
-# --- schema helpers ----------------------------------------------------------
+# --- schema reader -----------------------------------------------------------
+
+_REQUIRED = object()
+#: JSON kinds by the phrase an error message names them with
+_KINDS = {"an object": dict, "an array": list, "a string": str, "an integer": int,
+          "a number": (int, float), "a boolean": bool}
 
 
-def _want(value, kind, path, kindname):
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise InputError(f"{path}: expected {kindname}")
+def _path(at, key=None) -> str:
+    """The JSON path of a location, or of its field or element `key`: a
+    location is a path string or a (parent, key) pair, read as ``parent.key``
+    for a field and ``parent[key]`` for an array element."""
+    if key is not None:
+        return f"{_path(at)}.{key}" if isinstance(key, str) else f"{_path(at)}[{key}]"
+    return at if isinstance(at, str) else _path(*at)
+
+
+def _read(obj, key, kind: str, at, default=_REQUIRED):
+    """The JSON value ``obj[key]``, or `obj` itself when `key` is None, checked
+    to be of `kind` ("an object", "an integer", ...); `at` is the location of
+    `obj`, spelled out only in an error.  A missing field takes `default`
+    (without one it is an error); a field whose default is None also takes
+    null.  Numbers come back as finite floats."""
+    if key is None:
+        value = obj
+    else:
+        value = obj.get(key, default) if isinstance(key, str) else obj[key]
+        if value is default:
+            if value is _REQUIRED:
+                raise InputError(f"{_path(at, key)}: required field missing")
+            return value
+    types = _KINDS[kind]
+    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
+        raise InputError(f"{_path(at, key)}: expected {kind}")
+    if kind == "a number":
+        try:
+            value = float(value)
+        except OverflowError:
+            raise InputError(
+                f"{_path(at, key)}: expected a finite number, got an integer past the float range"
+            ) from None
+        if not math.isfinite(value):
+            raise InputError(f"{_path(at, key)}: expected a finite number, got {value}")
     return value
-
-
-def _obj(value, path) -> dict:
-    return _want(value, dict, path, "an object")
-
-
-def _arr(value, path) -> list:
-    return _want(value, list, path, "an array")
-
-
-def _str(value, path) -> str:
-    return _want(value, str, path, "a string")
-
-
-def _int(value, path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{path}: expected an integer")
-    return value
-
-
-def _num(value, path) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{path}: expected a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise InputError(f"{path}: expected a finite number, got {value}")
-    return value
-
-
-def _get(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise InputError(f"{path}.{key}: required field missing")
-    return obj[key]
 
 
 def _check_format(obj: dict, path: str) -> None:
-    version = _int(_get(obj, "format", path), f"{path}.format")
+    version = _read(obj, "format", "an integer", path)
     if version != FORMAT_VERSION:
         raise InputError(f"{path}.format: unsupported version {version}")
 
@@ -153,49 +160,48 @@ def _canonical_float(x: float) -> float:
 
 
 def catalog_from_data(data, path: str = "catalog") -> Catalog:
-    root = _obj(data, path)
+    root = _read(data, None, "an object", path)
     _check_format(root, path)
     orbits = []
-    for i, entry in enumerate(_arr(_get(root, "orbits", path), f"{path}.orbits")):
-        opath = f"{path}.orbits[{i}]"
-        record = _obj(entry, opath)
-        oid = _str(_get(record, "id", opath), f"{opath}.id")
-        period = _num(_get(record, "period", opath), f"{opath}.period")
-        model_obj = _obj(_get(record, "model", opath), f"{opath}.model")
-        mtype = _str(_get(model_obj, "type", f"{opath}.model"), f"{opath}.model.type")
+    for i, entry in enumerate(_read(root, "orbits", "an array", path)):
+        at = ((path, "orbits"), i)
+        record = _read(entry, None, "an object", at)
+        oid = _read(record, "id", "a string", at)
+        period = _read(record, "period", "a number", at)
+        model_obj = _read(record, "model", "an object", at)
+        model_at = (at, "model")
+        mtype = _read(model_obj, "type", "a string", model_at)
         if mtype == "flow":
-            rows = _arr(_get(model_obj, "samples", f"{opath}.model"), f"{opath}.model.samples")
+            samples_at = (model_at, "samples")
             triples = []
-            for j, row in enumerate(rows):
-                rpath = f"{opath}.model.samples[{j}]"
-                row = _arr(row, rpath)
-                if len(row) != 3:
-                    raise InputError(f"{rpath}: expected [s11, s12, s22]")
-                triples.append([_num(v, f"{rpath}[{k}]") for k, v in enumerate(row)])
+            for j, row in enumerate(_read(model_obj, "samples", "an array", model_at)):
+                row_at = (samples_at, j)
+                if len(_read(row, None, "an array", row_at)) != 3:
+                    raise InputError(f"{_path(row_at)}: expected [s11, s12, s22]")
+                triples.append([_read(row, k, "a number", row_at) for k in range(3)])
             try:
                 model = FlowLoop.from_triples(triples, period)
             except ValueError as exc:
-                raise InputError(f"{opath}.model.samples: {exc}") from exc
+                raise InputError(f"{_path(samples_at)}: {exc}") from exc
         elif mtype == "table":
-            covers_obj = _obj(_get(model_obj, "covers", f"{opath}.model"), f"{opath}.model.covers")
             model = {}
-            for key, rows in covers_obj.items():
-                cpath = f"{opath}.model.covers[{key!r}]"
+            for key, rows in _read(model_obj, "covers", "an object", model_at).items():
+                cpath = f"{_path(model_at)}.covers[{key!r}]"
                 try:
                     k = int(key)
                 except ValueError:
                     raise InputError(f"{cpath}: cover keys must be integers") from None
                 entries = []
-                for j, row in enumerate(_arr(rows, cpath)):
-                    rpath = f"{cpath}[{j}]"
-                    row = _arr(row, rpath)
-                    if len(row) != 3:
-                        raise InputError(f"{rpath}: expected [eigenvalue, winding, multiplicity]")
+                for j, row in enumerate(_read(rows, None, "an array", cpath)):
+                    row_at = (cpath, j)
+                    if len(_read(row, None, "an array", row_at)) != 3:
+                        raise InputError(
+                            f"{_path(row_at)}: expected [eigenvalue, winding, multiplicity]")
                     entries.append(
                         SpectralEntry(
-                            eigenvalue=_num(row[0], f"{rpath}[0]"),
-                            winding=_int(row[1], f"{rpath}[1]"),
-                            multiplicity=_int(row[2], f"{rpath}[2]"),
+                            eigenvalue=_read(row, 0, "a number", row_at),
+                            winding=_read(row, 1, "an integer", row_at),
+                            multiplicity=_read(row, 2, "an integer", row_at),
                         )
                     )
                 entries.sort(key=lambda e: e.eigenvalue)
@@ -207,14 +213,12 @@ def catalog_from_data(data, path: str = "catalog") -> Catalog:
                     raise InputError(f"{cpath}: {exc}") from exc
                 model[k] = table
         else:
-            raise InputError(f"{opath}.model.type: unknown model type {mtype!r}")
-        hyperbolic = record.get("hyperbolic")
-        if hyperbolic is not None and not isinstance(hyperbolic, bool):
-            raise InputError(f"{opath}.hyperbolic: expected a boolean")
+            raise InputError(f"{_path(model_at)}.type: unknown model type {mtype!r}")
+        hyperbolic = _read(record, "hyperbolic", "a boolean", at, None)
         try:
             orbits.append(SimpleOrbit(oid, period, model, hyperbolic))
         except HbcalcError as exc:
-            raise InputError(f"{opath}: {exc}") from exc
+            raise InputError(f"{_path(at)}: {exc}") from exc
     return Catalog(orbits)
 
 
@@ -246,80 +250,70 @@ def catalog_to_data(catalog: Catalog) -> dict:
 # --- building (de)serialization -----------------------------------------------
 
 
-def _puncture_from_data(data, path: str) -> Puncture:
-    record = _obj(data, path)
-    sign_str = _str(_get(record, "sign", path), f"{path}.sign")
-    if sign_str not in ("+", "-"):
-        raise InputError(f"{path}.sign: expected '+' or '-'")
-    orbit_obj = _obj(_get(record, "orbit", path), f"{path}.orbit")
-    orbit = OrbitRef(
-        simple=_str(_get(orbit_obj, "simple", f"{path}.orbit"), f"{path}.orbit.simple"),
-        k=_int(_get(orbit_obj, "k", f"{path}.orbit"), f"{path}.orbit.k"),
-    )
-    constraint = _num(record.get("constraint", 0.0), f"{path}.constraint")
-    winding = record.get("controlling_winding")
-    if winding is not None:
-        winding = _int(winding, f"{path}.controlling_winding")
-    return Puncture(
-        sign=1 if sign_str == "+" else -1,
-        orbit=orbit,
-        constraint=constraint,
-        controlling_winding=winding,
-    )
+def _puncture_from_data(data, at) -> Puncture:
+    record = _read(data, None, "an object", at)
+    sign = _read(record, "sign", "a string", at)
+    if sign not in ("+", "-"):
+        raise InputError(f"{_path(at)}.sign: expected '+' or '-'")
+    orbit = _read(record, "orbit", "an object", at)
+    orbit_at = (at, "orbit")
+    try:
+        return Puncture(
+            sign=1 if sign == "+" else -1,
+            orbit=OrbitRef(_read(orbit, "simple", "a string", orbit_at),
+                           _read(orbit, "k", "an integer", orbit_at)),
+            constraint=_read(record, "constraint", "a number", at, 0.0),
+            controlling_winding=_read(record, "controlling_winding", "an integer", at, None),
+        )
+    except (BuildingError, CatalogError) as exc:
+        raise InputError(f"{_path(at)}: {exc}") from exc
 
 
 def building_from_data(data, path: str = "building") -> Building:
-    root = _obj(data, path)
+    root = _read(data, None, "an object", path)
     _check_format(root, path)
     components = []
-    for i, entry in enumerate(_arr(_get(root, "components", path), f"{path}.components")):
-        cpath = f"{path}.components[{i}]"
-        record = _obj(entry, cpath)
+    for i, entry in enumerate(_read(root, "components", "an array", path)):
+        at = ((path, "components"), i)
+        record = _read(entry, None, "an object", at)
         punctures = tuple(
-            _puncture_from_data(p, f"{cpath}.punctures[{j}]")
-            for j, p in enumerate(_arr(record.get("punctures", []), f"{cpath}.punctures"))
+            _puncture_from_data(p, ((at, "punctures"), j))
+            for j, p in enumerate(_read(record, "punctures", "an array", at, []))
         )
-        wind_pi = record.get("wind_pi")
-        if wind_pi is not None:
-            wind_pi = _int(wind_pi, f"{cpath}.wind_pi")
-        image_class = record.get("image_class")
-        if image_class is not None:
-            image_class = _str(image_class, f"{cpath}.image_class")
+        wind_pi = _read(record, "wind_pi", "an integer", at, None)
+        image_class = _read(record, "image_class", "a string", at, None)
         try:
             components.append(
                 Component(
-                    id=_str(_get(record, "id", cpath), f"{cpath}.id"),
-                    genus=_int(_get(record, "genus", cpath), f"{cpath}.genus"),
+                    id=_read(record, "id", "a string", at),
+                    genus=_read(record, "genus", "an integer", at),
                     punctures=punctures,
-                    rel_c1=_int(record.get("rel_c1", 0), f"{cpath}.rel_c1"),
-                    kind=_str(record.get("kind", "nontrivial"), f"{cpath}.kind"),
+                    rel_c1=_read(record, "rel_c1", "an integer", at, 0),
+                    kind=_read(record, "kind", "a string", at, "nontrivial"),
                     wind_pi=wind_pi,
                     image_class=image_class,
                 )
             )
         except HbcalcError as exc:
-            raise InputError(f"{cpath}: {exc}") from exc
+            raise InputError(f"{_path(at)}: {exc}") from exc
 
-    def site(data, spath):
-        pair = _arr(data, spath)
-        if len(pair) != 2:
-            raise InputError(f"{spath}: expected [component id, puncture index]")
-        return (_str(pair[0], f"{spath}[0]"), _int(pair[1], f"{spath}[1]"))
+    def site(entry, at):
+        if len(_read(entry, None, "an array", at)) != 2:
+            raise InputError(f"{_path(at)}: expected [component id, puncture index]")
+        return (_read(entry, 0, "a string", at), _read(entry, 1, "an integer", at))
 
     breaking = []
-    for i, entry in enumerate(_arr(root.get("breaking_pairs", []), f"{path}.breaking_pairs")):
-        ppath = f"{path}.breaking_pairs[{i}]"
-        pair = _arr(entry, ppath)
-        if len(pair) != 2:
-            raise InputError(f"{ppath}: expected [positive site, negative site]")
-        breaking.append((site(pair[0], f"{ppath}[0]"), site(pair[1], f"{ppath}[1]")))
+    for i, pair in enumerate(_read(root, "breaking_pairs", "an array", path, [])):
+        at = ((path, "breaking_pairs"), i)
+        if len(_read(pair, None, "an array", at)) != 2:
+            raise InputError(f"{_path(at)}: expected [positive site, negative site]")
+        breaking.append((site(pair[0], (at, 0)), site(pair[1], (at, 1))))
     nodal = []
-    for i, entry in enumerate(_arr(root.get("nodal_pairs", []), f"{path}.nodal_pairs")):
-        npath = f"{path}.nodal_pairs[{i}]"
-        pair = _arr(entry, npath)
-        if len(pair) != 2:
-            raise InputError(f"{npath}: expected [component id, component id]")
-        nodal.append((_str(pair[0], f"{npath}[0]"), _str(pair[1], f"{npath}[1]")))
+    for i, pair in enumerate(_read(root, "nodal_pairs", "an array", path, [])):
+        at = ((path, "nodal_pairs"), i)
+        if len(_read(pair, None, "an array", at)) != 2:
+            raise InputError(f"{_path(at)}: expected [component id, component id]")
+        nodal.append((_read(pair, 0, "a string", at), _read(pair, 1, "a string", at)))
     try:
         return Building(
             components=tuple(components),
@@ -371,16 +365,13 @@ def building_to_data(building: Building) -> dict:
 
 
 def asymptotics_from_data(data, path: str = "asymptotics") -> Asymptotics:
-    root = _obj(data, path)
+    root = _read(data, None, "an object", path)
     _check_format(root, path)
     punctures = tuple(
-        _puncture_from_data(p, f"{path}.punctures[{i}]")
-        for i, p in enumerate(_arr(_get(root, "punctures", path), f"{path}.punctures"))
+        _puncture_from_data(p, ((path, "punctures"), i))
+        for i, p in enumerate(_read(root, "punctures", "an array", path))
     )
-    return Asymptotics(
-        punctures=punctures,
-        rel_c1=_int(root.get("rel_c1", 0), f"{path}.rel_c1"),
-    )
+    return Asymptotics(punctures=punctures, rel_c1=_read(root, "rel_c1", "an integer", path, 0))
 
 
 def load_asymptotics(filename: str) -> Asymptotics:

@@ -39,21 +39,19 @@ from .buildings import (
     set_constraints,
     trivial_breaking_pairs,
 )
-from .errors import (
-    BuildingError,
-    IncompleteInputError,
-    InputError,
-    InternalCheckError,
-    NoCoreError,
-)
+from .errors import BuildingError, InputError, InternalCheckError, NoCoreError
 from .index_calculus import (
     ConstraintMap,
     End,
-    defect,
+    _controlling_windings,
+    _defect,
+    _index,
     ends,
     fredholm_index,
     resolve_constraints,
 )
+# bound here as well, where perfbench/selftest.py checks that the tracer wraps it
+from .index_calculus import defect  # noqa: F401
 from .orbits import Catalog, OrbitRef, is_simply_covered_eigenfunction
 
 
@@ -78,7 +76,17 @@ def validate_nice(catalog: Catalog, building: Building) -> NiceVerdict:
     """Check the combinatorially decidable conditions for a nicely embedded
     building; geometric claims (distinct image classes do not intersect) are
     recorded assumptions, not verified."""
+    violations = _sorted_violations(_nice_checks(catalog, building)[0])
+    return NiceVerdict(ok=not violations, violations=violations)
+
+
+def _nice_checks(catalog: Catalog, building: Building
+                 ) -> tuple[list[Violation], dict[str, tuple[Building, list[End]]]]:
+    """The nice-building violations, plus every nontrivial component detached,
+    with the rows of its ends, by id: the defect check reads them here and
+    the stable-limit checks read them again."""
     violations: list[Violation] = []
+    detached: dict[str, tuple[Building, list[End]]] = {}
 
     for i, pair in enumerate(building.nodal_pairs):
         violations.append(
@@ -124,8 +132,11 @@ def validate_nice(catalog: Catalog, building: Building) -> NiceVerdict:
                         "transverse to the flow",
                     )
                 )
-            report = defect(catalog, building, comp.id)
-            if report is not None and report.total > 0:
+            piece, induced = detach_component(building, comp.id)
+            rows = ends(catalog, piece, induced)
+            report = _defect(piece, rows, _controlling_windings(comp))
+            detached[comp.id] = (piece, rows)
+            if report.total > 0:
                 violations.append(
                     Violation(
                         "DEFECT_POSITIVE",
@@ -196,13 +207,8 @@ def validate_nice(catalog: Catalog, building: Building) -> NiceVerdict:
     by_orbit: dict[tuple[str, int], list[tuple[str, str, int, int]]] = {}
     for comp in nontrivial:
         class_key = comp.image_class if comp.image_class is not None else f"#{comp.id}"
-        for idx, p in enumerate(comp.punctures):
+        for p in comp.punctures:
             w = p.controlling_winding
-            if w is None:
-                raise IncompleteInputError(
-                    f"component {comp.id!r} puncture {idx} lacks a controlling winding",
-                    fields=[f"{comp.id}.punctures[{idx}].controlling_winding"],
-                )
             if not is_simply_covered_eigenfunction(p.orbit.k, w):
                 violations.append(
                     Violation(
@@ -231,8 +237,7 @@ def validate_nice(catalog: Catalog, building: Building) -> NiceVerdict:
                 )
             )
 
-    violations_t = _sorted_violations(violations)
-    return NiceVerdict(ok=not violations_t, violations=violations_t)
+    return violations, detached
 
 
 # --- stable-limit classification --------------------------------------------
@@ -266,18 +271,15 @@ def classify_stable_limit(catalog: Catalog, building: Building,
         raise BuildingError("stable-limit classification needs a connected building")
     cs = resolve_constraints(building, constraints)
     building = set_constraints(building, cs)
-    violations = list(validate_nice(catalog, building).violations)
+    violations, detached = _nice_checks(catalog, building)
 
-    for comp in building.components:
-        if comp.kind != "nontrivial":
-            continue
-        piece, induced = detach_component(building, comp.id)
-        side_index = fredholm_index(catalog, piece, induced)
+    for cid, (piece, rows) in detached.items():
+        side_index = _index(piece, rows)
         if side_index < 1:
             violations.append(
                 Violation(
                     "NON_GENERIC",
-                    f"component:{comp.id}",
+                    f"component:{cid}",
                     f"nontrivial component has induced index {side_index} < 1; "
                     "forbidden for generic data",
                 )
@@ -319,7 +321,8 @@ def classify_stable_limit(catalog: Catalog, building: Building,
             )
         for comp in collapsed.components:
             piece, induced = detach_component(collapsed, comp.id)
-            side_ind = fredholm_index(catalog, piece, induced)
+            rows = ends(catalog, piece, induced)
+            side_ind = _index(piece, rows)
             if side_ind != 1:
                 violations.append(
                     Violation(
@@ -328,7 +331,7 @@ def classify_stable_limit(catalog: Catalog, building: Building,
                         f"broken-pair side has induced index {side_ind} != 1",
                     )
                 )
-            evens = [e.site for e in ends(catalog, piece, induced) if e.parity == 0]
+            evens = [e.site for e in rows if e.parity == 0]
             breaking_sites_here = {
                 s for pair in collapsed.breaking_pairs for s in pair if s[0] == comp.id
             }
@@ -663,11 +666,6 @@ def _asymptotic_ends(catalog: Catalog, asymptotics: Asymptotics) -> list[End]:
     if ind != 2:
         raise InputError(f"input curve has index {ind} != 2")
     return rows
-
-
-def validate_stable_input(catalog: Catalog, asymptotics: Asymptotics) -> None:
-    """Reject inputs that do not describe a stable index-2 genus-0 curve."""
-    _asymptotic_ends(catalog, asymptotics)
 
 
 def breaking_candidates(catalog: Catalog) -> list[OrbitRef]:

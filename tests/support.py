@@ -8,24 +8,22 @@ import pathlib
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from hbcalc import degeneration
 from hbcalc.buildings import (
     Building,
     Component,
     Puncture,
     arithmetic_genus,
     component_graph,
-    connected_component_ids,
     core,
     detach_component,
     euler_char,
     is_connected,
     is_trivial_cylinder,
     set_constraints,
+    trivial_breaking_pairs,
 )
-from hbcalc.degeneration import Asymptotics, LimitType, breaking_candidates, validate_nice
+from hbcalc.degeneration import Asymptotics, LimitType, breaking_candidates
 from hbcalc.errors import (
     BuildingError,
     DegenerateThresholdError,
@@ -691,6 +689,21 @@ def reference_enumerate_limits(catalog: Catalog, asymptotics: Asymptotics) -> li
     return out
 
 
+def reference_nice_queries(catalog: Catalog, building: Building) -> None:
+    """Make the spectral queries ``validate_nice`` made before it shared its
+    detached components, in its order: the per-function defect of every
+    nontrivial component, then the parity and bad-double tests of the orbits
+    of the nontrivial breaking pairs."""
+    for comp in building.components:
+        if comp.kind == "nontrivial":
+            reference_defect(catalog, building, comp.id)
+    trivial = trivial_breaking_pairs(building)
+    for i, (pos_site, _neg_site) in enumerate(building.breaking_pairs):
+        ref = building.puncture(pos_site).orbit
+        if i not in trivial and catalog.parity(ref) == 0 and ref.k == 2:
+            catalog.is_bad(ref)
+
+
 def reference_classify_queries(catalog: Catalog, building: Building) -> None:
     """Make the spectral queries ``classify_stable_limit`` made before the
     single ends pass, in its order: the nice-building checks (with the
@@ -698,9 +711,7 @@ def reference_classify_queries(catalog: Catalog, building: Building) -> None:
     total index and, for a two-component core, each side's induced index.
     Its even-end test read the same cuts as that side index."""
     building = set_constraints(building, reference_resolve_constraints(building, None))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(degeneration, "defect", reference_defect)
-        validate_nice(catalog, building)
+    reference_nice_queries(catalog, building)
     for comp in building.components:
         if comp.kind == "nontrivial":
             reference_fredholm_index(catalog, *detach_component(building, comp.id))
@@ -716,6 +727,23 @@ def reference_classify_queries(catalog: Catalog, building: Building) -> None:
 
 
 # --- random building corpus ---------------------------------------------------
+
+
+def connected_component_ids(building: Building) -> list[list[str]]:
+    """The sorted component ids of each connected piece, pieces by least id."""
+    adj = component_graph(building)
+    out = []
+    remaining = set(adj)
+    while remaining:
+        piece = {min(remaining)}
+        stack = list(piece)
+        while stack:
+            for nxt in adj[stack.pop()] - piece:
+                piece.add(nxt)
+                stack.append(nxt)
+        remaining -= piece
+        out.append(sorted(piece))
+    return out
 
 
 def safe_constraint(catalog: Catalog, ref: OrbitRef, rng: np.random.Generator) -> float:

@@ -15,7 +15,6 @@ from hbcalc.buildings import (
     euler_char,
     glue_punctures,
     is_connected,
-    is_trivial_breaking,
     is_trivial_cylinder,
     maximal_trivial_subbuildings,
     subbuilding,
@@ -152,14 +151,14 @@ class TestTrivialBreaking:
             components=(tcyl("t"), plain("v", (1, G), (-1, G))),
             breaking_pairs=((("v", 0), ("t", 1)),),
         )
-        assert is_trivial_breaking(b, 0)
+        assert trivial_breaking_pairs(b) == {0}
 
     def test_nontrivial_edge(self):
         b = Building(
             components=(plain("v", (1, G), (-1, G)), plain("w", (1, G), (-1, G))),
             breaking_pairs=((("w", 0), ("v", 1)),),
         )
-        assert not is_trivial_breaking(b, 0)
+        assert trivial_breaking_pairs(b) == set()
 
     def test_cycle_edges_are_nontrivial(self):
         b = Building(
@@ -169,8 +168,7 @@ class TestTrivialBreaking:
             ),
             breaking_pairs=((("v", 0), ("t", 1)), (("t", 0), ("v", 2))),
         )
-        assert not is_trivial_breaking(b, 0)
-        assert not is_trivial_breaking(b, 1)
+        assert trivial_breaking_pairs(b) == set()
 
 
 def reference_pairs(b):
@@ -311,13 +309,6 @@ class TestTrivialBreakingPairs:
                 assert trivial_breaking_pairs(b) == reference_pairs(b)
                 seen += 1
         assert seen > 50
-
-    def test_is_trivial_breaking_needs_connected(self):
-        b, _ = self.HAND_BUILT["disconnected"]
-        with pytest.raises(BuildingError, match="connected"):
-            is_trivial_breaking(b, 0)
-        with pytest.raises(BuildingError, match="out of range"):
-            is_trivial_breaking(b, 3)
 
 
 class TestBuildingIndex:

@@ -244,6 +244,55 @@ class TestBuildingErrorPaths:
         assert err.startswith(f"error: {path}: {message}"), err
 
 
+class TestPunctureErrorPaths:
+    """A constraint or cover that the data model rejects is an input error that
+    cites the puncture's JSON path, in building and asymptotics files alike."""
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("constraint",), -1, "constraint must be >= 0, got -1.0"),
+        (("orbit", "k"), 0, "covering number must be >= 1, got 0"),
+    ])
+    @pytest.mark.parametrize("name, puncture", [
+        ("building_figure3.json", ("components", 2, "punctures", 0)),
+        ("asymptotics_demo.json", ("punctures", 1)),
+    ])
+    def test_message_cites_puncture_path(self, capsys, tmp_path, name, puncture, keys, value,
+                                         message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_with_value(name, puncture + keys, value)))
+        catalog = str(FIXTURES / "catalog_demo.json")
+        if name.startswith("building"):
+            argv = ["index", "--catalog", catalog, "--building", str(bad)]
+        else:
+            argv = ["enumerate", "--catalog", catalog, "--asymptotics", str(bad)]
+        code, out, err = run(capsys, *argv)
+        site = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in puncture)
+        assert (code, out, err) == (2, "", f"error: {bad}{site}: {message}\n")
+
+
+class TestNumberPastFloatRange:
+    """An integer too large for a float, in any number field, is an input error
+    that cites the field's JSON path."""
+
+    @pytest.mark.parametrize("name, keys, json_path", [
+        ("catalog_demo.json", ("orbits", 1, "period"), "orbits[1].period"),
+        ("catalog_demo.json", ("orbits", 0, "model", "samples", 4, 1),
+         "orbits[0].model.samples[4][1]"),
+        ("catalog_table.json", ("orbits", 0, "model", "covers", "2", 1, 0),
+         "orbits[0].model.covers['2'][1][0]"),
+        ("building_figure3.json", ("components", 0, "punctures", 0, "constraint"),
+         "components[0].punctures[0].constraint"),
+        ("asymptotics_demo.json", ("punctures", 0, "constraint"), "punctures[0].constraint"),
+    ])
+    def test_cites_the_field(self, name, keys, json_path):
+        loader = {"catalog": catalog_from_data, "building": building_from_data,
+                  "asymptotics": cli.asymptotics_from_data}[name.split("_")[0]]
+        with pytest.raises(InputError) as info:
+            loader(_with_value(name, keys, 10**400), path="bad.json")
+        assert str(info.value) == (
+            f"bad.json.{json_path}: expected a finite number, got an integer past the float range")
+
+
 class TestSurgery:
     def test_augment_then_core_restores(self, capsys, tmp_path):
         fig3 = str(FIXTURES / "building_figure3.json")

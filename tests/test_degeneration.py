@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from hbcalc import buildings
 from hbcalc.buildings import (
     Building,
     Component,
@@ -13,7 +15,7 @@ from hbcalc.buildings import (
 )
 from hbcalc import degeneration as dg
 from hbcalc import index_calculus as ic
-from hbcalc.cli import load_building, load_catalog
+from hbcalc.cli import load_building, load_catalog, main
 from hbcalc.errors import IncompleteInputError, InputError
 from hbcalc.orbits import OrbitRef
 
@@ -279,6 +281,40 @@ class TestClassifyStableLimit:
         assert "CORE_COMPONENTS" in codes(verdict)
         assert "HAS_NODE" in codes(verdict)
         assert "NON_GENERIC" in codes(verdict)
+
+
+class TestDetachOnce:
+    """``check --theorem stable`` detaches each nontrivial component once for
+    its defect and its induced index together, then each side of a
+    two-component core once for its side index and its even ends."""
+
+    @pytest.mark.parametrize("name", ["building_cylinder.json", "building_figure3.json",
+                                      "building_fig3_oddbreak.json"])
+    def test_each_component_once_before_core(self, capsys, monkeypatch, name):
+        events = []
+        real_detach, real_core = buildings.detach_component, buildings.core
+
+        def detach(building, cid):
+            events.append(cid)
+            return real_detach(building, cid)
+
+        def core(building):
+            events.append("<core>")
+            return real_core(building)
+
+        for module in (buildings, ic, dg):
+            monkeypatch.setattr(module, "detach_component", detach)
+        monkeypatch.setattr(dg, "core", core)
+        path = str(FIXTURES / name)
+        code = main(["check", "--theorem", "stable", "--catalog",
+                     str(FIXTURES / "catalog_fixture.json"), "--building", path])
+        assert code in (0, 1), capsys.readouterr().err
+        building = load_building(path)
+        nontrivial = [c.id for c in building.components if c.kind == "nontrivial"]
+        before = events[:events.index("<core>")] if "<core>" in events else events
+        assert sorted(before) == sorted(nontrivial)
+        if name == "building_figure3.json":
+            assert Counter(events) == {"main_top": 2, "main_bot": 2, "<core>": 1}
 
 
 class TestTrivialSubbuildingCheck:

@@ -30,9 +30,10 @@ from support import FIXTURES
 MUTANTS_PER_LOADER = 100
 FLAG_MUTANTS = 400
 
-#: replacement numbers: signs, zero, fractions, huge, tiny and near the float limit
+#: replacement numbers: signs, zero, fractions, huge, tiny, near the float limit
+#: and an integer past it
 NUMBERS = (0, 1, -1, 2, 3, 0.5, -0.5, 1e-9, 1e-308, 1e6, -1e6, 10**20, 2**53 + 1,
-           1e154, 1e200, 1e308, -1e308, 1.7e308)
+           1e154, 1e200, 1e308, -1e308, 1.7e308, 10**400)
 #: one value of every JSON type
 OTHER_TYPES = ("x", 7, 1.5, True, None, [], {})
 

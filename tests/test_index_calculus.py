@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hbcalc import degeneration
 from hbcalc import index_calculus as ic
 from hbcalc.buildings import (
     Building,
@@ -352,14 +351,12 @@ class TestEndsQueries:
         for building, _ in random_cases(cat, 25, 11):
             yield cat, building
 
-    def test_building_entry_points(self, cat, monkeypatch):
+    def test_building_entry_points(self, cat):
         for catalog, building in self.cases(cat):
             assert queried(catalog, ic.index_report, building) == queried(
                 catalog, support.reference_index_report, building)
-            new = queried(catalog, validate_nice, building)
-            with monkeypatch.context() as mp:
-                mp.setattr(degeneration, "defect", support.reference_defect)
-                assert new == queried(catalog, validate_nice, building)
+            assert queried(catalog, validate_nice, building) == queried(
+                catalog, support.reference_nice_queries, building)
             if is_connected(building):
                 assert queried(catalog, classify_stable_limit, building) == queried(
                     catalog, support.reference_classify_queries, building)

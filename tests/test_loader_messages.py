@@ -1,0 +1,215 @@
+"""Golden loader messages: malformed catalog, building and asymptotics files,
+each with the exact exit code and stderr of the command that loads it.
+
+Each case is one edit of a shipped fixture: the value at a key path replaced
+(``DROP`` deletes the key, an empty path replaces the whole document, a str
+``TEXT`` value is written as the raw file).  ``{bad}`` in an expected message
+stands for the path of the edited file.  A null in an optional field either
+means "absent" (the command then runs as on the fixture) or is a kind error,
+field by field; these cases pin which.
+"""
+
+import json
+
+import pytest
+
+from hbcalc.cli import main
+
+from support import FIXTURES
+
+DROP = object()
+
+
+class TEXT(str):
+    """A file body written as is, not as JSON."""
+
+
+def document(fixture: str, keys: tuple, value) -> str:
+    """The fixture with the value at `keys` replaced by `value` (or dropped)."""
+    if isinstance(value, TEXT):
+        return value
+    doc = json.loads((FIXTURES / fixture).read_text())
+    if not keys:
+        return json.dumps(value)
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return json.dumps(doc)
+
+
+def argv(fixture: str, bad: str) -> list[str]:
+    """The command that loads `bad` in the role of `fixture`."""
+    catalog = str(FIXTURES / "catalog_demo.json")
+    if fixture == "catalog_table.json":
+        return ["spectrum", "--catalog", bad, "--orbit", "rot_tab", "--window", "10"]
+    if fixture.startswith("catalog"):
+        return ["index", "--catalog", bad, "--building", str(FIXTURES / "building_figure3.json")]
+    if fixture.startswith("building"):
+        return ["index", "--catalog", catalog, "--building", bad]
+    return ["enumerate", "--catalog", catalog, "--asymptotics", bad]
+
+
+CAT, TAB = "catalog_demo.json", "catalog_table.json"
+FIG3, ASY = "building_figure3.json", "asymptotics_demo.json"
+ORBIT = ("orbits", 0)
+COVER = ("orbits", 0, "model", "covers", "1")
+MAIN_BOT = ("components", 2)  # nontrivial, with image_class and windings
+END = MAIN_BOT + ("punctures", 0)
+NAN = float("nan")
+
+#: (case id, fixture, key path, new value, exit code, stderr)
+CASES = [
+    # catalog files
+    ("cat-not-json", CAT, (), TEXT('{"format": 1,'),
+     2, "error: {bad}: invalid JSON:"
+        " Expecting property name enclosed in double quotes: line 1 column 14 (char 13)\n"),
+    ("cat-root-array", CAT, (), [],
+     2, "error: {bad}: expected an object\n"),
+    ("cat-format-missing", CAT, ("format",), DROP,
+     2, "error: {bad}.format: required field missing\n"),
+    ("cat-format-string", CAT, ("format",), "1",
+     2, "error: {bad}.format: expected an integer\n"),
+    ("cat-format-version", CAT, ("format",), 2,
+     2, "error: {bad}.format: unsupported version 2\n"),
+    ("cat-orbits-missing", CAT, ("orbits",), DROP,
+     2, "error: {bad}.orbits: required field missing\n"),
+    ("cat-orbit-string", CAT, ORBIT, "rot_p",
+     2, "error: {bad}.orbits[0]: expected an object\n"),
+    ("cat-id-missing", CAT, ORBIT + ("id",), DROP,
+     2, "error: {bad}.orbits[0].id: required field missing\n"),
+    ("cat-id-integer", CAT, ORBIT + ("id",), 3,
+     2, "error: {bad}.orbits[0].id: expected a string\n"),
+    ("cat-period-string", CAT, ORBIT + ("period",), "1",
+     2, "error: {bad}.orbits[0].period: expected a number\n"),
+    ("cat-period-bool", CAT, ORBIT + ("period",), True,
+     2, "error: {bad}.orbits[0].period: expected a number\n"),
+    ("cat-model-type-unknown", CAT, ORBIT + ("model", "type"), "spline",
+     2, "error: {bad}.orbits[0].model.type: unknown model type 'spline'\n"),
+    ("cat-samples-missing", CAT, ORBIT + ("model", "samples"), DROP,
+     2, "error: {bad}.orbits[0].model.samples: required field missing\n"),
+    ("cat-sample-row-short", CAT, ORBIT + ("model", "samples", 2), [0.0, 0.0],
+     2, "error: {bad}.orbits[0].model.samples[2]: expected [s11, s12, s22]\n"),
+    ("cat-sample-string", CAT, ORBIT + ("model", "samples", 1, 2), "0",
+     2, "error: {bad}.orbits[0].model.samples[1][2]: expected a number\n"),
+    ("cat-sample-nan", CAT, ORBIT + ("model", "samples", 0, 0), NAN,
+     2, "error: {bad}: non-finite number NaN is not allowed\n"),
+    ("cat-samples-too-few", CAT, ORBIT + ("model", "samples"), [[0, 0, 0]],
+     2, "error: {bad}.orbits[0].model.samples: sample count must be odd and >= 3, got 1\n"),
+    ("cat-hyperbolic-null", CAT, ORBIT + ("hyperbolic",), None,
+     0, ""),
+    ("cat-hyperbolic-string", CAT, ORBIT + ("hyperbolic",), "yes",
+     2, "error: {bad}.orbits[0].hyperbolic: expected a boolean\n"),
+    ("tab-covers-array", TAB, COVER[:-1], [],
+     2, "error: {bad}.orbits[0].model.covers: expected an object\n"),
+    ("tab-cover-key", TAB, COVER[:-1] + ("x",), [],
+     2, "error: {bad}.orbits[0].model.covers['x']: cover keys must be integers\n"),
+    ("tab-cover-rows-object", TAB, COVER, {},
+     2, "error: {bad}.orbits[0].model.covers['1']: expected an array\n"),
+    ("tab-row-short", TAB, COVER + (0,), [1.0, 0],
+     2, "error: {bad}.orbits[0].model.covers['1'][0]:"
+        " expected [eigenvalue, winding, multiplicity]\n"),
+    ("tab-row-winding-float", TAB, COVER + (0, 1), 1.5,
+     2, "error: {bad}.orbits[0].model.covers['1'][0][1]: expected an integer\n"),
+    ("tab-row-eigenvalue-null", TAB, COVER + (0, 0), None,
+     2, "error: {bad}.orbits[0].model.covers['1'][0][0]: expected a number\n"),
+    ("tab-hyperbolic-null", TAB, ORBIT + ("hyperbolic",), None,
+     0, ""),
+    # building files
+    ("fig3-root-string", FIG3, (), "building",
+     2, "error: {bad}: expected an object\n"),
+    ("fig3-components-missing", FIG3, ("components",), DROP,
+     2, "error: {bad}.components: required field missing\n"),
+    # id, genus, rel_c1 and kind are read inside the Component call, whose
+    # error prefix then cites the component path a second time
+    ("fig3-id-missing", FIG3, MAIN_BOT + ("id",), DROP,
+     2, "error: {bad}.components[2]: {bad}.components[2].id: required field missing\n"),
+    ("fig3-genus-string", FIG3, MAIN_BOT + ("genus",), "0",
+     2, "error: {bad}.components[2]: {bad}.components[2].genus: expected an integer\n"),
+    ("fig3-rel_c1-null", FIG3, MAIN_BOT + ("rel_c1",), None,
+     2, "error: {bad}.components[2]: {bad}.components[2].rel_c1: expected an integer\n"),
+    ("fig3-kind-null", FIG3, MAIN_BOT + ("kind",), None,
+     2, "error: {bad}.components[2]: {bad}.components[2].kind: expected a string\n"),
+    ("fig3-kind-unknown", FIG3, MAIN_BOT + ("kind",), "ghost",
+     2, "error: {bad}.components[2]: component 'main_bot': unknown kind 'ghost'\n"),
+    ("fig3-wind_pi-null", FIG3, MAIN_BOT + ("wind_pi",), None,
+     0, ""),
+    ("fig3-wind_pi-string", FIG3, MAIN_BOT + ("wind_pi",), "0",
+     2, "error: {bad}.components[2].wind_pi: expected an integer\n"),
+    ("fig3-image_class-null", FIG3, MAIN_BOT + ("image_class",), None,
+     0, ""),
+    ("fig3-image_class-integer", FIG3, MAIN_BOT + ("image_class",), 5,
+     2, "error: {bad}.components[2].image_class: expected a string\n"),
+    ("fig3-punctures-null", FIG3, MAIN_BOT + ("punctures",), None,
+     2, "error: {bad}.components[2].punctures: expected an array\n"),
+    ("fig3-sign-star", FIG3, END + ("sign",), "*",
+     2, "error: {bad}.components[2].punctures[0].sign: expected '+' or '-'\n"),
+    ("fig3-sign-missing", FIG3, END + ("sign",), DROP,
+     2, "error: {bad}.components[2].punctures[0].sign: required field missing\n"),
+    ("fig3-orbit-array", FIG3, END + ("orbit",), [],
+     2, "error: {bad}.components[2].punctures[0].orbit: expected an object\n"),
+    ("fig3-k-string", FIG3, END + ("orbit", "k"), "1",
+     2, "error: {bad}.components[2].punctures[0].orbit.k: expected an integer\n"),
+    ("fig3-simple-missing", FIG3, END + ("orbit", "simple"), DROP,
+     2, "error: {bad}.components[2].punctures[0].orbit.simple: required field missing\n"),
+    ("fig3-constraint-null", FIG3, END + ("constraint",), None,
+     2, "error: {bad}.components[2].punctures[0].constraint: expected a number\n"),
+    ("fig3-constraint-string", FIG3, END + ("constraint",), "0",
+     2, "error: {bad}.components[2].punctures[0].constraint: expected a number\n"),
+    ("fig3-constraint-nan", FIG3, END + ("constraint",), NAN,
+     2, "error: {bad}: non-finite number NaN is not allowed\n"),
+    ("fig3-winding-null", FIG3, END + ("controlling_winding",), None,
+     0, ""),
+    ("fig3-winding-float", FIG3, END + ("controlling_winding",), 0.5,
+     2, "error: {bad}.components[2].punctures[0].controlling_winding: expected an integer\n"),
+    ("fig3-breaking-null", FIG3, ("breaking_pairs",), None,
+     2, "error: {bad}.breaking_pairs: expected an array\n"),
+    ("fig3-breaking-pair-long", FIG3, ("breaking_pairs", 0), [["cyl_bot", 0]] * 3,
+     2, "error: {bad}.breaking_pairs[0]: expected [positive site, negative site]\n"),
+    ("fig3-breaking-site-short", FIG3, ("breaking_pairs", 1, 0), ["main_bot"],
+     2, "error: {bad}.breaking_pairs[1][0]: expected [component id, puncture index]\n"),
+    ("fig3-breaking-site-index-string", FIG3, ("breaking_pairs", 1, 0, 1), "0",
+     2, "error: {bad}.breaking_pairs[1][0][1]: expected an integer\n"),
+    ("fig3-breaking-site-id-integer", FIG3, ("breaking_pairs", 1, 1, 0), 0,
+     2, "error: {bad}.breaking_pairs[1][1][0]: expected a string\n"),
+    ("fig3-nodal-null", FIG3, ("nodal_pairs",), None,
+     2, "error: {bad}.nodal_pairs: expected an array\n"),
+    ("fig3-nodal-pair-short", FIG3, ("nodal_pairs",), [["main_top"]],
+     2, "error: {bad}.nodal_pairs[0]: expected [component id, component id]\n"),
+    ("fig3-nodal-id-integer", FIG3, ("nodal_pairs",), [["main_top", 1]],
+     2, "error: {bad}.nodal_pairs[0][1]: expected a string\n"),
+    # asymptotics files
+    ("asy-format-missing", ASY, ("format",), DROP,
+     2, "error: {bad}.format: required field missing\n"),
+    ("asy-punctures-missing", ASY, ("punctures",), DROP,
+     2, "error: {bad}.punctures: required field missing\n"),
+    ("asy-punctures-object", ASY, ("punctures",), {},
+     2, "error: {bad}.punctures: expected an array\n"),
+    ("asy-rel_c1-null", ASY, ("rel_c1",), None,
+     2, "error: {bad}.rel_c1: expected an integer\n"),
+    ("asy-rel_c1-float", ASY, ("rel_c1",), 0.0,
+     2, "error: {bad}.rel_c1: expected an integer\n"),
+    ("asy-constraint-null", ASY, ("punctures", 1, "constraint"), None,
+     2, "error: {bad}.punctures[1].constraint: expected a number\n"),
+    ("asy-winding-null", ASY, ("punctures", 0, "controlling_winding"), None,
+     0, ""),
+    ("asy-orbit-missing", ASY, ("punctures", 0, "orbit"), DROP,
+     2, "error: {bad}.punctures[0].orbit: required field missing\n"),
+    ("asy-sign-integer", ASY, ("punctures", 0, "sign"), 1,
+     2, "error: {bad}.punctures[0].sign: expected a string\n"),
+]
+
+
+@pytest.mark.parametrize("name, fixture, keys, value, code, stderr", CASES,
+                         ids=[case[0] for case in CASES])
+def test_loader_message(capsys, tmp_path, name, fixture, keys, value, code, stderr):
+    bad = tmp_path / "bad.json"
+    bad.write_text(document(fixture, keys, value))
+    got = main(argv(fixture, str(bad)))
+    captured = capsys.readouterr()
+    assert (got, captured.err) == (code, stderr.replace("{bad}", str(bad)))
+    if code == 2:
+        assert captured.out == ""
