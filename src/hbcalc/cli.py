@@ -41,7 +41,9 @@ Exit codes: 0 success or ok-verdict, 1 verdict violations, 2 input errors
 (NaN, Infinity) and integers past the float range are input errors.  A file
 error cites the file and the JSON path of the field, as in
 ``bad.json.components[2].punctures[0].constraint``; one reader (``_read``)
-checks every field's presence and JSON kind.
+checks every field's presence and JSON kind.  An orbit that the catalog lacks
+is cited at the ``orbit`` field of the first puncture that names it, with the
+catalog file.
 JSON output is byte-stable for fixed inputs (sorted keys, sorted lists, and
 computed eigenvalues rounded to 12 significant digits).
 """
@@ -49,6 +51,7 @@ computed eigenvalues rounded to 12 significant digits).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -69,7 +72,7 @@ from .degeneration import (
     enumerate_limits,
     validate_nice,
 )
-from .errors import BuildingError, CatalogError, HbcalcError, InputError
+from .errors import BuildingError, CatalogError, HbcalcError, InputError, UnknownOrbitError
 from .index_calculus import IndexReport, index_report, verify_additivity
 from .orbits import Catalog, OrbitRef, SimpleOrbit
 from .spectral import FlowLoop, SpectralEntry, SpectralTable
@@ -138,7 +141,7 @@ def _load_json(filename: str):
             return json.load(handle, parse_constant=reject_constant)
     except OSError as exc:
         raise InputError(f"cannot read {filename}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
         raise InputError(f"{filename}: invalid JSON: {exc}") from exc
 
 
@@ -294,7 +297,7 @@ def building_from_data(data, path: str = "building") -> Building:
                     image_class=image_class,
                 )
             )
-        except HbcalcError as exc:
+        except BuildingError as exc:  # a field error already names its own path
             raise InputError(f"{_path(at)}: {exc}") from exc
 
     def site(entry, at):
@@ -326,6 +329,29 @@ def building_from_data(data, path: str = "building") -> Building:
 
 def load_building(filename: str) -> Building:
     return building_from_data(_load_json(filename), path=filename)
+
+
+def _building_ends(building: Building, filename: str):
+    """Each puncture of a building loaded from `filename`, with its location."""
+    for i, comp in enumerate(building.components):
+        for j, p in enumerate(comp.punctures):
+            yield ((((filename, "components"), i), "punctures"), j), p
+
+
+@contextlib.contextmanager
+def _citing_orbits(catalog_file: str, ends):
+    """Report an orbit that the catalog lacks at the orbit field of the first
+    puncture naming it; `ends` yields (location, puncture) pairs of the file."""
+    try:
+        yield
+    except UnknownOrbitError as exc:
+        at = next((at for at, p in ends if p.orbit.simple == exc.orbit_id), None)
+        if at is None:
+            raise
+        raise InputError(
+            f"{_path(at, 'orbit')}: unknown orbit id {exc.orbit_id!r} "
+            f"(not in catalog {catalog_file})"
+        ) from exc
 
 
 def building_to_data(building: Building) -> dict:
@@ -473,8 +499,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_index(args) -> int:
     catalog = load_catalog(args.catalog)
     building = load_building(args.building)
-    report = index_report(catalog, building)
-    verify_additivity(catalog, building)  # raises InternalCheckError on a mismatch
+    with _citing_orbits(args.catalog, _building_ends(building, args.building)):
+        report = index_report(catalog, building)
+        verify_additivity(catalog, building)  # raises InternalCheckError on a mismatch
     if args.json:
         sys.stdout.write(
             _dump_json({"format": FORMAT_VERSION, "report": index_report_to_data(report)})
@@ -487,7 +514,8 @@ def _cmd_index(args) -> int:
 def _cmd_validate(args) -> int:
     catalog = load_catalog(args.catalog)
     building = load_building(args.building)
-    verdict = validate_nice(catalog, building)
+    with _citing_orbits(args.catalog, _building_ends(building, args.building)):
+        verdict = validate_nice(catalog, building)
     if args.json:
         payload = {
             "format": FORMAT_VERSION,
@@ -546,7 +574,9 @@ def _cmd_surgery(args) -> int:
 def _cmd_enumerate(args) -> int:
     catalog = load_catalog(args.catalog)
     asymptotics = load_asymptotics(args.asymptotics)
-    limits = enumerate_limits(catalog, asymptotics)
+    ends = ((((args.asymptotics, "punctures"), i), p) for i, p in enumerate(asymptotics.punctures))
+    with _citing_orbits(args.catalog, ends):
+        limits = enumerate_limits(catalog, asymptotics)
     if args.json:
         payload = {
             "format": FORMAT_VERSION,
@@ -579,7 +609,8 @@ def _cmd_check(args) -> int:
         raise InputError(f"unknown theorem {args.theorem!r}")
     catalog = load_catalog(args.catalog)
     building = load_building(args.building)
-    verdict = classify_stable_limit(catalog, building)
+    with _citing_orbits(args.catalog, _building_ends(building, args.building)):
+        verdict = classify_stable_limit(catalog, building)
     if args.json:
         payload = {
             "format": FORMAT_VERSION,

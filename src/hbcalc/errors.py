@@ -18,6 +18,14 @@ class CatalogError(HbcalcError):
     """Inconsistent or incomplete orbit catalog data."""
 
 
+class UnknownOrbitError(CatalogError):
+    """An orbit id that the catalog does not list."""
+
+    def __init__(self, orbit_id: str):
+        super().__init__(f"unknown orbit id {orbit_id!r}")
+        self.orbit_id = orbit_id
+
+
 class BuildingError(HbcalcError):
     """A building violates a structural invariant."""
 

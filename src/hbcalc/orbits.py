@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CatalogError, InternalCheckError, SpectralResolutionError
+from .errors import CatalogError, InternalCheckError, SpectralResolutionError, UnknownOrbitError
 from .spectral import (
     FlowLoop,
     SpectralTable,
@@ -131,7 +131,7 @@ class Catalog:
         try:
             return self._orbits[orbit_id]
         except KeyError:
-            raise CatalogError(f"unknown orbit id {orbit_id!r}") from None
+            raise UnknownOrbitError(orbit_id) from None
 
     def ids(self) -> list[str]:
         return sorted(self._orbits)

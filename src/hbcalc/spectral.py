@@ -17,7 +17,10 @@ odd number of points: the differentiation matrix is then exactly
 antisymmetric, so the discretized operator is exactly symmetric and the
 eigenproblem is solved by a dense symmetric solver.  Eigenvector winding
 numbers are read off directly from the discrete loops, guarded against
-under-resolution.
+under-resolution; a table reads its scanned eigenfunctions in batches of at
+most WINDING_BATCH_POINTS loop points (_windings takes a (B, n, 2) array and
+returns each loop's total turns and a fault code), and the public winding()
+is the batch of one.
 
 A k-fold cover (spectrum_from_loop(loop, window, cover=k), which the catalog
 uses for k >= 2 on its default grid) is not solved as one dense problem on
@@ -46,8 +49,12 @@ flow  Psi' = J0 S(t) Psi  and classifies the swept angles
 (crossing-form/rotation-number computation); it never touches the
 eigensolver, so the two routes cross-check each other.
 
-The flow is integrated by classical RK4 over one period.  Because the ODE is
-linear, each step is a 2x2 matrix M_j built in closed form from S on the
+The flow is integrated by classical RK4 over one period.  S on the half grid
+t = i h / 2 is the trigonometric interpolant of the samples (Trefethen,
+Spectral Methods in MATLAB, 2000, ch. 3): a DFT of the samples gives its
+Fourier coefficients, and its values are sums of them against two small
+root-of-unity tables, without a dense kernel or numpy.fft.  Because the
+ODE is linear, each step is a 2x2 matrix M_j built in closed form from S on the
 half grid; all M_j are formed by batched matrix products and the frames
 Psi(t_j) = M_{j-1} ... M_0 by a log-depth prefix-product scan.  Covers need
 no further integration: with P = Psi(1) the one-period monodromy,
@@ -88,6 +95,9 @@ MAX_STEP_ANGLE = math.pi / 2
 #: of one linearized-flow integration (cover * steps per period).
 MAX_DENSE_DIM = 4096
 MAX_RK4_STEPS = 2**20
+#: Loop points per batched winding read: bounds the batch's temporaries (about
+#: 100 bytes a point) whatever the window, cover or grid.
+WINDING_BATCH_POINTS = 2**14
 
 
 def next_odd(n: int) -> int:
@@ -204,6 +214,63 @@ class FlowLoop:
         return FlowLoop(k * self.value_at(ts), k * self.period)
 
 
+def _root_sums(coef: np.ndarray, m: int, count: int) -> np.ndarray:
+    """sum_f coef[f] exp(2 pi i f x / m) at x = 0..count-1, for coef of shape
+    (F, c): a (count, c) array.
+
+    x = a b + r with b ~ sqrt(count), so each term is the product of two small
+    root-of-unity tables, exp(2 pi i f a b / m) exp(2 pi i f r / m), and nothing
+    of size count x F is formed.
+    """
+    f = np.arange(len(coef))
+    b = math.isqrt(count - 1) + 1
+    a = -(-count // b)
+    roots = np.exp((2j * math.pi / m) * np.arange(m))
+    coarse, fine = roots[np.outer(np.arange(a) * b, f) % m], roots[np.outer(np.arange(b), f) % m]
+    sums = (coarse[:, None, :] * coef.T) @ fine.T  # (a, c, b)
+    return sums.transpose(0, 2, 1).reshape(a * b, -1)[:count]
+
+
+def _uniform_values(samples: np.ndarray, m: int) -> np.ndarray:
+    """The trigonometric interpolant of n uniform samples (FlowLoop.value_at)
+    at the m points i / m, exact for every m.
+
+    The interpolant's Fourier coefficients c_f, f <= (n - 1) / 2, are a DFT of
+    the samples; its values are a sum over them.  Both are _root_sums, so
+    numpy.fft is never imported (it would stay resident).
+    """
+    n = samples.shape[0]
+    coef = _root_sums(samples.reshape(n, 4), n, (n + 1) // 2).conj() / n
+    coef[1:] *= 2  # c_f + c_-f = 2 Re c_f on real samples
+    return _root_sums(coef, m, m).real.reshape(m, 2, 2)
+
+
+#: fault codes of _windings, in the order the checks run
+ZERO_VECTOR, COARSE_STEP, OFF_INTEGER = 1, 2, 3
+
+
+def _windings(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total turns and a fault code of each loop in a (B, n, 2) batch of
+    plane-vector loops.
+
+    A loop's total turns are its summed signed step angles over 2*pi; rounded,
+    they are its winding when its fault is 0.  Otherwise the fault is the
+    first check it fails: ZERO_VECTOR (a numerically zero vector), COARSE_STEP
+    (a step angle >= pi/2) or OFF_INTEGER (turns further than WINDING_GUARD
+    from an integer).
+    """
+    x, y = pts[..., 0], pts[..., 1]
+    norms = np.hypot(x, y)
+    zero = np.min(norms, axis=1) <= 1e-13 * np.maximum(1.0, np.max(norms, axis=1))
+    nx, ny = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    steps = np.arctan2(x * ny - y * nx, x * nx + y * ny)
+    coarse = np.max(np.abs(steps), axis=1) >= MAX_STEP_ANGLE
+    turns = np.sum(steps, axis=1) / (2 * math.pi)
+    off = ~(np.abs(turns - np.rint(turns)) <= WINDING_GUARD)
+    faults = np.select([zero, coarse, off], [ZERO_VECTOR, COARSE_STEP, OFF_INTEGER], 0)
+    return turns, faults
+
+
 def winding(points) -> int:
     """Total signed angle of a loop of plane vectors, an (n, 2) array, divided
     by 2*pi and rounded to an integer.
@@ -214,25 +281,19 @@ def winding(points) -> int:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected points of shape (n, 2), got {pts.shape}")
-    norms = np.hypot(pts[:, 0], pts[:, 1])
-    if np.min(norms) <= 1e-13 * max(1.0, float(np.max(norms))):
+    (total,), (fault,) = _windings(pts[None])
+    if fault == ZERO_VECTOR:
         raise ValueError("loop contains a (numerically) zero vector")
-    nxt = np.concatenate((pts[1:], pts[:1]))
-    cross = pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]
-    dot = pts[:, 0] * nxt[:, 0] + pts[:, 1] * nxt[:, 1]
-    steps = np.arctan2(cross, dot)
-    if np.max(np.abs(steps)) >= MAX_STEP_ANGLE:
+    if fault == COARSE_STEP:
         raise SpectralResolutionError(
             "winding step angle exceeds pi/2; sample the loop on a finer grid"
         )
-    total = float(np.sum(steps)) / (2 * math.pi)
-    nearest = round(total)
-    if abs(total - nearest) > WINDING_GUARD:
+    if fault == OFF_INTEGER:
         raise SpectralResolutionError(
             f"winding {total:.4f} is not within {WINDING_GUARD} of an integer; "
             "increase the grid"
         )
-    return int(nearest)
+    return round(float(total))
 
 
 def fourier_diff_matrix(n: int) -> np.ndarray:
@@ -434,44 +495,48 @@ def spectrum_from_loop(
 
 def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
     """Eigenvalues of the k-fold cover, sorted, with their Bloch block and a
-    function giving the real eigenfunction of entry i on the k*m-point cover
-    grid, m = next_odd(ceil(n / k)).  For k = 1 this is the dense solve of
-    build_operator(loop.resample(n)).
+    function taking an index array to the real eigenfunctions of those
+    entries, a (len, k*m, 2) array on the k*m-point cover grid,
+    m = next_odd(ceil(n / k)).  For k = 1 this is the dense solve of
+    build_operator(loop.resample(m)).
     """
     m = next_odd(math.ceil(n / k))
     base = build_operator(loop.resample(m))
-    vals, vecs = np.linalg.eigh(base)
-    # (eigenvalues, block, eigenvectors, phases, part): 0 real, 1 imaginary, 2 phase-fixed
-    parts = [(vals, 0, vecs, None, 0)]
+    solved = [np.linalg.eigh(base)]  # (eigenvalues, eigenvectors) of blocks 0..k//2
+    parts = [(0, False)]  # (block, imaginary part?) of each run of 2m entries
     x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
-    cells = np.arange(k * m)
     for j in range(1, k // 2 + 1):
         # base - (2 pi j / k) (I (x) i J0), written into the 2x2 diagonal blocks
         block = base.astype(complex)
         block[x, y] += (2j * math.pi * j / k)
         block[y, x] -= (2j * math.pi * j / k)
-        vals, vecs = np.linalg.eigh(block)
-        phases = np.exp((2j * math.pi * j / (k * m)) * cells)[:, None]
-        if 2 * j == k:
-            parts.append((vals, j, vecs, phases, 2))
-        else:  # block k - j is the conjugate of block j: one solve, two real parts
-            parts += [(vals, j, vecs, phases, 0), (vals, j, vecs, phases, 1)]
-    all_vals = k * np.concatenate([p[0] for p in parts])
+        solved.append(np.linalg.eigh(block))
+        # block k - j is the conjugate of block j: one solve, two real parts
+        parts += [(j, False), (j, True)] if 2 * j < k else [(j, False)]
+    all_vals = k * np.concatenate([solved[j][0] for j, _ in parts])
     order = np.argsort(all_vals, kind="stable")
     owner = np.repeat(np.arange(len(parts)), 2 * m)[order]
+    block_of, imag_of = np.array(parts)[owner].T
     column = np.tile(np.arange(2 * m), len(parts))[order]
+    cells = np.arange(k * m)
 
-    def points(i: int) -> np.ndarray:
-        _, j, vecs, phases, part = parts[owner[i]]
-        w = np.tile(vecs[:, column[i]].reshape(m, 2), (k, 1))
-        if j == 0:
-            return w
-        v = phases * w
-        if part == 2:  # a conjugation-invariant block: rotate v onto the real axis
-            v *= np.exp(-0.5j * np.angle(np.sum(v * v)))
-        return v.imag if part == 1 else v.real
+    def points(idx) -> np.ndarray:
+        idx = np.asarray(idx, dtype=int)
+        out = np.empty((len(idx), k * m, 2))
+        for j in set(block_of[idx].tolist()):  # not np.unique, which imports numpy.ma
+            sel = np.flatnonzero(block_of[idx] == j)
+            entries = idx[sel]
+            w = np.tile(solved[j][1][:, column[entries]].T.reshape(-1, m, 2), (1, k, 1))
+            if j == 0:
+                out[sel] = w
+                continue
+            v = np.exp((2j * math.pi * j / (k * m)) * cells)[:, None] * w
+            if 2 * j == k:  # a conjugation-invariant block: rotate v onto the real axis
+                v *= np.exp(-0.5j * np.angle(np.sum(v * v, axis=(1, 2))))[:, None, None]
+            out[sel] = np.where(imag_of[entries, None, None] == 1, v.imag, v.real)
+        return out
 
-    return all_vals[order], np.array([p[1] for p in parts])[owner], points
+    return all_vals[order], block_of, points
 
 
 def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
@@ -479,50 +544,54 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     """Read windings off the eigenfunctions, cluster and audit them into a table.
 
     `vals` are sorted eigenvalues, `blocks[i]` the Bloch block of entry i of a
-    k-fold cover and `points(i)` its real eigenfunction; `strength` bounds the
-    coefficient loop and `n` is the reported grid.
+    k-fold cover and `points(idx)` the real eigenfunctions of the entries
+    `idx`; `strength` bounds the coefficient loop and `n` is the reported grid.
     """
     scan = window + 2.0 * strength + 8.0
     tol = CLUSTER_TOL * max(1.0, window)
 
     lo = int(np.searchsorted(vals, -scan, side="left"))
     hi = int(np.searchsorted(vals, scan, side="right"))
-    winds: dict[int, int | None] = {}
-    for i in range(lo, hi):
-        try:
-            w = winding(points(i))
-        except (SpectralResolutionError, ValueError):
-            if abs(vals[i]) <= window:
+    lams = vals[lo:hi].tolist()
+    turns: list[float] = []
+    faults: list[int] = []
+    step = max(1, WINDING_BATCH_POINTS // (len(vals) // 2))  # len(vals) / 2 points a loop
+    for start in range(lo, hi, step):
+        batch_turns, batch_faults = _windings(points(np.arange(start, min(start + step, hi))))
+        turns += batch_turns.tolist()
+        faults += batch_faults.tolist()
+    winds: list[int | None] = []
+    for lam, j, total, fault in zip(lams, blocks[lo:hi].tolist(), turns, faults):
+        if fault:
+            if abs(lam) <= window:
                 raise SpectralResolutionError(
-                    f"eigenvector at lambda={vals[i]:.6g} is under-resolved at grid {n}; "
+                    f"eigenvector at lambda={lam:.6g} is under-resolved at grid {n}; "
                     "increase the grid"
                 )
             # outside the window the scan is best-effort
             w = None
-        j = int(blocks[i])
+        else:
+            w = round(total)
         if w is not None and (w - j) % k and (w + j) % k:
             # u(t) = exp(2 pi i j t) w(kt) winds j times mod k, up to conjugation
-            if abs(vals[i]) <= window:
+            if abs(lam) <= window:
                 raise SpectralResolutionError(
-                    f"eigenvector at lambda={vals[i]:.6g} from Bloch block {j} of {k} has "
+                    f"eigenvector at lambda={lam:.6g} from Bloch block {j} of {k} has "
                     f"winding {w}, not +-{j} mod {k}; increase the grid"
                 )
             w = None
-        winds[i] = w
+        winds.append(w)
 
-    # cluster scanned eigenvalues into (eigenvalue, winding, multiplicity)
-    clusters: list[list[int]] = []
-    for i in range(lo, hi):
-        if clusters and vals[i] - vals[clusters[-1][-1]] <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    # cluster scanned eigenvalues (runs of gaps <= tol) into
+    # (eigenvalue, winding, multiplicity)
+    cuts = (np.flatnonzero(np.diff(vals[lo:hi]) > tol) + 1).tolist()
+    ends = cuts + [len(lams)] if lams else []
     cluster_data = []
-    for members in clusters:
-        ws = {winds[i] for i in members}
-        known = {w for w in ws if w is not None}
+    for start, end in zip([0] + cuts, ends):
+        members = lams[start:end]
+        mean = float(np.mean(members))
+        known = {w for w in winds[start:end] if w is not None}
         if len(known) > 1:
-            mean = float(np.mean([vals[i] for i in members]))
             if abs(mean) <= window:
                 raise SpectralResolutionError(
                     f"eigenvalue cluster at {mean:.6g} mixes windings {sorted(known)}; "
@@ -530,9 +599,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
                 )
             known = set()
         w = known.pop() if known else None
-        cluster_data.append(
-            (float(np.mean([vals[i] for i in members])), w, len(members))
-        )
+        cluster_data.append((mean, w, len(members)))
 
     # winding monotonicity across the known part of the scan
     last = None
@@ -613,11 +680,11 @@ def _integrate_frames(
             f"{MAX_RK4_STEPS}"
         )
     h = 1.0 / n_steps
-    # RK4 needs S on the half grid of every period; the cover scales S by k
-    # and traverses the base loop k times, so one period's samples suffice.
-    ts = np.arange(2 * n_steps + 1) * (h / 2)
-    s_half = loop.value_at(ts % 1.0)
-    a_half = np.einsum("ij,tjk->tik", J0, s_half)
+    # RK4 needs S on the half grid t = i h / 2, i = 0..2 n_steps, of every period;
+    # the cover scales S by k and traverses the base loop k times, so one
+    # period's samples suffice.
+    s_half = _uniform_values(loop.samples, 2 * n_steps)
+    a_half = np.einsum("ij,tjk->tik", J0, np.concatenate((s_half, s_half[:1])))
 
     # The flow is linear, so RK4 step j is psi -> M_j psi with
     # M_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4) built from S at t_j, t_j + h/2, t_j + h.
@@ -651,9 +718,10 @@ def _integrate_frames(
 def _swept_angles(path: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Total angle swept by Psi(t) z for each column z of `directions`."""
     w = np.einsum("tij,jk->tik", path, directions)
-    ang = np.arctan2(w[:, 1, :], w[:, 0, :])
-    d = np.diff(ang, axis=0)
-    d = (d + math.pi) % (2 * math.pi) - math.pi
+    d = np.diff(np.arctan2(w[:, 1, :], w[:, 0, :]), axis=0)
+    d += math.pi  # wrapped in place: these (T, columns) arrays set the peak memory
+    d %= 2 * math.pi
+    d -= math.pi
     if np.max(np.abs(d)) >= MAX_STEP_ANGLE:
         raise SpectralResolutionError(
             "flow integration step sweeps more than pi/2; increase the step count"

@@ -43,7 +43,16 @@ from hbcalc.index_calculus import (
     IndexReport,
 )
 from hbcalc.orbits import Catalog, OrbitRef
-from hbcalc.spectral import CLUSTER_TOL, J0, FlowLoop, default_grid, monodromy, spectrum_from_loop
+from hbcalc.spectral import (
+    CLUSTER_TOL,
+    J0,
+    MAX_STEP_ANGLE,
+    WINDING_GUARD,
+    FlowLoop,
+    default_grid,
+    monodromy,
+    spectrum_from_loop,
+)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -253,6 +262,40 @@ def outcome_differences(got: list, want: list) -> list[str]:
         if worst > tol:
             problems.append(f"{query}: eigenvalues differ by {worst:.3g} > {tol:.3g}")
     return problems
+
+
+# --- per-loop winding reference -----------------------------------------------
+
+
+def reference_winding(points) -> int:
+    """Winding of one (n, 2) loop of plane vectors, one loop per call.
+
+    Oracle for the batched ``hbcalc.spectral._windings``: the per-loop reader
+    the spectral tables used before windings were read in batches, with its
+    checks in the same order (zero vector, coarse step, off-integer total).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected points of shape (n, 2), got {pts.shape}")
+    norms = np.hypot(pts[:, 0], pts[:, 1])
+    if np.min(norms) <= 1e-13 * max(1.0, float(np.max(norms))):
+        raise ValueError("loop contains a (numerically) zero vector")
+    nxt = np.concatenate((pts[1:], pts[:1]))
+    cross = pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]
+    dot = pts[:, 0] * nxt[:, 0] + pts[:, 1] * nxt[:, 1]
+    steps = np.arctan2(cross, dot)
+    if np.max(np.abs(steps)) >= MAX_STEP_ANGLE:
+        raise SpectralResolutionError(
+            "winding step angle exceeds pi/2; sample the loop on a finer grid"
+        )
+    total = float(np.sum(steps)) / (2 * math.pi)
+    nearest = round(total)
+    if abs(total - nearest) > WINDING_GUARD:
+        raise SpectralResolutionError(
+            f"winding {total:.4f} is not within {WINDING_GUARD} of an integer; "
+            "increase the grid"
+        )
+    return int(nearest)
 
 
 # --- sequential RK4 reference ------------------------------------------------

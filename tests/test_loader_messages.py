@@ -123,16 +123,19 @@ CASES = [
      2, "error: {bad}: expected an object\n"),
     ("fig3-components-missing", FIG3, ("components",), DROP,
      2, "error: {bad}.components: required field missing\n"),
-    # id, genus, rel_c1 and kind are read inside the Component call, whose
-    # error prefix then cites the component path a second time
     ("fig3-id-missing", FIG3, MAIN_BOT + ("id",), DROP,
-     2, "error: {bad}.components[2]: {bad}.components[2].id: required field missing\n"),
+     2, "error: {bad}.components[2].id: required field missing\n"),
     ("fig3-genus-string", FIG3, MAIN_BOT + ("genus",), "0",
-     2, "error: {bad}.components[2]: {bad}.components[2].genus: expected an integer\n"),
+     2, "error: {bad}.components[2].genus: expected an integer\n"),
+    ("fig3-genus-5001-digits", FIG3, (), TEXT(
+        (FIXTURES / FIG3).read_text().replace('"genus": 0', '"genus": ' + "9" * 5001, 1)),
+     2, "error: {bad}: invalid JSON: Exceeds the limit (4300 digits) for integer string"
+        " conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase"
+        " the limit\n"),
     ("fig3-rel_c1-null", FIG3, MAIN_BOT + ("rel_c1",), None,
-     2, "error: {bad}.components[2]: {bad}.components[2].rel_c1: expected an integer\n"),
+     2, "error: {bad}.components[2].rel_c1: expected an integer\n"),
     ("fig3-kind-null", FIG3, MAIN_BOT + ("kind",), None,
-     2, "error: {bad}.components[2]: {bad}.components[2].kind: expected a string\n"),
+     2, "error: {bad}.components[2].kind: expected a string\n"),
     ("fig3-kind-unknown", FIG3, MAIN_BOT + ("kind",), "ghost",
      2, "error: {bad}.components[2]: component 'main_bot': unknown kind 'ghost'\n"),
     ("fig3-wind_pi-null", FIG3, MAIN_BOT + ("wind_pi",), None,
@@ -213,3 +216,30 @@ def test_loader_message(capsys, tmp_path, name, fixture, keys, value, code, stde
     assert (got, captured.err) == (code, stderr.replace("{bad}", str(bad)))
     if code == 2:
         assert captured.out == ""
+
+
+def test_invalid_utf8_is_invalid_json(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": 1, "components": ["\xff"]}')
+    got = main(argv(FIG3, str(bad)))
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (2, "")
+    assert captured.err == (f"error: {bad}: invalid JSON: 'utf-8' codec can't decode byte 0xff"
+                            " in position 30: invalid start byte\n")
+
+
+@pytest.mark.parametrize("command, role, fixture, end, orbit", [
+    (["index"], "--building", FIG3, "components[0].punctures[0]", "rot_m"),
+    (["validate"], "--building", FIG3, "components[2].punctures[0]", "hyp_even"),
+    (["check", "--theorem", "stable"], "--building", FIG3, "components[2].punctures[0]",
+     "hyp_even"),
+    (["enumerate"], "--asymptotics", ASY, "punctures[0]", "rot_p"),
+], ids=["index", "validate", "check", "enumerate"])
+def test_orbit_missing_from_the_catalog(capsys, command, role, fixture, end, orbit):
+    # a building or asymptotics file names an orbit that the catalog lacks
+    catalog, named = str(FIXTURES / TAB), str(FIXTURES / fixture)
+    got = main(command + ["--catalog", catalog, role, named])
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (2, "")
+    assert captured.err == (f"error: {named}.{end}.orbit: unknown orbit id {orbit!r}"
+                            f" (not in catalog {catalog})\n")

@@ -304,7 +304,7 @@ class TestBlochRoute:
             vals, blocks, points = spectral._bloch_eigenpairs(loop, k, n)
             dense = build_operator(loop.cover(k, grid=k * m)) if k % 2 else None
             inside = np.flatnonzero(np.abs(vals) <= 10.0)
-            basis = np.array([points(i).reshape(-1) for i in inside])
+            basis = points(inside).reshape(len(inside), -1)
             assert basis.dtype == float
             for i, e in zip(inside, basis):
                 full = 2 * blocks[i] not in (0, k)

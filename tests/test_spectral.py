@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -18,11 +21,13 @@ from hbcalc.spectral import (
 )
 
 from support import (
+    REPO,
     analytic_rotation_table,
     hyperbolic_loop,
     jacobi_eigh,
     nondegenerate_trig_loop,
     reference_integrate_frames,
+    reference_winding,
     rotating_axis_loop,
     rotation_loop,
 )
@@ -138,6 +143,89 @@ class TestWinding:
         pts = np.stack([np.cos(6 * math.pi * ts), np.sin(6 * math.pi * ts)], axis=1)
         with pytest.raises(SpectralResolutionError):
             winding(pts)
+
+
+def reference_outcome(pts):
+    """(winding, fault code) of one loop by the per-loop reference."""
+    try:
+        return reference_winding(pts), 0
+    except SpectralResolutionError as exc:
+        return None, spectral.COARSE_STEP if "step angle" in str(exc) else spectral.OFF_INTEGER
+    except ValueError:
+        return None, spectral.ZERO_VECTOR
+
+
+def batched_outcomes(batch):
+    turns, faults = spectral._windings(np.asarray(batch, dtype=float))
+    return [(None if f else round(t), f) for t, f in zip(turns.tolist(), faults.tolist())]
+
+
+class TestBatchedWindings:
+    """spectral._windings reads the same integer and the same fault as the
+    per-loop reference, loop for loop."""
+
+    def test_random_loops_and_every_fault(self):
+        rng = np.random.default_rng(5)
+        t = np.arange(48) / 48
+        loops = []
+        for _ in range(60):  # resolved: winding -4..4, wobbling angle and radius
+            angle = (2 * math.pi * int(rng.integers(-4, 5)) * t
+                     + rng.uniform(0, 0.5) * np.sin(2 * math.pi * (t + rng.uniform())))
+            radius = (1 + 0.9 * rng.uniform() * np.cos(2 * math.pi * (t + rng.uniform())))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            loops.append(scale * radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1))
+        zero = loops[0].copy()
+        zero[7] = 0.0
+        tiny = loops[1].copy()
+        tiny[3] *= 1e-14  # zero relative to the largest vector
+        coarse = np.stack([np.cos(26 * math.pi * t), np.sin(26 * math.pi * t)], 1)  # 13 turns
+        coarse_and_zero = coarse.copy()
+        coarse_and_zero[0] = 0.0  # the zero-vector check runs first
+        batch = loops + [zero, tiny, coarse, coarse_and_zero]
+        want = [reference_outcome(pts) for pts in batch]
+        assert batched_outcomes(batch) == want
+        assert [f for _, f in want[-4:]] == [spectral.ZERO_VECTOR, spectral.ZERO_VECTOR,
+                                            spectral.COARSE_STEP, spectral.ZERO_VECTOR]
+        assert all(f == 0 for _, f in want[:-4])
+
+    def test_off_integer_total(self):
+        # A closed loop sums to whole turns unless a step is misread: products past
+        # the float range make arctan2 read the first quarter turn as an eighth.
+        big, small = 1e160, 1e148
+        pts = np.array([(big, small), (small, big), (-big, big), (-big, small),
+                        (-big, -big), (small, -big), (big, -big)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_outcome(pts)
+            assert batched_outcomes([pts]) == [want] == [(None, spectral.OFF_INTEGER)]
+            with pytest.raises(SpectralResolutionError, match=r"winding 0\.8750 is not within"):
+                winding(pts)
+
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    def test_cover_eigenfunctions(self, k):
+        # every eigenfunction of the solve, the under-resolved top of the spectrum too
+        loop = rotating_axis_loop(1)
+        n = spectral.default_grid(loop.n, k, 40.0, loop.strength())
+        vals, _, points = spectral._bloch_eigenpairs(loop, k, n)
+        batch = points(np.arange(len(vals)))
+        want = [reference_outcome(pts) for pts in batch]
+        assert batched_outcomes(batch) == want
+        assert {f for _, f in want} == {0, spectral.COARSE_STEP}
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_batches_of_a_bounded_size_read_the_same_table(self, k, monkeypatch):
+        loop = rotating_axis_loop(1)
+        whole = spectrum_from_loop(loop, 40.0, cover=k)
+        sizes = []
+        real_windings = spectral._windings
+
+        def windings(pts):
+            sizes.append(pts.shape[0] * pts.shape[1])
+            return real_windings(pts)
+
+        monkeypatch.setattr(spectral, "_windings", windings)
+        monkeypatch.setattr(spectral, "WINDING_BATCH_POINTS", 500)
+        assert spectrum_from_loop(loop, 40.0, cover=k).entries == whole.entries
+        assert len(sizes) > 1 and max(sizes) <= 500
 
 
 class TestRotationSpectrum:
@@ -316,3 +404,40 @@ class TestPropagatorOracle:
         for compute in (monodromy, cz_crossing):
             with pytest.raises(ValueError, match="cover"):
                 compute(rotation_loop(1.0), 0)
+
+
+class TestHalfGrid:
+    """The half grid of _integrate_frames is the dense value_at interpolant."""
+
+    def test_loads_no_fft_module(self):
+        # numpy.fft loads lazily and stays resident: about 0.9 MB of peak RSS
+        code = ("import sys, numpy as np; from hbcalc.spectral import FlowLoop, cz_crossing; "
+                "cz_crossing(FlowLoop.constant(np.diag([1.0, 2.0]))); "
+                "print('numpy.fft' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("name", FIXTURE_ORBITS)
+    def test_matches_dense_interpolation(self, name, fixture_catalog):
+        loop = fixture_catalog.orbit(name).model
+        m = 2 * max(2048, 256 * math.ceil(loop.strength() + 1))  # the default step count
+        got = spectral._uniform_values(loop.samples, m)
+        want = loop.value_at(np.arange(m) / m)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(loop.samples))
+
+    def test_loop_longer_than_the_half_grid(self):
+        # random samples: every frequency up to 100 is present, more than a grid
+        # of 100 or fewer points resolves
+        rng = np.random.default_rng(3)
+        samples = rng.normal(size=(201, 2, 2))
+        loop = FlowLoop(samples + np.transpose(samples, (0, 2, 1)))
+        for m in (100, 7, 2, 201, 202):
+            got = spectral._uniform_values(loop.samples, m)
+            want = loop.value_at(np.arange(m) / m)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(loop.samples)), m
+        path = spectral._integrate_frames(loop, 2, 50, keep_path=True)  # half grid of 100
+        want = reference_integrate_frames(loop, 2, 50, keep_path=True)
+        assert np.max(np.abs(path - want)) <= 1e-12 * np.max(np.abs(want))

@@ -37,23 +37,24 @@ from support import (  # noqa: E402
 
 class AuditCounter:
     """Counts the windings read from Bloch eigenfunctions of covers k >= 2,
-    each of which passed the block-index audit when the table was returned."""
+    each of which passed the block-index audit when the table was returned.
+    A table reads its windings in batches, so each batch adds its size."""
 
     def __init__(self):
         self.cover = 1
         self.read = 0
-        real_pairs, real_winding = spectral._bloch_eigenpairs, spectral.winding
+        real_pairs, real_windings = spectral._bloch_eigenpairs, spectral._windings
 
         def pairs(loop, k, n):
             self.cover = k
             return real_pairs(loop, k, n)
 
-        def winding(points):
+        def windings(pts):
             if self.cover > 1:
-                self.read += 1
-            return real_winding(points)
+                self.read += len(pts)
+            return real_windings(pts)
 
-        spectral._bloch_eigenpairs, spectral.winding = pairs, winding
+        spectral._bloch_eigenpairs, spectral._windings = pairs, windings
 
 
 def sweep(name, orbits, covers, windows, audit) -> int:
