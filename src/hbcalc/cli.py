@@ -37,7 +37,8 @@ Asymptotics file (for ``enumerate``)::
                     "constraint": 0.0}]}
 
 Exit codes: 0 success or ok-verdict, 1 verdict violations, 2 input errors
-(and internal errors, reported without a traceback).  Non-finite numbers
+(and internal errors, reported without a traceback; and a stdout that its
+reader closed early, reported not at all).  Non-finite numbers
 (NaN, Infinity) and integers past the float range are input errors.  A file
 error cites the file and the JSON path of the field, as in
 ``bad.json.components[2].punctures[0].constraint``; one reader (``_read``)
@@ -54,6 +55,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 from .buildings import (
@@ -72,7 +74,8 @@ from .degeneration import (
     enumerate_limits,
     validate_nice,
 )
-from .errors import BuildingError, CatalogError, HbcalcError, InputError, UnknownOrbitError
+from .errors import BuildingError, CatalogError, HbcalcError, InputError, OutputBudgetError
+from .errors import UnknownOrbitError
 from .index_calculus import IndexReport, index_report, verify_additivity
 from .orbits import Catalog, OrbitRef, SimpleOrbit
 from .spectral import FlowLoop, SpectralEntry, SpectralTable
@@ -575,8 +578,11 @@ def _cmd_enumerate(args) -> int:
     catalog = load_catalog(args.catalog)
     asymptotics = load_asymptotics(args.asymptotics)
     ends = ((((args.asymptotics, "punctures"), i), p) for i, p in enumerate(asymptotics.punctures))
-    with _citing_orbits(args.catalog, ends):
-        limits = enumerate_limits(catalog, asymptotics)
+    try:
+        with _citing_orbits(args.catalog, ends):
+            limits = enumerate_limits(catalog, asymptotics)
+    except OutputBudgetError as exc:
+        raise InputError(f"{args.asymptotics}: {exc}") from exc
     if args.json:
         payload = {
             "format": FORMAT_VERSION,
@@ -702,7 +708,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): not a fault of ours, and
+        # nothing more can be shown there, so leave without a message; stdout
+        # points at devnull so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (HbcalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,15 @@ Trivial-subbuilding boundary data:
     NOT_COPRIME, IDENTITY_MISMATCH
 Constant-subbuilding bound:
     STABILITY, NONPOSITIVE
+
+Enumeration
+-----------
+``enumerate_limits`` lists the two-level splittings of a stable index-2
+curve.  It counts them first, from a table of subset sums of the ends' index
+weights, and refuses more than MAX_LIMITS of them (or a table of more than
+MAX_PARTIAL_SUMS entries) with an OutputBudgetError before building any; a
+depth-first pass then visits only the splittings that satisfy the index
+equations, so its cost grows with the output rather than with 2^(#ends).
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from .buildings import (
     set_constraints,
     trivial_breaking_pairs,
 )
-from .errors import BuildingError, InputError, InternalCheckError, NoCoreError
+from .errors import BuildingError, InputError, InternalCheckError, NoCoreError, OutputBudgetError
 from .index_calculus import (
     ConstraintMap,
     End,
@@ -53,6 +62,7 @@ from .index_calculus import (
 # bound here as well, where perfbench/selftest.py checks that the tracer wraps it
 from .index_calculus import defect  # noqa: F401
 from .orbits import Catalog, OrbitRef, is_simply_covered_eigenfunction
+from .spectral import MAX_LIMITS, MAX_PARTIAL_SUMS
 
 
 @dataclass(frozen=True)
@@ -680,33 +690,85 @@ def breaking_candidates(catalog: Catalog) -> list[OrbitRef]:
     return out
 
 
+def _completion_counts(weights: list[int], targets: dict[int, int]) -> list[dict[int, int]]:
+    """``counts[i][s]``: the ways to complete a top whose ends before i sum to
+    s, as pairs of a subset of the ends i.. and a breaking candidate whose
+    target is s plus that subset's sum; `targets` counts the candidates per
+    target, and ``counts[len(weights)] == targets``.  The table holds at most
+    MAX_PARTIAL_SUMS entries in all; a larger one is refused as it grows."""
+    counts = [dict(targets)]
+    size = len(targets)
+    for w in reversed(weights):
+        last = counts[-1]
+        step = dict(last)
+        for s, c in last.items():
+            step[s - w] = step.get(s - w, 0) + c
+        size += len(step)
+        if size > MAX_PARTIAL_SUMS:
+            raise OutputBudgetError(
+                f"counting the limit types of {len(weights)} ends needs a table past "
+                f"the budget of {MAX_PARTIAL_SUMS} partial index sums"
+            )
+        counts.append(step)
+    counts.reverse()
+    return counts
+
+
 def enumerate_limits(catalog: Catalog, asymptotics: Asymptotics) -> list[LimitType]:
     """All (top, bottom, breaking orbit) splittings with both side indices 1.
 
     Ordered partitions with empty parts allowed; the side carrying the
-    negative breaking puncture is the top.  Output is sorted and
-    deterministic.
+    negative breaking puncture is the top.  Output is sorted by (top,
+    breaking orbit) and deterministic.
+
+    With ``w_i = sign_i mu_i + 1`` the top side has index 1 exactly when its
+    weights sum to the target ``2 + mu_delta``; the bottom then has index 1
+    as well, since all weights sum to ``ind + 2 = 4``.  A table of completion
+    counts gives the number of limits up front (refused above MAX_LIMITS),
+    and a depth-first pass lists the tops in lexicographic order, trying the
+    next end only while some of the ends left can still complete the top.
+    So the work grows with the output, not with ``2^n``.
     """
-    mus = [e.sign * e.mu for e in _asymptotic_ends(catalog, asymptotics)]
-    n = len(mus)
-    candidates = [
-        (delta, catalog.cz_index(delta).mu_cz) for delta in breaking_candidates(catalog)
-    ]
-    out = []
-    for top_mask in itertools.product((False, True), repeat=n):
-        top = tuple(i for i in range(n) if top_mask[i])
-        bottom = tuple(i for i in range(n) if not top_mask[i])
-        mu_top = sum(mus[i] for i in top)
-        mu_bottom = sum(mus[i] for i in bottom)
-        chi_top = 1 - len(top)
-        chi_bottom = 1 - len(bottom)
-        for delta, mu_delta in candidates:
-            ind_top = -chi_top + mu_top - mu_delta
-            ind_bottom = -chi_bottom + mu_bottom + mu_delta
-            if ind_top == 1 and ind_bottom == 1:
-                out.append(LimitType(top=top, bottom=bottom, breaking=delta))
-    out.sort(key=lambda lt: (lt.top, lt.breaking.simple, lt.breaking.k))
-    return out
+    weights = [e.sign * e.mu + 1 for e in _asymptotic_ends(catalog, asymptotics)]
+    n = len(weights)
+    by_target: dict[int, list[OrbitRef]] = {}
+    for delta in sorted(breaking_candidates(catalog), key=lambda d: (d.simple, d.k)):
+        by_target.setdefault(2 + catalog.cz_index(delta).mu_cz, []).append(delta)
+    counts = _completion_counts(weights, {t: len(ds) for t, ds in by_target.items()})
+    total = counts[0].get(0, 0)
+    if total > MAX_LIMITS:
+        raise OutputBudgetError(
+            f"{n} ends have {total} admissible limit types, above the budget of {MAX_LIMITS}"
+        )
+
+    out: list[LimitType] = []
+    top: list[int] = []
+    bottom_mask = [True] * n
+
+    def emit(s: int) -> None:
+        deltas = by_target.get(s)
+        if deltas:
+            top_t = tuple(top)
+            bottom = tuple(itertools.compress(range(n), bottom_mask))
+            out.extend(LimitType(top=top_t, bottom=bottom, breaking=d) for d in deltas)
+
+    emit(0)
+    s = i = 0  # the tops extending `top` (summing to s) take their next end at i..
+    # while a nonempty subset of the ends i.. completes the top, try end i
+    while True:
+        if i < n and counts[i].get(s, 0) > counts[n].get(s, 0):
+            top.append(i)
+            bottom_mask[i] = False
+            s += weights[i]
+            emit(s)
+            i += 1
+        elif top:
+            i = top.pop()
+            bottom_mask[i] = True
+            s -= weights[i]
+            i += 1
+        else:
+            return out
 
 
 def limit_to_building(catalog: Catalog, asymptotics: Asymptotics,

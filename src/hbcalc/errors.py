@@ -14,6 +14,11 @@ class InputError(HbcalcError):
     """Malformed file or argument; message cites the offending JSON path."""
 
 
+class OutputBudgetError(InputError):
+    """An answer, or the table that counts it, would exceed its budget;
+    raised before any item of the answer is built."""
+
+
 class CatalogError(HbcalcError):
     """Inconsistent or incomplete orbit catalog data."""
 

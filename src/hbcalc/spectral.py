@@ -91,10 +91,14 @@ WINDING_GUARD = 0.1
 #: Maximum allowed per-step angle when reading a winding off a discrete loop.
 MAX_STEP_ANGLE = math.pi / 2
 #: Resource budget, checked before anything of that size is allocated: rows of
-#: the dense operator (2 * grid; 4096 rows are 128 MiB of float64) and RK4 steps
-#: of one linearized-flow integration (cover * steps per period).
+#: the dense operator (2 * grid; 4096 rows are 128 MiB of float64), RK4 steps
+#: of one linearized-flow integration (cover * steps per period), limit types
+#: listed by one ``enumerate`` (counted before any is built) and entries of the
+#: subset-sum table that counts them.
 MAX_DENSE_DIM = 4096
 MAX_RK4_STEPS = 2**20
+MAX_LIMITS = 2**16
+MAX_PARTIAL_SUMS = 2**18
 #: Loop points per batched winding read: bounds the batch's temporaries (about
 #: 100 bytes a point) whatever the window, cover or grid.
 WINDING_BATCH_POINTS = 2**14

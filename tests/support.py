@@ -732,6 +732,56 @@ def reference_enumerate_limits(catalog: Catalog, asymptotics: Asymptotics) -> li
     return out
 
 
+def stable_end_options(catalog: Catalog, rng: np.random.Generator,
+                       covers=(1, 2)) -> list[tuple[Puncture, int, int]]:
+    """(puncture, signed CZ index, parity) for every orbit cover of `catalog`
+    with k in `covers`, both signs, unconstrained and at one seeded safe
+    constraint; covers the catalog cannot solve are left out."""
+    out = []
+    for simple in catalog.ids():
+        for k in covers:
+            ref = OrbitRef(simple, k)
+            try:
+                c = safe_constraint(catalog, ref, rng)
+            except (HbcalcError, AssertionError):
+                continue
+            for sign in (1, -1):
+                for constraint in (0.0, c):
+                    p = Puncture(sign, ref, constraint=constraint)
+                    cz = catalog.cz_index(ref, reference_threshold(sign, constraint))
+                    out.append((p, sign * cz.mu_cz, cz.parity))
+    return out
+
+
+def random_stable_asymptotics(rng: np.random.Generator, options,
+                              n: int) -> Asymptotics | None:
+    """n odd ends drawn from `options` (as from ``stable_end_options``) whose
+    index ``(n - 2) + sum of signed mu`` is 2, or None if no n of them have.
+
+    Only the run of consecutive odd signed indices around 1 is drawn from, so
+    each draw can keep the sum the remaining ends must make within their
+    reach, and the last draw always fits.
+    """
+    values = {m for _, m, parity in options if parity == 1}
+    assert {-1, 1} <= values, "need odd ends of signed index -1 and 1"
+    lo = hi = 1
+    while lo - 2 in values:
+        lo -= 2
+    while hi + 2 in values:
+        hi += 2
+    pool = [(p, m) for p, m, parity in options if parity == 1 and lo <= m <= hi]
+    need = 4 - n  # what the signed indices of the remaining ends must sum to
+    if not n * lo <= need <= n * hi:
+        return None
+    punctures = []
+    for rest in range(n - 1, -1, -1):
+        fits = [(p, m) for p, m in pool if rest * lo <= need - m <= rest * hi]
+        p, m = fits[int(rng.integers(len(fits)))]
+        punctures.append(p)
+        need -= m
+    return Asymptotics(punctures=tuple(punctures))
+
+
 def reference_nice_queries(catalog: Catalog, building: Building) -> None:
     """Make the spectral queries ``validate_nice`` made before it shared its
     detached components, in its order: the per-function defect of every

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -16,8 +19,9 @@ from hbcalc.cli import (
 )
 from hbcalc.errors import CatalogError, InputError, InternalCheckError
 from hbcalc.orbits import OrbitRef
+from hbcalc.spectral import MAX_LIMITS, MAX_PARTIAL_SUMS
 
-from support import FIXTURES, REPO
+from support import FIXTURES, REPO, analytic_rotation_table
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
 CATALOGS = [n for n in ALL_FIXTURES if n.startswith("catalog")]
@@ -509,6 +513,87 @@ class TestResourceBudget:
         assert f"grid {grid} needs a dense operator" in proc.stderr
         assert "budget of 4096" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def _asymptotics_file(path, ends):
+    """Write an asymptotics file of unconstrained (sign, simple orbit) ends."""
+    path.write_text(json.dumps({"format": 1, "rel_c1": 0, "punctures": [
+        {"sign": sign, "orbit": {"simple": simple, "k": 1}, "constraint": 0.0}
+        for sign, simple in ends]}))
+    return str(path)
+
+
+class TestEnumerateBudget:
+    """``enumerate`` counts its limits before it builds any, and refuses more
+    than MAX_LIMITS (exit 2, citing the asymptotics file) at a cost that does
+    not grow with the count."""
+
+    @pytest.mark.parametrize("n_rot_m", [22, 62])
+    def test_wide_curve_exits_2_before_listing(self, capsys, monkeypatch, tmp_path, n_rot_m):
+        catalog = cli.load_catalog(str(FIXTURES / "catalog_demo.json"))
+        monkeypatch.setattr(cli, "load_catalog", lambda filename: catalog)
+        # each rot_p end tops one side of the hyp_even breaking, each rot_m end
+        # (signed index -1) may sit on either side: 2 * 2^n_rot_m limits
+        path = _asymptotics_file(tmp_path / "wide.json",
+                                 [("+", "rot_p")] * 2 + [("+", "rot_m")] * n_rot_m)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run(capsys, "enumerate", "--catalog", "demo", "--asymptotics",
+                                 path, "--json")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: {n_rot_m + 2} ends have {2 ** (n_rot_m + 1)} "
+                       f"admissible limit types, above the budget of {MAX_LIMITS}\n")
+        assert elapsed < 3.0
+        assert peak < 2**20
+
+    def test_partial_sum_table_has_a_budget(self, capsys, tmp_path):
+        # table orbits rotating by pi/2 + 2 pi a have CZ index 2a + 1, so ends
+        # of index 2^(j+1) - 1 (j < 19), balanced by one negative end, have 2^19
+        # distinct partial index sums: the counting table refuses to grow past
+        # MAX_PARTIAL_SUMS entries, although the curve has few limits
+        demo = json.loads((FIXTURES / "catalog_demo.json").read_text())
+        orbits = [o for o in demo["orbits"] if o["id"] == "hyp_even"]
+        shifts = {f"r{j}": 2**j - 1 for j in range(19)}
+        shifts["big"] = 2**19 - 3
+        for oid, a in shifts.items():
+            rows = analytic_rotation_table(math.pi / 2 + 2 * math.pi * a, 8.0)
+            orbits.append({"id": oid, "period": 1.0, "hyperbolic": False,
+                           "model": {"type": "table", "covers": {"1": [list(r) for r in rows]}}})
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps({"format": 1, "orbits": orbits}))
+        path = _asymptotics_file(tmp_path / "spread.json",
+                                 [("+", f"r{j}") for j in range(19)] + [("-", "big")])
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--catalog", str(catalog),
+                             "--asymptotics", path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: counting the limit types of 20 ends needs a table "
+                       f"past the budget of {MAX_PARTIAL_SUMS} partial index sums\n")
+        assert time.perf_counter() - start < 5.0
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_is_not_an_internal_error(self, tmp_path):
+        # 4096 limits print about 200 kB, far past a pipe buffer, so the writer
+        # meets the closed pipe while it still has lines to print
+        path = _asymptotics_file(tmp_path / "wide.json",
+                                 [("+", "rot_p")] * 2 + [("+", "rot_m")] * 11)
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hbcalc.cli", "enumerate", "--catalog",
+             str(FIXTURES / "catalog_demo.json"), "--asymptotics", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"4096 admissible limit type(s)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
 
 
 class TestGridPastFloatRange:

@@ -1,6 +1,11 @@
 import itertools
+import json
+import math
+import time
 from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hbcalc import buildings
@@ -16,9 +21,10 @@ from hbcalc.buildings import (
 from hbcalc import degeneration as dg
 from hbcalc import index_calculus as ic
 from hbcalc.cli import load_building, load_catalog, main
-from hbcalc.errors import IncompleteInputError, InputError
+from hbcalc.errors import HbcalcError, IncompleteInputError, InputError, OutputBudgetError
 from hbcalc.orbits import OrbitRef
 
+import support
 from support import FIXTURES
 
 RP = OrbitRef("rot_p")
@@ -548,3 +554,91 @@ class TestEnumerateLimits:
         asym = dg.Asymptotics(punctures=(Puncture(1, RP),))
         with pytest.raises(InputError, match="index"):
             dg.enumerate_limits(cat, asym)
+
+
+def enumerate_outcome(fn, catalog, asymptotics):
+    """The limits `fn` lists, or the class and message of its error."""
+    try:
+        return fn(catalog, asymptotics)
+    except HbcalcError as exc:
+        return type(exc), str(exc)
+
+
+class TestEnumerateOracle:
+    """The subset-sum pass against the 2^n mask walk it replaced
+    (``support.reference_enumerate_limits``), on seeded random index-2 curves
+    of widths 1-12 over the three fixture catalogs."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self, demo_catalog, fixture_catalog, table_catalog):
+        rng = np.random.default_rng(909)
+        out = []
+        for catalog in (demo_catalog, fixture_catalog, table_catalog):
+            options = support.stable_end_options(catalog, rng)
+            curves = [support.random_stable_asymptotics(rng, options, n) for n in range(1, 13)]
+            out.append((catalog, options, [c for c in curves if c is not None]))
+        return out
+
+    def test_corpus_is_varied(self, corpora):
+        widths = {len(c.punctures) for _, _, curves in corpora for c in curves}
+        assert widths == set(range(1, 13))
+        assert all(len(curves) >= 11 for _, _, curves in corpora)
+        constrained = [p for _, _, curves in corpora for c in curves for p in c.punctures
+                       if p.constraint > 0]
+        assert len(constrained) > 20
+
+    def test_same_limits_and_count(self, corpora, monkeypatch):
+        listed = 0
+        for catalog, _, curves in corpora:
+            for curve in curves:
+                want = support.reference_enumerate_limits(catalog, curve)
+                listed += len(want)
+                # the up-front count is the output's length: a budget of exactly
+                # that many passes, one fewer refuses and names the count
+                monkeypatch.setattr(dg, "MAX_LIMITS", len(want))
+                assert dg.enumerate_limits(catalog, curve) == want
+                monkeypatch.setattr(dg, "MAX_LIMITS", len(want) - 1)
+                with pytest.raises(OutputBudgetError, match=f" {len(want)} admissible limit"):
+                    dg.enumerate_limits(catalog, curve)
+        assert listed > 1000
+
+    def test_same_errors_on_invalid_curves(self, corpora):
+        rng = np.random.default_rng(910)
+        for catalog, options, curves in corpora:
+            evens = [p for p, _, parity in options if parity == 0]
+            bad = [dg.Asymptotics(punctures=()), replace(curves[-1], rel_c1=1)]
+            for curve in curves:
+                # twice the ends of an index-2 curve have index 6
+                bad.append(dg.Asymptotics(punctures=curve.punctures * 2))
+                if evens:
+                    ends = list(curve.punctures)
+                    ends[int(rng.integers(len(ends)))] = evens[int(rng.integers(len(evens)))]
+                    bad.append(dg.Asymptotics(punctures=tuple(ends)))
+            for curve in bad:
+                got = enumerate_outcome(dg.enumerate_limits, catalog, curve)
+                assert isinstance(got, tuple), curve
+                assert got == enumerate_outcome(support.reference_enumerate_limits, catalog, curve)
+
+    def test_wide_curve_with_few_limits(self, tmp_path):
+        # 63 ends of signed index 1 and one negative end over a table orbit of
+        # index 123: the only tops of weight 2 are one small end, or the big end
+        # with all small ends but one.  The mask walk would take 2^64 steps.
+        demo = json.loads((FIXTURES / "catalog_demo.json").read_text())
+        rows = support.analytic_rotation_table(math.pi / 2 + 2 * math.pi * 61, 8.0)
+        demo["orbits"].append({"id": "big", "period": 1.0, "hyperbolic": False, "model": {
+            "type": "table", "covers": {"1": [list(r) for r in rows]}}})
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(demo))
+        catalog = load_catalog(str(path))
+        big = Puncture(-1, OrbitRef("big"))
+        curve = dg.Asymptotics(punctures=(Puncture(1, RP),) * 63 + (big,))
+        small = range(63)
+        want = sorted(
+            [((i,), tuple(j for j in range(64) if j != i)) for i in small]
+            + [(tuple(j for j in range(64) if j != i), (i,)) for i in small]
+        )
+        start = time.perf_counter()
+        got = dg.enumerate_limits(catalog, curve)
+        assert time.perf_counter() - start < 2.0
+        assert [(lt.top, lt.bottom) for lt in got] == want
+        assert {lt.breaking for lt in got} == {HE}

@@ -13,19 +13,23 @@ windows at 40 or below, so every case runs in well under a second (oversized
 requests that would be solved are the resource-budget tests' job).  A small
 pool of large covers (``LARGE_COVERS``) is run against the real budget: each
 must exit 2 with the budget message before anything of its size is allocated.
+A pool of wide asymptotics (valid index-2 curves of ``WIDE_ENDS`` ends, whose
+limits number far past ``MAX_LIMITS``, and one-edit mutants of them) runs
+``enumerate``: each must exit 0 or 2 within ``WIDE_SECONDS``.
 """
 
 import copy
 import json
+import time
 
 import numpy as np
 import pytest
 
 from hbcalc import cli, spectral
 from hbcalc.cli import main
-from hbcalc.spectral import MAX_DENSE_DIM
+from hbcalc.spectral import MAX_DENSE_DIM, MAX_LIMITS
 
-from support import FIXTURES
+from support import FIXTURES, random_stable_asymptotics, stable_end_options
 
 MUTANTS_PER_LOADER = 100
 FLAG_MUTANTS = 400
@@ -55,6 +59,11 @@ FLAG_VALUES = {
 #: covers far past the dense budget (a 1000-fold cover of a 33-sample orbit
 #: needs a grid of 33001), up to one past the float range
 LARGE_COVERS = (1000, 10**6, 10**400)
+#: widths of the valid index-2 curves behind the wide enumerate cases, the
+#: mutants drawn from each, and the seconds one case may take
+WIDE_ENDS = (24, 40, 64)
+WIDE_MUTANTS = 5
+WIDE_SECONDS = 5.0
 SPECTRUM_ORBITS = (("catalog_demo.json", "rot_p"), ("catalog_fixture.json", "hyp2"),
                    ("catalog_table.json", "rot_tab"))
 BUILDINGS = ("building_figure3.json", "building_cylinder.json",
@@ -149,6 +158,24 @@ def large_cover_mutants(seed: int):
                 if (p["orbit"]["simple"], p["orbit"]["k"]) == ref:
                     p["orbit"]["k"] = cover
             yield name, ref, cover, doc
+
+
+def wide_asymptotics(seed: int, catalog):
+    """(width, edit, document) for a seeded valid index-2 curve of every width
+    in WIDE_ENDS over `catalog`, each followed by WIDE_MUTANTS one-edit
+    mutants of it."""
+    rng = np.random.default_rng(seed)
+    options = stable_end_options(catalog, rng)
+    for n in WIDE_ENDS:
+        curve = random_stable_asymptotics(rng, options, n)
+        doc = {"format": 1, "rel_c1": 0, "punctures": [
+            {"sign": "+" if p.sign == 1 else "-",
+             "orbit": {"simple": p.orbit.simple, "k": p.orbit.k}, "constraint": p.constraint}
+            for p in curve.punctures]}
+        yield n, "valid", doc
+        for _ in range(WIDE_MUTANTS):
+            mutant = copy.deepcopy(doc)
+            yield n, mutate(rng, mutant), mutant
 
 
 def flag_mutants(seed: int):
@@ -276,6 +303,27 @@ class TestLoaderFuzz:
         # legitimate sample request is the 4097-point RK4 half grid
         assert max(sizes["eigh"]) <= MAX_DENSE_DIM
         assert max(sizes["value_at"]) <= 2 * MAX_DENSE_DIM
+
+    def test_wide_asymptotics_exit_cleanly_in_time(self, capsys, tmp_path, fixture_catalog,
+                                                   warm_fixture_catalogs):
+        catalog = str(FIXTURES / "catalog_fixture.json")
+        path = tmp_path / "asymptotics.json"
+        cases = list(wide_asymptotics(606, fixture_catalog))
+        assert len(cases) == len(WIDE_ENDS) * (1 + WIDE_MUTANTS)
+        for i, (n, edit, doc) in enumerate(cases):
+            path.write_text(json.dumps(doc))
+            argv = ["enumerate", "--catalog", catalog, "--asymptotics", str(path)]
+            start = time.perf_counter()
+            code = main(argv + ["--json"] * (i % 2))
+            elapsed = time.perf_counter() - start
+            out, err = capsys.readouterr()
+            case = (n, edit)
+            assert code in (0, 2), (case, err)
+            assert "Traceback" not in err and "internal error" not in err, (case, err)
+            assert elapsed < WIDE_SECONDS, (case, elapsed)
+            if edit == "valid":  # the valid curves meet the output budget
+                assert (code, out) == (2, ""), case
+                assert f"admissible limit types, above the budget of {MAX_LIMITS}" in err
 
     def test_mutations_are_seeded_and_varied(self):
         first = [edit for _, edit, _ in mutants(7, ["building_figure3.json"])]
