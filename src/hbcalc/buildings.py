@@ -19,14 +19,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .errors import BuildingError, NoCoreError
-from .orbits import OrbitRef
+from .errors import BuildingError, CatalogError, NoCoreError
 
 Site = tuple[str, int]
 BreakingPair = tuple[Site, Site]  # positive site first
 NodalPair = tuple[str, str]
 
 KINDS = ("nontrivial", "trivial", "constant")
+
+
+@dataclass(frozen=True, order=True)
+class OrbitRef:
+    """A possibly multiply covered orbit: (simple orbit id, covering number)."""
+
+    simple: str
+    k: int = 1
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise CatalogError(f"covering number must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ error cites the file and the JSON path of the field, as in
 ``bad.json.components[2].punctures[0].constraint``; one reader (``_read``)
 checks every field's presence and JSON kind.  An orbit that the catalog lacks
 is cited at the ``orbit`` field of the first puncture that names it, with the
-catalog file.
+catalog file.  An error in a flag's value names the flag, as in ``--cover: ...``.
 JSON output is byte-stable for fixed inputs (sorted keys, sorted lists, and
 computed eigenvalues rounded to 12 significant digits).
 """
@@ -53,14 +53,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .buildings import (
     Building,
     Component,
+    OrbitRef,
     Puncture,
     add_node,
     augment,
@@ -68,17 +71,15 @@ from .buildings import (
     disjoint_union,
     glue_punctures,
 )
-from .degeneration import (
-    Asymptotics,
-    classify_stable_limit,
-    enumerate_limits,
-    validate_nice,
-)
 from .errors import BuildingError, CatalogError, HbcalcError, InputError, OutputBudgetError
 from .errors import UnknownOrbitError
-from .index_calculus import IndexReport, index_report, verify_additivity
-from .orbits import Catalog, OrbitRef, SimpleOrbit
-from .spectral import FlowLoop, SpectralEntry, SpectralTable
+
+# Each subcommand imports the modules it runs where it runs them: `surgery`
+# needs only buildings (no numpy), `spectrum` no index or degeneration layer.
+if TYPE_CHECKING:
+    from .degeneration import Asymptotics
+    from .index_calculus import IndexReport
+    from .orbits import Catalog
 
 FORMAT_VERSION = 1
 
@@ -148,8 +149,20 @@ def _load_json(filename: str):
         raise InputError(f"{filename}: invalid JSON: {exc}") from exc
 
 
-def _dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+#: encoder pieces joined into one write: about 60 KB of indented JSON
+_JSON_BATCH = 10_000
+
+
+def _dump_json(payload, out=None) -> None:
+    """Write `payload` as JSON with sorted keys and a two-space indent, plus a
+    newline, to `out` (stdout by default), in batches as it is encoded, so a
+    large answer is never held whole as text."""
+    out = sys.stdout if out is None else out
+    pieces = _JSON_ENCODER.iterencode(payload)
+    while batch := "".join(itertools.islice(pieces, _JSON_BATCH)):
+        out.write(batch)
+    out.write("\n")
 
 
 def _canonical_float(x: float) -> float:
@@ -166,6 +179,9 @@ def _canonical_float(x: float) -> float:
 
 
 def catalog_from_data(data, path: str = "catalog") -> Catalog:
+    from .orbits import Catalog, SimpleOrbit
+    from .spectral import FlowLoop, SpectralEntry, SpectralTable
+
     root = _read(data, None, "an object", path)
     _check_format(root, path)
     orbits = []
@@ -394,6 +410,8 @@ def building_to_data(building: Building) -> dict:
 
 
 def asymptotics_from_data(data, path: str = "asymptotics") -> Asymptotics:
+    from .degeneration import Asymptotics
+
     root = _read(data, None, "an object", path)
     _check_format(root, path)
     punctures = tuple(
@@ -473,12 +491,27 @@ def _print_violations(violations) -> None:
 # --- subcommands -----------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _citing_flag(flag: str):
+    """Report an error of the enclosed step as one in the value of `flag`."""
+    try:
+        yield
+    except HbcalcError as exc:
+        raise InputError(f"{flag}: {exc}") from exc
+
+
 def _cmd_spectrum(args) -> int:
     if args.grid is not None and (args.grid < 3 or args.grid % 2 == 0):
         raise InputError(f"--grid must be odd and >= 3, got {args.grid}")
     catalog = load_catalog(args.catalog)
-    ref = OrbitRef(args.orbit, args.cover)
-    table = catalog.spectrum_of(ref, args.window, args.grid)
+    with _citing_flag("--cover"):
+        ref = OrbitRef(args.orbit, args.cover)
+    if not (math.isfinite(args.window) and args.window > 0):
+        raise InputError(f"--window: window must be finite and positive, got {args.window}")
+    try:
+        table = catalog.spectrum_of(ref, args.window, args.grid)
+    except UnknownOrbitError as exc:
+        raise InputError(f"--orbit: {exc} (not in catalog {args.catalog})") from exc
     if args.json:
         payload = {
             "format": FORMAT_VERSION,
@@ -490,7 +523,7 @@ def _cmd_spectrum(args) -> int:
                 for e in table.entries
             ],
         }
-        sys.stdout.write(_dump_json(payload))
+        _dump_json(payload)
     else:
         print(f"orbit {ref.simple}^{ref.k}  window {table.window}  grid {table.grid}")
         print(f"{'eigenvalue':>18}  {'winding':>7}  {'mult':>4}")
@@ -500,21 +533,23 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    from .index_calculus import index_report, verify_additivity
+
     catalog = load_catalog(args.catalog)
     building = load_building(args.building)
     with _citing_orbits(args.catalog, _building_ends(building, args.building)):
         report = index_report(catalog, building)
         verify_additivity(catalog, building)  # raises InternalCheckError on a mismatch
     if args.json:
-        sys.stdout.write(
-            _dump_json({"format": FORMAT_VERSION, "report": index_report_to_data(report)})
-        )
+        _dump_json({"format": FORMAT_VERSION, "report": index_report_to_data(report)})
     else:
         _print_index_report(report)
     return 0
 
 
 def _cmd_validate(args) -> int:
+    from .degeneration import validate_nice
+
     catalog = load_catalog(args.catalog)
     building = load_building(args.building)
     with _citing_orbits(args.catalog, _building_ends(building, args.building)):
@@ -525,7 +560,7 @@ def _cmd_validate(args) -> int:
             "ok": verdict.ok,
             "violations": _violations_data(verdict.violations),
         }
-        sys.stdout.write(_dump_json(payload))
+        _dump_json(payload)
     else:
         print("nicely embedded: ok" if verdict.ok else "nicely embedded: violations found")
         _print_violations(verdict.violations)
@@ -547,8 +582,12 @@ def _cmd_surgery(args) -> int:
     if args.op == "augment":
         if (args.site is None) == (args.pair is None):
             raise InputError("augment needs exactly one of --site or --pair")
-        site = _parse_site(args.site, "--site") if args.site is not None else args.pair
-        result = augment(building, site)
+        if args.site is not None:
+            flag, site = "--site", _parse_site(args.site, "--site")
+        else:
+            flag, site = "--pair", args.pair
+        with _citing_flag(flag):
+            result = augment(building, site)
     elif args.op == "core":
         result = core(building)
     elif args.op == "node":
@@ -557,7 +596,8 @@ def _cmd_surgery(args) -> int:
         parts = args.components.split(",")
         if len(parts) != 2:
             raise InputError("--components: expected exactly two comma-separated ids")
-        result = add_node(building, parts[0], parts[1])
+        with _citing_flag("--components"):
+            result = add_node(building, parts[0], parts[1])
     elif args.op == "glue":
         if args.pos is None or args.neg is None:
             raise InputError("glue needs --pos and --neg sites")
@@ -570,11 +610,13 @@ def _cmd_surgery(args) -> int:
         result = disjoint_union(building, load_building(args.other))
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown surgery op {args.op!r}")
-    sys.stdout.write(_dump_json(building_to_data(result)))
+    _dump_json(building_to_data(result))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    from .degeneration import enumerate_limits
+
     catalog = load_catalog(args.catalog)
     asymptotics = load_asymptotics(args.asymptotics)
     ends = ((((args.asymptotics, "punctures"), i), p) for i, p in enumerate(asymptotics.punctures))
@@ -599,7 +641,7 @@ def _cmd_enumerate(args) -> int:
                 for lt in limits
             ],
         }
-        sys.stdout.write(_dump_json(payload))
+        _dump_json(payload)
     else:
         print(f"{len(limits)} admissible limit type(s)")
         for lt in limits:
@@ -611,6 +653,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .degeneration import classify_stable_limit
+
     if args.theorem != "stable":
         raise InputError(f"unknown theorem {args.theorem!r}")
     catalog = load_catalog(args.catalog)
@@ -631,7 +675,7 @@ def _cmd_check(args) -> int:
             "top_component": verdict.top_component,
             "bottom_component": verdict.bottom_component,
         }
-        sys.stdout.write(_dump_json(payload))
+        _dump_json(payload)
     else:
         if verdict.ok:
             print(f"verdict: {verdict.kind} (index {verdict.index})")

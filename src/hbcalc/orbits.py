@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .buildings import OrbitRef
 from .errors import CatalogError, InternalCheckError, SpectralResolutionError, UnknownOrbitError
 from .spectral import (
     FlowLoop,
@@ -47,18 +48,6 @@ MAX_WINDOW = 500.0
 #: Bound on the window growths of one _table_past call.  Growth starts at a
 #: window >= 8 and 8 * 1.7**8 > MAX_WINDOW, so finite requests stop sooner.
 MAX_GROWTHS = 16
-
-
-@dataclass(frozen=True, order=True)
-class OrbitRef:
-    """A possibly multiply covered orbit: (simple orbit id, covering number)."""
-
-    simple: str
-    k: int = 1
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise CatalogError(f"covering number must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)

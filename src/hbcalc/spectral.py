@@ -56,7 +56,8 @@ Fourier coefficients, and its values are sums of them against two small
 root-of-unity tables, without a dense kernel or numpy.fft.  Because the
 ODE is linear, each step is a 2x2 matrix M_j built in closed form from S on the
 half grid; all M_j are formed by batched matrix products and the frames
-Psi(t_j) = M_{j-1} ... M_0 by a log-depth prefix-product scan.  Covers need
+Psi(t_j) = M_{j-1} ... M_0 by a log-depth prefix-product scan (the
+monodromy alone by a pairwise product).  Covers need
 no further integration: with P = Psi(1) the one-period monodromy,
 Psi(t + j) = Psi(t) P^j, so the k-fold path is the one-period path times
 P^j for j < k and the k-fold monodromy is P^k.
@@ -701,6 +702,8 @@ def _integrate_frames(
     frames += a2 @ (eye + h * k)  # K4
     frames *= h / 6.0
     frames += eye
+    if not keep_path:
+        return np.linalg.matrix_power(_period_product(frames), cover)[None]
     # Hillis-Steele scan: after the pass with offset d, frames[j] is the
     # product M_j ... M_{j-2d+1} (truncated at M_0), so frames[j] = Psi((j + 1) h).
     d = 1
@@ -708,8 +711,6 @@ def _integrate_frames(
         frames[d:] = frames[d:] @ frames[:-d]
         d *= 2
     p = frames[-1].copy()  # a view would keep all frames alive in callers' caches
-    if not keep_path:
-        return np.linalg.matrix_power(p, cover)[None]
     # S is periodic, so Psi(t + j) = Psi(t) P^j: covers need no further steps.
     powers = np.array([np.linalg.matrix_power(p, j) for j in range(cover + 1)])
     period = np.concatenate([eye[None], frames[:-1]])
@@ -717,6 +718,17 @@ def _integrate_frames(
     np.matmul(period, powers[:-1, None], out=path[:-1].reshape(cover, n_steps, 2, 2))
     path[-1] = powers[-1]
     return path
+
+
+def _period_product(frames: np.ndarray) -> np.ndarray:
+    """M_{n-1} ... M_0 of a stack of n matrices, multiplied pairwise: neighbours
+    are paired from the top and an odd stack carries M_0 up a level, which is
+    the order of the scan's last entry, so both give the same bits."""
+    while len(frames) > 1:
+        odd = len(frames) % 2
+        pairs = frames[odd + 1::2] @ frames[odd::2]
+        frames = np.concatenate((frames[:1], pairs)) if odd else pairs
+    return frames[0]
 
 
 def _swept_angles(path: np.ndarray, directions: np.ndarray) -> np.ndarray:

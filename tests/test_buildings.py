@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from hbcalc.buildings import (
     subbuilding,
     trivial_breaking_pairs,
 )
-from hbcalc.cli import _dump_json, building_to_data
+from hbcalc.cli import building_to_data
 from hbcalc.errors import BuildingError, NoCoreError
 from hbcalc.orbits import OrbitRef
 
@@ -527,7 +528,9 @@ def collapse(fn, building):
 
 
 def as_json(outcome) -> str:
-    return outcome if isinstance(outcome, str) else _dump_json(building_to_data(outcome))
+    if isinstance(outcome, str):
+        return outcome
+    return json.dumps(building_to_data(outcome), sort_keys=True, indent=2) + "\n"
 
 
 class TestCoreOracle:

@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from hbcalc import cli
+from hbcalc import index_calculus as ic
 from hbcalc.cli import (
     building_from_data,
     building_to_data,
@@ -453,7 +454,7 @@ class TestNonFiniteInput:
 
 
 class TestNonFiniteWindow:
-    @pytest.mark.parametrize("window", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("window", ["nan", "inf", "-inf", "0", "-1"])
     def test_spectrum_window_rejected(self, capsys, window):
         code, out, err = run(
             capsys,
@@ -464,7 +465,7 @@ class TestNonFiniteWindow:
         )
         assert code == 2
         assert out == ""
-        assert "window must be finite and positive" in err
+        assert err == f"error: --window: window must be finite and positive, got {float(window)}\n"
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
     def test_threshold_rejected(self, demo_catalog, threshold):
@@ -473,6 +474,34 @@ class TestNonFiniteWindow:
             demo_catalog.alpha(ref, threshold, "minus")
         with pytest.raises(CatalogError, match="finite"):
             demo_catalog.cz_index(ref, threshold)
+
+
+class TestFlagMessages:
+    """An error in a flag's value names the flag (exit 2, nothing on stdout)."""
+
+    DEMO = str(FIXTURES / "catalog_demo.json")
+    FIG3 = str(FIXTURES / "building_figure3.json")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--orbit", "rot_p", "--cover", "0", "--window", "10"],
+         "--cover: covering number must be >= 1, got 0"),
+        (["--orbit", "nope", "--window", "10"],
+         f"--orbit: unknown orbit id 'nope' (not in catalog {DEMO})"),
+    ])
+    def test_spectrum(self, capsys, flags, message):
+        code, out, err = run(capsys, "spectrum", "--catalog", self.DEMO, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--op", "augment", "--pair", "99"], "--pair: breaking pair index 99 out of range"),
+        (["--op", "augment", "--site", "cyl_top:5"],
+         "--site: site ('cyl_top', 5) is out of range for component 'cyl_top'"),
+        (["--op", "node", "--components", "main_top,zzz"],
+         "--components: unknown component 'zzz'"),
+    ])
+    def test_surgery(self, capsys, flags, message):
+        code, out, err = run(capsys, "surgery", "--building", self.FIG3, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestInternalError:
@@ -631,21 +660,22 @@ class TestIndexAdditivity:
 
     def test_index_runs_the_additivity_audit(self, capsys, monkeypatch):
         calls = []
-        real = cli.verify_additivity
+        real = ic.verify_additivity
         monkeypatch.setattr(
-            cli, "verify_additivity", lambda *a: calls.append(a) or real(*a)
+            ic, "verify_additivity", lambda *a: calls.append(a) or real(*a)
         )
         code, out, _ = run(capsys, *self.ARGV)
         assert code == 0 and len(calls) == 1
         catalog, building = calls[0]
-        expected = cli.index_report_to_data(cli.index_report(catalog, building))
-        assert out == cli._dump_json({"format": cli.FORMAT_VERSION, "report": expected})
+        expected = cli.index_report_to_data(ic.index_report(catalog, building))
+        assert out == json.dumps({"format": cli.FORMAT_VERSION, "report": expected},
+                                 sort_keys=True, indent=2) + "\n"
 
     def test_additivity_failure_exits_2(self, capsys, monkeypatch):
         def broken(catalog, building):
             raise InternalCheckError("index additivity failed: 1 != 0 + 0")
 
-        monkeypatch.setattr(cli, "verify_additivity", broken)
+        monkeypatch.setattr(ic, "verify_additivity", broken)
         code, out, err = run(capsys, *self.ARGV)
         assert code == 2
         assert out == ""

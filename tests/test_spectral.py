@@ -406,6 +406,20 @@ class TestPropagatorOracle:
                 compute(rotation_loop(1.0), 0)
 
 
+class TestPeriodProduct:
+    """The monodromy's pairwise product is the prefix scan's last entry, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 64, 2048, 2304])
+    def test_matches_the_scan(self, n):
+        frames = np.eye(2) + 0.01 * np.random.default_rng(n).standard_normal((n, 2, 2))
+        scan = frames.copy()
+        d = 1
+        while d < n:
+            scan[d:] = scan[d:] @ scan[:-d]
+            d *= 2
+        assert np.array_equal(spectral._period_product(frames), scan[-1])
+
+
 class TestHalfGrid:
     """The half grid of _integrate_frames is the dense value_at interpolant."""
 

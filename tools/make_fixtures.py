@@ -204,7 +204,8 @@ def main() -> None:
     }
     for name, payload in sorted(files.items()):
         path = FIXTURES / name
-        path.write_text(_dump_json(payload), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as handle:
+            _dump_json(payload, handle)
         print(f"wrote {path}")
 
 
