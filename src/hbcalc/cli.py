@@ -140,13 +140,24 @@ def _load_json(filename: str):
     def reject_constant(name):
         raise InputError(f"{filename}: non-finite number {name} is not allowed")
 
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):  # the reader would keep the last value silently
+            seen = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise InputError(f"{filename}: duplicate key {key!r} in an object")
+        return obj
+
     try:
         with open(filename, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_constant=reject_constant)
+            return json.load(handle, parse_constant=reject_constant,
+                             object_pairs_hook=unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {filename}: {exc}") from exc
     except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
         raise InputError(f"{filename}: invalid JSON: {exc}") from exc
+    except RecursionError:  # arrays or objects nested past the reader's recursion limit
+        raise InputError(f"{filename}: invalid JSON: nested too deeply") from None
 
 
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)

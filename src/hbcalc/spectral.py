@@ -58,9 +58,15 @@ ODE is linear, each step is a 2x2 matrix M_j built in closed form from S on the
 half grid; all M_j are formed by batched matrix products and the frames
 Psi(t_j) = M_{j-1} ... M_0 by a log-depth prefix-product scan (the
 monodromy alone by a pairwise product).  Covers need
-no further integration: with P = Psi(1) the one-period monodromy,
-Psi(t + j) = Psi(t) P^j, so the k-fold path is the one-period path times
-P^j for j < k and the k-fold monodromy is P^k.
+no further integration.  With P = Psi(1) the one-period monodromy, the k-fold
+monodromy is P^k, and in dimension 2 the index of the k-fold cover follows
+from one period by Bott's iteration formula (Bott, On the iteration of closed
+geodesics and the Sturm intersection theory, CPAM 1956; Long, Index Theory
+for Symplectic Paths with Applications, 2002): a hyperbolic P gives k times
+the index of one period; an elliptic P has rotation number rho = m + theta,
+with m the common floor of the one-period sweeps and P conjugate to the
+rotation by 2 pi theta, so the index is 2 floor(k rho) + 1 and the cover is
+degenerate exactly when k rho is an integer.
 
 All integers produced here are relative to the trivialization implicit in
 the flow-loop coordinates; only comparisons made in one consistent
@@ -675,6 +681,8 @@ def monodromy(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> np.nd
 def _integrate_frames(
     loop: FlowLoop, cover: int, steps: int | None, keep_path: bool
 ) -> np.ndarray:
+    """The RK4 frames [I, Psi(h), ..., Psi(1) = P] of one period when
+    `keep_path`, else the stack of one matrix P**cover."""
     if cover < 1:
         raise ValueError(f"cover must be >= 1, got {cover}")
     strength = loop.strength()
@@ -685,11 +693,10 @@ def _integrate_frames(
             f"{MAX_RK4_STEPS}"
         )
     h = 1.0 / n_steps
-    # RK4 needs S on the half grid t = i h / 2, i = 0..2 n_steps, of every period;
-    # the cover scales S by k and traverses the base loop k times, so one
-    # period's samples suffice.
+    # RK4 needs S on the half grid t = i h / 2, i = 0..2 n_steps, of one period
     s_half = _uniform_values(loop.samples, 2 * n_steps)
-    a_half = np.einsum("ij,tjk->tik", J0, np.concatenate((s_half, s_half[:1])))
+    # J0 S is S with its rows swapped and the new first row negated
+    a_half = np.concatenate((s_half, s_half[:1]))[:, ::-1] * np.array([[-1.0], [1.0]])
 
     # The flow is linear, so RK4 step j is psi -> M_j psi with
     # M_j = I + h/6 (K1 + 2 K2 + 2 K3 + K4) built from S at t_j, t_j + h/2, t_j + h.
@@ -710,14 +717,7 @@ def _integrate_frames(
     while d < n_steps:
         frames[d:] = frames[d:] @ frames[:-d]
         d *= 2
-    p = frames[-1].copy()  # a view would keep all frames alive in callers' caches
-    # S is periodic, so Psi(t + j) = Psi(t) P^j: covers need no further steps.
-    powers = np.array([np.linalg.matrix_power(p, j) for j in range(cover + 1)])
-    period = np.concatenate([eye[None], frames[:-1]])
-    path = np.empty((cover * n_steps + 1, 2, 2))
-    np.matmul(period, powers[:-1, None], out=path[:-1].reshape(cover, n_steps, 2, 2))
-    path[-1] = powers[-1]
-    return path
+    return np.concatenate([eye[None], frames])
 
 
 def _period_product(frames: np.ndarray) -> np.ndarray:
@@ -749,21 +749,23 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
     """Conley-Zehnder index of the orbit via the linearized-flow rotation number.
 
     Independent of the eigensolver route: integrates Psi' = J0 S(t) Psi with
-    RK4 over one period, extends the path to the cover by Psi(t + j) =
-    Psi(t) P^j, and classifies the monodromy.  Positive hyperbolic
-    monodromies give the even index 2n from the integer swept angle of an
-    eigenvector; all other nondegenerate monodromies give the odd index
-    2*floor(angle/2pi)+1.
+    RK4 over one period and classifies the one-period monodromy P; the cover
+    follows by Bott's iteration formula (module docstring).  A positive
+    hyperbolic P gives the even index 2n from the integer swept angle of an
+    eigenvector, a negative hyperbolic one the odd index 2*floor(angle/2pi)+1,
+    and either is multiplied by the cover; an elliptic P gives
+    2*floor(cover*rho)+1 from its rotation number rho.
     """
     path = _integrate_frames(loop, cover, steps, keep_path=True)
     p = path[-1]
-    tr = float(np.trace(p))
+    tr_cover = float(np.trace(np.linalg.matrix_power(p, cover)))
     # symplectic 2x2: det(P - 1) = 2 - tr, so eigenvalue 1 means tr = 2
-    if abs(tr - 2.0) <= 1e-9 * max(1.0, abs(tr)):
+    if abs(tr_cover - 2.0) <= 1e-9 * max(1.0, abs(tr_cover)):
         raise DegenerateThresholdError(
-            f"monodromy has eigenvalue 1 within tolerance (trace {tr!r}); "
+            f"monodromy has eigenvalue 1 within tolerance (trace {tr_cover!r}); "
             "the orbit is degenerate"
         )
+    tr = float(np.trace(p))
     if tr > 2.0:
         # positive hyperbolic: eigenvectors sweep an exact multiple of 2 pi
         evals, evecs = np.linalg.eig(p)
@@ -779,19 +781,25 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
                 f"eigenvector sweeps {sweeps} are not a clean integer; "
                 "increase the step count"
             )
-        return 2 * int(rounded[0])
+        return cover * 2 * int(rounded[0])
     angles = np.arange(16) * (math.pi / 16)
     dirs = np.vstack([np.cos(angles), np.sin(angles)])
-    sweeps = _swept_angles(path, dirs) / (2 * math.pi)
-    floors = np.floor(sweeps).astype(int)
-    if np.min(np.abs(sweeps - np.round(sweeps))) < 1e-6:
-        raise DegenerateThresholdError(
-            "a swept angle is numerically an integer multiple of 2 pi while the "
-            "monodromy is not positive hyperbolic; the orbit is near-degenerate"
-        )
-    if len(set(int(f) for f in floors)) != 1:
+    floors = np.floor(_swept_angles(path, dirs) / (2 * math.pi)).astype(int)
+    if len(set(floors.tolist())) != 1:
         raise SpectralResolutionError(
             "swept angles straddle a multiple of 2 pi; near-degenerate orbit or "
             "insufficient step count"
         )
-    return 2 * int(floors[0]) + 1
+    if tr < -2.0:  # negative hyperbolic
+        return cover * (2 * int(floors[0]) + 1)
+    # elliptic: P turns z by 2 pi theta, counterclockwise when det[z, P z] > 0
+    theta = math.acos(tr / 2) / (2 * math.pi)
+    if p[1, 0] < 0:  # det[e1, P e1]
+        theta = 1.0 - theta
+    turns = cover * (int(floors[0]) + theta)
+    if abs(turns - round(turns)) < 1e-6:
+        raise DegenerateThresholdError(
+            "a swept angle is numerically an integer multiple of 2 pi while the "
+            "monodromy is not positive hyperbolic; the orbit is near-degenerate"
+        )
+    return 2 * math.floor(turns) + 1

@@ -218,6 +218,19 @@ class DenseCoverCatalog(Catalog):
         return super()._compute_flow_table(orbit, k, window, grid)
 
 
+def loader_argv(fixture: str, path: str) -> list[str]:
+    """The command that loads the file `path` in the role of the fixture named
+    `fixture` (a catalog, building or asymptotics file)."""
+    catalog = str(FIXTURES / "catalog_demo.json")
+    if fixture == "catalog_table.json":
+        return ["spectrum", "--catalog", path, "--orbit", "rot_tab", "--window", "10"]
+    if fixture.startswith("catalog"):
+        return ["index", "--catalog", path, "--building", str(FIXTURES / "building_figure3.json")]
+    if fixture.startswith("building"):
+        return ["index", "--catalog", catalog, "--building", path]
+    return ["enumerate", "--catalog", catalog, "--asymptotics", path]
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -332,6 +345,61 @@ def reference_integrate_frames(loop: FlowLoop, cover: int, steps: int | None,
         psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         path[step + 1] = psi
     return path if keep_path else path[-1:]
+
+
+def cover_path(period: np.ndarray, cover: int) -> np.ndarray:
+    """The frames of `cover` periods from the frames of one: S is periodic, so
+    Psi(t + j) = Psi(t) P^j with P = period[-1]."""
+    n_steps = len(period) - 1
+    powers = [np.linalg.matrix_power(period[-1], j) for j in range(cover + 1)]
+    path = np.empty((cover * n_steps + 1, 2, 2))
+    for j in range(cover):
+        path[j * n_steps : (j + 1) * n_steps] = period[:-1] @ powers[j]
+    path[-1] = powers[-1]
+    return path
+
+
+def _reference_sweeps(path: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Total angle swept by Psi(t) z, over 2 pi, for each column z of `directions`."""
+    w = np.einsum("tij,jk->tik", path, directions)
+    x, y = w[:-1, 0], w[:-1, 1]
+    nx, ny = w[1:, 0], w[1:, 1]
+    d = np.arctan2(x * ny - y * nx, x * nx + y * ny)  # signed step angles
+    if np.max(np.abs(d)) >= MAX_STEP_ANGLE:
+        raise SpectralResolutionError(
+            "flow integration step sweeps more than pi/2; increase the step count"
+        )
+    return np.sum(d, axis=0) / (2 * math.pi)
+
+
+def reference_cz_from_path(path: np.ndarray) -> int:
+    """Conley-Zehnder index of a linearized-flow path Psi(t), Psi(0) = I, read
+    off its swept angles along the whole path: the eigenvectors' integer sweep
+    for a positive hyperbolic endpoint, else 2 floor(sweep) + 1 agreed by 16
+    directions.  Applied to a k-fold cover path, it is the crossing route
+    without Bott's iteration formula."""
+    p = path[-1]
+    tr = float(np.trace(p))
+    if abs(tr - 2.0) <= 1e-9 * max(1.0, abs(tr)):
+        raise DegenerateThresholdError(f"monodromy trace {tr!r} is 2 within tolerance")
+    if tr > 2.0:
+        evals, evecs = np.linalg.eig(p)
+        dirs = np.real(evecs[:, np.argsort(-evals.real)])
+        sweeps = _reference_sweeps(path, dirs / np.linalg.norm(dirs, axis=0))
+        rounded = [round(x) for x in sweeps]
+        if any(abs(s - r) > WINDING_GUARD for s, r in zip(sweeps, rounded)) or (
+            rounded[0] != rounded[1]
+        ):
+            raise SpectralResolutionError(f"eigenvector sweeps {sweeps} are not an integer")
+        return 2 * int(rounded[0])
+    angles = np.arange(16) * (math.pi / 16)
+    sweeps = _reference_sweeps(path, np.vstack([np.cos(angles), np.sin(angles)]))
+    if np.min(np.abs(sweeps - np.round(sweeps))) < 1e-6:
+        raise DegenerateThresholdError("a swept angle is numerically an integer")
+    floors = set(np.floor(sweeps).astype(int).tolist())
+    if len(floors) != 1:
+        raise SpectralResolutionError("swept angles straddle a multiple of 2 pi")
+    return 2 * floors.pop() + 1
 
 
 # --- per-pair trivial-breaking reference ---------------------------------------

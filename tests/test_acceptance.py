@@ -41,7 +41,6 @@ from support import (
     CORPUS_ORBITS,
     FIXTURES,
     iter_trivial_buildings,
-    nondegenerate_trig_loop,
     random_building,
     rotation_loop,
 )
@@ -53,12 +52,6 @@ HE = OrbitRef("hyp_even")
 
 def report(criterion, message):
     print(f"ACCEPTANCE {criterion}: PASS ({message})")
-
-
-@pytest.fixture(scope="module")
-def trig_loops():
-    rng = np.random.default_rng(20240601)
-    return [nondegenerate_trig_loop(rng, n=201) for _ in range(20)]
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,10 @@ pool of large covers (``LARGE_COVERS``) is run against the real budget: each
 must exit 2 with the budget message before anything of its size is allocated.
 A pool of wide asymptotics (valid index-2 curves of ``WIDE_ENDS`` ends, whose
 limits number far past ``MAX_LIMITS``, and one-edit mutants of them) runs
-``enumerate``: each must exit 0 or 2 within ``WIDE_SECONDS``.
+``enumerate``: each must exit 0 or 2 within ``WIDE_SECONDS``.  Text mutants
+edit what a parsed document cannot hold: an object that gives one key twice,
+or a node replaced by ``DEEP`` nested arrays or objects; each must exit 2 with
+the reader's message for the file.
 """
 
 import copy
@@ -29,7 +32,7 @@ from hbcalc import cli, spectral
 from hbcalc.cli import main
 from hbcalc.spectral import MAX_DENSE_DIM, MAX_LIMITS
 
-from support import FIXTURES, random_stable_asymptotics, stable_end_options
+from support import FIXTURES, loader_argv, random_stable_asymptotics, stable_end_options
 
 MUTANTS_PER_LOADER = 100
 FLAG_MUTANTS = 400
@@ -59,6 +62,10 @@ FLAG_VALUES = {
 #: covers far past the dense budget (a 1000-fold cover of a 33-sample orbit
 #: needs a grid of 33001), up to one past the float range
 LARGE_COVERS = (1000, 10**6, 10**400)
+#: text mutants per loader, and the nesting depth of the deep ones (far past
+#: the reader's recursion limit)
+TEXT_MUTANTS = 20
+DEEP = 200_000
 #: widths of the valid index-2 curves behind the wide enumerate cases, the
 #: mutants drawn from each, and the seconds one case may take
 WIDE_ENDS = (24, 40, 64)
@@ -140,6 +147,44 @@ def mutants(seed: int, bases: list[str]):
         name = bases[i % len(bases)]
         doc = copy.deepcopy(docs[name])
         yield name, mutate(rng, doc), doc
+
+
+def spliced(doc, path: tuple, raw: str) -> str:
+    """The JSON text of `doc` with the node at `path` written as `raw`."""
+    if not path:
+        return raw
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@splice@"
+    return json.dumps(doc).replace('"@splice@"', raw)
+
+
+def text_mutants(seed: int, bases: list[str]):
+    """TEXT_MUTANTS (base name, edit, text, message) per base: in turn, a key
+    of a random object given again with a value of another JSON type, and a
+    random node replaced by DEEP nested arrays or objects; `message` is the
+    reader's error after the file name."""
+    rng = np.random.default_rng(seed)
+    for name in bases:
+        doc = json.loads((FIXTURES / name).read_text())
+        nodes = list(_nodes(doc))
+        objects = [(path, node) for path, node in nodes if isinstance(node, dict) and node]
+        for i in range(TEXT_MUTANTS):
+            if i % 2:
+                path, node = objects[int(rng.integers(len(objects)))]
+                key = sorted(node)[int(rng.integers(len(node)))]
+                value = OTHER_TYPES[int(rng.integers(len(OTHER_TYPES)))]
+                raw = f"{json.dumps(node)[:-1]}, {json.dumps(key)}: {json.dumps(value)}}}"
+                yield (name, f"key {key!r} of {path} twice", spliced(doc, path, raw),
+                       f"duplicate key {key!r} in an object")
+            else:
+                path, _ = nodes[int(rng.integers(len(nodes)))]
+                opener, closer = (("[", "]"), ('{"a": ', "}"))[int(rng.integers(2))]
+                raw = opener * DEEP + "0" + closer * DEEP
+                yield (name, f"{path} nested {opener!r} deep", spliced(doc, path, raw),
+                       "invalid JSON: nested too deeply")
 
 
 def large_cover_mutants(seed: int):
@@ -324,6 +369,18 @@ class TestLoaderFuzz:
             if edit == "valid":  # the valid curves meet the output budget
                 assert (code, out) == (2, ""), case
                 assert f"admissible limit types, above the budget of {MAX_LIMITS}" in err
+
+    def test_duplicate_keys_and_deep_nesting(self, capsys, tmp_path, warm_fixture_catalogs):
+        bases = ["catalog_demo.json", "catalog_fixture.json", "building_figure3.json",
+                 "asymptotics_demo.json"]
+        path = tmp_path / "input.json"
+        cases = list(text_mutants(707, bases))
+        assert len(cases) == TEXT_MUTANTS * len(bases)
+        for name, edit, text, message in cases:
+            path.write_text(text)
+            code = main(loader_argv(name, str(path)))
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (2, "", f"error: {path}: {message}\n"), (name, edit)
 
     def test_mutations_are_seeded_and_varied(self):
         first = [edit for _, edit, _ in mutants(7, ["building_figure3.json"])]

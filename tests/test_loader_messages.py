@@ -15,7 +15,7 @@ import pytest
 
 from hbcalc.cli import main
 
-from support import FIXTURES
+from support import FIXTURES, loader_argv
 
 DROP = object()
 
@@ -41,18 +41,6 @@ def document(fixture: str, keys: tuple, value) -> str:
     return json.dumps(doc)
 
 
-def argv(fixture: str, bad: str) -> list[str]:
-    """The command that loads `bad` in the role of `fixture`."""
-    catalog = str(FIXTURES / "catalog_demo.json")
-    if fixture == "catalog_table.json":
-        return ["spectrum", "--catalog", bad, "--orbit", "rot_tab", "--window", "10"]
-    if fixture.startswith("catalog"):
-        return ["index", "--catalog", bad, "--building", str(FIXTURES / "building_figure3.json")]
-    if fixture.startswith("building"):
-        return ["index", "--catalog", catalog, "--building", bad]
-    return ["enumerate", "--catalog", catalog, "--asymptotics", bad]
-
-
 CAT, TAB = "catalog_demo.json", "catalog_table.json"
 FIG3, ASY = "building_figure3.json", "asymptotics_demo.json"
 ORBIT = ("orbits", 0)
@@ -60,6 +48,8 @@ COVER = ("orbits", 0, "model", "covers", "1")
 MAIN_BOT = ("components", 2)  # nontrivial, with image_class and windings
 END = MAIN_BOT + ("punctures", 0)
 NAN = float("nan")
+#: nesting depth of the too-deep documents, far past the reader's recursion limit
+DEEP = 200_000
 
 #: (case id, fixture, key path, new value, exit code, stderr)
 CASES = [
@@ -69,6 +59,10 @@ CASES = [
         " Expecting property name enclosed in double quotes: line 1 column 14 (char 13)\n"),
     ("cat-root-array", CAT, (), [],
      2, "error: {bad}: expected an object\n"),
+    ("cat-nested-arrays", CAT, (), TEXT("[" * DEEP + "]" * DEEP),
+     2, "error: {bad}: invalid JSON: nested too deeply\n"),
+    ("cat-format-twice", CAT, (), TEXT('{"format": 1, "orbits": [], "format": 2}'),
+     2, "error: {bad}: duplicate key 'format' in an object\n"),
     ("cat-format-missing", CAT, ("format",), DROP,
      2, "error: {bad}.format: required field missing\n"),
     ("cat-format-string", CAT, ("format",), "1",
@@ -121,6 +115,11 @@ CASES = [
     # building files
     ("fig3-root-string", FIG3, (), "building",
      2, "error: {bad}: expected an object\n"),
+    ("fig3-nested-objects", FIG3, (), TEXT('{"components": ' * DEEP + "[]" + "}" * DEEP),
+     2, "error: {bad}: invalid JSON: nested too deeply\n"),
+    ("fig3-genus-twice", FIG3, (), TEXT(
+        (FIXTURES / FIG3).read_text().replace('"genus": 0', '"genus": 0, "genus": 5', 1)),
+     2, "error: {bad}: duplicate key 'genus' in an object\n"),
     ("fig3-components-missing", FIG3, ("components",), DROP,
      2, "error: {bad}.components: required field missing\n"),
     ("fig3-id-missing", FIG3, MAIN_BOT + ("id",), DROP,
@@ -211,7 +210,7 @@ CASES = [
 def test_loader_message(capsys, tmp_path, name, fixture, keys, value, code, stderr):
     bad = tmp_path / "bad.json"
     bad.write_text(document(fixture, keys, value))
-    got = main(argv(fixture, str(bad)))
+    got = main(loader_argv(fixture, str(bad)))
     captured = capsys.readouterr()
     assert (got, captured.err) == (code, stderr.replace("{bad}", str(bad)))
     if code == 2:
@@ -221,7 +220,7 @@ def test_loader_message(capsys, tmp_path, name, fixture, keys, value, code, stde
 def test_invalid_utf8_is_invalid_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"format": 1, "components": ["\xff"]}')
-    got = main(argv(FIG3, str(bad)))
+    got = main(loader_argv(FIG3, str(bad)))
     captured = capsys.readouterr()
     assert (got, captured.out) == (2, "")
     assert captured.err == (f"error: {bad}: invalid JSON: 'utf-8' codec can't decode byte 0xff"

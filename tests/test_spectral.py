@@ -23,9 +23,12 @@ from hbcalc.spectral import (
 from support import (
     REPO,
     analytic_rotation_table,
+    cover_path,
     hyperbolic_loop,
     jacobi_eigh,
     nondegenerate_trig_loop,
+    random_trig_loop,
+    reference_cz_from_path,
     reference_integrate_frames,
     reference_winding,
     rotating_axis_loop,
@@ -357,7 +360,7 @@ class TestPropagatorOracle:
     """The batched propagator against the sequential RK4 loop in support."""
 
     @pytest.mark.parametrize("name", FIXTURE_ORBITS + ("trig0", "trig1", "zero"))
-    def test_matches_sequential_rk4(self, name, fixture_catalog, monkeypatch):
+    def test_matches_sequential_rk4(self, name, fixture_catalog):
         if name in FIXTURE_ORBITS:
             loop = fixture_catalog.orbit(name).model
         elif name == "zero":
@@ -370,24 +373,25 @@ class TestPropagatorOracle:
         top = max(ORACLE_COVERS)
         full = reference_integrate_frames(loop, top, None, keep_path=True)
         n_steps = (len(full) - 1) // top
+        got_path = spectral._integrate_frames(loop, 1, None, keep_path=True)
+        path = full[: n_steps + 1]
+        scale = np.max(np.abs(path), axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(got_path - path) / scale) <= 1e-9
         for k in ORACLE_COVERS:
             got_p = monodromy(loop, k)
-            got_cz = _outcome(lambda: cz_crossing(loop, k))
             path = full[: k * n_steps + 1]
-            got_path = spectral._integrate_frames(loop, k, None, keep_path=True)
-            scale = np.max(np.abs(path), axis=(1, 2), keepdims=True)
-            assert np.max(np.abs(got_path - path) / scale) <= 1e-9, k
             want_p = path[-1]
             assert np.max(np.abs(got_p - want_p)) <= 1e-9 * np.max(np.abs(want_p)), k
             power = np.linalg.matrix_power(monodromy(loop), k)
             assert np.max(np.abs(got_p - power)) <= 1e-12 * np.max(np.abs(power)), k
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    spectral, "_integrate_frames",
-                    lambda *args, keep_path: path if keep_path else path[-1:],
-                )
-                want_cz = _outcome(lambda: cz_crossing(loop, k))
-            assert got_cz == want_cz, k
+            # the sweep classifier along the whole k-fold path, where it resolves
+            want_cz = _outcome(lambda: reference_cz_from_path(path))
+            got_cz = _outcome(lambda: cz_crossing(loop, k))
+            if want_cz is SpectralResolutionError:  # it lost the stable direction
+                assert abs(np.trace(monodromy(loop))) > 2, k
+                assert got_cz == k * cz_crossing(loop, 1), k
+            else:
+                assert got_cz == want_cz, k
             if name == "zero" or (name, k) == ("rot3", 4):
                 assert want_cz is DegenerateThresholdError
 
@@ -404,6 +408,73 @@ class TestPropagatorOracle:
         for compute in (monodromy, cz_crossing):
             with pytest.raises(ValueError, match="cover"):
                 compute(rotation_loop(1.0), 0)
+
+
+#: The corpus cases where the sweep along the whole k-fold path raised
+#: SpectralResolutionError and Bott's formula gives an integer: every cover of
+#: the named loop from the given one through 16.  All are positive hyperbolic
+#: loops whose stable direction the whole-path sweep loses once lambda^k is
+#: large.
+BOTT_CHANGED = {
+    "c02_1": 9, "c02_4": 11, "c02_6": 13, "c02_10": 7, "c02_11": 11, "c02_12": 10,
+    "c02_15": 14, "c02_17": 12, "r99_5": 13, "r99_7": 12, "r99_8": 14, "r99_12": 11,
+    "r99_13": 14, "r99_15": 9, "r99_18": 13, "r99_20": 15, "r99_22": 12, "r99_23": 9,
+    "r99_24": 15, "r99_26": 14, "r99_33": 16, "r99_36": 14, "r99_37": 14, "r99_39": 9,
+}
+#: the Bloch-route spectrum of a changed case: its loop resampled to this many
+#: points, and a window that holds the eigenvalues next to 0 at every cover
+BOTT_SAMPLES = 21
+BOTT_WINDOW = 60.0
+
+
+class TestBottIteration:
+    """cz_crossing(loop, k) from one period against the sweep classifier along
+    the whole k-fold path, on the fixture orbits, the criterion-02 loops and 40
+    unscreened random loops (seed 99) at k = 1..16."""
+
+    def test_corpus_matches_the_cover_path(self, fixture_catalog, trig_loops, monkeypatch):
+        loops = {name: fixture_catalog.orbit(name).model for name in FIXTURE_ORBITS}
+        loops.update((f"c02_{i}", loop) for i, loop in enumerate(trig_loops))
+        rng = np.random.default_rng(99)
+        loops.update((f"r99_{i}", random_trig_loop(rng)) for i in range(40))
+        assert len(loops) == 66
+        # the one-period path does not depend on the cover: integrate each loop once
+        periods = {}
+        integrate = spectral._integrate_frames
+
+        def cached(loop, cover, steps, keep_path):
+            if not keep_path:
+                return integrate(loop, cover, steps, keep_path)
+            if id(loop) not in periods:
+                periods[id(loop)] = integrate(loop, cover, steps, keep_path)
+            return periods[id(loop)]
+
+        monkeypatch.setattr(spectral, "_integrate_frames", cached)
+        changed = []
+        for name, loop in loops.items():
+            got_1 = _outcome(lambda: cz_crossing(loop, 1))
+            period = periods[id(loop)]
+            # the path the crossing route swept before Bott's formula; that of
+            # a k-fold cover is the first k periods of the 16-fold one
+            full, n_steps = cover_path(period, 16), len(period) - 1
+            for k in range(1, 17):
+                got = _outcome(lambda: cz_crossing(loop, k))
+                want = _outcome(lambda: reference_cz_from_path(full[: k * n_steps + 1]))
+                if got == want:
+                    continue
+                changed.append((name, k))
+                assert want is SpectralResolutionError, (name, k)
+                assert np.trace(period[-1]) > 2, (name, k)
+                assert got == k * got_1, (name, k)
+                # the changed loops are trigonometric polynomials of degree 3,
+                # so BOTT_SAMPLES samples carry them exactly, and the Bloch
+                # route fits every changed cover into the grid budget
+                table = spectrum_from_loop(loop.resample(BOTT_SAMPLES), BOTT_WINDOW, cover=k)
+                alpha_minus = table.alpha_minus(0.0)
+                parity = table.alpha_plus(0.0) - alpha_minus
+                assert got == 2 * alpha_minus + parity, (name, k)
+        assert changed == [(name, k) for name, first in BOTT_CHANGED.items()
+                           for k in range(first, 17)]
 
 
 class TestPeriodProduct:
@@ -452,6 +523,8 @@ class TestHalfGrid:
             got = spectral._uniform_values(loop.samples, m)
             want = loop.value_at(np.arange(m) / m)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(loop.samples)), m
-        path = spectral._integrate_frames(loop, 2, 50, keep_path=True)  # half grid of 100
+        path = spectral._integrate_frames(loop, 1, 50, keep_path=True)  # half grid of 100
         want = reference_integrate_frames(loop, 2, 50, keep_path=True)
-        assert np.max(np.abs(path - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(path - want[:51])) <= 1e-12 * np.max(np.abs(want[:51]))
+        got_p = monodromy(loop, 2, 50)
+        assert np.max(np.abs(got_p - want[-1])) <= 1e-12 * np.max(np.abs(want[-1]))
