@@ -252,7 +252,10 @@ def catalog_from_data(data, path: str = "catalog") -> Catalog:
             orbits.append(SimpleOrbit(oid, period, model, hyperbolic))
         except HbcalcError as exc:
             raise InputError(f"{_path(at)}: {exc}") from exc
-    return Catalog(orbits)
+    try:
+        return Catalog(orbits)
+    except HbcalcError as exc:  # the audit of the whole catalog
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_catalog(filename: str) -> Catalog:
@@ -615,12 +618,10 @@ def _cmd_surgery(args) -> int:
         result = glue_punctures(
             building, _parse_site(args.pos, "--pos"), _parse_site(args.neg, "--neg")
         )
-    elif args.op == "union":
+    else:  # union: argparse restricts --op to these five
         if args.other is None:
             raise InputError("union needs --other FILE")
         result = disjoint_union(building, load_building(args.other))
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown surgery op {args.op!r}")
     _dump_json(building_to_data(result))
     return 0
 
@@ -666,8 +667,6 @@ def _cmd_enumerate(args) -> int:
 def _cmd_check(args) -> int:
     from .degeneration import classify_stable_limit
 
-    if args.theorem != "stable":
-        raise InputError(f"unknown theorem {args.theorem!r}")
     catalog = load_catalog(args.catalog)
     building = load_building(args.building)
     with _citing_orbits(args.catalog, _building_ends(building, args.building)):

@@ -4,7 +4,8 @@ subbuilding arithmetic, stable-limit classification and enumeration.
 The checkers emit coded violations (stable strings, part of the output
 contract) instead of raising, so mutant configurations can be inspected and
 scripted against.  Genuinely missing or self-contradictory input data still
-raises.
+raises.  Every check reads each end under the constraint stored on its
+puncture (see ``hbcalc.index_calculus``).
 
 Violation codes
 ---------------
@@ -45,19 +46,16 @@ from .buildings import (
     detach_component,
     is_connected,
     is_trivial_cylinder,
-    set_constraints,
     trivial_breaking_pairs,
 )
 from .errors import BuildingError, InputError, InternalCheckError, NoCoreError, OutputBudgetError
 from .index_calculus import (
-    ConstraintMap,
     End,
     _controlling_windings,
     _defect,
     _index,
     ends,
     fredholm_index,
-    resolve_constraints,
 )
 # bound here as well, where perfbench/selftest.py checks that the tracer wraps it
 from .index_calculus import defect  # noqa: F401
@@ -142,8 +140,8 @@ def _nice_checks(catalog: Catalog, building: Building
                         "transverse to the flow",
                     )
                 )
-            piece, induced = detach_component(building, comp.id)
-            rows = ends(catalog, piece, induced)
+            piece, _ = detach_component(building, comp.id)
+            rows = ends(catalog, piece)
             report = _defect(piece, rows, _controlling_windings(comp))
             detached[comp.id] = (piece, rows)
             if report.total > 0:
@@ -267,8 +265,7 @@ class StableLimitVerdict:
         return self.kind is not None and not self.violations
 
 
-def classify_stable_limit(catalog: Catalog, building: Building,
-                          constraints: ConstraintMap | None = None) -> StableLimitVerdict:
+def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVerdict:
     """Classify a degeneration limit of stable curves as SMOOTH or BROKEN_PAIR.
 
     Runs the nice-building checks, the genericity bound (every nontrivial
@@ -279,8 +276,6 @@ def classify_stable_limit(catalog: Catalog, building: Building,
     """
     if not is_connected(building):
         raise BuildingError("stable-limit classification needs a connected building")
-    cs = resolve_constraints(building, constraints)
-    building = set_constraints(building, cs)
     violations, detached = _nice_checks(catalog, building)
 
     for cid, (piece, rows) in detached.items():
@@ -330,8 +325,8 @@ def classify_stable_limit(catalog: Catalog, building: Building,
                 )
             )
         for comp in collapsed.components:
-            piece, induced = detach_component(collapsed, comp.id)
-            rows = ends(catalog, piece, induced)
+            piece, _ = detach_component(collapsed, comp.id)
+            rows = ends(catalog, piece)
             side_ind = _index(piece, rows)
             if side_ind != 1:
                 violations.append(
@@ -665,7 +660,7 @@ def _asymptotic_ends(catalog: Catalog, asymptotics: Asymptotics) -> list[End]:
         )
     if not asymptotics.punctures:
         raise InputError("a stable curve has at least one puncture")
-    rows = [End(catalog, i, p, p.constraint) for i, p in enumerate(asymptotics.punctures)]
+    rows = [End(catalog, i, p) for i, p in enumerate(asymptotics.punctures)]
     evens = [e.site for e in rows if e.parity == 0]
     if evens:
         raise InputError(
@@ -783,7 +778,7 @@ def limit_to_building(catalog: Catalog, asymptotics: Asymptotics,
             id=name,
             genus=0,
             punctures=tuple(
-                replace(p, controlling_winding=End(catalog, None, p, p.constraint).extremal)
+                replace(p, controlling_winding=End(catalog, None, p).extremal)
                 for p in punctures
             ),
             rel_c1=0,

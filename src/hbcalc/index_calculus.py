@@ -25,7 +25,9 @@ arithmetic genus, and hence the displayed identity, needs connectedness.
 
 Every formula is a sum over the rows of `ends`, one per external end with its
 signed cut, CZ index, parity and extremal winding; a report builds the rows
-once for the building and once per detached component.
+once for the building and once per detached component.  Each end is read
+under the constraint stored on its puncture: to evaluate a building under
+other constraints, override them with `buildings.set_constraints` first.
 """
 
 from __future__ import annotations
@@ -41,27 +43,8 @@ from .buildings import (
     euler_char,
     is_connected,
 )
-from .errors import BuildingError, IncompleteInputError, InconsistentDataError, InternalCheckError
+from .errors import IncompleteInputError, InconsistentDataError, InternalCheckError
 from .orbits import Catalog, SpectralSummary
-
-ConstraintMap = dict[Site, float]
-
-
-def resolve_constraints(building: Building, constraints: ConstraintMap | None) -> ConstraintMap:
-    """Constraints for every external puncture: inline values overridden by
-    the supplied map (whose keys must be external sites)."""
-    sites = building.external_sites()
-    out = {site: building.puncture(site).constraint for site in sites}
-    if constraints:
-        site_set = set(sites)
-        for site, value in constraints.items():
-            if site not in site_set:
-                raise BuildingError(f"constraint keyed by non-external site {site}")
-            if value < 0:
-                raise BuildingError(f"constraint at {site} must be >= 0, got {value}")
-            out[site] = float(value)
-    return out
-
 
 class End:
     """One end under its constraint c, read through its signed spectral cut.
@@ -77,12 +60,12 @@ class End:
     __slots__ = ("site", "sign", "orbit", "constraint", "cut", "_catalog", "_summary",
                  "_extremal")
 
-    def __init__(self, catalog: Catalog, site, puncture: Puncture, constraint: float):
+    def __init__(self, catalog: Catalog, site, puncture: Puncture):
         self.site = site
         self.sign = puncture.sign
         self.orbit = puncture.orbit
-        self.constraint = constraint
-        self.cut = -constraint if puncture.sign == 1 else constraint
+        self.constraint = puncture.constraint
+        self.cut = -self.constraint if puncture.sign == 1 else self.constraint
         self._catalog = catalog
         self._summary = None
         self._extremal = None
@@ -108,12 +91,10 @@ class End:
         return self._extremal
 
 
-def ends(catalog: Catalog, building: Building,
-         constraints: ConstraintMap | None = None) -> list[End]:
-    """The external ends of a building, sorted by site, under the resolved
-    constraints; every index and Chern-number formula is a sum over these."""
-    cs = resolve_constraints(building, constraints)
-    return [End(catalog, site, building.puncture(site), c) for site, c in cs.items()]
+def ends(catalog: Catalog, building: Building) -> list[End]:
+    """The external ends of a building, sorted by site, each under its inline
+    constraint; every index and Chern-number formula is a sum over these."""
+    return [End(catalog, site, building.puncture(site)) for site in building.external_sites()]
 
 
 def _c1(building: Building) -> int:
@@ -149,39 +130,34 @@ def _chern(building: Building, rows: list[End]) -> int:
     return cn
 
 
-def cz_total(catalog: Catalog, building: Building,
-             constraints: ConstraintMap | None = None) -> int:
-    return _mu(ends(catalog, building, constraints))
+def cz_total(catalog: Catalog, building: Building) -> int:
+    return _mu(ends(catalog, building))
 
 
-def fredholm_index(catalog: Catalog, building: Building,
-                   constraints: ConstraintMap | None = None) -> int:
-    return _index(building, ends(catalog, building, constraints))
+def fredholm_index(catalog: Catalog, building: Building) -> int:
+    return _index(building, ends(catalog, building))
 
 
-def puncture_parities(catalog: Catalog, building: Building,
-                      constraints: ConstraintMap | None = None
+def puncture_parities(catalog: Catalog, building: Building
                       ) -> tuple[tuple[Site, ...], tuple[Site, ...]]:
     """External punctures partitioned by constrained parity (even, odd)."""
-    return _parities(ends(catalog, building, constraints))
+    return _parities(ends(catalog, building))
 
 
-def normal_chern(catalog: Catalog, building: Building,
-                 constraints: ConstraintMap | None = None) -> int:
-    return _chern(building, ends(catalog, building, constraints))
+def normal_chern(catalog: Catalog, building: Building) -> int:
+    return _chern(building, ends(catalog, building))
 
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Asymptotic defects of a nontrivial component under given constraints."""
+    """Asymptotic defects of a nontrivial component under its constraints."""
 
     per_puncture: tuple[tuple[Site, int], ...]
     total: int
     wind_pi: int  # supplied or implied by c_N - total defect
 
 
-def defect(catalog: Catalog, building: Building, comp_id: str,
-           constraints: ConstraintMap | None = None) -> DefectReport | None:
+def defect(catalog: Catalog, building: Building, comp_id: str) -> DefectReport | None:
     """Per-puncture |extremal winding - controlling winding| for one component.
 
     The component is taken with its induced constraints (breaking punctures
@@ -192,14 +168,9 @@ def defect(catalog: Catalog, building: Building, comp_id: str,
     comp = building.component(comp_id)
     if comp.kind != "nontrivial":
         return None
-    piece, induced = detach_component(building, comp_id)
-    if constraints:
-        external = set(building.external_sites())
-        for site, value in constraints.items():
-            if site in induced and site in external:
-                induced[site] = float(value)
+    piece, _ = detach_component(building, comp_id)
     windings = _controlling_windings(comp)
-    return _defect(piece, ends(catalog, piece, induced), windings)
+    return _defect(piece, ends(catalog, piece), windings)
 
 
 def _controlling_windings(comp) -> list[int]:
@@ -265,24 +236,14 @@ class AdditivityReport:
         )
 
 
-def component_reports(catalog: Catalog, building: Building,
-                      constraints: ConstraintMap | None = None) -> list[ComponentReport]:
-    return _component_reports(catalog, building, ends(catalog, building, constraints))
-
-
-def _component_reports(catalog: Catalog, building: Building,
-                       rows: list[End]) -> list[ComponentReport]:
+def component_reports(catalog: Catalog, building: Building) -> list[ComponentReport]:
     """Per-component index, c_N and defect, each from one pass over the ends
-    of the detached component (breaking ends at zero, external ends at the
-    constraints of `rows`)."""
-    given = {e.site: e.constraint for e in rows}
+    of the detached component (breaking ends at zero, external ends at their
+    inline constraints)."""
     out = []
     for comp in sorted(building.components, key=lambda c: c.id):
-        piece, induced = detach_component(building, comp.id)
-        piece_rows = [
-            End(catalog, site, piece.puncture(site), given.get(site, c))
-            for site, c in induced.items()
-        ]
+        piece, _ = detach_component(building, comp.id)
+        piece_rows = ends(catalog, piece)
         ind = _index(piece, piece_rows)
         cn = _chern(piece, piece_rows)
         defect_total = None
@@ -308,18 +269,17 @@ def _component_reports(catalog: Catalog, building: Building,
     return out
 
 
-def verify_additivity(catalog: Catalog, building: Building,
-                      constraints: ConstraintMap | None = None) -> AdditivityReport:
+def verify_additivity(catalog: Catalog, building: Building) -> AdditivityReport:
     """Check index and c_N additivity over components exactly; mismatches are
     internal errors (these are theorems, not data checks)."""
-    reports = component_reports(catalog, building, constraints)
+    reports = component_reports(catalog, building)
     parity_sum = 0
     for pos_site, _ in building.breaking_pairs:
         parity_sum += catalog.parity(building.puncture(pos_site).orbit)
     report = AdditivityReport(
-        index_total=fredholm_index(catalog, building, constraints),
+        index_total=fredholm_index(catalog, building),
         index_component_sum=sum(r.index for r in reports),
-        c_n_total=normal_chern(catalog, building, constraints),
+        c_n_total=normal_chern(catalog, building),
         c_n_component_sum=sum(r.c_n for r in reports),
         breaking_parity_sum=parity_sum,
         nodal_points=2 * len(building.nodal_pairs),
@@ -353,9 +313,8 @@ class IndexReport:
     per_component: tuple[ComponentReport, ...]
 
 
-def index_report(catalog: Catalog, building: Building,
-                 constraints: ConstraintMap | None = None) -> IndexReport:
-    rows = ends(catalog, building, constraints)
+def index_report(catalog: Catalog, building: Building) -> IndexReport:
+    rows = ends(catalog, building)
     gamma0, gamma1 = _parities(rows)
     return IndexReport(
         chi=euler_char(building),
@@ -366,5 +325,5 @@ def index_report(catalog: Catalog, building: Building,
         c_n=_chern(building, rows),
         gamma0=gamma0,
         gamma1=gamma1,
-        per_component=tuple(_component_reports(catalog, building, rows)),
+        per_component=tuple(component_reports(catalog, building)),
     )

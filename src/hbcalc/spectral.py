@@ -373,6 +373,10 @@ class SpectralTable:
         for w, m in per.items():
             if m != 2:
                 raise InternalAudit(f"winding {w} has total multiplicity {m} != 2")
+        if per and len(per) != max(per) - min(per) + 1:
+            gap = next(w for w in range(min(per), max(per)) if w not in per)
+            raise InternalAudit(f"no eigenvalue has winding {gap} between windings "
+                                f"{min(per)} and {max(per)}; the kept windings must be one run")
 
     # --- query helpers -------------------------------------------------
 

@@ -13,6 +13,7 @@ from hbcalc.buildings import (
     Building,
     Component,
     Puncture,
+    Site,
     arithmetic_genus,
     component_graph,
     core,
@@ -38,7 +39,6 @@ from hbcalc.errors import (
 from hbcalc.index_calculus import (
     AdditivityReport,
     ComponentReport,
-    ConstraintMap,
     DefectReport,
     IndexReport,
 )
@@ -524,7 +524,11 @@ def reference_core(building: Building) -> Building:
 # The index layer as it was before every formula became a sum over the rows of
 # ``hbcalc.index_calculus.ends``: each function resolves the constraints and
 # asks the catalog again.  Oracle for the single pass (same values, same
-# exception classes, same spectral queries).
+# exception classes, same spectral queries).  These functions still take a
+# map of constraint overrides; the single pass reads the constraints stored
+# on the punctures, so it is compared on ``set_constraints(building, map)``.
+
+ConstraintMap = dict[Site, float]
 
 
 def reference_resolve_constraints(building: Building,

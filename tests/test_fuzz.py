@@ -18,7 +18,9 @@ limits number far past ``MAX_LIMITS``, and one-edit mutants of them) runs
 ``enumerate``: each must exit 0 or 2 within ``WIDE_SECONDS``.  Text mutants
 edit what a parsed document cannot hold: an object that gives one key twice,
 or a node replaced by ``DEEP`` nested arrays or objects; each must exit 2 with
-the reader's message for the file.
+the reader's message for the file.  Gap mutants drop one interior winding class
+from a cover of the table fixture; each must exit 2 with a message that names
+the cover's JSON path and the missing winding.
 """
 
 import copy
@@ -71,6 +73,8 @@ DEEP = 200_000
 WIDE_ENDS = (24, 40, 64)
 WIDE_MUTANTS = 5
 WIDE_SECONDS = 5.0
+#: gap mutants per cover of the table fixture
+GAP_MUTANTS = 4
 SPECTRUM_ORBITS = (("catalog_demo.json", "rot_p"), ("catalog_fixture.json", "hyp2"),
                    ("catalog_table.json", "rot_tab"))
 BUILDINGS = ("building_figure3.json", "building_cylinder.json",
@@ -203,6 +207,21 @@ def large_cover_mutants(seed: int):
                 if (p["orbit"]["simple"], p["orbit"]["k"]) == ref:
                     p["orbit"]["k"] = cover
             yield name, ref, cover, doc
+
+
+def winding_gap_mutants(seed: int):
+    """(cover key, dropped winding, document) GAP_MUTANTS times per cover of the
+    table fixture: every row of one seeded interior winding class removed."""
+    rng = np.random.default_rng(seed)
+    base = json.loads((FIXTURES / "catalog_table.json").read_text())
+    for key in sorted(base["orbits"][0]["model"]["covers"]):
+        for _ in range(GAP_MUTANTS):
+            doc = copy.deepcopy(base)
+            rows = doc["orbits"][0]["model"]["covers"][key]
+            winds = sorted({row[1] for row in rows})
+            w = winds[int(rng.integers(1, len(winds) - 1))]
+            rows[:] = [row for row in rows if row[1] != w]
+            yield key, w, doc
 
 
 def wide_asymptotics(seed: int, catalog):
@@ -381,6 +400,18 @@ class TestLoaderFuzz:
             code = main(loader_argv(name, str(path)))
             out, err = capsys.readouterr()
             assert (code, out, err) == (2, "", f"error: {path}: {message}\n"), (name, edit)
+
+    def test_winding_gaps_name_the_cover(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        cases = list(winding_gap_mutants(808))
+        assert len({w for _, w, _ in cases}) > 1
+        for key, w, doc in cases:
+            path.write_text(json.dumps(doc))
+            code = main(loader_argv("catalog_table.json", str(path)))
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, ""), (key, w, err)
+            assert err.startswith(f"error: {path}.orbits[0].model.covers[{key!r}]: "
+                                  f"no eigenvalue has winding {w} "), (key, w, err)
 
     def test_mutations_are_seeded_and_varied(self):
         first = [edit for _, edit, _ in mutants(7, ["building_figure3.json"])]

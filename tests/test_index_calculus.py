@@ -21,7 +21,7 @@ from hbcalc.degeneration import (
     enumerate_limits,
     validate_nice,
 )
-from hbcalc.errors import HbcalcError, InconsistentDataError, IncompleteInputError
+from hbcalc.errors import BuildingError, HbcalcError, InconsistentDataError, IncompleteInputError
 from hbcalc.orbits import Catalog, OrbitRef
 
 import support
@@ -54,7 +54,7 @@ class TestCzTotal:
 
     def test_constrained_plane(self, cat):
         b = Building(components=(Component("p", 0, (Puncture(1, RP),)),))
-        assert ic.cz_total(cat, b, {("p", 0): 2.0}) == -1
+        assert ic.cz_total(cat, set_constraints(b, {("p", 0): 2.0})) == -1
 
 
 class TestFredholmIndex:
@@ -102,7 +102,7 @@ class TestParities:
     def test_constraint_keeps_rotation_odd(self, cat):
         # mu(gamma; 2) = -1: crossing a double eigenvalue preserves parity
         b = Building(components=(Component("p", 0, (Puncture(1, RP),)),))
-        _, gamma1 = ic.puncture_parities(cat, b, {("p", 0): 2.0})
+        _, gamma1 = ic.puncture_parities(cat, set_constraints(b, {("p", 0): 2.0}))
         assert gamma1 == (("p", 0),)
 
 
@@ -296,11 +296,14 @@ PAIRS = [
 
 
 def assert_same_as_reference(catalog, building, constraints):
+    """The single pass on the building with the map set inline agrees with the
+    per-function formulas given the map."""
+    inline = set_constraints(building, constraints)
     for new, old in PAIRS:
-        assert outcome(new, catalog, building, constraints) == outcome(
+        assert outcome(new, catalog, inline) == outcome(
             old, catalog, building, constraints), (new.__name__, building, constraints)
     for comp in building.components:
-        assert outcome(ic.defect, catalog, building, comp.id, constraints) == outcome(
+        assert outcome(ic.defect, catalog, inline, comp.id) == outcome(
             support.reference_defect, catalog, building, comp.id, constraints), comp.id
 
 
@@ -314,14 +317,20 @@ class TestEndsOracle:
             assert_same_as_reference(cat, building, constraints)
 
     def test_rejected_constraint_maps(self, cat):
+        # set_constraints rejects each map with the class the per-function
+        # formulas raised for it; the old defect ignored such keys, a behaviour
+        # of the override map alone, so it is not compared here
         b = Building(components=(Component("p", 0, (Puncture(1, RP),)),))
         for bad in ({("p", 1): 1.0}, {("p", 0): -1.0}):
-            assert_same_as_reference(cat, b, bad)
+            with pytest.raises(BuildingError):
+                set_constraints(b, bad)
+            for _, old in PAIRS:
+                assert outcome(old, cat, b, bad) == ("raised", BuildingError), old.__name__
 
     def test_signed_cut_rule(self, cat):
-        pos, neg = Puncture(1, RP), Puncture(-1, RP)
-        a = ic.End(cat, ("p", 0), pos, 2.0)
-        b = ic.End(cat, ("n", 0), neg, 2.0)
+        pos, neg = Puncture(1, RP, 2.0), Puncture(-1, RP, 2.0)
+        a = ic.End(cat, ("p", 0), pos)
+        b = ic.End(cat, ("n", 0), neg)
         assert (a.cut, b.cut) == (-2.0, 2.0)
         assert a.extremal == cat.alpha(RP, -2.0, "minus")
         assert b.extremal == cat.alpha(RP, 2.0, "plus")
@@ -381,9 +390,8 @@ class TestEndsQueries:
             real = getattr(Catalog, name)
             monkeypatch.setattr(Catalog, name, lambda self, *a, _real=real, _name=name: (
                 calls.update([_name]) or _real(self, *a)))
-        real_resolve = ic.resolve_constraints
-        monkeypatch.setattr(ic, "resolve_constraints",
-                            lambda *a: calls.update(["resolve"]) or real_resolve(*a))
+        real_ends = ic.ends
+        monkeypatch.setattr(ic, "ends", lambda *a: calls.update(["ends"]) or real_ends(*a))
         ic.index_report(cat, building)
         ends = len(building.external_sites()) + sum(len(c.punctures) for c in building.components)
-        assert calls == Counter(cz_index=ends, alpha=ends, resolve=1)
+        assert calls == Counter(cz_index=ends, alpha=ends, ends=1 + len(building.components))

@@ -48,6 +48,14 @@ COVER = ("orbits", 0, "model", "covers", "1")
 MAIN_BOT = ("components", 2)  # nontrivial, with image_class and windings
 END = MAIN_BOT + ("punctures", 0)
 NAN = float("nan")
+CAT_ORBITS = json.loads((FIXTURES / CAT).read_text())["orbits"]
+TAB_ORBITS = json.loads((FIXTURES / TAB).read_text())["orbits"]
+#: cover 1 of the table fixture without its winding-1 class
+GAP = [row for row in TAB_ORBITS[0]["model"]["covers"]["1"] if row[1] != 1]
+#: a table-mode orbit whose cover 1 is even: winding 0 has one eigenvalue on
+#: each side of 0
+EVEN_TAB = {"id": "even_tab", "period": 1.0, "model": {"type": "table", "covers": {
+    "1": [[-5.0, -1, 2], [-1.0, 0, 1], [1.0, 0, 1], [5.0, 1, 2]]}}}
 #: nesting depth of the too-deep documents, far past the reader's recursion limit
 DEEP = 200_000
 
@@ -112,6 +120,19 @@ CASES = [
      2, "error: {bad}.orbits[0].model.covers['1'][0][0]: expected a number\n"),
     ("tab-hyperbolic-null", TAB, ORBIT + ("hyperbolic",), None,
      0, ""),
+    ("tab-winding-gap", TAB, COVER, GAP,
+     2, "error: {bad}.orbits[0].model.covers['1']: no eigenvalue has winding 1"
+        " between windings -2 and 2; the kept windings must be one run\n"),
+    # the audit of the whole catalog
+    ("tab-even-unflagged", TAB, ("orbits",), TAB_ORBITS + [EVEN_TAB],
+     2, "error: {bad}: orbit 'even_tab' is table-mode without a 'hyperbolic' flag\n"),
+    ("tab-even-elliptic", TAB, ("orbits",), TAB_ORBITS + [dict(EVEN_TAB, hyperbolic=False)],
+     2, "error: {bad}: orbit 'even_tab' is even but not hyperbolic;"
+        " even orbits are always hyperbolic\n"),
+    ("tab-even-hyperbolic", TAB, ("orbits",), TAB_ORBITS + [dict(EVEN_TAB, hyperbolic=True)],
+     0, ""),
+    ("cat-orbit-twice", CAT, ("orbits",), CAT_ORBITS + CAT_ORBITS[:1],
+     2, "error: {bad}: duplicate orbit id 'hyp_even'\n"),
     # building files
     ("fig3-root-string", FIG3, (), "building",
      2, "error: {bad}: expected an object\n"),
