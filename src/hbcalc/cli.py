@@ -526,6 +526,10 @@ def _cmd_spectrum(args) -> int:
         table = catalog.spectrum_of(ref, args.window, args.grid)
     except UnknownOrbitError as exc:
         raise InputError(f"--orbit: {exc} (not in catalog {args.catalog})") from exc
+    except CatalogError as exc:  # a table-mode orbit rejects a grid before anything else
+        if args.grid is not None and not catalog.orbit(ref.simple).is_flow:
+            raise InputError(f"--grid: {exc}") from exc
+        raise
     if args.json:
         payload = {
             "format": FORMAT_VERSION,

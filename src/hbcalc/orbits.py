@@ -4,7 +4,10 @@ Orbits are user-declared models: either a flow loop (the coefficient loop of
 the asymptotic operator, from which spectra are computed on demand) or
 explicit spectral tables listed per cover.  The catalog is immutable after
 construction and caches computed tables, so all queries are cheap and safe
-for concurrent readers.
+for concurrent readers.  It also keeps its last cover solve (the Bloch
+eigenpairs of one gamma^k, k >= 2, on its default grid, with the windings read
+so far): a wider window that keeps the grid only audits that solve again, so
+each cover is solved once per grid.
 
 For a cover gamma^k with a signed spectral cut t (nondegenerate), the
 extremal winding numbers are
@@ -108,6 +111,7 @@ class Catalog:
         self._monodromy: dict[tuple[str, int], np.ndarray] = {}
         self._summaries: dict[tuple[str, int, float], SpectralSummary] = {}
         self._alphas: dict[tuple[str, int, float, str], int] = {}
+        self._held: list = [None]  # the last cover solve (spectrum_from_loop's `held`)
         self._audit()
 
     def __contains__(self, orbit_id: str) -> bool:
@@ -133,9 +137,10 @@ class Catalog:
     def _compute_flow_table(self, orbit: SimpleOrbit, k: int, window: float,
                             grid: int | None) -> SpectralTable:
         loop = orbit.model
-        if grid is None and k > 1:  # the Bloch blocks of the cover
-            table = spectrum_from_loop(loop, window, cover=k)
+        if grid is None and k > 1:  # the Bloch blocks of the cover, solved once per grid
+            table = spectrum_from_loop(loop, window, cover=k, held=self._held)
         else:  # k = 1 or an explicit grid: one dense solve
+            self._held[0] = None  # keep one decomposition alive at a time
             n = grid if grid is not None else default_grid(loop.n, k, window, loop.strength())
             check_grid_budget(n)  # before loop.cover samples n points
             table = spectrum_from_loop(loop.cover(k, grid=n), window, grid=n)
@@ -159,10 +164,14 @@ class Catalog:
         """Spectral table of gamma^k trusted on [-window, window].
 
         Flow models are solved and cached (the cache keeps the widest table
-        per cover); table models are clipped to the request and cannot grow.
+        per cover); table models are clipped to the request and cannot grow,
+        and take no grid.
         """
         orbit = self.orbit(ref.simple)
         if not orbit.is_flow:
+            if grid is not None:
+                raise CatalogError(f"orbit {ref.simple!r} is table-mode: its tables are "
+                                   f"stored, not solved on a grid")
             stored = self._stored_table(orbit, ref)
             if window > stored.window:
                 raise SpectralResolutionError(

@@ -44,6 +44,11 @@ SpectralResolutionError.  An explicit grid names a
 dense discretization, so loop.cover(k) with a grid stays dense; the catalog
 uses that route for explicit grids, and the tests use it as the oracle.
 
+A caller may keep the last solve in a one-slot list (spectrum_from_loop's
+`held`): the catalog keeps its last cover solve and audits it again for each
+window on the same grid, reading windings only for eigenfunctions that the
+wider scan adds, so the table is the one a fresh solve gives, bit for bit.
+
 An independent route to the Conley-Zehnder index integrates the linearized
 flow  Psi' = J0 S(t) Psi  and classifies the swept angles
 (crossing-form/rotation-number computation); it never touches the
@@ -477,6 +482,7 @@ def spectrum_from_loop(
     window: float,
     grid: int | None = None,
     cover: int = 1,
+    held: list | None = None,
 ) -> SpectralTable:
     """Windowed spectral table of the operator defined by a coefficient loop.
 
@@ -489,6 +495,12 @@ def spectrum_from_loop(
     that the window cuts at its edges and raises SpectralResolutionError when
     the interior of the window is not resolved (too-coarse grid, inconsistent
     windings, gaps in the winding run, a winding off its Bloch block).
+
+    `held` is an optional one-slot list owned by the caller, [None] or the last
+    solve.  A solve of the same loop object, cover and grid is reused: only the
+    window's audit runs again, and it reads windings only for eigenfunctions
+    that no earlier window of that solve scanned.  Any other request empties
+    the slot before it solves, so at most one solve is kept.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
@@ -504,8 +516,15 @@ def spectrum_from_loop(
     else:
         n = grid
     check_grid_budget(n)
-    vals, blocks, points = _bloch_eigenpairs(loop, cover, n)
-    return _audited_table(vals, blocks, points, cover, window, cover * strength, n)
+    held = [None] if held is None else held
+    solve = held[0]  # read once: another reader may replace it meanwhile
+    if solve is None or solve[0] is not loop or solve[1:3] != (cover, n):
+        held[0] = None  # free the kept solve before making another
+        vals, blocks, points = _bloch_eigenpairs(loop, cover, n)
+        # windings read so far: turns, and fault codes with -1 for "not read"
+        held[0] = solve = (loop, cover, n, (vals, blocks, points),
+                           (np.empty(len(vals)), np.full(len(vals), -1)))
+    return _audited_table(*solve[3], cover, window, cover * strength, n, solve[4])
 
 
 def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
@@ -555,12 +574,14 @@ def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
 
 
 def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
-                   n: int) -> SpectralTable:
+                   n: int, read) -> SpectralTable:
     """Read windings off the eigenfunctions, cluster and audit them into a table.
 
     `vals` are sorted eigenvalues, `blocks[i]` the Bloch block of entry i of a
     k-fold cover and `points(idx)` the real eigenfunctions of the entries
     `idx`; `strength` bounds the coefficient loop and `n` is the reported grid.
+    `read` is (turns, faults) of every entry, fault -1 where not yet read;
+    the scan reads the missing ones and fills them in.
     """
     scan = window + 2.0 * strength + 8.0
     tol = CLUSTER_TOL * max(1.0, window)
@@ -568,15 +589,15 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     lo = int(np.searchsorted(vals, -scan, side="left"))
     hi = int(np.searchsorted(vals, scan, side="right"))
     lams = vals[lo:hi].tolist()
-    turns: list[float] = []
-    faults: list[int] = []
+    turns, faults = read
+    missing = lo + np.flatnonzero(faults[lo:hi] < 0)
     step = max(1, WINDING_BATCH_POINTS // (len(vals) // 2))  # len(vals) / 2 points a loop
-    for start in range(lo, hi, step):
-        batch_turns, batch_faults = _windings(points(np.arange(start, min(start + step, hi))))
-        turns += batch_turns.tolist()
-        faults += batch_faults.tolist()
+    for start in range(0, len(missing), step):
+        idx = missing[start : start + step]
+        turns[idx], faults[idx] = _windings(points(idx))  # faults last: they mark the read
     winds: list[int | None] = []
-    for lam, j, total, fault in zip(lams, blocks[lo:hi].tolist(), turns, faults):
+    for lam, j, total, fault in zip(lams, blocks[lo:hi].tolist(), turns[lo:hi].tolist(),
+                                    faults[lo:hi].tolist()):
         if fault:
             if abs(lam) <= window:
                 raise SpectralResolutionError(

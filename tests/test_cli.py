@@ -220,6 +220,14 @@ class TestGridFlag:
         assert (code, out) == (2, "")
         assert err == f"error: --grid must be odd and >= 3, got {grid}\n"
 
+    def test_grid_on_a_table_mode_orbit_is_rejected(self, capsys):
+        # stored tables have no grid; the flag was once ignored and printed grid 0
+        code, out, err = run(capsys, "spectrum", "--catalog", str(FIXTURES / "catalog_table.json"),
+                             "--orbit", "rot_tab", "--window", "10", "--grid", "101")
+        assert (code, out) == (2, "")
+        assert err == ("error: --grid: orbit 'rot_tab' is table-mode: its tables are stored, "
+                       "not solved on a grid\n")
+
 
 class TestBuildingErrorPaths:
     """Structural errors of a building file cite the JSON path of the field."""

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -315,6 +317,90 @@ class TestBlochRoute:
             # eigenvector are two orthogonal eigenfunctions, not one read twice
             basis /= np.linalg.norm(basis, axis=1)[:, None]
             assert np.allclose(basis @ basis.T, np.eye(len(inside)), atol=1e-8)
+
+    def test_each_cover_is_solved_once_per_grid(self, monkeypatch):
+        # windows 10, 40 and 100 and cz_index's window keep hyp2^16 on grid 529:
+        # one solve of its k//2 + 1 blocks, and the same tables as fresh solves
+        fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        orbits = [fixture.orbit(i) for i in fixture.ids()]
+        ref, windows = OrbitRef("hyp2", 16), (10.0, 40.0, 100.0)
+        fresh = [Catalog(orbits).table(ref, w) for w in windows]
+        fresh_cz = Catalog(orbits).cz_index(ref)
+        catalog = Catalog(orbits)
+        dims = []
+        real = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            dims.append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        tables = [catalog.spectrum_of(ref, w) for w in windows]
+        assert catalog.cz_index(ref) == fresh_cz
+        assert {t.grid for t in tables} == {529}
+        assert len(dims) == 16 // 2 + 1
+        assert tables == fresh
+
+    def test_one_cover_solve_is_kept(self, monkeypatch, table_catalog):
+        catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        solves = []
+        real = spectral._bloch_eigenpairs
+
+        def pairs(loop, k, n):
+            assert catalog._held == [None]  # the kept solve is freed first
+            solves.append((k, n))
+            return real(loop, k, n)
+
+        monkeypatch.setattr(spectral, "_bloch_eigenpairs", pairs)
+        a, b = OrbitRef("hyp2", 3), OrbitRef("rot_p", 5)
+        for window in (10.0, 11.0):  # the same grid at both windows
+            catalog.table(a, window)
+            catalog.table(b, window)
+        assert solves == [(3, 99), (5, 165)] * 2
+        assert catalog._held != [None]
+        # explicit grids and simple covers solve densely and keep nothing
+        catalog.spectrum_of(a, 10.0, grid=151)
+        assert catalog._held == [None]
+        catalog.table(OrbitRef("rot_p", 2), 10.0)
+        assert catalog._held != [None]
+        catalog.cz_index(OrbitRef("rot_m", 1), -2.0)  # grows the simple orbit's table
+        assert solves[-1][0] == 1 and catalog._held == [None]
+        # table-mode orbits solve nothing and take no grid
+        table_catalog.cz_index(OrbitRef("rot_tab", 2))
+        table_catalog.spectrum_of(OrbitRef("rot_tab", 2), 10.0)
+        assert table_catalog._held == [None]
+        with pytest.raises(CatalogError, match="table-mode"):
+            table_catalog.spectrum_of(OrbitRef("rot_tab"), 10.0, grid=101)
+
+    def test_concurrent_readers_share_the_kept_solve(self):
+        # four threads grow the windows of four covers on one catalog, so they
+        # keep replacing each other's kept solve; each table must still be the
+        # one a fresh catalog solves for that window alone
+        fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        orbits = [fixture.orbit(i) for i in fixture.ids()]
+        refs = [OrbitRef("hyp2", 16), OrbitRef("rot_p", 5), OrbitRef("hyp_even", 8),
+                OrbitRef("rot_m", 3)]
+        windows = (10.0, 20.0, 30.0, 40.0)
+        want = {(ref, w): Catalog(orbits).table(ref, w) for ref in refs for w in windows}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(2):
+                catalog, got = Catalog(orbits), {}
+
+                def grow(ref):
+                    for w in windows:
+                        got[ref, w] = catalog.table(ref, w)
+
+                threads = [threading.Thread(target=grow, args=(ref,)) for ref in refs]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_cover_and_grid_are_exclusive(self):
         loop = rotating_axis_loop(1)

@@ -214,21 +214,36 @@ class TestBatchedWindings:
         assert batched_outcomes(batch) == want
         assert {f for _, f in want} == {0, spectral.COARSE_STEP}
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_batches_of_a_bounded_size_read_the_same_table(self, k, monkeypatch):
+    @pytest.mark.parametrize("k, held_window", [(1, None), (3, None), (5, 10.0)],
+                             ids=["1", "3", "5-held-10"])
+    def test_batches_of_a_bounded_size_read_the_same_table(self, k, held_window, monkeypatch):
+        # with held_window, the window-40 table reuses a held solve on the same
+        # grid and reads only the loops that its wider scan adds
         loop = rotating_axis_loop(1)
-        whole = spectrum_from_loop(loop, 40.0, cover=k)
-        sizes = []
+        sizes, loops = [], []
         real_windings = spectral._windings
 
         def windings(pts):
             sizes.append(pts.shape[0] * pts.shape[1])
+            loops.extend(p.tobytes() for p in pts)
             return real_windings(pts)
 
         monkeypatch.setattr(spectral, "_windings", windings)
+        held = [None]
+        if held_window is not None:
+            spectrum_from_loop(loop, held_window, cover=k, held=held)
+        solve, read_before = held[0], loops[:]
+        loops.clear()
+        whole = spectrum_from_loop(loop, 40.0, cover=k)
+        read_fresh = loops[:]
+        loops.clear()
+        sizes.clear()
         monkeypatch.setattr(spectral, "WINDING_BATCH_POINTS", 500)
-        assert spectrum_from_loop(loop, 40.0, cover=k).entries == whole.entries
+        assert spectrum_from_loop(loop, 40.0, cover=k, held=held) == whole
         assert len(sizes) > 1 and max(sizes) <= 500
+        assert held[0] is not None and (solve is None or held[0] is solve)
+        assert set(loops).isdisjoint(read_before)
+        assert sorted(read_before + loops) == sorted(read_fresh)
 
 
 class TestRotationSpectrum:

@@ -10,8 +10,11 @@ k >= 2) and a DenseCoverCatalog (one dense solve of loop.cover(k, grid=n) on
 the same default grid n) for the tables at each window, then cz_index, alpha
 on both sides of the cut 0 and is_bad.  Rows (winding, multiplicity), grids,
 invariants and exception classes must be identical and eigenvalues within
-CLUSTER_TOL * window.  Prints one summary line per corpus and exits 1 on any
-difference.  The trig corpus solves dense problems of dimension up to 3218;
+CLUSTER_TOL * window.  The Catalog keeps its last cover solve and re-audits it
+while a growing window keeps the grid, so each of its tables must also be
+identical, bit for bit, to the table a fresh Catalog returns for that window
+alone.  Prints one summary line per corpus, with the cover solves and the
+tables that reused one, and exits 1 on any difference.  The trig corpus solves dense problems of dimension up to 3218;
 the whole sweep takes minutes with one BLAS thread.
 """
 
@@ -36,37 +39,51 @@ from support import (  # noqa: E402
 
 
 class AuditCounter:
-    """Counts the windings read from Bloch eigenfunctions of covers k >= 2,
-    each of which passed the block-index audit when the table was returned.
-    A table reads its windings in batches, so each batch adds its size."""
+    """Counts, for covers k >= 2, the Bloch solves, the tables audited (a table
+    that audits a kept solve again reuses it) and the windings read from Bloch
+    eigenfunctions, each of which passed the block-index audit when the table
+    was returned.  A table reads its windings in batches, so each batch adds
+    its size."""
 
     def __init__(self):
         self.cover = 1
-        self.read = 0
-        real_pairs, real_windings = spectral._bloch_eigenpairs, spectral._windings
+        self.read = self.solves = self.tables = 0
+        real_pairs, real_audit = spectral._bloch_eigenpairs, spectral._audited_table
+        real_windings = spectral._windings
 
         def pairs(loop, k, n):
-            self.cover = k
+            self.solves += k > 1
             return real_pairs(loop, k, n)
+
+        def audit(vals, blocks, points, k, *args):
+            self.cover = k
+            self.tables += k > 1
+            return real_audit(vals, blocks, points, k, *args)
 
         def windings(pts):
             if self.cover > 1:
                 self.read += len(pts)
             return real_windings(pts)
 
-        spectral._bloch_eigenpairs, spectral._windings = pairs, windings
+        spectral._bloch_eigenpairs, spectral._audited_table = pairs, audit
+        spectral._windings = windings
+
+    def counts(self) -> tuple[int, int, int]:
+        return self.solves, self.tables, self.read
 
 
 def sweep(name, orbits, covers, windows, audit) -> int:
-    start, read = time.perf_counter(), audit.read
+    start, before = time.perf_counter(), audit.counts()
     bloch, dense = Catalog(orbits), DenseCoverCatalog(orbits)
     cases = rows = failures = 0
     worst = 0.0
     raised: dict[str, int] = {}
+    asked: list[tuple] = []
     for orbit in orbits:
         for k in covers:
             ref = OrbitRef(orbit.id, k)
             got = cover_outcomes(bloch, ref, windows)
+            asked.append((orbit, ref, got))
             want = cover_outcomes(dense, ref, windows)
             for problem in outcome_differences(got, want):
                 failures += 1
@@ -79,11 +96,19 @@ def sweep(name, orbits, covers, windows, audit) -> int:
                     rows += len(a[0])
                     gap = max(abs(x - y) for x, y in zip(a[2], b[2]))
                     worst = max(worst, gap / (spectral.CLUSTER_TOL * query[1]))
+    solves, tables, read = (b - a for a, b in zip(before, audit.counts()))
+    for orbit, ref, got in asked:  # the tables of windows asked in ascending order
+        for i, window in enumerate(windows):
+            if cover_outcomes(Catalog([orbit]), ref, (window,), invariants=False) != got[i:i + 1]:
+                failures += 1
+                print(f"DIFF {ref.simple}^{ref.k} window {window}: not the table of a fresh "
+                      "Catalog")
     print(f"{name}: {len(orbits)} orbits x covers {covers[0]}..{covers[-1]} "
           f"({len(covers)}) x windows {list(windows)}: {cases} queries, {rows} table rows, "
-          f"raised {dict(sorted(raised.items()))}, {audit.read - read} Bloch windings "
-          f"audited, worst eigenvalue gap {worst:.2e} of CLUSTER_TOL * window, "
-          f"{failures} differences, {time.perf_counter() - start:.0f} s")
+          f"raised {dict(sorted(raised.items()))}, {solves} Bloch solves, {tables - solves} "
+          f"tables reusing one, {read} Bloch windings audited, worst eigenvalue gap "
+          f"{worst:.2e} of CLUSTER_TOL * window, {failures} differences, "
+          f"{time.perf_counter() - start:.0f} s")
     return failures
 
 
@@ -96,7 +121,8 @@ def main() -> int:
     loops = [nondegenerate_trig_loop(rng, n=201) for _ in range(20)]
     orbits = [SimpleOrbit(f"trig{i}", 1.0, loop) for i, loop in enumerate(loops)]
     failures += sweep("trig corpus", orbits, (2, 3, 4, 5, 8), (10.0, 40.0), audit)
-    print("cover route sweep:", "FAILED" if failures else "identical to the dense oracle")
+    print("cover route sweep:", "FAILED" if failures else
+          "identical to the dense oracle and to fresh catalogs")
     return 1 if failures else 0
 
 
