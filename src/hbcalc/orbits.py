@@ -7,7 +7,10 @@ construction and caches computed tables, so all queries are cheap and safe
 for concurrent readers.  It also keeps its last cover solve (the Bloch
 eigenpairs of one gamma^k, k >= 2, on its default grid, with the windings read
 so far): a wider window that keeps the grid only audits that solve again, so
-each cover is solved once per grid.
+each cover is solved once per grid.  Likewise it keeps one crossing record
+per flow orbit (the one-period part of cz_crossing: the monodromy P, its
+trace and what the swept angles give), so the crossing-form indices of all
+covers gamma^k of an orbit take one integration of its flow.
 
 For a cover gamma^k with a signed spectral cut t (nondegenerate), the
 extremal winding numbers are
@@ -108,10 +111,12 @@ class Catalog:
             seen[orbit.id] = orbit
         self._orbits = seen
         self._tables: dict[tuple[str, int], SpectralTable] = {}
-        self._monodromy: dict[tuple[str, int], np.ndarray] = {}
+        self._monodromy: dict[str, np.ndarray] = {}
         self._summaries: dict[tuple[str, int, float], SpectralSummary] = {}
         self._alphas: dict[tuple[str, int, float, str], int] = {}
         self._held: list = [None]  # the last cover solve (spectrum_from_loop's `held`)
+        # each flow model with a slot for its crossing record (FlowLoop.holding)
+        self._crossing = {o.id: o.model.holding() for o in seen.values() if o.is_flow}
         self._audit()
 
     def __contains__(self, orbit_id: str) -> bool:
@@ -286,11 +291,10 @@ class Catalog:
                     f"orbit {orbit_id!r} is table-mode without a 'hyperbolic' flag"
                 )
             return orbit.hyperbolic
-        key = (orbit_id, 1)
-        p = self._monodromy.get(key)
+        p = self._monodromy.get(orbit_id)
         if p is None:
             p = monodromy(orbit.model)
-            self._monodromy[key] = p
+            self._monodromy[orbit_id] = p
         tr = abs(float(np.trace(p)))
         if abs(tr - 2.0) <= 1e-9:
             raise CatalogError(f"orbit {orbit_id!r} has borderline monodromy trace {tr}")
@@ -308,11 +312,14 @@ class Catalog:
         )
 
     def cz_via_crossing(self, ref: OrbitRef) -> int:
-        """Crossing-form route to the Conley-Zehnder index (flow models only)."""
+        """Crossing-form route to the Conley-Zehnder index (flow models only).
+
+        Every cover of an orbit is served from one integration of its flow.
+        """
         orbit = self.orbit(ref.simple)
         if not orbit.is_flow:
             raise CatalogError(f"orbit {ref.simple!r} has no flow model")
-        return cz_crossing(orbit.model, ref.k)
+        return cz_crossing(self._crossing[ref.simple], ref.k)
 
     # --- audits ----------------------------------------------------------
 

@@ -71,7 +71,12 @@ for Symplectic Paths with Applications, 2002): a hyperbolic P gives k times
 the index of one period; an elliptic P has rotation number rho = m + theta,
 with m the common floor of the one-period sweeps and P conjugate to the
 rotation by 2 pi theta, so the index is 2 floor(k rho) + 1 and the cover is
-degenerate exactly when k rho is an integer.
+degenerate exactly when k rho is an integer.  cz_crossing is split the same
+way: a one-period record (P, tr P, and the index of one period or rho, or the
+error of a failed sweep check) and a per-cover part (RK4 budget, eigenvalue 1
+of P^k, Bott's formula).  A loop from loop.holding() keeps the record in a
+one-slot list of its own, so its covers integrate once; the catalog holds one
+such loop per flow orbit.
 
 All integers produced here are relative to the trivialization implicit in
 the flow-loop coordinates; only comparisons made in one consistent
@@ -134,7 +139,7 @@ class FlowLoop:
     scheme needs it) and every sample symmetric to 1e-12.
     """
 
-    __slots__ = ("samples", "period")
+    __slots__ = ("samples", "period", "_strength", "_held")
 
     def __init__(self, samples, period: float = 1.0):
         arr = _as_samples(samples)
@@ -155,7 +160,12 @@ class FlowLoop:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "period", float(period))
-        if not math.isfinite(self.strength()):
+        object.__setattr__(self, "_held", None)
+        a, b, c = arr[:, 0, 0], arr[:, 0, 1], arr[:, 1, 1]
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            radius = np.abs(a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b**2)
+        object.__setattr__(self, "_strength", float(np.max(radius)))
+        if not math.isfinite(self._strength):
             raise ValueError("coefficient samples must have a finite spectral norm (it overflows)")
 
     def __setattr__(self, name, value):
@@ -188,12 +198,18 @@ class FlowLoop:
 
     def strength(self) -> float:
         """Max spectral norm over the samples (used for windows and step sizes)."""
-        a = self.samples[:, 0, 0]
-        b = self.samples[:, 0, 1]
-        c = self.samples[:, 1, 1]
-        with np.errstate(over="ignore"):  # an overflow is rejected on construction
-            radius = np.abs(a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b**2)
-        return float(np.max(radius))
+        return self._strength
+
+    def holding(self) -> "FlowLoop":
+        """This loop (the same samples) with a one-slot list of its own, in which
+        cz_crossing keeps its one-period record: every cover asked of the
+        returned loop is served from one integration of the flow.  The loop
+        itself keeps nothing, so its own cz_crossing calls integrate afresh."""
+        view = object.__new__(FlowLoop)
+        for name in ("samples", "period", "_strength"):
+            object.__setattr__(view, name, getattr(self, name))
+        object.__setattr__(view, "_held", [None])
+        return view
 
     def value_at(self, ts) -> np.ndarray:
         """Trigonometric interpolation of the samples at times ts (mod 1).
@@ -278,7 +294,8 @@ def _windings(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x, y = pts[..., 0], pts[..., 1]
     norms = np.hypot(x, y)
     zero = np.min(norms, axis=1) <= 1e-13 * np.maximum(1.0, np.max(norms, axis=1))
-    nx, ny = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    nx = np.concatenate((x[:, 1:], x[:, :1]), axis=1)
+    ny = np.concatenate((y[:, 1:], y[:, :1]), axis=1)
     steps = np.arctan2(x * ny - y * nx, x * nx + y * ny)
     coarse = np.max(np.abs(steps), axis=1) >= MAX_STEP_ANGLE
     turns = np.sum(steps, axis=1) / (2 * math.pi)
@@ -337,9 +354,16 @@ def build_operator(loop: FlowLoop) -> np.ndarray:
     """
     n = loop.n
     d = fourier_diff_matrix(n)
-    a = -np.kron(d, J0)
-    for i in range(n):
-        a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] -= loop.samples[i]
+    a = np.empty((2 * n, 2 * n))
+    # the entries of -kron(D, J0), zeros signed as that product signs them
+    a[0::2, 1::2] = d
+    np.negative(d, out=a[1::2, 0::2])
+    a[0::2, 0::2] = a[1::2, 1::2] = d * -0.0
+    # entry (r, c) of the diagonal block of sample i is flat[i (4n + 2) + 2n r + c]
+    flat = a.reshape(-1)
+    for r in (0, 1):
+        for c in (0, 1):
+            flat[2 * n * r + c :: 4 * n + 2] -= loop.samples[:, r, c]
     return a
 
 
@@ -621,11 +645,9 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     # cluster scanned eigenvalues (runs of gaps <= tol) into
     # (eigenvalue, winding, multiplicity)
     cuts = (np.flatnonzero(np.diff(vals[lo:hi]) > tol) + 1).tolist()
-    ends = cuts + [len(lams)] if lams else []
+    starts, ends = ([0] + cuts, cuts + [len(lams)]) if lams else ([], [])
     cluster_data = []
-    for start, end in zip([0] + cuts, ends):
-        members = lams[start:end]
-        mean = float(np.mean(members))
+    for start, end, mean in zip(starts, ends, _cluster_means(vals[lo:hi], starts, ends)):
         known = {w for w in winds[start:end] if w is not None}
         if len(known) > 1:
             if abs(mean) <= window:
@@ -635,7 +657,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
                 )
             known = set()
         w = known.pop() if known else None
-        cluster_data.append((mean, w, len(members)))
+        cluster_data.append((mean, w, end - start))
 
     # winding monotonicity across the known part of the scan
     last = None
@@ -692,6 +714,19 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     return table
 
 
+def _cluster_means(vals: np.ndarray, starts: list[int], ends: list[int]) -> list[float]:
+    """np.mean of each cluster vals[start:end], bit for bit, in one reduction.
+
+    np.mean adds a cluster's members pairwise onto 0.0 and divides by its
+    size; np.add.reduceat would start from the first member instead, so a 0.0
+    goes in front of each cluster.
+    """
+    if not starts:
+        return []
+    sums = np.add.reduceat(np.insert(vals, starts, 0.0), np.arange(len(starts)) + starts)
+    return (sums / np.subtract(ends, starts)).tolist()
+
+
 # --- linearized flow / crossing form --------------------------------------
 
 
@@ -703,20 +738,25 @@ def monodromy(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> np.nd
     return _integrate_frames(loop, cover, steps, keep_path=False)[-1]
 
 
-def _integrate_frames(
-    loop: FlowLoop, cover: int, steps: int | None, keep_path: bool
-) -> np.ndarray:
-    """The RK4 frames [I, Psi(h), ..., Psi(1) = P] of one period when
-    `keep_path`, else the stack of one matrix P**cover."""
+def _step_count(loop: FlowLoop, cover: int, steps: int | None) -> int:
+    """RK4 steps per period, once `cover` periods of them are within budget."""
     if cover < 1:
         raise ValueError(f"cover must be >= 1, got {cover}")
-    strength = loop.strength()
-    n_steps = steps or max(2048, 256 * int(math.ceil(strength + 1)))
+    n_steps = steps or max(2048, 256 * int(math.ceil(loop.strength() + 1)))
     if cover * n_steps > MAX_RK4_STEPS:
         raise SpectralResolutionError(
             f"cover {cover} needs {cover} x {n_steps} RK4 steps, above the budget of "
             f"{MAX_RK4_STEPS}"
         )
+    return n_steps
+
+
+def _integrate_frames(
+    loop: FlowLoop, cover: int, steps: int | None, keep_path: bool
+) -> np.ndarray:
+    """The RK4 frames [I, Psi(h), ..., Psi(1) = P] of one period when
+    `keep_path`, else the stack of one matrix P**cover."""
+    n_steps = _step_count(loop, cover, steps)
     h = 1.0 / n_steps
     # RK4 needs S on the half grid t = i h / 2, i = 0..2 n_steps, of one period
     s_half = _uniform_values(loop.samples, 2 * n_steps)
@@ -780,17 +820,61 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
     eigenvector, a negative hyperbolic one the odd index 2*floor(angle/2pi)+1,
     and either is multiplied by the cover; an elliptic P gives
     2*floor(cover*rho)+1 from its rotation number rho.
+
+    The one-period part (_one_period) does not depend on the cover.  A loop
+    from loop.holding() keeps it for its step count, so each further cover
+    only checks its RK4 budget, tests P**cover for the eigenvalue 1 and
+    applies Bott's formula; a failed sweep check is raised by every cover
+    after that test, as if the path were swept again.
     """
-    path = _integrate_frames(loop, cover, steps, keep_path=True)
-    p = path[-1]
-    tr_cover = float(np.trace(np.linalg.matrix_power(p, cover)))
-    # symplectic 2x2: det(P - 1) = 2 - tr, so eigenvalue 1 means tr = 2
-    if abs(tr_cover - 2.0) <= 1e-9 * max(1.0, abs(tr_cover)):
+    n_steps = _step_count(loop, cover, steps)
+    held = loop._held or [None]
+    record = held[0]  # read once: another reader may replace it meanwhile
+    if record is None or record[0] != n_steps:
+        held[0] = record = _one_period(loop, n_steps)
+    _, p, tr, value, error = record
+    with np.errstate(over="ignore", invalid="ignore"):  # P**cover of a hyperbolic P may overflow
+        tr_cover = float(np.trace(np.linalg.matrix_power(p, cover)))
+    # symplectic 2x2: det(P - 1) = 2 - tr, so eigenvalue 1 means tr = 2; no
+    # power of a hyperbolic P has it, so an overflowing trace needs no test
+    overflow = math.isfinite(tr) and abs(tr) > 2.0 and not math.isfinite(tr_cover)
+    if not overflow and abs(tr_cover - 2.0) <= 1e-9 * max(1.0, abs(tr_cover)):
         raise DegenerateThresholdError(
             f"monodromy has eigenvalue 1 within tolerance (trace {tr_cover!r}); "
             "the orbit is degenerate"
         )
+    if error is not None:
+        raise error[0](*error[1])
+    if tr > 2.0 or tr < -2.0:  # hyperbolic: the index of one period, times the cover
+        return cover * value
+    turns = cover * value
+    if abs(turns - round(turns)) < 1e-6:
+        raise DegenerateThresholdError(
+            "a swept angle is numerically an integer multiple of 2 pi while the "
+            "monodromy is not positive hyperbolic; the orbit is near-degenerate"
+        )
+    return 2 * math.floor(turns) + 1
+
+
+def _one_period(loop: FlowLoop, n_steps: int) -> tuple:
+    """cz_crossing's record of one period: (n_steps, P, tr P, value, error).
+
+    `value` is the index of one period for a hyperbolic P and the rotation
+    number for an elliptic one; `error` is None, or the class and arguments of
+    the exception a sweep check raised, and then `value` is None.
+    """
+    path = _integrate_frames(loop, 1, n_steps, keep_path=True)
+    p = path[-1]
     tr = float(np.trace(p))
+    try:
+        return (n_steps, p, tr, _classify(path, p, tr), None)
+    except (SpectralResolutionError, np.linalg.LinAlgError) as exc:  # eig of an overflowed P
+        return (n_steps, p, tr, None, (type(exc), exc.args))
+
+
+def _classify(path: np.ndarray, p: np.ndarray, tr: float):
+    """The index of one period of a hyperbolic P, or the rotation number of an
+    elliptic P, from the angles swept along the one-period path."""
     if tr > 2.0:
         # positive hyperbolic: eigenvectors sweep an exact multiple of 2 pi
         evals, evecs = np.linalg.eig(p)
@@ -806,7 +890,7 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
                 f"eigenvector sweeps {sweeps} are not a clean integer; "
                 "increase the step count"
             )
-        return cover * 2 * int(rounded[0])
+        return 2 * int(rounded[0])
     angles = np.arange(16) * (math.pi / 16)
     dirs = np.vstack([np.cos(angles), np.sin(angles)])
     floors = np.floor(_swept_angles(path, dirs) / (2 * math.pi)).astype(int)
@@ -816,15 +900,9 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
             "insufficient step count"
         )
     if tr < -2.0:  # negative hyperbolic
-        return cover * (2 * int(floors[0]) + 1)
+        return 2 * int(floors[0]) + 1
     # elliptic: P turns z by 2 pi theta, counterclockwise when det[z, P z] > 0
     theta = math.acos(tr / 2) / (2 * math.pi)
     if p[1, 0] < 0:  # det[e1, P e1]
         theta = 1.0 - theta
-    turns = cover * (int(floors[0]) + theta)
-    if abs(turns - round(turns)) < 1e-6:
-        raise DegenerateThresholdError(
-            "a swept angle is numerically an integer multiple of 2 pi while the "
-            "monodromy is not positive hyperbolic; the orbit is near-degenerate"
-        )
-    return 2 * math.floor(turns) + 1
+    return int(floors[0]) + theta

@@ -42,6 +42,7 @@ from hbcalc.index_calculus import (
     DefectReport,
     IndexReport,
 )
+from hbcalc import spectral
 from hbcalc.orbits import Catalog, OrbitRef
 from hbcalc.spectral import (
     CLUSTER_TOL,
@@ -50,6 +51,7 @@ from hbcalc.spectral import (
     WINDING_GUARD,
     FlowLoop,
     default_grid,
+    fourier_diff_matrix,
     monodromy,
     spectrum_from_loop,
 )
@@ -309,6 +311,90 @@ def reference_winding(points) -> int:
             "increase the grid"
         )
     return int(nearest)
+
+
+# --- operator build and cluster means references ----------------------------
+
+
+def reference_build_operator(loop: FlowLoop) -> np.ndarray:
+    """-D (x) J0 - blockdiag(S(t_j)) as a Kronecker product and one subtraction
+    per sample: the oracle for ``hbcalc.spectral.build_operator``, which must
+    give the same bytes, signed zeros included."""
+    n = loop.n
+    a = -np.kron(fourier_diff_matrix(n), J0)
+    for i in range(n):
+        a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] -= loop.samples[i]
+    return a
+
+
+def reference_cluster_means(vals: np.ndarray, starts, ends) -> list[float]:
+    """np.mean of each cluster vals[start:end], one cluster at a time: the
+    oracle for ``hbcalc.spectral._cluster_means``."""
+    members = vals.tolist()
+    return [float(np.mean(members[start:end])) for start, end in zip(starts, ends)]
+
+
+# --- crossing-form reference ---------------------------------------------------
+
+
+def reference_cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int:
+    """cz_crossing as one call that integrates and sweeps its own period: the
+    oracle for the crossing record that ``hbcalc.spectral.cz_crossing`` keeps
+    on a held loop.  Every cover gives the same integer, or raises the same
+    exception class with the same message, except that a hyperbolic monodromy
+    whose power overflows is called degenerate here."""
+    path = spectral._integrate_frames(loop, cover, steps, keep_path=True)
+    p = path[-1]
+    tr_cover = float(np.trace(np.linalg.matrix_power(p, cover)))
+    if abs(tr_cover - 2.0) <= 1e-9 * max(1.0, abs(tr_cover)):
+        raise DegenerateThresholdError(
+            f"monodromy has eigenvalue 1 within tolerance (trace {tr_cover!r}); "
+            "the orbit is degenerate"
+        )
+    tr = float(np.trace(p))
+    if tr > 2.0:
+        evals, evecs = np.linalg.eig(p)
+        order = np.argsort(-evals.real)
+        dirs = np.real(evecs[:, order])
+        dirs = dirs / np.linalg.norm(dirs, axis=0)
+        sweeps = spectral._swept_angles(path, dirs) / (2 * math.pi)
+        rounded = [round(x) for x in sweeps]
+        if any(abs(s - r) > WINDING_GUARD for s, r in zip(sweeps, rounded)) or (
+            rounded[0] != rounded[1]
+        ):
+            raise SpectralResolutionError(
+                f"eigenvector sweeps {sweeps} are not a clean integer; "
+                "increase the step count"
+            )
+        return cover * 2 * int(rounded[0])
+    angles = np.arange(16) * (math.pi / 16)
+    dirs = np.vstack([np.cos(angles), np.sin(angles)])
+    floors = np.floor(spectral._swept_angles(path, dirs) / (2 * math.pi)).astype(int)
+    if len(set(floors.tolist())) != 1:
+        raise SpectralResolutionError(
+            "swept angles straddle a multiple of 2 pi; near-degenerate orbit or "
+            "insufficient step count"
+        )
+    if tr < -2.0:
+        return cover * (2 * int(floors[0]) + 1)
+    theta = math.acos(tr / 2) / (2 * math.pi)
+    if p[1, 0] < 0:
+        theta = 1.0 - theta
+    turns = cover * (int(floors[0]) + theta)
+    if abs(turns - round(turns)) < 1e-6:
+        raise DegenerateThresholdError(
+            "a swept angle is numerically an integer multiple of 2 pi while the "
+            "monodromy is not positive hyperbolic; the orbit is near-degenerate"
+        )
+    return 2 * math.floor(turns) + 1
+
+
+def crossing_outcome(compute):
+    """The integer compute() returns, or the class and message of what it raises."""
+    try:
+        return compute()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return (type(exc), str(exc))
 
 
 # --- sequential RK4 reference ------------------------------------------------

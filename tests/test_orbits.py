@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +25,18 @@ from support import (
     FIXTURES,
     DenseCoverCatalog,
     cover_outcomes,
+    crossing_outcome,
     hyperbolic_loop,
     nondegenerate_trig_loop,
     outcome_differences,
+    reference_build_operator,
+    reference_cluster_means,
+    reference_cz_crossing,
     rotating_axis_loop,
     rotation_loop,
 )
+
+COVERS = range(1, 17)
 
 
 class TestAlpha:
@@ -426,3 +433,153 @@ class TestBlochRoute:
         n = spectral.default_grid(33, 3, 10.0, catalog.orbit("hyp2").model.strength())
         m = spectral.next_odd(math.ceil(n / 3))
         assert (dims, table.grid) == ([2 * m, 2 * m], n)
+
+
+class TestCrossingRecord:
+    """Catalog.cz_via_crossing serves every cover of a flow orbit from one
+    integration of its flow (a held loop keeps cz_crossing's one-period
+    record); each (loop, k) keeps the integer, or the exception class and
+    message, of a fresh integration."""
+
+    @staticmethod
+    def count_integrations(monkeypatch) -> list:
+        calls = []
+        real = spectral._integrate_frames
+
+        def integrate(loop, cover, steps, keep_path):
+            calls.append((id(loop), keep_path))
+            return real(loop, cover, steps, keep_path)
+
+        monkeypatch.setattr(spectral, "_integrate_frames", integrate)
+        return calls
+
+    def test_each_flow_orbit_is_integrated_once(self, monkeypatch):
+        catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        calls = self.count_integrations(monkeypatch)
+        got = {(i, k): crossing_outcome(lambda: catalog.cz_via_crossing(OrbitRef(i, k)))
+               for i in catalog.ids() for k in COVERS}
+        assert len(calls) == len(set(calls)) == len(catalog.ids()) == 6
+        assert all(keep_path for _, keep_path in calls)
+        calls.clear()
+        for (i, k), outcome in got.items():
+            assert outcome == crossing_outcome(
+                lambda: spectral.cz_crossing(catalog.orbit(i).model, k)), (i, k)
+        # the orbit's own loop keeps nothing: each plain call integrates
+        assert len(calls) == len(got)
+
+    def test_corpus_matches_a_fresh_integration(self, fixture_catalog, trig_loops, monkeypatch):
+        # the one-period path does not depend on the cover: each call checks its
+        # own RK4 budget, then the fresh calls and the reference share one path
+        # per loop and classify it anew
+        paths = {}
+        integrate = spectral._integrate_frames
+
+        def shared(loop, cover, steps, keep_path):
+            n_steps = spectral._step_count(loop, cover, steps)
+            if (loop, n_steps) not in paths:
+                paths[loop, n_steps] = integrate(loop, 1, n_steps, keep_path)
+            return paths[loop, n_steps]
+
+        monkeypatch.setattr(spectral, "_integrate_frames", shared)
+        loops = {name: fixture_catalog.orbit(name).model for name in fixture_catalog.ids()}
+        loops.update((f"c02_{i}", loop) for i, loop in enumerate(trig_loops))
+        loops["zero"] = FlowLoop(np.zeros((3, 2, 2)))
+        # e^750 overflows within one period: P itself is not finite
+        loops["overflow"] = FlowLoop.constant(np.diag([750.0, -750.0]))
+        outcomes = {}
+        for name, loop in loops.items():
+            held = loop.holding()
+            for k in [*COVERS, 513]:  # 513 x 2048 steps is past the RK4 budget
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the overflowing integration warns
+                    got = crossing_outcome(lambda: spectral.cz_crossing(held, k))
+                    fresh = crossing_outcome(lambda: spectral.cz_crossing(loop, k))
+                    want = crossing_outcome(lambda: reference_cz_crossing(loop, k))
+                assert got == fresh == want, (name, k)
+                outcomes[name, k] = got
+        assert outcomes["rot3", 4][0] is DegenerateThresholdError
+        assert outcomes["overflow", 1][0] is DegenerateThresholdError
+        assert all(outcomes["zero", k][0] is DegenerateThresholdError for k in COVERS)
+        assert all(outcomes[name, 513][0] is SpectralResolutionError and
+                   "cover 513 needs 513 x" in outcomes[name, 513][1] for name in loops)
+
+    def test_a_failed_sweep_is_raised_by_every_cover(self, monkeypatch):
+        # 4 steps a period sweep more than pi/2 a step: the elliptic rot3 and the
+        # positive hyperbolic rotating axis fail the sweep check of one period,
+        # and every cover raises it after its own degeneracy test
+        cases = [(rotation_loop(5 * math.pi / 2), 4), (rotating_axis_loop(2, a=1.0), 4)]
+        calls = self.count_integrations(monkeypatch)
+        for loop, steps in cases:
+            held = loop.holding()
+            for steps_now in (steps, None, steps):  # a new step count replaces the record
+                before = calls.count((id(held), True))
+                for k in COVERS:
+                    got = crossing_outcome(lambda: spectral.cz_crossing(held, k, steps_now))
+                    assert got == crossing_outcome(
+                        lambda: reference_cz_crossing(loop, k, steps_now)), (k, steps_now)
+                    if steps_now:
+                        assert got[0] is SpectralResolutionError
+                assert calls.count((id(held), True)) - before == 1
+
+    def test_concurrent_crossing_readers_agree(self):
+        # four threads ask every cover of every orbit of one catalog, in four
+        # orders, while the crossing records are being made
+        fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        orbits = [fixture.orbit(i) for i in fixture.ids()]
+        keys = [(o.id, k) for o in orbits for k in COVERS]
+        want = {(i, k): crossing_outcome(lambda: spectral.cz_crossing(fixture.orbit(i).model, k))
+                for i, k in keys}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(2):
+                catalog, got = Catalog(orbits), []
+
+                def read(offset):
+                    for j in range(len(keys)):
+                        i, k = keys[(j + offset) % len(keys)]
+                        got.append(((i, k), crossing_outcome(
+                            lambda: catalog.cz_via_crossing(OrbitRef(i, k)))))
+
+                threads = [threading.Thread(target=read, args=(offset,))
+                           for offset in (0, 24, 48, 72)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(got) == 4 * len(keys)
+                assert all(outcome == want[key] for key, outcome in got)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestLeanSolve:
+    """Every operator a catalog builds and every cluster mean it takes is the
+    one of the Kronecker-product build and the per-cluster np.mean (support
+    oracles), on the fixture orbits at covers 1..16 and windows 10, 40, 100."""
+
+    def test_fixture_tables(self, monkeypatch):
+        real_build, real_means = spectral.build_operator, spectral._cluster_means
+        seen = {"operators": 0, "clusters": 0}
+
+        def build(loop):
+            a = real_build(loop)
+            assert a.tobytes() == reference_build_operator(loop).tobytes(), loop.n
+            seen["operators"] += 1
+            return a
+
+        def means(vals, starts, ends):
+            got = real_means(vals, starts, ends)
+            assert got == reference_cluster_means(vals, starts, ends)
+            seen["clusters"] += len(got)
+            return got
+
+        monkeypatch.setattr(spectral, "build_operator", build)
+        monkeypatch.setattr(spectral, "_cluster_means", means)
+        catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        for i in catalog.ids():
+            for k in COVERS:
+                for window in (10.0, 40.0, 100.0):
+                    crossing_outcome(lambda: catalog.table(OrbitRef(i, k), window))
+        assert seen["operators"] >= 6 * 16 and seen["clusters"] > 10_000

@@ -28,6 +28,9 @@ from support import (
     jacobi_eigh,
     nondegenerate_trig_loop,
     random_trig_loop,
+    reference_build_operator,
+    reference_cluster_means,
+    reference_cz_crossing,
     reference_cz_from_path,
     reference_integrate_frames,
     reference_winding,
@@ -318,6 +321,72 @@ class TestCrossingForm:
 
     def test_shifted_even_hyperbolic(self):
         assert cz_crossing(rotating_axis_loop(2), 1) == 2
+
+    def test_overflowing_power_of_a_hyperbolic_monodromy(self):
+        # diag(2, -2): P^355 has trace e^710, past the float range, but no power
+        # of a hyperbolic P has the eigenvalue 1; the cover is k times the index
+        loop = FlowLoop.constant(np.diag([2.0, -2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [cz_crossing(loop, k) for k in (1, 354, 355, 512)] == [0, 0, 0, 0]
+            held = loop.holding()
+            assert [cz_crossing(held, k) for k in (355, 1, 512)] == [0, 0, 0]
+            odd = rotating_axis_loop(1, a=2.0)  # negative hyperbolic, index 1
+            assert [cz_crossing(odd, k) for k in (1, 355, 512)] == [1, 355, 512]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # integrating and sweeping per call, the overflow read as degenerate
+            with pytest.raises(DegenerateThresholdError, match=r"\(trace inf\)"):
+                reference_cz_crossing(loop, 355)
+
+
+class TestBuildOperator:
+    """build_operator writes -D (x) J0 and the samples by strided assignments;
+    the Kronecker-product build in support is the oracle, byte for byte."""
+
+    def test_random_and_structured_loops(self):
+        rng = np.random.default_rng(5)
+        loops = [FlowLoop(np.zeros((3, 2, 2))), rotation_loop(1.0, n=5),
+                 hyperbolic_loop(n=33), rotating_axis_loop(2, n=21)]
+        for n in (3, 5, 7, 33, 101):
+            samples = rng.normal(size=(n, 2, 2))
+            samples[rng.random(n) < 0.3] = 0.0  # zero blocks keep signed zeros in play
+            loops.append(FlowLoop(samples + np.transpose(samples, (0, 2, 1))))
+        loops += [random_trig_loop(rng).resample(m) for m in (9, 41)]
+        for loop in loops:
+            got, want = build_operator(loop), reference_build_operator(loop)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), loop.n
+
+
+class TestClusterMeans:
+    """_cluster_means is np.mean of each cluster, bit for bit (support oracle)."""
+
+    def test_random_clusters(self):
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            sizes = rng.integers(1, 40 if trial % 2 else 300, size=int(rng.integers(1, 25)))
+            vals = rng.normal(size=int(sizes.sum())) * 10.0 ** int(rng.integers(-3, 4))
+            vals[rng.random(len(vals)) < 0.05] = -0.0  # np.mean turns a lone -0.0 into 0.0
+            ends = np.cumsum(sizes).tolist()
+            starts = [0] + ends[:-1]
+            got = spectral._cluster_means(vals, starts, ends)
+            want = reference_cluster_means(vals, starts, ends)
+            assert [repr(x) for x in got] == [repr(x) for x in want], trial
+        assert spectral._cluster_means(np.empty(0), [], []) == []
+
+
+class TestStrength:
+    def test_stored_strength_is_the_sample_norm(self):
+        rng = np.random.default_rng(4)
+        for loop in (random_trig_loop(rng), hyperbolic_loop(2.5), FlowLoop(np.zeros((3, 2, 2)))):
+            want = max(float(np.linalg.norm(s, 2)) for s in loop.samples)
+            assert loop.strength() == pytest.approx(want, rel=1e-12, abs=1e-300)
+            held = loop.holding()
+            assert held.samples is loop.samples and held.strength() == loop.strength()
+            assert (held.n, held.period) == (loop.n, loop.period)
+            with pytest.raises(AttributeError, match="immutable"):
+                held.period = 2.0
 
 
 class TestJacobi:

@@ -13,8 +13,12 @@ invariants and exception classes must be identical and eigenvalues within
 CLUSTER_TOL * window.  The Catalog keeps its last cover solve and re-audits it
 while a growing window keeps the grid, so each of its tables must also be
 identical, bit for bit, to the table a fresh Catalog returns for that window
-alone.  Prints one summary line per corpus, with the cover solves and the
-tables that reused one, and exits 1 on any difference.  The trig corpus solves dense problems of dimension up to 3218;
+alone.  For every (orbit, k) it visits, Catalog.cz_via_crossing, which
+serves all covers of an orbit from one integration of its flow, must give
+the integer, or raise the exception class with the message, of a fresh
+spectral.cz_crossing(loop, k).  Prints one summary line per corpus, with the
+cover solves, the tables that reused one and the catalog's RK4 integrations
+of the crossing route, and exits 1 on any difference.  The trig corpus solves dense problems of dimension up to 3218;
 the whole sweep takes minutes with one BLAS thread.
 """
 
@@ -33,6 +37,7 @@ from hbcalc.orbits import Catalog, OrbitRef, SimpleOrbit  # noqa: E402
 from support import (  # noqa: E402
     DenseCoverCatalog,
     cover_outcomes,
+    crossing_outcome,
     nondegenerate_trig_loop,
     outcome_differences,
 )
@@ -47,9 +52,9 @@ class AuditCounter:
 
     def __init__(self):
         self.cover = 1
-        self.read = self.solves = self.tables = 0
+        self.read = self.solves = self.tables = self.integrations = 0
         real_pairs, real_audit = spectral._bloch_eigenpairs, spectral._audited_table
-        real_windings = spectral._windings
+        real_windings, real_integrate = spectral._windings, spectral._integrate_frames
 
         def pairs(loop, k, n):
             self.solves += k > 1
@@ -65,8 +70,12 @@ class AuditCounter:
                 self.read += len(pts)
             return real_windings(pts)
 
+        def integrate(loop, cover, steps, keep_path):
+            self.integrations += keep_path  # the crossing route's one-period paths
+            return real_integrate(loop, cover, steps, keep_path)
+
         spectral._bloch_eigenpairs, spectral._audited_table = pairs, audit
-        spectral._windings = windings
+        spectral._windings, spectral._integrate_frames = windings, integrate
 
     def counts(self) -> tuple[int, int, int]:
         return self.solves, self.tables, self.read
@@ -75,13 +84,20 @@ class AuditCounter:
 def sweep(name, orbits, covers, windows, audit) -> int:
     start, before = time.perf_counter(), audit.counts()
     bloch, dense = Catalog(orbits), DenseCoverCatalog(orbits)
-    cases = rows = failures = 0
+    cases = rows = failures = rk4 = 0
     worst = 0.0
     raised: dict[str, int] = {}
     asked: list[tuple] = []
     for orbit in orbits:
         for k in covers:
             ref = OrbitRef(orbit.id, k)
+            integrations = audit.integrations
+            crossing = crossing_outcome(lambda: bloch.cz_via_crossing(ref))
+            rk4 += audit.integrations - integrations
+            fresh = crossing_outcome(lambda: spectral.cz_crossing(orbit.model, k))
+            if crossing != fresh:
+                failures += 1
+                print(f"DIFF {orbit.id}^{k} cz_via_crossing {crossing} != cz_crossing {fresh}")
             got = cover_outcomes(bloch, ref, windows)
             asked.append((orbit, ref, got))
             want = cover_outcomes(dense, ref, windows)
@@ -106,7 +122,8 @@ def sweep(name, orbits, covers, windows, audit) -> int:
     print(f"{name}: {len(orbits)} orbits x covers {covers[0]}..{covers[-1]} "
           f"({len(covers)}) x windows {list(windows)}: {cases} queries, {rows} table rows, "
           f"raised {dict(sorted(raised.items()))}, {solves} Bloch solves, {tables - solves} "
-          f"tables reusing one, {read} Bloch windings audited, worst eigenvalue gap "
+          f"tables reusing one, {read} Bloch windings audited, {len(orbits) * len(covers)} "
+          f"crossing queries on {rk4} RK4 integrations, worst eigenvalue gap "
           f"{worst:.2e} of CLUSTER_TOL * window, {failures} differences, "
           f"{time.perf_counter() - start:.0f} s")
     return failures
@@ -122,7 +139,7 @@ def main() -> int:
     orbits = [SimpleOrbit(f"trig{i}", 1.0, loop) for i, loop in enumerate(loops)]
     failures += sweep("trig corpus", orbits, (2, 3, 4, 5, 8), (10.0, 40.0), audit)
     print("cover route sweep:", "FAILED" if failures else
-          "identical to the dense oracle and to fresh catalogs")
+          "identical to the dense oracle, to fresh catalogs and to fresh crossing integrations")
     return 1 if failures else 0
 
 
