@@ -49,14 +49,7 @@ from .buildings import (
     trivial_breaking_pairs,
 )
 from .errors import BuildingError, InputError, InternalCheckError, NoCoreError, OutputBudgetError
-from .index_calculus import (
-    End,
-    _controlling_windings,
-    _defect,
-    _index,
-    ends,
-    fredholm_index,
-)
+from .index_calculus import Analysis, End, _analysis, fredholm_index
 # bound here as well, where perfbench/selftest.py checks that the tracer wraps it
 from .index_calculus import defect  # noqa: F401
 from .orbits import Catalog, OrbitRef, is_simply_covered_eigenfunction
@@ -84,17 +77,15 @@ def validate_nice(catalog: Catalog, building: Building) -> NiceVerdict:
     """Check the combinatorially decidable conditions for a nicely embedded
     building; geometric claims (distinct image classes do not intersect) are
     recorded assumptions, not verified."""
-    violations = _sorted_violations(_nice_checks(catalog, building)[0])
+    violations = _sorted_violations(_nice_checks(catalog, _analysis(catalog, building)))
     return NiceVerdict(ok=not violations, violations=violations)
 
 
-def _nice_checks(catalog: Catalog, building: Building
-                 ) -> tuple[list[Violation], dict[str, tuple[Building, list[End]]]]:
-    """The nice-building violations, plus every nontrivial component detached,
-    with the rows of its ends, by id: the defect check reads them here and
-    the stable-limit checks read them again."""
+def _nice_checks(catalog: Catalog, record: Analysis) -> list[Violation]:
+    """The nice-building violations of the analysed building; the defect check
+    reads each nontrivial component's part of the analysis."""
+    building = record.building
     violations: list[Violation] = []
-    detached: dict[str, tuple[Building, list[End]]] = {}
 
     for i, pair in enumerate(building.nodal_pairs):
         violations.append(
@@ -140,10 +131,7 @@ def _nice_checks(catalog: Catalog, building: Building
                         "transverse to the flow",
                     )
                 )
-            piece, _ = detach_component(building, comp.id)
-            rows = ends(catalog, piece)
-            report = _defect(piece, rows, _controlling_windings(comp))
-            detached[comp.id] = (piece, rows)
+            report = record.part(comp.id).defect
             if report.total > 0:
                 violations.append(
                     Violation(
@@ -245,7 +233,7 @@ def _nice_checks(catalog: Catalog, building: Building
                 )
             )
 
-    return violations, detached
+    return violations
 
 
 # --- stable-limit classification --------------------------------------------
@@ -276,15 +264,18 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
     """
     if not is_connected(building):
         raise BuildingError("stable-limit classification needs a connected building")
-    violations, detached = _nice_checks(catalog, building)
+    record = _analysis(catalog, building)
+    violations = _nice_checks(catalog, record)
 
-    for cid, (piece, rows) in detached.items():
-        side_index = _index(piece, rows)
+    for comp in building.components:
+        if comp.kind != "nontrivial":
+            continue
+        side_index = record.part(comp.id).index
         if side_index < 1:
             violations.append(
                 Violation(
                     "NON_GENERIC",
-                    f"component:{cid}",
+                    f"component:{comp.id}",
                     f"nontrivial component has induced index {side_index} < 1; "
                     "forbidden for generic data",
                 )
@@ -325,9 +316,9 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
                 )
             )
         for comp in collapsed.components:
-            piece, _ = detach_component(collapsed, comp.id)
-            rows = ends(catalog, piece)
-            side_ind = _index(piece, rows)
+            # analysed outside the catalog's slot, which keeps `building`
+            side = Analysis(catalog, detach_component(collapsed, comp.id)[0])
+            side_ind = side.index
             if side_ind != 1:
                 violations.append(
                     Violation(
@@ -336,7 +327,7 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
                         f"broken-pair side has induced index {side_ind} != 1",
                     )
                 )
-            evens = [e.site for e in rows if e.parity == 0]
+            evens = [e.site for e in side.rows if e.parity == 0]
             breaking_sites_here = {
                 s for pair in collapsed.breaking_pairs for s in pair if s[0] == comp.id
             }

@@ -24,18 +24,26 @@ Disconnected buildings are accepted by ind/c_N (chi sums over pieces);
 arithmetic genus, and hence the displayed identity, needs connectedness.
 
 Every formula is a sum over the rows of `ends`, one per external end with its
-signed cut, CZ index, parity and extremal winding; a report builds the rows
-once for the building and once per detached component.  Each end is read
-under the constraint stored on its puncture: to evaluate a building under
-other constraints, override them with `buildings.set_constraints` first.
+signed cut, CZ index, parity and extremal winding.  What the entry points
+compute of one building (its rows, index and c_N, and per component the
+detached piece with its rows, induced index, c_N and defect) is one
+`Analysis`, which the catalog keeps for the last building it was asked about,
+keyed by identity; so the rows are built once for the building and once per
+detached component, whichever entry points run.  Buildings made inside a
+check (the core, detached pieces) are analysed outside that slot.  Each end is
+read under the constraint stored on its puncture: to evaluate a building
+under other constraints, override them with `buildings.set_constraints`
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .buildings import (
     Building,
+    Component,
     Puncture,
     Site,
     arithmetic_genus,
@@ -105,47 +113,9 @@ def _mu(rows: list[End]) -> int:
     return sum(e.sign * e.mu for e in rows)
 
 
-def _index(building: Building, rows: list[End]) -> int:
-    return -euler_char(building) + 2 * _c1(building) + _mu(rows)
-
-
 def _parities(rows: list[End]) -> tuple[tuple[Site, ...], tuple[Site, ...]]:
     gamma0 = tuple(e.site for e in rows if e.parity == 0)
     return gamma0, tuple(e.site for e in rows if e.parity != 0)
-
-
-def _chern(building: Building, rows: list[End]) -> int:
-    """c_N from the ends, asserting 2c_N = ind - 2 + 2g + #even when connected."""
-    chi = euler_char(building)
-    cn = _c1(building) - chi + sum(e.sign * e.extremal for e in rows)
-    if is_connected(building):
-        ind = _index(building, rows)
-        genus = (2 - len(rows) - chi) // 2  # arithmetic genus; 2 - n_ext - chi is even
-        n_even = sum(1 for e in rows if e.parity == 0)
-        if 2 * cn != ind - 2 + 2 * genus + n_even:
-            raise InternalCheckError(
-                f"normal Chern number {cn} violates 2c_N = ind - 2 + 2g + #even "
-                f"(ind={ind}, g={genus}, #even={n_even})"
-            )
-    return cn
-
-
-def cz_total(catalog: Catalog, building: Building) -> int:
-    return _mu(ends(catalog, building))
-
-
-def fredholm_index(catalog: Catalog, building: Building) -> int:
-    return _index(building, ends(catalog, building))
-
-
-def puncture_parities(catalog: Catalog, building: Building
-                      ) -> tuple[tuple[Site, ...], tuple[Site, ...]]:
-    """External punctures partitioned by constrained parity (even, odd)."""
-    return _parities(ends(catalog, building))
-
-
-def normal_chern(catalog: Catalog, building: Building) -> int:
-    return _chern(building, ends(catalog, building))
 
 
 @dataclass(frozen=True)
@@ -155,6 +125,140 @@ class DefectReport:
     per_puncture: tuple[tuple[Site, int], ...]
     total: int
     wind_pi: int  # supplied or implied by c_N - total defect
+
+
+class Analysis:
+    """What the index layer computes of one building, each value on first use.
+
+    `rows` are the building's ends, `index` and `c_n` its Fredholm index and
+    normal Chern number, `part(cid)` the analysis of one component detached,
+    `defect` the defect report of a detached nontrivial component and
+    `reports` the per-component reports.  A value is kept only once it has
+    been computed without raising (cached_property keeps nothing when its
+    function raises), so a failed call fails again, at the same point, when it
+    is asked again; whatever order the entry points come in, each computes
+    what it reads in its own order.
+    """
+
+    def __init__(self, catalog: Catalog, building: Building):
+        self.building = building
+        self._catalog = catalog
+        self._parts: dict[str, Analysis] = {}
+
+    @cached_property
+    def rows(self) -> list[End]:
+        return ends(self._catalog, self.building)
+
+    @cached_property
+    def chi(self) -> int:
+        return euler_char(self.building)
+
+    @cached_property
+    def index(self) -> int:
+        return -self.chi + 2 * _c1(self.building) + _mu(self.rows)
+
+    @cached_property
+    def c_n(self) -> int:
+        """c_N from the ends, asserting 2c_N = ind - 2 + 2g + #even when connected."""
+        rows, chi = self.rows, self.chi
+        cn = _c1(self.building) - chi + sum(e.sign * e.extremal for e in rows)
+        if is_connected(self.building):
+            ind = self.index
+            genus = (2 - len(rows) - chi) // 2  # arithmetic genus; 2 - n_ext - chi is even
+            n_even = sum(1 for e in rows if e.parity == 0)
+            if 2 * cn != ind - 2 + 2 * genus + n_even:
+                raise InternalCheckError(
+                    f"normal Chern number {cn} violates 2c_N = ind - 2 + 2g + #even "
+                    f"(ind={ind}, g={genus}, #even={n_even})"
+                )
+        return cn
+
+    def part(self, cid: str) -> Analysis:
+        """The analysis of component `cid` detached: breaking ends at zero,
+        external ends at their inline constraints."""
+        part = self._parts.get(cid)
+        if part is None:
+            part = Analysis(self._catalog, detach_component(self.building, cid)[0])
+            self._parts[cid] = part
+        return part
+
+    @cached_property
+    def defect(self) -> DefectReport:
+        """The defect report of a detached nontrivial component."""
+        comp = self.building.components[0]
+        windings = _controlling_windings(comp)
+        per = tuple((e.site, abs(e.extremal - w)) for e, w in zip(self.rows, windings))
+        total = sum(d for _, d in per)
+        cn = self.c_n
+        if comp.wind_pi is not None:
+            if comp.wind_pi + total != cn:
+                raise InconsistentDataError(
+                    f"component {comp.id!r}: wind_pi {comp.wind_pi} + defect {total} "
+                    f"!= c_N {cn}"
+                )
+            wind_pi = comp.wind_pi
+        else:
+            wind_pi = cn - total
+            if wind_pi < 0:
+                raise InconsistentDataError(
+                    f"component {comp.id!r}: defect {total} exceeds c_N {cn}, "
+                    "forcing wind_pi < 0"
+                )
+        return DefectReport(per_puncture=per, total=total, wind_pi=wind_pi)
+
+    @cached_property
+    def reports(self) -> tuple[ComponentReport, ...]:
+        """Per-component index, c_N and defect, by component id."""
+        return tuple(self._report(comp)
+                     for comp in sorted(self.building.components, key=lambda c: c.id))
+
+    def _report(self, comp: Component) -> ComponentReport:
+        part = self.part(comp.id)
+        ind, cn = part.index, part.c_n
+        defect_total = None
+        consistent = True
+        if comp.kind == "nontrivial":
+            try:
+                defect_total = part.defect.total
+            except IncompleteInputError:
+                pass
+            except InconsistentDataError:
+                consistent = False
+        return ComponentReport(
+            component=comp.id,
+            induced_constraints=tuple((e.site, e.constraint) for e in part.rows),
+            index=ind,
+            c_n=cn,
+            defect_total=defect_total,
+            wind_pi_consistent=consistent,
+        )
+
+
+def _analysis(catalog: Catalog, building: Building) -> Analysis:
+    """The catalog's analysis of this very building (not of an equal one); an
+    analysis of another building in the slot is replaced."""
+    record = catalog._analysis[0]  # read once: another reader may replace it meanwhile
+    if record is None or record.building is not building:
+        record = catalog._analysis[0] = Analysis(catalog, building)
+    return record
+
+
+def cz_total(catalog: Catalog, building: Building) -> int:
+    return _mu(_analysis(catalog, building).rows)
+
+
+def fredholm_index(catalog: Catalog, building: Building) -> int:
+    return _analysis(catalog, building).index
+
+
+def puncture_parities(catalog: Catalog, building: Building
+                      ) -> tuple[tuple[Site, ...], tuple[Site, ...]]:
+    """External punctures partitioned by constrained parity (even, odd)."""
+    return _parities(_analysis(catalog, building).rows)
+
+
+def normal_chern(catalog: Catalog, building: Building) -> int:
+    return _analysis(catalog, building).c_n
 
 
 def defect(catalog: Catalog, building: Building, comp_id: str) -> DefectReport | None:
@@ -168,12 +272,10 @@ def defect(catalog: Catalog, building: Building, comp_id: str) -> DefectReport |
     comp = building.component(comp_id)
     if comp.kind != "nontrivial":
         return None
-    piece, _ = detach_component(building, comp_id)
-    windings = _controlling_windings(comp)
-    return _defect(piece, ends(catalog, piece), windings)
+    return _analysis(catalog, building).part(comp_id).defect
 
 
-def _controlling_windings(comp) -> list[int]:
+def _controlling_windings(comp: Component) -> list[int]:
     missing = [(comp.id, i) for i, p in enumerate(comp.punctures) if p.controlling_winding is None]
     if missing:
         raise IncompleteInputError(
@@ -181,29 +283,6 @@ def _controlling_windings(comp) -> list[int]:
             fields=[f"{site[0]}.punctures[{site[1]}].controlling_winding" for site in missing],
         )
     return [p.controlling_winding for p in comp.punctures]
-
-
-def _defect(piece: Building, rows: list[End], windings: list[int]) -> DefectReport:
-    """The defect report of a detached nontrivial component from its ends."""
-    comp = piece.components[0]
-    per = tuple((e.site, abs(e.extremal - w)) for e, w in zip(rows, windings))
-    total = sum(d for _, d in per)
-    cn = _chern(piece, rows)
-    if comp.wind_pi is not None:
-        if comp.wind_pi + total != cn:
-            raise InconsistentDataError(
-                f"component {comp.id!r}: wind_pi {comp.wind_pi} + defect {total} "
-                f"!= c_N {cn}"
-            )
-        wind_pi = comp.wind_pi
-    else:
-        wind_pi = cn - total
-        if wind_pi < 0:
-            raise InconsistentDataError(
-                f"component {comp.id!r}: defect {total} exceeds c_N {cn}, "
-                "forcing wind_pi < 0"
-            )
-    return DefectReport(per_puncture=per, total=total, wind_pi=wind_pi)
 
 
 @dataclass(frozen=True)
@@ -240,42 +319,17 @@ def component_reports(catalog: Catalog, building: Building) -> list[ComponentRep
     """Per-component index, c_N and defect, each from one pass over the ends
     of the detached component (breaking ends at zero, external ends at their
     inline constraints)."""
-    out = []
-    for comp in sorted(building.components, key=lambda c: c.id):
-        piece, _ = detach_component(building, comp.id)
-        piece_rows = ends(catalog, piece)
-        ind = _index(piece, piece_rows)
-        cn = _chern(piece, piece_rows)
-        defect_total = None
-        consistent = True
-        if comp.kind == "nontrivial":
-            try:
-                windings = _controlling_windings(comp)
-                defect_total = _defect(piece, piece_rows, windings).total
-            except IncompleteInputError:
-                pass
-            except InconsistentDataError:
-                consistent = False
-        out.append(
-            ComponentReport(
-                component=comp.id,
-                induced_constraints=tuple((e.site, e.constraint) for e in piece_rows),
-                index=ind,
-                c_n=cn,
-                defect_total=defect_total,
-                wind_pi_consistent=consistent,
-            )
-        )
-    return out
+    return list(_analysis(catalog, building).reports)
 
 
 def verify_additivity(catalog: Catalog, building: Building) -> AdditivityReport:
     """Check index and c_N additivity over components exactly; mismatches are
     internal errors (these are theorems, not data checks)."""
     reports = component_reports(catalog, building)
-    parity_sum = 0
-    for pos_site, _ in building.breaking_pairs:
-        parity_sum += catalog.parity(building.puncture(pos_site).orbit)
+    record = _analysis(catalog, building)
+    # a breaking orbit's parity is that of its positive breaking end, the row
+    # of the end (cut 0) in its component's part, which the reports have read
+    parity_sum = sum(record.part(cid).rows[i].parity for (cid, i), _ in building.breaking_pairs)
     report = AdditivityReport(
         index_total=fredholm_index(catalog, building),
         index_component_sum=sum(r.index for r in reports),
@@ -314,15 +368,16 @@ class IndexReport:
 
 
 def index_report(catalog: Catalog, building: Building) -> IndexReport:
-    rows = ends(catalog, building)
+    record = _analysis(catalog, building)
+    rows = record.rows
     gamma0, gamma1 = _parities(rows)
     return IndexReport(
-        chi=euler_char(building),
+        chi=record.chi,
         genus=arithmetic_genus(building) if is_connected(building) else None,
         c1_total=_c1(building),
         mu_total=_mu(rows),
-        index=_index(building, rows),
-        c_n=_chern(building, rows),
+        index=record.index,
+        c_n=record.c_n,
         gamma0=gamma0,
         gamma1=gamma1,
         per_component=tuple(component_reports(catalog, building)),

@@ -5,12 +5,14 @@ the asymptotic operator, from which spectra are computed on demand) or
 explicit spectral tables listed per cover.  The catalog is immutable after
 construction and caches computed tables, so all queries are cheap and safe
 for concurrent readers.  It also keeps its last cover solve (the Bloch
-eigenpairs of one gamma^k, k >= 2, on its default grid, with the windings read
-so far): a wider window that keeps the grid only audits that solve again, so
-each cover is solved once per grid.  Likewise it keeps one crossing record
-per flow orbit (the one-period part of cz_crossing: the monodromy P, its
-trace and what the swept angles give), so the crossing-form indices of all
-covers gamma^k of an orbit take one integration of its flow.
+eigenpairs of one gamma^k, k >= 2, on the base grid of its default grid, with
+the windings read so far): a wider window whose grid keeps the base grid only
+audits that solve again, so each cover is solved once per base grid.
+Likewise it keeps one crossing record per flow orbit (the one-period part of
+cz_crossing: the monodromy P, its trace and what the swept angles give), so
+the crossing-form indices of all covers gamma^k of an orbit take one
+integration of its flow.  The index layer keeps its analysis of the last
+building it was asked about here too (``index_calculus.Analysis``).
 
 For a cover gamma^k with a signed spectral cut t (nondegenerate), the
 extremal winding numbers are
@@ -115,6 +117,7 @@ class Catalog:
         self._summaries: dict[tuple[str, int, float], SpectralSummary] = {}
         self._alphas: dict[tuple[str, int, float, str], int] = {}
         self._held: list = [None]  # the last cover solve (spectrum_from_loop's `held`)
+        self._analysis: list = [None]  # the last building analysed (index_calculus.Analysis)
         # each flow model with a slot for its crossing record (FlowLoop.holding)
         self._crossing = {o.id: o.model.holding() for o in seen.values() if o.is_flow}
         self._audit()
@@ -142,7 +145,7 @@ class Catalog:
     def _compute_flow_table(self, orbit: SimpleOrbit, k: int, window: float,
                             grid: int | None) -> SpectralTable:
         loop = orbit.model
-        if grid is None and k > 1:  # the Bloch blocks of the cover, solved once per grid
+        if grid is None and k > 1:  # the Bloch blocks of the cover, solved once per base grid
             table = spectrum_from_loop(loop, window, cover=k, held=self._held)
         else:  # k = 1 or an explicit grid: one dense solve
             self._held[0] = None  # keep one decomposition alive at a time

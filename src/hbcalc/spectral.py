@@ -46,8 +46,10 @@ uses that route for explicit grids, and the tests use it as the oracle.
 
 A caller may keep the last solve in a one-slot list (spectrum_from_loop's
 `held`): the catalog keeps its last cover solve and audits it again for each
-window on the same grid, reading windings only for eigenfunctions that the
-wider scan adds, so the table is the one a fresh solve gives, bit for bit.
+window whose grid has the same base grid m (wider windows move the grid n in
+steps smaller than k, which often keep m), reading windings only for
+eigenfunctions that the wider scan adds, so the table is the one a fresh solve
+gives, bit for bit, and reports its own grid.
 
 An independent route to the Conley-Zehnder index integrates the linearized
 flow  Psi' = J0 S(t) Psi  and classifies the swept angles
@@ -73,10 +75,10 @@ with m the common floor of the one-period sweeps and P conjugate to the
 rotation by 2 pi theta, so the index is 2 floor(k rho) + 1 and the cover is
 degenerate exactly when k rho is an integer.  cz_crossing is split the same
 way: a one-period record (P, tr P, and the index of one period or rho, or the
-error of a failed sweep check) and a per-cover part (RK4 budget, eigenvalue 1
-of P^k, Bott's formula).  A loop from loop.holding() keeps the record in a
-one-slot list of its own, so its covers integrate once; the catalog holds one
-such loop per flow orbit.
+error of a failed sweep check or of a P that overflowed) and a per-cover part
+(RK4 budget, the overflow of P, eigenvalue 1 of P^k, Bott's formula).  A loop
+from loop.holding() keeps the record in a one-slot list of its own, so its
+covers integrate once; the catalog holds one such loop per flow orbit.
 
 All integers produced here are relative to the trivialization implicit in
 the flow-loop coordinates; only comparisons made in one consistent
@@ -333,16 +335,17 @@ def fourier_diff_matrix(n: int) -> np.ndarray:
     """Spectral differentiation matrix for period-1 loops on an odd grid.
 
     Exactly antisymmetric; differentiates trigonometric polynomials of
-    degree <= (n - 1) / 2 exactly.
+    degree <= (n - 1) / 2 exactly.  Entry (i, j) depends on i - j alone, so
+    the 2n - 1 distinct values are computed once and row i is the reversed
+    window values[i : i + n].
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"grid must be odd and >= 3, got {n}")
-    j = np.arange(n)
-    diff = j[:, None] - j[None, :]
+    diff = np.arange(1 - n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.pi * (-1.0) ** diff / np.sin(np.pi * diff / n)
-    np.fill_diagonal(d, 0.0)
-    return d
+        values = np.pi * (-1.0) ** diff / np.sin(np.pi * diff / n)
+    values[n - 1] = 0.0  # the diagonal
+    return np.lib.stride_tricks.sliding_window_view(values, n)[:, ::-1].copy()
 
 
 def build_operator(loop: FlowLoop) -> np.ndarray:
@@ -521,10 +524,12 @@ def spectrum_from_loop(
     windings, gaps in the winding run, a winding off its Bloch block).
 
     `held` is an optional one-slot list owned by the caller, [None] or the last
-    solve.  A solve of the same loop object, cover and grid is reused: only the
-    window's audit runs again, and it reads windings only for eigenfunctions
-    that no earlier window of that solve scanned.  Any other request empties
-    the slot before it solves, so at most one solve is kept.
+    solve.  A solve of the same loop object, cover and Bloch base grid
+    m = next_odd(ceil(grid / cover)) is reused, whatever grid the request
+    reports (the solve depends on the grid only through m): only the window's
+    audit runs again, and it reads windings only for eigenfunctions that no
+    earlier window of that solve scanned.  Any other request empties the slot
+    before it solves, so at most one solve is kept.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
@@ -541,14 +546,21 @@ def spectrum_from_loop(
         n = grid
     check_grid_budget(n)
     held = [None] if held is None else held
+    m = _base_grid(n, cover)
     solve = held[0]  # read once: another reader may replace it meanwhile
-    if solve is None or solve[0] is not loop or solve[1:3] != (cover, n):
+    if solve is None or solve[0] is not loop or solve[1:3] != (cover, m):
         held[0] = None  # free the kept solve before making another
         vals, blocks, points = _bloch_eigenpairs(loop, cover, n)
         # windings read so far: turns, and fault codes with -1 for "not read"
-        held[0] = solve = (loop, cover, n, (vals, blocks, points),
+        held[0] = solve = (loop, cover, m, (vals, blocks, points),
                            (np.empty(len(vals)), np.full(len(vals), -1)))
     return _audited_table(*solve[3], cover, window, cover * strength, n, solve[4])
+
+
+def _base_grid(n: int, k: int) -> int:
+    """The points of one period on which the k-fold cover of an n-point grid
+    is solved by Bloch blocks."""
+    return next_odd(math.ceil(n / k))
 
 
 def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
@@ -558,7 +570,7 @@ def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
     m = next_odd(ceil(n / k)).  For k = 1 this is the dense solve of
     build_operator(loop.resample(m)).
     """
-    m = next_odd(math.ceil(n / k))
+    m = _base_grid(n, k)
     base = build_operator(loop.resample(m))
     solved = [np.linalg.eigh(base)]  # (eigenvalues, eigenvectors) of blocks 0..k//2
     parts = [(0, False)]  # (block, imaginary part?) of each run of 2m entries
@@ -825,7 +837,9 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
     from loop.holding() keeps it for its step count, so each further cover
     only checks its RK4 budget, tests P**cover for the eigenvalue 1 and
     applies Bott's formula; a failed sweep check is raised by every cover
-    after that test, as if the path were swept again.
+    after that test, as if the path were swept again.  A P that is not finite
+    (the flow overflowed within one period) has no eigenvalues to test: every
+    cover within budget raises SpectralResolutionError for it.
     """
     n_steps = _step_count(loop, cover, steps)
     held = loop._held or [None]
@@ -833,11 +847,13 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
     if record is None or record[0] != n_steps:
         held[0] = record = _one_period(loop, n_steps)
     _, p, tr, value, error = record
+    if not np.isfinite(p).all():  # the flow overflowed: P has no eigenvalues to test
+        raise error[0](*error[1])
     with np.errstate(over="ignore", invalid="ignore"):  # P**cover of a hyperbolic P may overflow
         tr_cover = float(np.trace(np.linalg.matrix_power(p, cover)))
     # symplectic 2x2: det(P - 1) = 2 - tr, so eigenvalue 1 means tr = 2; no
     # power of a hyperbolic P has it, so an overflowing trace needs no test
-    overflow = math.isfinite(tr) and abs(tr) > 2.0 and not math.isfinite(tr_cover)
+    overflow = abs(tr) > 2.0 and not math.isfinite(tr_cover)
     if not overflow and abs(tr_cover - 2.0) <= 1e-9 * max(1.0, abs(tr_cover)):
         raise DegenerateThresholdError(
             f"monodromy has eigenvalue 1 within tolerance (trace {tr_cover!r}); "
@@ -861,14 +877,20 @@ def _one_period(loop: FlowLoop, n_steps: int) -> tuple:
 
     `value` is the index of one period for a hyperbolic P and the rotation
     number for an elliptic one; `error` is None, or the class and arguments of
-    the exception a sweep check raised, and then `value` is None.
+    the exception a sweep check raised or of the overflow of a P that is not
+    finite, and then `value` is None.
     """
-    path = _integrate_frames(loop, 1, n_steps, keep_path=True)
-    p = path[-1]
-    tr = float(np.trace(p))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the record's error
+        path = _integrate_frames(loop, 1, n_steps, keep_path=True)
+        p = path[-1]
+        tr = float(np.trace(p))
+    if not np.isfinite(p).all():
+        return (n_steps, p, tr, None, (SpectralResolutionError, (
+            f"the linearized flow overflows within one period of {n_steps} RK4 steps: "
+            "the monodromy is not finite",)))
     try:
         return (n_steps, p, tr, _classify(path, p, tr), None)
-    except (SpectralResolutionError, np.linalg.LinAlgError) as exc:  # eig of an overflowed P
+    except (SpectralResolutionError, np.linalg.LinAlgError) as exc:  # eig may not converge
         return (n_steps, p, tr, None, (type(exc), exc.args))
 
 

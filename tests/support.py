@@ -51,7 +51,6 @@ from hbcalc.spectral import (
     WINDING_GUARD,
     FlowLoop,
     default_grid,
-    fourier_diff_matrix,
     monodromy,
     spectrum_from_loop,
 )
@@ -316,12 +315,24 @@ def reference_winding(points) -> int:
 # --- operator build and cluster means references ----------------------------
 
 
+def reference_fourier_diff_matrix(n: int) -> np.ndarray:
+    """The spectral differentiation matrix from all n^2 entries of the formula:
+    the oracle for ``hbcalc.spectral.fourier_diff_matrix``, which must give the
+    same bytes."""
+    j = np.arange(n)
+    diff = j[:, None] - j[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.pi * (-1.0) ** diff / np.sin(np.pi * diff / n)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def reference_build_operator(loop: FlowLoop) -> np.ndarray:
     """-D (x) J0 - blockdiag(S(t_j)) as a Kronecker product and one subtraction
     per sample: the oracle for ``hbcalc.spectral.build_operator``, which must
     give the same bytes, signed zeros included."""
     n = loop.n
-    a = -np.kron(fourier_diff_matrix(n), J0)
+    a = -np.kron(reference_fourier_diff_matrix(n), J0)
     for i in range(n):
         a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] -= loop.samples[i]
     return a

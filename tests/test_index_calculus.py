@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -338,9 +340,11 @@ class TestEndsOracle:
 
 
 def queried(catalog, fn, *args):
-    """Whether fn raised (and what), and the spectral memo keys it created."""
+    """Whether fn raised (and what), and the spectral memo keys it created,
+    from an empty analysis slot."""
     catalog._summaries.clear()
     catalog._alphas.clear()
+    catalog._analysis[0] = None
     kind, value = outcome(fn, catalog, *args)
     return (value if kind == "raised" else None), set(catalog._summaries), set(catalog._alphas)
 
@@ -392,6 +396,200 @@ class TestEndsQueries:
                 calls.update([_name]) or _real(self, *a)))
         real_ends = ic.ends
         monkeypatch.setattr(ic, "ends", lambda *a: calls.update(["ends"]) or real_ends(*a))
+        cat._analysis[0] = None  # the warm call's analysis would answer without asking
         ic.index_report(cat, building)
         ends = len(building.external_sites()) + sum(len(c.punctures) for c in building.components)
         assert calls == Counter(cz_index=ends, alpha=ends, ends=1 + len(building.components))
+
+
+# --- the per-building analysis ------------------------------------------------
+
+
+def entry_points(building):
+    """The eight entry points that read the catalog's analysis of a building,
+    as (name, call taking the catalog and the building); defect once per
+    component."""
+    calls = [("index_report", ic.index_report), ("component_reports", ic.component_reports),
+             ("verify_additivity", ic.verify_additivity), ("fredholm_index", ic.fredholm_index),
+             ("normal_chern", ic.normal_chern), ("validate_nice", validate_nice),
+             ("classify_stable_limit", classify_stable_limit)]
+    calls += [(f"defect:{c.id}", lambda catalog, b, cid=c.id: ic.defect(catalog, b, cid))
+              for c in building.components]
+    return calls
+
+
+def full_outcome(call, catalog, building):
+    """A call's value, or the class and message of the exception it raised."""
+    try:
+        return ("value", call(catalog, building))
+    except HbcalcError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def cold_outcomes(catalog, building) -> dict:
+    """Each entry point's outcome from an empty analysis slot."""
+    out = {}
+    for name, call in entry_points(building):
+        catalog._analysis[0] = None
+        out[name] = full_outcome(call, catalog, building)
+    return out
+
+
+def mutants(catalog):
+    """Figure 3 with a missing controlling winding, an inconsistent wind_pi,
+    split into two pieces, noded to a plane over an unknown orbit, and with
+    an external constraint whose cut is an eigenvalue."""
+    b = load_building(str(FIXTURES / "building_figure3.json"))
+    comps = {c.id: c for c in b.components}
+
+    def with_component(comp):
+        return replace(b, components=tuple(comp if c.id == comp.id else c
+                                           for c in b.components))
+
+    top = comps["main_top"]
+    yield with_component(replace(top, punctures=(
+        replace(top.punctures[0], controlling_winding=None),) + top.punctures[1:]))
+    yield with_component(replace(comps["main_bot"], wind_pi=1))
+    yield replace(b, breaking_pairs=b.breaking_pairs[:1] + b.breaking_pairs[2:])
+    lost = Component("lost", 0, (Puncture(1, OrbitRef("nowhere"), controlling_winding=0),),
+                     wind_pi=0)
+    yield replace(b, components=b.components + (lost,), nodal_pairs=(("lost", "main_top"),))
+    eigenvalue = min(x for x in catalog.table(RP, 6.0).eigenvalues() if x < 0)
+    yield set_constraints(b, {("cyl_top", 0): -eigenvalue})  # the cut -c is the eigenvalue
+
+
+class TestAnalysisRecord:
+    """The catalog keeps its analysis of the last building it was asked about
+    (by identity); every entry point reads it and still returns or raises
+    what it does from an empty slot."""
+
+    def corpus(self, cat):
+        for catalog, building in fixture_cases():
+            yield catalog, building
+        for building in mutants(cat):
+            yield cat, building
+        for building, constraints in random_cases(cat, 40, 21):
+            yield cat, set_constraints(building, constraints)
+
+    def test_mutants_fail_where_expected(self, cat):
+        raised = [{name: o[1].__name__ for name, o in cold_outcomes(cat, b).items()
+                   if o[0] == "raised"} for b in mutants(cat)]
+        nice = ("validate_nice", "classify_stable_limit")
+        index = ("index_report", "component_reports", "verify_additivity", "fredholm_index",
+                 "normal_chern")
+        assert raised[0] == dict.fromkeys(nice + ("defect:main_top",), "IncompleteInputError")
+        assert raised[1] == dict.fromkeys(nice + ("defect:main_bot",), "InconsistentDataError")
+        assert raised[2] == {"classify_stable_limit": "BuildingError"}
+        assert raised[3] == dict.fromkeys(index + nice + ("defect:lost",), "UnknownOrbitError")
+        assert raised[4] == dict.fromkeys(index + nice[1:], "DegenerateThresholdError")
+
+    def test_any_order_matches_a_cold_call(self, cat):
+        rng = np.random.default_rng(7)
+        for catalog, building in self.corpus(cat):
+            cold = cold_outcomes(catalog, building)
+            names = list(cold)
+            orders = [names, names[::-1]] + [list(rng.permutation(names)) for _ in range(2)]
+            calls = dict(entry_points(building))
+            for order in orders:
+                catalog._analysis[0] = None
+                for name in order:
+                    assert full_outcome(calls[name], catalog, building) == cold[name], (
+                        name, order, building)
+                    # repeated, a call is answered by what the analysis kept
+                    assert full_outcome(calls[name], catalog, building) == cold[name], name
+
+    def test_index_report_answers_the_other_entry_points(self, cat, monkeypatch):
+        # after index_report every end of the building and of its components is
+        # read: the index entry points ask the catalog nothing, and the nice and
+        # stable-limit checks ask only what lies outside the analysis, the parity
+        # and bad-double tests of breaking orbits (cut 0) and the ends of the
+        # sides of a two-component core
+        log = []
+        for name in ("cz_index", "alpha"):
+            real = getattr(Catalog, name)
+            monkeypatch.setattr(Catalog, name, lambda self, *a, _real=real, _name=name: (
+                log.append((_name, *a)) or _real(self, *a)))
+        real_ends = ic.ends
+        monkeypatch.setattr(ic, "ends", lambda catalog, b: log.append(("ends", b)) or
+                            real_ends(catalog, b))
+        seen = 0
+        for catalog, building in self.corpus(cat):
+            catalog._analysis[0] = None
+            log.clear()
+            if full_outcome(ic.index_report, catalog, building)[0] == "raised":
+                continue
+            analysed = {id(b) for kind, b, *_ in log if kind == "ends"}
+            assert len(analysed) == 1 + len(building.components)
+            halves = {ref for _, neg in building.breaking_pairs
+                      for ref in (building.puncture(neg).orbit,
+                                  OrbitRef(building.puncture(neg).orbit.simple, 1))}
+            for name, call in entry_points(building)[1:]:
+                log.clear()
+                full_outcome(call, catalog, building)
+                if name not in ("validate_nice", "classify_stable_limit"):
+                    assert log == [], name
+                    continue
+                ends_on = [b for kind, b, *_ in log if kind == "ends"]
+                assert not any(id(b) in analysed for b in ends_on), name
+                assert not any(kind == "alpha" for kind, *_ in log), name
+                if name == "validate_nice":
+                    # Catalog.parity and is_bad: cz_index(ref, 0.0) of a breaking
+                    # orbit or of its simple orbit
+                    assert ends_on == [], name
+                    assert all(a[0] == "cz_index" and a[1] in halves and a[2:] == (0.0,)
+                               for a in log), log
+                else:
+                    assert len(ends_on) in (0, 2) and all(len(b.components) == 1
+                                                          for b in ends_on)
+            seen += 1
+        assert seen > 20
+
+    def test_the_slot_is_keyed_by_identity(self, cat):
+        building = load_building(str(FIXTURES / "building_figure3.json"))
+        ic.index_report(cat, building)
+        record = cat._analysis[0]
+        assert record.building is building
+        classify_stable_limit(cat, building)  # the core and its sides leave the slot alone
+        validate_nice(cat, building)
+        assert cat._analysis[0] is record
+        equal = replace(building)
+        assert equal == building and equal is not building
+        assert ic.fredholm_index(cat, equal) == record.index
+        assert cat._analysis[0] is not record and cat._analysis[0].building is equal
+        other = Catalog([cat.orbit(i) for i in cat.ids()])
+        assert ic.normal_chern(other, building) == record.c_n
+        assert other._analysis[0].building is building
+        assert cat._analysis[0].building is equal
+
+    def test_concurrent_readers_agree(self):
+        # four threads call every entry point on two buildings of one catalog in
+        # turn, so they keep replacing each other's analysis in its slot
+        rounds = 20
+        catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        buildings = [load_building(str(FIXTURES / name))
+                     for name in ("building_figure3.json", "building_fig3_oddbreak.json")]
+        want = [cold_outcomes(catalog, b) for b in buildings]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(2):
+                catalog._analysis[0] = None
+                got = []
+
+                def read(offset):
+                    for j in range(rounds):
+                        i = (j + offset) % 2
+                        for name, call in entry_points(buildings[i]):
+                            got.append((i, name, full_outcome(call, catalog, buildings[i])))
+
+                threads = [threading.Thread(target=read, args=(offset,))
+                           for offset in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(got) == 4 * rounds // 2 * (len(want[0]) + len(want[1]))
+                assert all(outcome == want[i][name] for i, name, outcome in got)
+        finally:
+            sys.setswitchinterval(interval)

@@ -379,6 +379,29 @@ class TestBlochRoute:
         with pytest.raises(CatalogError, match="table-mode"):
             table_catalog.spectrum_of(OrbitRef("rot_tab"), 10.0, grid=101)
 
+    def test_grids_on_one_base_grid_share_the_kept_solve(self, monkeypatch):
+        # a wider window can move the default grid by less than the cover, and
+        # the Bloch blocks depend on the grid only through the base grid: hyp2^2
+        # at windows 15 and 16 (grids 67 and 69, base grid 35) and rot3^2 at 18
+        # and 20 (grids 75 and 77, base grid 39) each solve once, and every
+        # table is the one a fresh catalog returns for its window alone
+        fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        orbits = [fixture.orbit(i) for i in fixture.ids()]
+        cases = [(OrbitRef("hyp2", 2), (15.0, 16.0), [67, 69]),
+                 (OrbitRef("rot3", 2), (18.0, 20.0), [75, 77])]
+        solves = []
+        real = spectral._bloch_eigenpairs
+        monkeypatch.setattr(spectral, "_bloch_eigenpairs",
+                            lambda loop, k, n: solves.append((k, n)) or real(loop, k, n))
+        for ref, windows, grids in cases:
+            fresh = [Catalog(orbits).table(ref, w) for w in windows]
+            catalog = Catalog(orbits)
+            solves.clear()
+            tables = [catalog.table(ref, w) for w in windows]
+            assert [t.grid for t in tables] == grids
+            assert solves == [(ref.k, grids[0])]
+            assert tables == fresh
+
     def test_concurrent_readers_share_the_kept_solve(self):
         # four threads grow the windows of four covers on one catalog, so they
         # keep replacing each other's kept solve; each table must still be the
@@ -495,10 +518,15 @@ class TestCrossingRecord:
                     got = crossing_outcome(lambda: spectral.cz_crossing(held, k))
                     fresh = crossing_outcome(lambda: spectral.cz_crossing(loop, k))
                     want = crossing_outcome(lambda: reference_cz_crossing(loop, k))
+                if name == "overflow" and want[0] is DegenerateThresholdError:
+                    # the reference reads the overflowed P as degenerate (trace inf)
+                    want = (SpectralResolutionError, got[1])
                 assert got == fresh == want, (name, k)
                 outcomes[name, k] = got
         assert outcomes["rot3", 4][0] is DegenerateThresholdError
-        assert outcomes["overflow", 1][0] is DegenerateThresholdError
+        assert all(outcomes["overflow", k][0] is SpectralResolutionError and
+                   "overflows within one period" in outcomes["overflow", k][1]
+                   for k in range(1, 6))
         assert all(outcomes["zero", k][0] is DegenerateThresholdError for k in COVERS)
         assert all(outcomes[name, 513][0] is SpectralResolutionError and
                    "cover 513 needs 513 x" in outcomes[name, 513][1] for name in loops)

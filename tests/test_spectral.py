@@ -32,6 +32,7 @@ from support import (
     reference_cluster_means,
     reference_cz_crossing,
     reference_cz_from_path,
+    reference_fourier_diff_matrix,
     reference_integrate_frames,
     reference_winding,
     rotating_axis_loop,
@@ -110,6 +111,14 @@ class TestOperator:
         loop = rotation_loop(math.pi / 2, n=201)
         a = build_operator(loop)
         assert np.max(np.abs(a - a.T)) <= 1e-12
+
+    def test_diff_matrix_matches_the_dense_formula(self):
+        for n in [*range(3, 300, 2), 367, 1025]:
+            got = fourier_diff_matrix(n)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == reference_fourier_diff_matrix(n).tobytes(), n
+        with pytest.raises(ValueError, match="odd"):
+            fourier_diff_matrix(4)
 
     def test_diff_matrix_differentiates_modes_exactly(self):
         n = 9
@@ -338,6 +347,21 @@ class TestCrossingForm:
             # integrating and sweeping per call, the overflow read as degenerate
             with pytest.raises(DegenerateThresholdError, match=r"\(trace inf\)"):
                 reference_cz_crossing(loop, 355)
+
+    def test_overflowing_one_period_monodromy(self):
+        # diag(750, -750) is within the RK4 budget up to cover 5, but e^750 is
+        # past the float range: P is not finite, which is no degenerate orbit
+        loop = FlowLoop.constant(np.diag([750.0, -750.0]))
+        held = loop.holding()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1, 3, 5, 1):
+                for crossing in (loop, held):
+                    with pytest.raises(SpectralResolutionError,
+                                       match="overflows within one period of 192256 RK4 steps"):
+                        cz_crossing(crossing, k)
+            with pytest.raises(SpectralResolutionError, match="cover 6 needs"):
+                cz_crossing(held, 6)
 
 
 class TestBuildOperator:
