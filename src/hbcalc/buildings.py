@@ -277,15 +277,8 @@ def arithmetic_genus(building: Building) -> int:
     """Genus of the glued compactified surface of a connected building."""
     if not is_connected(building):
         raise BuildingError("arithmetic genus is defined for connected buildings only")
-    chi = euler_char(building)
-    n_ext = len(building.external_sites())
-    num = 2 - n_ext - chi
-    if num % 2 != 0:
-        raise BuildingError(
-            f"parity mismatch: chi={chi}, external punctures={n_ext} "
-            "(impossible for a well-formed building)"
-        )
-    return num // 2
+    # 2 - n_ext - chi = 2 (1 - #components + sum of genera + #pairs + #nodes)
+    return (2 - len(building.external_sites()) - euler_char(building)) // 2
 
 
 def trivial_breaking_pairs(building: Building) -> set[int]:
@@ -559,8 +552,9 @@ def subbuilding(building: Building, ids: Iterable[str]) -> tuple[Building, dict[
     return sub, induced
 
 
-def detach_component(building: Building, cid: str) -> tuple[Building, dict[Site, float]]:
-    """One component as a standalone finite energy surface.
+def detach_component(building: Building, cid: str) -> tuple[Component, dict[Site, float]]:
+    """One component as a standalone finite energy surface: the component and
+    the constraints of its ends, keyed by site in puncture order.
 
     All breaking pairs touching it are severed (even pairs joining the
     component to itself) and node decorations are dropped; every puncture
@@ -569,11 +563,7 @@ def detach_component(building: Building, cid: str) -> tuple[Building, dict[Site,
     additivity formulas sum over.
     """
     comp = building.component(cid)
-    piece = Building(components=(comp,))
-    induced = {
-        (cid, i): comp.punctures[i].constraint for i in range(len(comp.punctures))
-    }
-    return piece, induced
+    return comp, {(cid, i): p.constraint for i, p in enumerate(comp.punctures)}
 
 
 def set_constraints(building: Building, values: dict[Site, float]) -> Building:

@@ -43,8 +43,6 @@ from .buildings import (
     Component,
     Puncture,
     core,
-    detach_component,
-    is_connected,
     is_trivial_cylinder,
     trivial_breaking_pairs,
 )
@@ -262,9 +260,9 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
     violations are collected; the verdict kind is set only when everything
     passes.
     """
-    if not is_connected(building):
-        raise BuildingError("stable-limit classification needs a connected building")
     record = _analysis(catalog, building)
+    if record.genus is None:
+        raise BuildingError("stable-limit classification needs a connected building")
     violations = _nice_checks(catalog, record)
 
     for comp in building.components:
@@ -315,9 +313,11 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
                     f"index-{ind} limit must be smooth but the core has 2 components",
                 )
             )
+        # a core with cylinders is analysed outside the catalog's slot, which
+        # keeps `building`
+        sides = record if collapsed is building else Analysis(catalog, collapsed)
         for comp in collapsed.components:
-            # analysed outside the catalog's slot, which keeps `building`
-            side = Analysis(catalog, detach_component(collapsed, comp.id)[0])
+            side = sides.part(comp.id)
             side_ind = side.index
             if side_ind != 1:
                 violations.append(

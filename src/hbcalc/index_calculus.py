@@ -23,17 +23,19 @@ unit per nodal *point* (two per stored nodal pair):
 Disconnected buildings are accepted by ind/c_N (chi sums over pieces);
 arithmetic genus, and hence the displayed identity, needs connectedness.
 
-Every formula is a sum over the rows of `ends`, one per external end with its
-signed cut, CZ index, parity and extremal winding.  What the entry points
-compute of one building (its rows, index and c_N, and per component the
-detached piece with its rows, induced index, c_N and defect) is one
-`Analysis`, which the catalog keeps for the last building it was asked about,
-keyed by identity; so the rows are built once for the building and once per
-detached component, whichever entry points run.  Buildings made inside a
-check (the core, detached pieces) are analysed outside that slot.  Each end is
-read under the constraint stored on its puncture: to evaluate a building
-under other constraints, override them with `buildings.set_constraints`
-first.
+Every formula is a sum over rows of `ends`, one per puncture with its signed
+cut, CZ index, parity and extremal winding.  What the entry points compute of
+one building is one `Analysis`: its rows, chi, c1, genus, index and c_N, and
+per component a `Part` (from `buildings.detach_component`: the component and
+its end constraints) with that component's rows, induced index, c_N and
+defect.  The building's sums read the rows of its external punctures, and a
+part reads the rows of its component's punctures, the same objects; so each
+end is read once, whichever entry points run.  The catalog keeps the analysis
+of the last building it was asked about, keyed by identity; a building made
+inside a check (the core) is analysed outside that slot.  Each end is read
+under the constraint stored on its puncture (zero at a breaking puncture): to
+evaluate a building under other constraints, override them with
+`buildings.set_constraints` first.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .buildings import (
     Component,
     Puncture,
     Site,
-    arithmetic_genus,
     detach_component,
     euler_char,
     is_connected,
@@ -99,14 +100,11 @@ class End:
         return self._extremal
 
 
-def ends(catalog: Catalog, building: Building) -> list[End]:
-    """The external ends of a building, sorted by site, each under its inline
+def ends(catalog: Catalog, building: Building) -> dict[Site, End]:
+    """One row per puncture of a building, keyed by site, each under its inline
     constraint; every index and Chern-number formula is a sum over these."""
-    return [End(catalog, site, building.puncture(site)) for site in building.external_sites()]
-
-
-def _c1(building: Building) -> int:
-    return sum(c.rel_c1 for c in building.components)
+    return {(comp.id, i): End(catalog, (comp.id, i), p)
+            for comp in building.components for i, p in enumerate(comp.punctures)}
 
 
 def _mu(rows: list[End]) -> int:
@@ -127,67 +125,60 @@ class DefectReport:
     wind_pi: int  # supplied or implied by c_N - total defect
 
 
-class Analysis:
-    """What the index layer computes of one building, each value on first use.
+class _Sums:
+    """Index and c_N of a surface from its rows, chi, c1 and genus (None when
+    the surface is disconnected), each value on first use.
 
-    `rows` are the building's ends, `index` and `c_n` its Fredholm index and
-    normal Chern number, `part(cid)` the analysis of one component detached,
-    `defect` the defect report of a detached nontrivial component and
-    `reports` the per-component reports.  A value is kept only once it has
-    been computed without raising (cached_property keeps nothing when its
-    function raises), so a failed call fails again, at the same point, when it
-    is asked again; whatever order the entry points come in, each computes
-    what it reads in its own order.
+    A value is kept only once it has been computed without raising
+    (cached_property keeps nothing when its function raises), so a failed call
+    fails again, at the same point, when it is asked again; whatever order the
+    entry points come in, each computes what it reads in its own order.
     """
-
-    def __init__(self, catalog: Catalog, building: Building):
-        self.building = building
-        self._catalog = catalog
-        self._parts: dict[str, Analysis] = {}
-
-    @cached_property
-    def rows(self) -> list[End]:
-        return ends(self._catalog, self.building)
-
-    @cached_property
-    def chi(self) -> int:
-        return euler_char(self.building)
 
     @cached_property
     def index(self) -> int:
-        return -self.chi + 2 * _c1(self.building) + _mu(self.rows)
+        return -self.chi + 2 * self.c1 + _mu(self.rows)
 
     @cached_property
     def c_n(self) -> int:
         """c_N from the ends, asserting 2c_N = ind - 2 + 2g + #even when connected."""
-        rows, chi = self.rows, self.chi
-        cn = _c1(self.building) - chi + sum(e.sign * e.extremal for e in rows)
-        if is_connected(self.building):
+        cn = self.c1 - self.chi + sum(e.sign * e.extremal for e in self.rows)
+        if self.genus is not None:
             ind = self.index
-            genus = (2 - len(rows) - chi) // 2  # arithmetic genus; 2 - n_ext - chi is even
-            n_even = sum(1 for e in rows if e.parity == 0)
-            if 2 * cn != ind - 2 + 2 * genus + n_even:
+            n_even = sum(1 for e in self.rows if e.parity == 0)
+            if 2 * cn != ind - 2 + 2 * self.genus + n_even:
                 raise InternalCheckError(
                     f"normal Chern number {cn} violates 2c_N = ind - 2 + 2g + #even "
-                    f"(ind={ind}, g={genus}, #even={n_even})"
+                    f"(ind={ind}, g={self.genus}, #even={n_even})"
                 )
         return cn
 
-    def part(self, cid: str) -> Analysis:
-        """The analysis of component `cid` detached: breaking ends at zero,
-        external ends at their inline constraints."""
-        part = self._parts.get(cid)
-        if part is None:
-            part = Analysis(self._catalog, detach_component(self.building, cid)[0])
-            self._parts[cid] = part
-        return part
+
+class Part(_Sums):
+    """One component of an analysed building taken on its own: breaking pairs
+    severed, nodes dropped.  `rows` are the building's rows of its punctures,
+    in puncture order (a breaking end is read at its zero constraint)."""
+
+    def __init__(self, comp: Component, rows: list[End]):
+        self.comp = comp
+        self.rows = rows
+        self.chi = 2 - 2 * comp.genus - len(rows)
+        self.c1 = comp.rel_c1
+        self.genus = comp.genus
 
     @cached_property
     def defect(self) -> DefectReport:
-        """The defect report of a detached nontrivial component."""
-        comp = self.building.components[0]
-        windings = _controlling_windings(comp)
-        per = tuple((e.site, abs(e.extremal - w)) for e, w in zip(self.rows, windings))
+        """The defect report of a nontrivial component."""
+        comp = self.comp
+        missing = [(comp.id, i) for i, p in enumerate(comp.punctures)
+                   if p.controlling_winding is None]
+        if missing:
+            raise IncompleteInputError(
+                f"component {comp.id!r} lacks controlling windings at {missing}",
+                fields=[f"{cid}.punctures[{i}].controlling_winding" for cid, i in missing],
+            )
+        per = tuple((e.site, abs(e.extremal - p.controlling_winding))
+                    for e, p in zip(self.rows, comp.punctures))
         total = sum(d for _, d in per)
         cn = self.c_n
         if comp.wind_pi is not None:
@@ -205,6 +196,44 @@ class Analysis:
                     "forcing wind_pi < 0"
                 )
         return DefectReport(per_puncture=per, total=total, wind_pi=wind_pi)
+
+
+class Analysis(_Sums):
+    """What the index layer computes of one building.
+
+    `table` holds one row per puncture, keyed by site, `chi` and `c1` are the
+    building's; these are read when the analysis is made, and the rest on
+    first use: `rows` are the external ends, sorted by site, `genus` the
+    arithmetic genus, `index` and `c_n` the building's Fredholm index and
+    normal Chern number, `part(cid)` the `Part` of one component and
+    `reports` the per-component reports.
+    """
+
+    def __init__(self, catalog: Catalog, building: Building):
+        self.building = building
+        self.table = ends(catalog, building)
+        self.chi = euler_char(building)
+        self.c1 = sum(c.rel_c1 for c in building.components)
+        self._parts: dict[str, Part] = {}
+
+    @cached_property
+    def rows(self) -> list[End]:
+        return [self.table[site] for site in self.building.external_sites()]
+
+    @cached_property
+    def genus(self) -> int | None:
+        """Arithmetic genus of the glued surface; None when it is disconnected."""
+        if not is_connected(self.building):
+            return None
+        return (2 - len(self.rows) - self.chi) // 2  # 2 - n_ext - chi is even
+
+    def part(self, cid: str) -> Part:
+        """Component `cid` on its own, read through the building's rows."""
+        part = self._parts.get(cid)
+        if part is None:
+            comp, constraints = detach_component(self.building, cid)
+            part = self._parts[cid] = Part(comp, [self.table[site] for site in constraints])
+        return part
 
     @cached_property
     def reports(self) -> tuple[ComponentReport, ...]:
@@ -275,16 +304,6 @@ def defect(catalog: Catalog, building: Building, comp_id: str) -> DefectReport |
     return _analysis(catalog, building).part(comp_id).defect
 
 
-def _controlling_windings(comp: Component) -> list[int]:
-    missing = [(comp.id, i) for i, p in enumerate(comp.punctures) if p.controlling_winding is None]
-    if missing:
-        raise IncompleteInputError(
-            f"component {comp.id!r} lacks controlling windings at {missing}",
-            fields=[f"{site[0]}.punctures[{site[1]}].controlling_winding" for site in missing],
-        )
-    return [p.controlling_winding for p in comp.punctures]
-
-
 @dataclass(frozen=True)
 class ComponentReport:
     component: str
@@ -316,8 +335,8 @@ class AdditivityReport:
 
 
 def component_reports(catalog: Catalog, building: Building) -> list[ComponentReport]:
-    """Per-component index, c_N and defect, each from one pass over the ends
-    of the detached component (breaking ends at zero, external ends at their
+    """Per-component index, c_N and defect, each from the rows of the
+    component's punctures (breaking ends at zero, external ends at their
     inline constraints)."""
     return list(_analysis(catalog, building).reports)
 
@@ -327,9 +346,9 @@ def verify_additivity(catalog: Catalog, building: Building) -> AdditivityReport:
     internal errors (these are theorems, not data checks)."""
     reports = component_reports(catalog, building)
     record = _analysis(catalog, building)
-    # a breaking orbit's parity is that of its positive breaking end, the row
-    # of the end (cut 0) in its component's part, which the reports have read
-    parity_sum = sum(record.part(cid).rows[i].parity for (cid, i), _ in building.breaking_pairs)
+    # a breaking orbit's parity is that of the row of its positive breaking end
+    # (cut 0), which the reports have read
+    parity_sum = sum(record.table[pos].parity for pos, _ in building.breaking_pairs)
     report = AdditivityReport(
         index_total=fredholm_index(catalog, building),
         index_component_sum=sum(r.index for r in reports),
@@ -373,8 +392,8 @@ def index_report(catalog: Catalog, building: Building) -> IndexReport:
     gamma0, gamma1 = _parities(rows)
     return IndexReport(
         chi=record.chi,
-        genus=arithmetic_genus(building) if is_connected(building) else None,
-        c1_total=_c1(building),
+        genus=record.genus,
+        c1_total=record.c1,
         mu_total=_mu(rows),
         index=record.index,
         c_n=record.c_n,

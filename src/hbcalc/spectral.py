@@ -745,7 +745,8 @@ def _cluster_means(vals: np.ndarray, starts: list[int], ends: list[int]) -> list
 def monodromy(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> np.ndarray:
     """Endpoint of the linearized flow Psi' = J0 S(t) Psi over `cover` periods.
 
-    This is P**cover, with P the RK4 monodromy of one period.
+    This is P**cover, with P the RK4 monodromy of one period.  A flow that
+    overflows within one period raises cz_crossing's SpectralResolutionError.
     """
     return _integrate_frames(loop, cover, steps, keep_path=False)[-1]
 
@@ -787,7 +788,11 @@ def _integrate_frames(
     frames *= h / 6.0
     frames += eye
     if not keep_path:
-        return np.linalg.matrix_power(_period_product(frames), cover)[None]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+            p = _period_product(frames)
+        if not np.isfinite(p).all():
+            raise SpectralResolutionError(_overflow(n_steps))
+        return np.linalg.matrix_power(p, cover)[None]
     # Hillis-Steele scan: after the pass with offset d, frames[j] is the
     # product M_j ... M_{j-2d+1} (truncated at M_0), so frames[j] = Psi((j + 1) h).
     d = 1
@@ -885,13 +890,16 @@ def _one_period(loop: FlowLoop, n_steps: int) -> tuple:
         p = path[-1]
         tr = float(np.trace(p))
     if not np.isfinite(p).all():
-        return (n_steps, p, tr, None, (SpectralResolutionError, (
-            f"the linearized flow overflows within one period of {n_steps} RK4 steps: "
-            "the monodromy is not finite",)))
+        return (n_steps, p, tr, None, (SpectralResolutionError, (_overflow(n_steps),)))
     try:
         return (n_steps, p, tr, _classify(path, p, tr), None)
     except (SpectralResolutionError, np.linalg.LinAlgError) as exc:  # eig may not converge
         return (n_steps, p, tr, None, (type(exc), exc.args))
+
+
+def _overflow(n_steps: int) -> str:
+    return (f"the linearized flow overflows within one period of {n_steps} RK4 steps: "
+            "the monodromy is not finite")
 
 
 def _classify(path: np.ndarray, p: np.ndarray, tr: float):

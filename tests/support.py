@@ -645,6 +645,12 @@ def reference_resolve_constraints(building: Building,
     return out
 
 
+def detached_piece(building: Building, cid: str) -> tuple[Building, dict[Site, float]]:
+    """One component as a one-component building, with its end constraints."""
+    comp, induced = detach_component(building, cid)
+    return Building(components=(comp,)), induced
+
+
 def reference_threshold(sign: int, constraint: float) -> float:
     # positive punctures are cut at -c, negative punctures at +c
     return -constraint if sign == 1 else constraint
@@ -716,7 +722,7 @@ def reference_defect(catalog: Catalog, building: Building, comp_id: str,
     comp = building.component(comp_id)
     if comp.kind != "nontrivial":
         return None
-    piece, induced = detach_component(building, comp_id)
+    piece, induced = detached_piece(building, comp_id)
     if constraints:
         external = set(building.external_sites())
         for site, value in constraints.items():
@@ -764,7 +770,7 @@ def reference_component_reports(catalog: Catalog, building: Building,
     cs = reference_resolve_constraints(building, constraints)
     out = []
     for comp in sorted(building.components, key=lambda c: c.id):
-        piece, induced = detach_component(building, comp.id)
+        piece, induced = detached_piece(building, comp.id)
         for site in induced:
             if site in cs:
                 induced[site] = cs[site]
@@ -976,7 +982,7 @@ def reference_classify_queries(catalog: Catalog, building: Building) -> None:
     reference_nice_queries(catalog, building)
     for comp in building.components:
         if comp.kind == "nontrivial":
-            reference_fredholm_index(catalog, *detach_component(building, comp.id))
+            reference_fredholm_index(catalog, *detached_piece(building, comp.id))
     if reference_fredholm_index(catalog, building) not in (1, 2):
         return
     try:
@@ -985,7 +991,7 @@ def reference_classify_queries(catalog: Catalog, building: Building) -> None:
         return
     if len(collapsed.components) == 2:
         for comp in collapsed.components:
-            reference_fredholm_index(catalog, *detach_component(collapsed, comp.id))
+            reference_fredholm_index(catalog, *detached_piece(collapsed, comp.id))
 
 
 # --- random building corpus ---------------------------------------------------

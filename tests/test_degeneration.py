@@ -308,7 +308,7 @@ class TestDetachOnce:
             events.append("<core>")
             return real_core(building)
 
-        for module in (buildings, ic, dg):
+        for module in (buildings, ic):
             monkeypatch.setattr(module, "detach_component", detach)
         monkeypatch.setattr(dg, "core", core)
         path = str(FIXTURES / name)

@@ -13,6 +13,7 @@ from hbcalc.buildings import (
     Puncture,
     add_node,
     augment,
+    core,
     is_connected,
     set_constraints,
 )
@@ -398,8 +399,9 @@ class TestEndsQueries:
         monkeypatch.setattr(ic, "ends", lambda *a: calls.update(["ends"]) or real_ends(*a))
         cat._analysis[0] = None  # the warm call's analysis would answer without asking
         ic.index_report(cat, building)
-        ends = len(building.external_sites()) + sum(len(c.punctures) for c in building.components)
-        assert calls == Counter(cz_index=ends, alpha=ends, ends=1 + len(building.components))
+        # one row per puncture, shared by the building's sums and its components'
+        punctures = sum(len(c.punctures) for c in building.components)
+        assert calls == Counter(cz_index=punctures, alpha=punctures, ends=1)
 
 
 # --- the per-building analysis ------------------------------------------------
@@ -519,7 +521,7 @@ class TestAnalysisRecord:
             if full_outcome(ic.index_report, catalog, building)[0] == "raised":
                 continue
             analysed = {id(b) for kind, b, *_ in log if kind == "ends"}
-            assert len(analysed) == 1 + len(building.components)
+            assert analysed == {id(building)}
             halves = {ref for _, neg in building.breaking_pairs
                       for ref in (building.puncture(neg).orbit,
                                   OrbitRef(building.puncture(neg).orbit.simple, 1))}
@@ -539,10 +541,40 @@ class TestAnalysisRecord:
                     assert all(a[0] == "cz_index" and a[1] in halves and a[2:] == (0.0,)
                                for a in log), log
                 else:
-                    assert len(ends_on) in (0, 2) and all(len(b.components) == 1
+                    # one analysis of a two-component core, for both sides
+                    assert len(ends_on) in (0, 1) and all(len(b.components) == 2
                                                           for b in ends_on)
             seen += 1
         assert seen > 20
+
+    def test_one_row_per_puncture(self, cat, monkeypatch):
+        # a component's part reads the building's rows, the very objects of its
+        # external ends, and the four checks build no Building but the core
+        built = []
+        real_post_init = Building.__post_init__
+        monkeypatch.setattr(Building, "__post_init__",
+                            lambda b: built.append(b) or real_post_init(b))
+        checks = (ic.index_report, ic.verify_additivity, validate_nice, classify_stable_limit)
+        cores = 0
+        for catalog, building in self.corpus(cat):
+            catalog._analysis[0] = None
+            built.clear()
+            for check in checks:
+                full_outcome(check, catalog, building)
+            record = catalog._analysis[0]
+            assert record.building is building
+            assert [id(e) for e in record.rows] == [
+                id(record.part(cid).rows[i]) for cid, i in building.external_sites()]
+            for comp in building.components:
+                part = record.part(comp.id)
+                assert part.comp is comp
+                assert [e.site for e in part.rows] == [(comp.id, i)
+                                                       for i in range(len(comp.punctures))]
+                assert all(e is record.table[e.site] for e in part.rows)
+            if built:
+                cores += 1
+                assert len(built) == 1 and built[0] == core(building)
+        assert cores > 0
 
     def test_the_slot_is_keyed_by_identity(self, cat):
         building = load_building(str(FIXTURES / "building_figure3.json"))

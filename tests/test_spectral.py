@@ -9,6 +9,7 @@ import pytest
 
 from hbcalc import spectral
 from hbcalc.errors import DegenerateThresholdError, HbcalcError, SpectralResolutionError
+from hbcalc.orbits import Catalog, SimpleOrbit
 from hbcalc.spectral import (
     J0,
     FlowLoop,
@@ -362,6 +363,21 @@ class TestCrossingForm:
                         cz_crossing(crossing, k)
             with pytest.raises(SpectralResolutionError, match="cover 6 needs"):
                 cz_crossing(held, 6)
+
+    def test_overflowing_monodromy_is_an_error(self, monkeypatch):
+        # monodromy overflows as the crossing record does: it raises the same
+        # error, with no numpy warning, and is_hyperbolic reads no inf trace
+        loop = FlowLoop.constant(np.diag([750.0, -750.0]))
+        monkeypatch.setattr(Catalog, "_audit", lambda self: None)  # its solve is over budget
+        catalog = Catalog([SimpleOrbit("big", 1.0, loop)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: monodromy(loop), lambda: monodromy(loop, 5),
+                         lambda: catalog.is_hyperbolic("big")):
+                with pytest.raises(SpectralResolutionError,
+                                   match="overflows within one period of 192256 RK4 steps"):
+                    call()
+            assert catalog._monodromy == {}
 
 
 class TestBuildOperator:

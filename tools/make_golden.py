@@ -1,0 +1,78 @@
+"""Write the golden CLI outputs that tests/test_golden.py compares against.
+
+Run from the repository root:  python3 tools/make_golden.py
+
+Each case is one command line of the README's fixture commands; it runs as a
+fresh ``python -m hbcalc.cli`` process from the repository root (paths in the
+arguments are relative to it), and its exit code, stdout and stderr are
+written to tests/golden/cli.json.  Regenerate only when a change of output is
+intended, and say which bytes changed and why.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+OUT = ROOT / "tests" / "golden" / "cli.json"
+
+FLOW_CATALOGS = ("fixtures/catalog_demo.json", "fixtures/catalog_fixture.json")
+BUILDINGS = ("fixtures/building_cylinder.json", "fixtures/building_figure3.json",
+             "fixtures/building_fig3_oddbreak.json")
+FIGURE3 = "fixtures/building_figure3.json"
+
+
+def cases() -> list[list[str]]:
+    out = []
+    for catalog in FLOW_CATALOGS:
+        for building in BUILDINGS:
+            for command in (["index"], ["validate"], ["check", "--theorem", "stable"]):
+                argv = command + ["--catalog", catalog, "--building", building]
+                out += [argv, argv + ["--json"]]
+        argv = ["enumerate", "--catalog", catalog, "--asymptotics",
+                "fixtures/asymptotics_demo.json"]
+        out += [argv, argv + ["--json"]]
+    for catalog, orbit, cover, window, grid in (
+            ("fixtures/catalog_demo.json", "rot_p", 1, 10, None),
+            ("fixtures/catalog_demo.json", "rot_p", 3, 10, 201),
+            ("fixtures/catalog_demo.json", "hyp_even", 2, 8, None),
+            ("fixtures/catalog_fixture.json", "hyp2", 2, 12, None),
+            ("fixtures/catalog_fixture.json", "rot3", 1, 9, 101),
+            ("fixtures/catalog_table.json", "rot_tab", 1, 5, None)):
+        argv = ["spectrum", "--catalog", catalog, "--orbit", orbit, "--cover", str(cover),
+                "--window", str(window), "--json"]
+        out.append(argv + (["--grid", str(grid)] if grid else []))
+    for building, op in (
+            (FIGURE3, ["augment", "--site", "cyl_top:0"]), (FIGURE3, ["augment", "--pair", "1"]),
+            (FIGURE3, ["core"]), (FIGURE3, ["node", "--components", "main_top,main_bot"]),
+            ("fixtures/building_cylinder.json", ["glue", "--pos", "cyl:0", "--neg", "cyl:1"]),
+            (FIGURE3, ["union", "--other", "fixtures/building_cylinder.json"])):
+        out.append(["surgery", "--building", building, "--op"] + op)
+    # exit 2: an orbit the catalog does not have
+    out.append(["spectrum", "--catalog", "fixtures/catalog_demo.json", "--orbit", "nowhere",
+                "--window", "5", "--json"])
+    out.append(["index", "--catalog", "fixtures/catalog_table.json", "--building", FIGURE3])
+    return out
+
+
+def run(argv: list[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "hbcalc.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return {"argv": argv, "code": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr}
+
+
+def main() -> int:
+    OUT.parent.mkdir(exist_ok=True)
+    records = [run(argv) for argv in cases()]
+    OUT.write_text(json.dumps(records, indent=1) + "\n")
+    codes = sorted({r["code"] for r in records})
+    print(f"{len(records)} cases, exit codes {codes}, written to {OUT.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
