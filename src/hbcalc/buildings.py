@@ -39,6 +39,9 @@ class OrbitRef:
         if self.k < 1:
             raise CatalogError(f"covering number must be >= 1, got {self.k}")
 
+    def __str__(self) -> str:
+        return f"{self.simple}^{self.k}"
+
 
 @dataclass(frozen=True)
 class Puncture:

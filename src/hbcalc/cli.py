@@ -201,6 +201,8 @@ def catalog_from_data(data, path: str = "catalog") -> Catalog:
         record = _read(entry, None, "an object", at)
         oid = _read(record, "id", "a string", at)
         period = _read(record, "period", "a number", at)
+        if not period > 0:
+            raise InputError(f"{_path(at, 'period')}: period must be positive, got {period}")
         model_obj = _read(record, "model", "an object", at)
         model_at = (at, "model")
         mtype = _read(model_obj, "type", "a string", model_at)
@@ -213,7 +215,7 @@ def catalog_from_data(data, path: str = "catalog") -> Catalog:
                     raise InputError(f"{_path(row_at)}: expected [s11, s12, s22]")
                 triples.append([_read(row, k, "a number", row_at) for k in range(3)])
             try:
-                model = FlowLoop.from_triples(triples, period)
+                model = FlowLoop.from_triples(triples)
             except ValueError as exc:
                 raise InputError(f"{_path(samples_at)}: {exc}") from exc
         elif mtype == "table":
@@ -543,7 +545,7 @@ def _cmd_spectrum(args) -> int:
         }
         _dump_json(payload)
     else:
-        print(f"orbit {ref.simple}^{ref.k}  window {table.window}  grid {table.grid}")
+        print(f"orbit {ref}  window {table.window}  grid {table.grid}")
         print(f"{'eigenvalue':>18}  {'winding':>7}  {'mult':>4}")
         for e in table.entries:
             print(f"{e.eigenvalue:+18.9f}  {e.winding:>7d}  {e.multiplicity:>4d}")

@@ -171,7 +171,7 @@ def _nice_checks(catalog: Catalog, record: Analysis) -> list[Violation]:
                 Violation(
                     "BREAKING_ORBIT_ODD",
                     f"pair:{i}",
-                    f"nontrivial breaking orbit {ref.simple}^{ref.k} is odd",
+                    f"nontrivial breaking orbit {ref} is odd",
                 )
             )
         elif ref.k == 1:
@@ -208,7 +208,7 @@ def _nice_checks(catalog: Catalog, record: Analysis) -> list[Violation]:
                     Violation(
                         "NON_SIMPLE_EXTREMAL",
                         f"component:{comp.id}",
-                        f"controlling eigenfunction at {p.orbit.simple}^{p.orbit.k} has "
+                        f"controlling eigenfunction at {p.orbit} has "
                         f"winding {w} with gcd({p.orbit.k}, {w}) > 1",
                     )
                 )

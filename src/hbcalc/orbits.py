@@ -10,9 +10,10 @@ the windings read so far): a wider window whose grid keeps the base grid only
 audits that solve again, so each cover is solved once per base grid.
 Likewise it keeps one crossing record per flow orbit (the one-period part of
 cz_crossing: the monodromy P, its trace and what the swept angles give), so
-the crossing-form indices of all covers gamma^k of an orbit take one
-integration of its flow.  The index layer keeps its analysis of the last
-building it was asked about here too (``index_calculus.Analysis``).
+the crossing-form indices of all covers gamma^k of an orbit and its dynamical
+type (is_hyperbolic, from the same P) take one integration of its flow.  The
+index layer keeps its analysis of the last building it was asked about here
+too (``index_calculus.Analysis``).
 
 For a cover gamma^k with a signed spectral cut t (nondegenerate), the
 extremal winding numbers are
@@ -113,7 +114,6 @@ class Catalog:
             seen[orbit.id] = orbit
         self._orbits = seen
         self._tables: dict[tuple[str, int], SpectralTable] = {}
-        self._monodromy: dict[str, np.ndarray] = {}
         self._summaries: dict[tuple[str, int, float], SpectralSummary] = {}
         self._alphas: dict[tuple[str, int, float, str], int] = {}
         self._held: list = [None]  # the last cover solve (spectrum_from_loop's `held`)
@@ -294,11 +294,7 @@ class Catalog:
                     f"orbit {orbit_id!r} is table-mode without a 'hyperbolic' flag"
                 )
             return orbit.hyperbolic
-        p = self._monodromy.get(orbit_id)
-        if p is None:
-            p = monodromy(orbit.model)
-            self._monodromy[orbit_id] = p
-        tr = abs(float(np.trace(p)))
+        tr = abs(float(np.trace(monodromy(self._crossing[orbit_id]))))
         if abs(tr - 2.0) <= 1e-9:
             raise CatalogError(f"orbit {orbit_id!r} has borderline monodromy trace {tr}")
         return tr > 2.0

@@ -63,8 +63,7 @@ Fourier coefficients, and its values are sums of them against two small
 root-of-unity tables, without a dense kernel or numpy.fft.  Because the
 ODE is linear, each step is a 2x2 matrix M_j built in closed form from S on the
 half grid; all M_j are formed by batched matrix products and the frames
-Psi(t_j) = M_{j-1} ... M_0 by a log-depth prefix-product scan (the
-monodromy alone by a pairwise product).  Covers need
+Psi(t_j) = M_{j-1} ... M_0 by a log-depth prefix-product scan.  Covers need
 no further integration.  With P = Psi(1) the one-period monodromy, the k-fold
 monodromy is P^k, and in dimension 2 the index of the k-fold cover follows
 from one period by Bott's iteration formula (Bott, On the iteration of closed
@@ -76,9 +75,11 @@ rotation by 2 pi theta, so the index is 2 floor(k rho) + 1 and the cover is
 degenerate exactly when k rho is an integer.  cz_crossing is split the same
 way: a one-period record (P, tr P, and the index of one period or rho, or the
 error of a failed sweep check or of a P that overflowed) and a per-cover part
-(RK4 budget, the overflow of P, eigenvalue 1 of P^k, Bott's formula).  A loop
+(RK4 budget, the overflow of P, eigenvalue 1 of P^k, Bott's formula).  The
+record is the only source of P: monodromy(loop, k) is P^k from it.  A loop
 from loop.holding() keeps the record in a one-slot list of its own, so its
-covers integrate once; the catalog holds one such loop per flow orbit.
+covers and its monodromy integrate once; the catalog holds one such loop per
+flow orbit.
 
 All integers produced here are relative to the trivialization implicit in
 the flow-loop coordinates; only comparisons made in one consistent
@@ -135,15 +136,15 @@ def _as_samples(samples) -> np.ndarray:
 
 
 class FlowLoop:
-    """Uniform samples of the symmetric coefficient loop S(t) plus the period.
+    """Uniform samples of the symmetric coefficient loop S(t).
 
     The sample count must be odd and at least 3 (the spectral differentiation
     scheme needs it) and every sample symmetric to 1e-12.
     """
 
-    __slots__ = ("samples", "period", "_strength", "_held")
+    __slots__ = ("samples", "_strength", "_held")
 
-    def __init__(self, samples, period: float = 1.0):
+    def __init__(self, samples):
         arr = _as_samples(samples)
         n = arr.shape[0]
         if n < 3 or n % 2 == 0:
@@ -155,13 +156,10 @@ class FlowLoop:
             raise ValueError(
                 f"coefficient samples must be symmetric (defect {defect:.3e} > {SYMMETRY_TOL})"
             )
-        if not period > 0:
-            raise ValueError(f"period must be positive, got {period}")
         # store exactly symmetrized, read-only; halving first cannot overflow
         arr = 0.5 * arr + 0.5 * np.transpose(arr, (0, 2, 1))
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "period", float(period))
         object.__setattr__(self, "_held", None)
         a, b, c = arr[:, 0, 0], arr[:, 0, 1], arr[:, 1, 1]
         with np.errstate(over="ignore"):  # an overflow is rejected below
@@ -178,12 +176,12 @@ class FlowLoop:
         return self.samples.shape[0]
 
     @classmethod
-    def constant(cls, matrix, n: int = 33, period: float = 1.0) -> "FlowLoop":
+    def constant(cls, matrix, n: int = 33) -> "FlowLoop":
         m = np.asarray(matrix, dtype=float)
-        return cls(np.broadcast_to(m, (n, 2, 2)).copy(), period)
+        return cls(np.broadcast_to(m, (n, 2, 2)).copy())
 
     @classmethod
-    def from_triples(cls, triples: Sequence[Sequence[float]], period: float = 1.0) -> "FlowLoop":
+    def from_triples(cls, triples: Sequence[Sequence[float]]) -> "FlowLoop":
         """Build from rows [s11, s12, s22] (the catalog file layout)."""
         rows = np.asarray(triples, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 3:
@@ -193,7 +191,7 @@ class FlowLoop:
         arr[:, 0, 1] = rows[:, 1]
         arr[:, 1, 0] = rows[:, 1]
         arr[:, 1, 1] = rows[:, 2]
-        return cls(arr, period)
+        return cls(arr)
 
     def to_triples(self) -> list[list[float]]:
         return [[float(s[0, 0]), float(s[0, 1]), float(s[1, 1])] for s in self.samples]
@@ -204,11 +202,12 @@ class FlowLoop:
 
     def holding(self) -> "FlowLoop":
         """This loop (the same samples) with a one-slot list of its own, in which
-        cz_crossing keeps its one-period record: every cover asked of the
-        returned loop is served from one integration of the flow.  The loop
-        itself keeps nothing, so its own cz_crossing calls integrate afresh."""
+        cz_crossing and monodromy keep their shared one-period record: every
+        cover and monodromy asked of the returned loop is served from one
+        integration of the flow.  The loop itself keeps nothing, so its own
+        calls integrate afresh."""
         view = object.__new__(FlowLoop)
-        for name in ("samples", "period", "_strength"):
+        for name in ("samples", "_strength"):
             object.__setattr__(view, name, getattr(self, name))
         object.__setattr__(view, "_held", [None])
         return view
@@ -235,7 +234,7 @@ class FlowLoop:
         if n == self.n:
             return self
         ts = np.arange(n) / n
-        return FlowLoop(self.value_at(ts), self.period)
+        return FlowLoop(self.value_at(ts))
 
     def cover(self, k: int, grid: int | None = None) -> "FlowLoop":
         """Coefficient loop of the k-fold cover: S_k(t) = k S(kt mod 1)."""
@@ -245,7 +244,7 @@ class FlowLoop:
             return self
         n = next_odd(k * self.n) if grid is None else grid
         ts = (k * np.arange(n) / n) % 1.0
-        return FlowLoop(k * self.value_at(ts), k * self.period)
+        return FlowLoop(k * self.value_at(ts))
 
 
 def _root_sums(coef: np.ndarray, m: int, count: int) -> np.ndarray:
@@ -745,10 +744,21 @@ def _cluster_means(vals: np.ndarray, starts: list[int], ends: list[int]) -> list
 def monodromy(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> np.ndarray:
     """Endpoint of the linearized flow Psi' = J0 S(t) Psi over `cover` periods.
 
-    This is P**cover, with P the RK4 monodromy of one period.  A flow that
-    overflows within one period raises cz_crossing's SpectralResolutionError.
+    This is P**cover, with P the RK4 monodromy of one period from the
+    one-period record that cz_crossing keeps (a held loop makes it once for
+    both).  A record whose sweep check failed still gives its P; only
+    cz_crossing raises that failure.  A flow that overflows within one period
+    raises the record's SpectralResolutionError, and a P**cover that
+    overflows raises one that names the cover.
     """
-    return _integrate_frames(loop, cover, steps, keep_path=False)[-1]
+    p = _record(loop, cover, steps)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        power = np.array(np.linalg.matrix_power(p, cover))  # a copy: P stays the record's
+    if not np.isfinite(power).all():
+        raise SpectralResolutionError(
+            f"the monodromy of cover {cover} overflows: P**{cover} is not finite"
+        )
+    return power
 
 
 def _step_count(loop: FlowLoop, cover: int, steps: int | None) -> int:
@@ -764,12 +774,8 @@ def _step_count(loop: FlowLoop, cover: int, steps: int | None) -> int:
     return n_steps
 
 
-def _integrate_frames(
-    loop: FlowLoop, cover: int, steps: int | None, keep_path: bool
-) -> np.ndarray:
-    """The RK4 frames [I, Psi(h), ..., Psi(1) = P] of one period when
-    `keep_path`, else the stack of one matrix P**cover."""
-    n_steps = _step_count(loop, cover, steps)
+def _integrate_frames(loop: FlowLoop, n_steps: int) -> np.ndarray:
+    """The RK4 frames [I, Psi(h), ..., Psi(1) = P] of one period of n_steps steps."""
     h = 1.0 / n_steps
     # RK4 needs S on the half grid t = i h / 2, i = 0..2 n_steps, of one period
     s_half = _uniform_values(loop.samples, 2 * n_steps)
@@ -787,12 +793,6 @@ def _integrate_frames(
     frames += a2 @ (eye + h * k)  # K4
     frames *= h / 6.0
     frames += eye
-    if not keep_path:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-            p = _period_product(frames)
-        if not np.isfinite(p).all():
-            raise SpectralResolutionError(_overflow(n_steps))
-        return np.linalg.matrix_power(p, cover)[None]
     # Hillis-Steele scan: after the pass with offset d, frames[j] is the
     # product M_j ... M_{j-2d+1} (truncated at M_0), so frames[j] = Psi((j + 1) h).
     d = 1
@@ -802,22 +802,16 @@ def _integrate_frames(
     return np.concatenate([eye[None], frames])
 
 
-def _period_product(frames: np.ndarray) -> np.ndarray:
-    """M_{n-1} ... M_0 of a stack of n matrices, multiplied pairwise: neighbours
-    are paired from the top and an odd stack carries M_0 up a level, which is
-    the order of the scan's last entry, so both give the same bits."""
-    while len(frames) > 1:
-        odd = len(frames) % 2
-        pairs = frames[odd + 1::2] @ frames[odd::2]
-        frames = np.concatenate((frames[:1], pairs)) if odd else pairs
-    return frames[0]
-
-
 def _swept_angles(path: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Total angle swept by Psi(t) z for each column z of `directions`."""
-    w = np.einsum("tij,jk->tik", path, directions)
-    d = np.diff(np.arctan2(w[:, 1, :], w[:, 0, :]), axis=0)
-    d += math.pi  # wrapped in place: these (T, columns) arrays set the peak memory
+    # the (T, columns) angle steps set the peak memory: they are filled a column
+    # at a time, never from a (T, 2, columns) product of the whole path
+    d = np.empty((len(path) - 1, directions.shape[1]))
+    for c in range(directions.shape[1]):
+        w = np.einsum("tij,j->ti", path, directions[:, c])
+        angle = np.arctan2(w[:, 1], w[:, 0])
+        np.subtract(angle[1:], angle[:-1], out=d[:, c])
+    d += math.pi  # wrapped in place
     d %= 2 * math.pi
     d -= math.pi
     if np.max(np.abs(d)) >= MAX_STEP_ANGLE:
@@ -838,22 +832,16 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
     and either is multiplied by the cover; an elliptic P gives
     2*floor(cover*rho)+1 from its rotation number rho.
 
-    The one-period part (_one_period) does not depend on the cover.  A loop
-    from loop.holding() keeps it for its step count, so each further cover
-    only checks its RK4 budget, tests P**cover for the eigenvalue 1 and
-    applies Bott's formula; a failed sweep check is raised by every cover
-    after that test, as if the path were swept again.  A P that is not finite
-    (the flow overflowed within one period) has no eigenvalues to test: every
-    cover within budget raises SpectralResolutionError for it.
+    The one-period record (_one_period) does not depend on the cover, and
+    monodromy reads its P from the same record.  A loop from loop.holding()
+    keeps it for its step count, so each further cover only checks its RK4
+    budget, tests P**cover for the eigenvalue 1 and applies Bott's formula; a
+    failed sweep check is raised by every cover after that test, as if the
+    path were swept again.  A P that is not finite (the flow overflowed within
+    one period) has no eigenvalues to test: every cover within budget raises
+    SpectralResolutionError for it.
     """
-    n_steps = _step_count(loop, cover, steps)
-    held = loop._held or [None]
-    record = held[0]  # read once: another reader may replace it meanwhile
-    if record is None or record[0] != n_steps:
-        held[0] = record = _one_period(loop, n_steps)
-    _, p, tr, value, error = record
-    if not np.isfinite(p).all():  # the flow overflowed: P has no eigenvalues to test
-        raise error[0](*error[1])
+    _, p, tr, value, error = _record(loop, cover, steps)
     with np.errstate(over="ignore", invalid="ignore"):  # P**cover of a hyperbolic P may overflow
         tr_cover = float(np.trace(np.linalg.matrix_power(p, cover)))
     # symplectic 2x2: det(P - 1) = 2 - tr, so eigenvalue 1 means tr = 2; no
@@ -877,8 +865,23 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
     return 2 * math.floor(turns) + 1
 
 
+def _record(loop: FlowLoop, cover: int, steps: int | None) -> tuple:
+    """The one-period record for the step count of `cover` periods, read from
+    the loop's slot or made (and kept there on a held loop).  A P that is not
+    finite (the flow overflowed) has no use to either caller: its error is
+    raised here."""
+    n_steps = _step_count(loop, cover, steps)
+    held = loop._held or [None]
+    record = held[0]  # read once: another reader may replace it meanwhile
+    if record is None or record[0] != n_steps:
+        held[0] = record = _one_period(loop, n_steps)
+    if not np.isfinite(record[1]).all():
+        raise record[4][0](*record[4][1])
+    return record
+
+
 def _one_period(loop: FlowLoop, n_steps: int) -> tuple:
-    """cz_crossing's record of one period: (n_steps, P, tr P, value, error).
+    """The record of one period: (n_steps, P, tr P, value, error).
 
     `value` is the index of one period for a hyperbolic P and the rotation
     number for an elliptic one; `error` is None, or the class and arguments of
@@ -886,14 +889,14 @@ def _one_period(loop: FlowLoop, n_steps: int) -> tuple:
     finite, and then `value` is None.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the record's error
-        path = _integrate_frames(loop, 1, n_steps, keep_path=True)
-        p = path[-1]
+        path = _integrate_frames(loop, n_steps)
+        p = path[-1].copy()  # the record keeps P, not the path
         tr = float(np.trace(p))
     if not np.isfinite(p).all():
         return (n_steps, p, tr, None, (SpectralResolutionError, (_overflow(n_steps),)))
     try:
         return (n_steps, p, tr, _classify(path, p, tr), None)
-    except (SpectralResolutionError, np.linalg.LinAlgError) as exc:  # eig may not converge
+    except SpectralResolutionError as exc:
         return (n_steps, p, tr, None, (type(exc), exc.args))
 
 
@@ -906,10 +909,16 @@ def _classify(path: np.ndarray, p: np.ndarray, tr: float):
     """The index of one period of a hyperbolic P, or the rotation number of an
     elliptic P, from the angles swept along the one-period path."""
     if tr > 2.0:
-        # positive hyperbolic: eigenvectors sweep an exact multiple of 2 pi
-        evals, evecs = np.linalg.eig(p)
-        order = np.argsort(-evals.real)
-        dirs = np.real(evecs[:, order])
+        # positive hyperbolic: eigenvectors sweep an exact multiple of 2 pi.  They
+        # are solved in closed form, unstable first, each from the row of P - lambda
+        # that has no cancellation: numpy.linalg.eig would map LAPACK's general
+        # eigensolver into the process (0.5-0.7 MB of peak RSS with numpy 2.4's
+        # OpenBLAS) for one 2x2 matrix.
+        (a, b), (c, d) = p / np.max(np.abs(p))
+        h = (a - d) / 2
+        root = math.sqrt(max(h * h + b * c, 0.0))  # lambda = (a + d) / 2 +- root
+        dirs = np.array([[h + root, b], [c, -h - root]] if h >= 0
+                        else [[b, h - root], [root - h, c]])
         dirs = dirs / np.linalg.norm(dirs, axis=0)
         sweeps = _swept_angles(path, dirs) / (2 * math.pi)
         rounded = [round(x) for x in sweeps]

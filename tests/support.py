@@ -354,7 +354,7 @@ def reference_cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = No
     on a held loop.  Every cover gives the same integer, or raises the same
     exception class with the same message, except that a hyperbolic monodromy
     whose power overflows is called degenerate here."""
-    path = spectral._integrate_frames(loop, cover, steps, keep_path=True)
+    path = spectral._integrate_frames(loop, spectral._step_count(loop, cover, steps))
     p = path[-1]
     tr_cover = float(np.trace(np.linalg.matrix_power(p, cover)))
     if abs(tr_cover - 2.0) <= 1e-9 * max(1.0, abs(tr_cover)):
@@ -411,13 +411,13 @@ def crossing_outcome(compute):
 # --- sequential RK4 reference ------------------------------------------------
 
 
-def reference_integrate_frames(loop: FlowLoop, cover: int, steps: int | None,
-                               keep_path: bool) -> np.ndarray:
-    """RK4 for Psi' = J0 S(t) Psi taken one step at a time over every period.
+def reference_integrate_frames(loop: FlowLoop, cover: int, steps: int | None) -> np.ndarray:
+    """RK4 for Psi' = J0 S(t) Psi taken one step at a time over `cover` periods:
+    the frames [I, Psi(h), ..., Psi(cover)].
 
-    Drop-in oracle for ``hbcalc.spectral._integrate_frames``: same step count,
-    same half-grid samples, but no closed-form step matrices, no scan and no
-    cover shortcut.
+    Oracle for ``hbcalc.spectral._integrate_frames`` (one period) and
+    ``monodromy`` (P**cover): same step count, same half-grid samples, but no
+    closed-form step matrices, no scan and no cover shortcut.
     """
     if cover < 1:
         raise ValueError(f"cover must be >= 1, got {cover}")
@@ -441,7 +441,7 @@ def reference_integrate_frames(loop: FlowLoop, cover: int, steps: int | None,
         k4 = a2 @ (psi + h * k3)
         psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         path[step + 1] = psi
-    return path if keep_path else path[-1:]
+    return path
 
 
 def cover_path(period: np.ndarray, cover: int) -> np.ndarray:

@@ -363,6 +363,13 @@ class TestSurgery:
         assert "internal error" not in err and "Traceback" not in err
         assert "out of range for component 'cyl_top'" in err
 
+    def test_glue_over_distinct_orbits_names_them(self, capsys):
+        fig3 = str(FIXTURES / "building_figure3.json")
+        code, out, err = run(capsys, "surgery", "--building", fig3,
+                             "--op", "glue", "--pos", "cyl_top:0", "--neg", "cyl_bot:1")
+        assert (code, out, err) == (
+            2, "", "error: cannot glue punctures over distinct orbits rot_p^1 and rot_m^1\n")
+
 
 class TestHumanOutput:
     def test_validate_ok_output(self, capsys):

@@ -89,6 +89,10 @@ CASES = [
      2, "error: {bad}.orbits[0].period: expected a number\n"),
     ("cat-period-bool", CAT, ORBIT + ("period",), True,
      2, "error: {bad}.orbits[0].period: expected a number\n"),
+    ("cat-period-negative", CAT, ORBIT + ("period",), -1.0,
+     2, "error: {bad}.orbits[0].period: period must be positive, got -1.0\n"),
+    ("cat-period-zero", CAT, ORBIT + ("period",), 0,
+     2, "error: {bad}.orbits[0].period: period must be positive, got 0.0\n"),
     ("cat-model-type-unknown", CAT, ORBIT + ("model", "type"), "spline",
      2, "error: {bad}.orbits[0].model.type: unknown model type 'spline'\n"),
     ("cat-samples-missing", CAT, ORBIT + ("model", "samples"), DROP,
@@ -118,6 +122,10 @@ CASES = [
      2, "error: {bad}.orbits[0].model.covers['1'][0][1]: expected an integer\n"),
     ("tab-row-eigenvalue-null", TAB, COVER + (0, 0), None,
      2, "error: {bad}.orbits[0].model.covers['1'][0][0]: expected a number\n"),
+    ("tab-period-negative", TAB, ORBIT + ("period",), -1.0,
+     2, "error: {bad}.orbits[0].period: period must be positive, got -1.0\n"),
+    ("tab-period-zero", TAB, ORBIT + ("period",), 0.0,
+     2, "error: {bad}.orbits[0].period: period must be positive, got 0.0\n"),
     ("tab-hyperbolic-null", TAB, ORBIT + ("hyperbolic",), None,
      0, ""),
     ("tab-winding-gap", TAB, COVER, GAP,
@@ -198,6 +206,9 @@ CASES = [
      2, "error: {bad}.breaking_pairs[1][0][1]: expected an integer\n"),
     ("fig3-breaking-site-id-integer", FIG3, ("breaking_pairs", 1, 1, 0), 0,
      2, "error: {bad}.breaking_pairs[1][1][0]: expected a string\n"),
+    ("fig3-breaking-distinct-orbits", FIG3, ("components", 2, "punctures", 1, "orbit", "k"), 2,
+     2, "error: {bad}: breaking_pairs[0]: breaking pair (('cyl_bot', 0), ('main_bot', 1))"
+        " joins distinct orbits rot_m^1 and rot_m^2\n"),
     ("fig3-nodal-null", FIG3, ("nodal_pairs",), None,
      2, "error: {bad}.nodal_pairs: expected an array\n"),
     ("fig3-nodal-pair-short", FIG3, ("nodal_pairs",), [["main_top"]],

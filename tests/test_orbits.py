@@ -469,9 +469,9 @@ class TestCrossingRecord:
         calls = []
         real = spectral._integrate_frames
 
-        def integrate(loop, cover, steps, keep_path):
-            calls.append((id(loop), keep_path))
-            return real(loop, cover, steps, keep_path)
+        def integrate(loop, n_steps):
+            calls.append(id(loop))
+            return real(loop, n_steps)
 
         monkeypatch.setattr(spectral, "_integrate_frames", integrate)
         return calls
@@ -481,14 +481,41 @@ class TestCrossingRecord:
         calls = self.count_integrations(monkeypatch)
         got = {(i, k): crossing_outcome(lambda: catalog.cz_via_crossing(OrbitRef(i, k)))
                for i in catalog.ids() for k in COVERS}
-        assert len(calls) == len(set(calls)) == len(catalog.ids()) == 6
-        assert all(keep_path for _, keep_path in calls)
+        # the load audit made the records of the two even orbits (is_hyperbolic
+        # reads P from them), so only the four odd orbits are integrated here
+        assert sorted(calls) == sorted(id(catalog._crossing[i]) for i in catalog.ids()
+                                       if catalog.parity(OrbitRef(i)) == 1)
+        assert len(calls) == 4
         calls.clear()
         for (i, k), outcome in got.items():
             assert outcome == crossing_outcome(
                 lambda: spectral.cz_crossing(catalog.orbit(i).model, k)), (i, k)
         # the orbit's own loop keeps nothing: each plain call integrates
         assert len(calls) == len(got)
+
+    def test_type_and_every_cover_take_one_integration(self, monkeypatch):
+        # is_hyperbolic reads P from the crossing record, so the type of an
+        # orbit and the crossing indices of all its covers share one integration
+        calls = self.count_integrations(monkeypatch)
+        catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        types = {i: catalog.is_hyperbolic(i) for i in catalog.ids()}
+        for i in catalog.ids():
+            for k in COVERS:
+                crossing_outcome(lambda: catalog.cz_via_crossing(OrbitRef(i, k)))
+        assert sorted(calls) == sorted(id(catalog._crossing[i]) for i in catalog.ids())
+        assert types == {i: abs(np.trace(spectral.monodromy(catalog.orbit(i).model))) > 2
+                         for i in catalog.ids()}
+        assert sum(types.values()) == 3  # hyp2, hyp_even and hyp_odd
+
+    def test_a_failed_sweep_still_answers_is_hyperbolic(self):
+        # at the default step count the steep rotating axis sweeps more than
+        # pi/2 a step: its crossing indices fail, its type is read from P
+        catalog = Catalog([SimpleOrbit("steep", 1.0, rotating_axis_loop(2, a=20.0))])
+        assert catalog.parity(OrbitRef("steep")) == 0  # even, so the audit asked the type
+        assert catalog.is_hyperbolic("steep")
+        for k in (1, 2, 7):
+            with pytest.raises(SpectralResolutionError, match="sweeps more than pi/2"):
+                catalog.cz_via_crossing(OrbitRef("steep", k))
 
     def test_corpus_matches_a_fresh_integration(self, fixture_catalog, trig_loops, monkeypatch):
         # the one-period path does not depend on the cover: each call checks its
@@ -497,10 +524,9 @@ class TestCrossingRecord:
         paths = {}
         integrate = spectral._integrate_frames
 
-        def shared(loop, cover, steps, keep_path):
-            n_steps = spectral._step_count(loop, cover, steps)
+        def shared(loop, n_steps):
             if (loop, n_steps) not in paths:
-                paths[loop, n_steps] = integrate(loop, 1, n_steps, keep_path)
+                paths[loop, n_steps] = integrate(loop, n_steps)
             return paths[loop, n_steps]
 
         monkeypatch.setattr(spectral, "_integrate_frames", shared)
@@ -540,14 +566,14 @@ class TestCrossingRecord:
         for loop, steps in cases:
             held = loop.holding()
             for steps_now in (steps, None, steps):  # a new step count replaces the record
-                before = calls.count((id(held), True))
+                before = calls.count(id(held))
                 for k in COVERS:
                     got = crossing_outcome(lambda: spectral.cz_crossing(held, k, steps_now))
                     assert got == crossing_outcome(
                         lambda: reference_cz_crossing(loop, k, steps_now)), (k, steps_now)
                     if steps_now:
                         assert got[0] is SpectralResolutionError
-                assert calls.count((id(held), True)) - before == 1
+                assert calls.count(id(held)) - before == 1
 
     def test_concurrent_crossing_readers_agree(self):
         # four threads ask every cover of every orbit of one catalog, in four

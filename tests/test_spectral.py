@@ -97,7 +97,6 @@ class TestFlowLoop:
         ts = np.arange(double.n) / double.n
         expected = 2 * loop.value_at((2 * ts) % 1.0)
         assert np.max(np.abs(double.samples - expected)) < 1e-12
-        assert double.period == 2 * loop.period
 
 
 class TestOperator:
@@ -377,7 +376,10 @@ class TestCrossingForm:
                 with pytest.raises(SpectralResolutionError,
                                    match="overflows within one period of 192256 RK4 steps"):
                     call()
-            assert catalog._monodromy == {}
+            # the catalog keeps the record once, with the overflow as its error
+            _, p, _, value, error = catalog._crossing["big"]._held[0]
+            assert not np.isfinite(p).all() and value is None
+            assert error[0] is SpectralResolutionError
 
 
 class TestBuildOperator:
@@ -424,9 +426,9 @@ class TestStrength:
             assert loop.strength() == pytest.approx(want, rel=1e-12, abs=1e-300)
             held = loop.holding()
             assert held.samples is loop.samples and held.strength() == loop.strength()
-            assert (held.n, held.period) == (loop.n, loop.period)
+            assert held.n == loop.n
             with pytest.raises(AttributeError, match="immutable"):
-                held.period = 2.0
+                held.samples = loop.samples
 
 
 class TestJacobi:
@@ -468,6 +470,32 @@ class TestMonodromy:
         expected = -np.diag([math.exp(0.7), math.exp(-0.7)])
         assert np.max(np.abs(got - expected)) < 1e-9
 
+    def test_overflowing_power_names_the_cover(self):
+        # diag(2, -2): P is finite and so is P**355, whose entries are about
+        # e^710 / 2 (its trace e^710 is not); P**356 is past the float range
+        loop = FlowLoop.constant(np.diag([2.0, -2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for source in (loop, loop.holding()):
+                for k in (354, 355):
+                    assert np.isfinite(monodromy(source, k)).all(), k
+                for k in (356, 400):
+                    with pytest.raises(SpectralResolutionError,
+                                       match=f"the monodromy of cover {k} overflows"):
+                        monodromy(source, k)
+
+    def test_a_failed_sweep_still_gives_the_monodromy(self):
+        # 4 steps a period sweep more than pi/2 a step: cz_crossing raises the
+        # record's failure, monodromy returns its P
+        loop = rotating_axis_loop(2, a=1.0)
+        held = loop.holding()
+        for k in (1, 3):
+            with pytest.raises(SpectralResolutionError, match="sweeps more than pi/2"):
+                cz_crossing(held, k, 4)
+            want = np.linalg.matrix_power(spectral._integrate_frames(loop, 4)[-1], k)
+            assert np.array_equal(monodromy(held, k, 4), want)
+            assert np.array_equal(monodromy(loop, k, 4), want)
+
 
 ORACLE_COVERS = (1, 2, 3, 4, 8, 16)
 FIXTURE_ORBITS = ("hyp2", "hyp_even", "hyp_odd", "rot3", "rot_m", "rot_p")
@@ -495,9 +523,9 @@ class TestPropagatorOracle:
         # reference path of a k-fold cover is the first k periods of the
         # 16-fold one: integrate once and slice.
         top = max(ORACLE_COVERS)
-        full = reference_integrate_frames(loop, top, None, keep_path=True)
+        full = reference_integrate_frames(loop, top, None)
         n_steps = (len(full) - 1) // top
-        got_path = spectral._integrate_frames(loop, 1, None, keep_path=True)
+        got_path = spectral._integrate_frames(loop, n_steps)
         path = full[: n_steps + 1]
         scale = np.max(np.abs(path), axis=(1, 2), keepdims=True)
         assert np.max(np.abs(got_path - path) / scale) <= 1e-9
@@ -566,11 +594,9 @@ class TestBottIteration:
         periods = {}
         integrate = spectral._integrate_frames
 
-        def cached(loop, cover, steps, keep_path):
-            if not keep_path:
-                return integrate(loop, cover, steps, keep_path)
+        def cached(loop, n_steps):
             if id(loop) not in periods:
-                periods[id(loop)] = integrate(loop, cover, steps, keep_path)
+                periods[id(loop)] = integrate(loop, n_steps)
             return periods[id(loop)]
 
         monkeypatch.setattr(spectral, "_integrate_frames", cached)
@@ -601,18 +627,30 @@ class TestBottIteration:
                            for k in range(first, 17)]
 
 
-class TestPeriodProduct:
-    """The monodromy's pairwise product is the prefix scan's last entry, bit for bit."""
+class TestMonodromySource:
+    """monodromy(loop, k) is P**k with P the last frame of the one-period scan,
+    bit for bit, whether the record it reads was made by monodromy or by
+    cz_crossing, and P is the sequential RK4 endpoint of one period to
+    rounding."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 64, 2048, 2304])
-    def test_matches_the_scan(self, n):
-        frames = np.eye(2) + 0.01 * np.random.default_rng(n).standard_normal((n, 2, 2))
-        scan = frames.copy()
-        d = 1
-        while d < n:
-            scan[d:] = scan[d:] @ scan[:-d]
-            d *= 2
-        assert np.array_equal(spectral._period_product(frames), scan[-1])
+    @pytest.mark.parametrize("name", FIXTURE_ORBITS + ("trig0", "trig1", "zero"))
+    def test_matches_the_scan(self, name, fixture_catalog):
+        if name in FIXTURE_ORBITS:
+            loop = fixture_catalog.orbit(name).model
+        elif name == "zero":
+            loop = FlowLoop(np.zeros((3, 2, 2)))
+        else:
+            loop = random_trig_loop(np.random.default_rng(31 + int(name[-1])))
+        n_steps = spectral._step_count(loop, 1, None)
+        scan = spectral._integrate_frames(loop, n_steps)
+        want = reference_integrate_frames(loop, 1, None)[-1]
+        assert np.max(np.abs(scan[-1] - want)) <= 1e-9 * np.max(np.abs(want))
+        after_cz = loop.holding()
+        _outcome(lambda: cz_crossing(after_cz, 2))
+        for k in (1, 2, 5, 16):
+            power = np.linalg.matrix_power(scan[-1], k)
+            for source in (loop, loop.holding(), after_cz):
+                assert monodromy(source, k).tobytes() == power.tobytes(), (name, k)
 
 
 class TestHalfGrid:
@@ -647,8 +685,8 @@ class TestHalfGrid:
             got = spectral._uniform_values(loop.samples, m)
             want = loop.value_at(np.arange(m) / m)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(loop.samples)), m
-        path = spectral._integrate_frames(loop, 1, 50, keep_path=True)  # half grid of 100
-        want = reference_integrate_frames(loop, 2, 50, keep_path=True)
+        path = spectral._integrate_frames(loop, 50)  # half grid of 100
+        want = reference_integrate_frames(loop, 2, 50)
         assert np.max(np.abs(path - want[:51])) <= 1e-12 * np.max(np.abs(want[:51]))
         got_p = monodromy(loop, 2, 50)
         assert np.max(np.abs(got_p - want[-1])) <= 1e-12 * np.max(np.abs(want[-1]))

@@ -14,11 +14,12 @@ CLUSTER_TOL * window.  The Catalog keeps its last cover solve and re-audits it
 while a growing window keeps the grid, so each of its tables must also be
 identical, bit for bit, to the table a fresh Catalog returns for that window
 alone.  For every (orbit, k) it visits, Catalog.cz_via_crossing, which
-serves all covers of an orbit from one integration of its flow, must give
-the integer, or raise the exception class with the message, of a fresh
-spectral.cz_crossing(loop, k).  Prints one summary line per corpus, with the
-cover solves, the tables that reused one and the catalog's RK4 integrations
-of the crossing route, and exits 1 on any difference.  The trig corpus solves dense problems of dimension up to 3218;
+serves all covers of an orbit and its is_hyperbolic from one integration of
+its flow, must give the integer, or raise the exception class with the
+message, of a fresh spectral.cz_crossing(loop, k).  Prints one summary line
+per corpus, with the cover solves, the tables that reused one and the
+catalog's RK4 integrations (its load audit, is_bad and crossing queries), and
+exits 1 on any difference.  The trig corpus solves dense problems of dimension up to 3218;
 the whole sweep takes minutes with one BLAS thread.
 """
 
@@ -52,7 +53,8 @@ class AuditCounter:
 
     def __init__(self):
         self.cover = 1
-        self.read = self.solves = self.tables = self.integrations = 0
+        self.read = self.solves = self.tables = 0
+        self.integrated: list[int] = []  # id() of each loop integrated
         real_pairs, real_audit = spectral._bloch_eigenpairs, spectral._audited_table
         real_windings, real_integrate = spectral._windings, spectral._integrate_frames
 
@@ -70,9 +72,9 @@ class AuditCounter:
                 self.read += len(pts)
             return real_windings(pts)
 
-        def integrate(loop, cover, steps, keep_path):
-            self.integrations += keep_path  # the crossing route's one-period paths
-            return real_integrate(loop, cover, steps, keep_path)
+        def integrate(loop, n_steps):
+            self.integrated.append(id(loop))
+            return real_integrate(loop, n_steps)
 
         spectral._bloch_eigenpairs, spectral._audited_table = pairs, audit
         spectral._windings, spectral._integrate_frames = windings, integrate
@@ -83,17 +85,16 @@ class AuditCounter:
 
 def sweep(name, orbits, covers, windows, audit) -> int:
     start, before = time.perf_counter(), audit.counts()
+    audit.integrated.clear()
     bloch, dense = Catalog(orbits), DenseCoverCatalog(orbits)
-    cases = rows = failures = rk4 = 0
+    cases = rows = failures = 0
     worst = 0.0
     raised: dict[str, int] = {}
     asked: list[tuple] = []
     for orbit in orbits:
         for k in covers:
             ref = OrbitRef(orbit.id, k)
-            integrations = audit.integrations
             crossing = crossing_outcome(lambda: bloch.cz_via_crossing(ref))
-            rk4 += audit.integrations - integrations
             fresh = crossing_outcome(lambda: spectral.cz_crossing(orbit.model, k))
             if crossing != fresh:
                 failures += 1
@@ -113,6 +114,10 @@ def sweep(name, orbits, covers, windows, audit) -> int:
                     gap = max(abs(x - y) for x, y in zip(a[2], b[2]))
                     worst = max(worst, gap / (spectral.CLUSTER_TOL * query[1]))
     solves, tables, read = (b - a for a, b in zip(before, audit.counts()))
+    # the catalog integrates only its held loops, which stay alive, so their ids
+    # name them
+    held = {id(loop) for loop in bloch._crossing.values()}
+    rk4 = sum(i in held for i in audit.integrated)
     for orbit, ref, got in asked:  # the tables of windows asked in ascending order
         for i, window in enumerate(windows):
             if cover_outcomes(Catalog([orbit]), ref, (window,), invariants=False) != got[i:i + 1]:
@@ -123,7 +128,7 @@ def sweep(name, orbits, covers, windows, audit) -> int:
           f"({len(covers)}) x windows {list(windows)}: {cases} queries, {rows} table rows, "
           f"raised {dict(sorted(raised.items()))}, {solves} Bloch solves, {tables - solves} "
           f"tables reusing one, {read} Bloch windings audited, {len(orbits) * len(covers)} "
-          f"crossing queries on {rk4} RK4 integrations, worst eigenvalue gap "
+          f"crossing queries, {rk4} RK4 integrations by the catalog, worst eigenvalue gap "
           f"{worst:.2e} of CLUSTER_TOL * window, {failures} differences, "
           f"{time.perf_counter() - start:.0f} s")
     return failures
