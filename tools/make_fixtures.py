@@ -14,7 +14,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hbcalc.buildings import Building, Component, Puncture
+from hbcalc.buildings import Building, Component, Puncture, set_constraints
 from hbcalc.cli import (
     _dump_json,
     building_to_data,
@@ -191,18 +191,29 @@ def demo_asymptotics() -> dict:
     return {"format": 1, "punctures": [puncture, dict(puncture)], "rel_c1": 0}
 
 
-def main() -> None:
-    FIXTURES.mkdir(exist_ok=True)
-    files = {
+def constrained_building() -> Building:
+    """The figure-3 building with constraint 2.0 on both external ends, so
+    its ends are read at the nonzero cuts -2 (positive) and +2 (negative)."""
+    return set_constraints(figure3_building(), {("cyl_top", 0): 2.0, ("cyl_bot", 1): 2.0})
+
+
+def payloads() -> dict:
+    """Every fixture's JSON payload, by file name under fixtures/."""
+    return {
         "catalog_demo.json": catalog_to_data(demo_catalog()),
         "catalog_fixture.json": catalog_to_data(fixture_catalog()),
         "catalog_table.json": table_catalog(),
         "building_cylinder.json": building_to_data(trivial_cylinder_building()),
         "building_figure3.json": building_to_data(figure3_building()),
+        "building_constrained.json": building_to_data(constrained_building()),
         "building_fig3_oddbreak.json": building_to_data(oddbreak_building()),
         "asymptotics_demo.json": demo_asymptotics(),
     }
-    for name, payload in sorted(files.items()):
+
+
+def main() -> None:
+    FIXTURES.mkdir(exist_ok=True)
+    for name, payload in sorted(payloads().items()):
         path = FIXTURES / name
         with path.open("w", encoding="utf-8") as handle:
             _dump_json(payload, handle)

@@ -19,8 +19,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT = ROOT / "tests" / "golden" / "cli.json"
 
 FLOW_CATALOGS = ("fixtures/catalog_demo.json", "fixtures/catalog_fixture.json")
+# building_constrained.json reads its external ends at nonzero cuts
 BUILDINGS = ("fixtures/building_cylinder.json", "fixtures/building_figure3.json",
-             "fixtures/building_fig3_oddbreak.json")
+             "fixtures/building_fig3_oddbreak.json", "fixtures/building_constrained.json")
 FIGURE3 = "fixtures/building_figure3.json"
 
 
