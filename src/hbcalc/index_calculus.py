@@ -48,12 +48,13 @@ from .buildings import (
     Component,
     Puncture,
     Site,
+    arithmetic_genus,
     detach_component,
     euler_char,
-    is_connected,
 )
-from .errors import IncompleteInputError, InconsistentDataError, InternalCheckError
+from .errors import BuildingError, IncompleteInputError, InconsistentDataError, InternalCheckError
 from .orbits import Catalog, SpectralSummary
+
 
 class End:
     """One end under its constraint c, read through its signed spectral cut.
@@ -61,13 +62,12 @@ class End:
     This is the one place the cut convention lives: a positive end is cut at
     -c and its extremal winding is alpha_minus there, a negative end is cut at
     +c and read with alpha_plus.  `mu`, `parity` and `extremal` are the
-    orbit's own (unsigned) values at the cut.  Each is asked of the catalog on
-    first use and then kept, so a caller that needs no extremal winding makes
-    no alpha query and no end is queried twice.
+    orbit's own (unsigned) values at the cut, all read from one spectral
+    summary, asked of the catalog on first use and then kept, so no end is
+    queried twice.
     """
 
-    __slots__ = ("site", "sign", "orbit", "constraint", "cut", "_catalog", "_summary",
-                 "_extremal")
+    __slots__ = ("site", "sign", "orbit", "constraint", "cut", "_catalog", "_summary")
 
     def __init__(self, catalog: Catalog, site, puncture: Puncture):
         self.site = site
@@ -77,7 +77,6 @@ class End:
         self.cut = -self.constraint if puncture.sign == 1 else self.constraint
         self._catalog = catalog
         self._summary = None
-        self._extremal = None
 
     def summary(self) -> SpectralSummary:
         if self._summary is None:
@@ -94,10 +93,8 @@ class End:
 
     @property
     def extremal(self) -> int:
-        if self._extremal is None:
-            side = "minus" if self.sign == 1 else "plus"
-            self._extremal = self._catalog.alpha(self.orbit, self.cut, side)
-        return self._extremal
+        summary = self.summary()
+        return summary.alpha_minus if self.sign == 1 else summary.alpha_plus
 
 
 def ends(catalog: Catalog, building: Building) -> dict[Site, End]:
@@ -109,11 +106,6 @@ def ends(catalog: Catalog, building: Building) -> dict[Site, End]:
 
 def _mu(rows: list[End]) -> int:
     return sum(e.sign * e.mu for e in rows)
-
-
-def _parities(rows: list[End]) -> tuple[tuple[Site, ...], tuple[Site, ...]]:
-    gamma0 = tuple(e.site for e in rows if e.parity == 0)
-    return gamma0, tuple(e.site for e in rows if e.parity != 0)
 
 
 @dataclass(frozen=True)
@@ -223,9 +215,10 @@ class Analysis(_Sums):
     @cached_property
     def genus(self) -> int | None:
         """Arithmetic genus of the glued surface; None when it is disconnected."""
-        if not is_connected(self.building):
+        try:
+            return arithmetic_genus(self.building)
+        except BuildingError:
             return None
-        return (2 - len(self.rows) - self.chi) // 2  # 2 - n_ext - chi is even
 
     def part(self, cid: str) -> Part:
         """Component `cid` on its own, read through the building's rows."""
@@ -272,18 +265,8 @@ def _analysis(catalog: Catalog, building: Building) -> Analysis:
     return record
 
 
-def cz_total(catalog: Catalog, building: Building) -> int:
-    return _mu(_analysis(catalog, building).rows)
-
-
 def fredholm_index(catalog: Catalog, building: Building) -> int:
     return _analysis(catalog, building).index
-
-
-def puncture_parities(catalog: Catalog, building: Building
-                      ) -> tuple[tuple[Site, ...], tuple[Site, ...]]:
-    """External punctures partitioned by constrained parity (even, odd)."""
-    return _parities(_analysis(catalog, building).rows)
 
 
 def normal_chern(catalog: Catalog, building: Building) -> int:
@@ -389,7 +372,6 @@ class IndexReport:
 def index_report(catalog: Catalog, building: Building) -> IndexReport:
     record = _analysis(catalog, building)
     rows = record.rows
-    gamma0, gamma1 = _parities(rows)
     return IndexReport(
         chi=record.chi,
         genus=record.genus,
@@ -397,7 +379,7 @@ def index_report(catalog: Catalog, building: Building) -> IndexReport:
         mu_total=_mu(rows),
         index=record.index,
         c_n=record.c_n,
-        gamma0=gamma0,
-        gamma1=gamma1,
+        gamma0=tuple(e.site for e in rows if e.parity == 0),
+        gamma1=tuple(e.site for e in rows if e.parity != 0),
         per_component=tuple(component_reports(catalog, building)),
     )

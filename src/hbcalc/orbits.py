@@ -22,7 +22,9 @@ extremal winding numbers are
     alpha_plus(t)  = min { wind(lambda) : lambda > t },
 
 the parity is their difference (0 or 1 for a nondegenerate cut), and the
-Conley-Zehnder index is 2*alpha_minus + parity.  Positive-puncture
+Conley-Zehnder index is 2*alpha_minus + parity.  All four come from one
+query, `cz_index`, whose `SpectralSummary` is memoized per (orbit, cover,
+cut); nothing else reads the windings at a cut.  Positive-puncture
 constraints c >= 0 enter through the cut -c, negative ones through +c; the
 building layer supplies the sign.  Constrained indices are double-checked
 against the eigenvalue-counting forms
@@ -115,7 +117,6 @@ class Catalog:
         self._orbits = seen
         self._tables: dict[tuple[str, int], SpectralTable] = {}
         self._summaries: dict[tuple[str, int, float], SpectralSummary] = {}
-        self._alphas: dict[tuple[str, int, float, str], int] = {}
         self._held: list = [None]  # the last cover solve (spectrum_from_loop's `held`)
         self._analysis: list = [None]  # the last building analysed (index_calculus.Analysis)
         # each flow model with a slot for its crossing record (FlowLoop.holding)
@@ -235,24 +236,12 @@ class Catalog:
 
     # --- integer invariants ---------------------------------------------
 
-    def alpha(self, ref: OrbitRef, threshold: float, side: str) -> int:
-        """Extremal winding below ("minus") or above ("plus") a spectral cut."""
-        key = (ref.simple, ref.k, float(threshold), side)
-        cached = self._alphas.get(key)
-        if cached is not None:
-            return cached
-        table = self._table_past(ref, threshold)
-        if side == "minus":
-            value = table.alpha_minus(threshold)
-        elif side == "plus":
-            value = table.alpha_plus(threshold)
-        else:
-            raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
-        self._alphas[key] = value
-        return value
-
     def cz_index(self, ref: OrbitRef, threshold: float = 0.0) -> SpectralSummary:
-        """Spectral summary at a signed cut, verified against eigenvalue counting."""
+        """Spectral summary at a signed cut, verified against eigenvalue counting.
+
+        The one spectral query at a cut: its extremal windings, parity and
+        index, memoized per (orbit, cover, cut).
+        """
         key = (ref.simple, ref.k, float(threshold))
         cached = self._summaries.get(key)
         if cached is not None:
@@ -270,9 +259,9 @@ class Catalog:
         if threshold != 0.0:
             base = self.cz_index(ref, 0.0)
             if threshold < 0.0:
-                counted = base.mu_cz - self._table_past(ref, threshold).count_open(threshold, 0.0)
+                counted = base.mu_cz - table.count_open(threshold, 0.0)
             else:
-                counted = base.mu_cz + self._table_past(ref, threshold).count_open(0.0, threshold)
+                counted = base.mu_cz + table.count_open(0.0, threshold)
             if counted != mu:
                 raise InternalCheckError(
                     f"orbit {ref.simple!r} cover {ref.k}: winding route gives mu={mu} "

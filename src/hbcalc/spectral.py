@@ -411,9 +411,6 @@ class SpectralTable:
 
     # --- query helpers -------------------------------------------------
 
-    def eigenvalues(self) -> list[float]:
-        return [e.eigenvalue for e in self.entries]
-
     def min_abs_eigenvalue(self) -> float:
         if not self.entries:
             return math.inf

@@ -241,7 +241,8 @@ def _outcome(fn):
 
 def cover_outcomes(catalog: Catalog, ref: OrbitRef, windows, invariants: bool = True) -> list:
     """(query, result or exception class) for the tables of `ref` at each
-    window, in order, then its cz_index, both alphas at cut 0 and is_bad."""
+    window, in order, then its cz_index (both extremal windings, parity and
+    index at cut 0) and is_bad."""
     out = []
     for window in windows:
         table = _outcome(lambda: catalog.table(ref, window))
@@ -249,11 +250,10 @@ def cover_outcomes(catalog: Catalog, ref: OrbitRef, windows, invariants: bool = 
             out.append((("table", window), table))
         else:
             rows = [(e.winding, e.multiplicity) for e in table.entries]
-            out.append((("table", window), (rows, table.grid, table.eigenvalues())))
+            eigenvalues = [e.eigenvalue for e in table.entries]
+            out.append((("table", window), (rows, table.grid, eigenvalues)))
     if invariants:
         out.append((("cz_index",), _outcome(lambda: catalog.cz_index(ref))))
-        for side in ("minus", "plus"):
-            out.append((("alpha", side), _outcome(lambda: catalog.alpha(ref, 0.0, side))))
         out.append((("is_bad",), _outcome(lambda: catalog.is_bad(ref))))
     return out
 
@@ -693,10 +693,11 @@ def reference_normal_chern(catalog: Catalog, building: Building,
     alpha_sum = 0
     for site, c in cs.items():
         p = building.puncture(site)
+        summary = catalog.cz_index(p.orbit, reference_threshold(p.sign, c))
         if p.sign == 1:
-            alpha_sum += catalog.alpha(p.orbit, reference_threshold(1, c), "minus")
+            alpha_sum += summary.alpha_minus
         else:
-            alpha_sum -= catalog.alpha(p.orbit, reference_threshold(-1, c), "plus")
+            alpha_sum -= summary.alpha_plus
     cn = c1 - euler_char(building) + alpha_sum
     if is_connected(building):
         ind = reference_fredholm_index(catalog, building, constraints)
@@ -740,10 +741,8 @@ def reference_defect(catalog: Catalog, building: Building, comp_id: str,
     for site in piece.external_sites():
         p = piece.puncture(site)
         c = induced[site]
-        if p.sign == 1:
-            extremal = catalog.alpha(p.orbit, reference_threshold(1, c), "minus")
-        else:
-            extremal = catalog.alpha(p.orbit, reference_threshold(-1, c), "plus")
+        summary = catalog.cz_index(p.orbit, reference_threshold(p.sign, c))
+        extremal = summary.alpha_minus if p.sign == 1 else summary.alpha_plus
         d = abs(extremal - p.controlling_winding)
         per.append((site, d))
         total += d
@@ -1017,7 +1016,7 @@ def connected_component_ids(building: Building) -> list[list[str]]:
 def safe_constraint(catalog: Catalog, ref: OrbitRef, rng: np.random.Generator) -> float:
     """A positive constraint with both +/- cuts far from the spectrum."""
     table = catalog.table(ref, 6.0)
-    eigenvalues = table.eigenvalues()
+    eigenvalues = [e.eigenvalue for e in table.entries]
     for _ in range(60):
         c = round(float(rng.uniform(0.2, 3.0)), 3)
         if all(abs(x - c) > 0.1 and abs(x + c) > 0.1 for x in eigenvalues):

@@ -140,7 +140,7 @@ def test_criterion_05_index_identities_on_corpus(fixture_catalog, corpus):
         assert report_obj.c_n_ok
         assert is_connected(building)
         ind = ic.fredholm_index(fixture_catalog, building)
-        gamma0, _ = ic.puncture_parities(fixture_catalog, building)
+        gamma0 = ic.index_report(fixture_catalog, building).gamma0
         genus = arithmetic_genus(building)
         c_n = ic.normal_chern(fixture_catalog, building)
         assert 2 * c_n == ind - 2 + 2 * genus + len(gamma0)
@@ -354,10 +354,10 @@ def test_criterion_10_theorem_checker_fixtures(demo_catalog, fixture_catalog):
     cat = fixture_catalog
 
     def two_sided(top_ext, mid, bot_ext, bot_extra=()):
-        am, ap = cat.alpha(mid, 0.0, "minus"), cat.alpha(mid, 0.0, "plus")
+        am, ap = cat.cz_index(mid).alpha_minus, cat.cz_index(mid).alpha_plus
         top = Component(
             "main_top", 0,
-            (Puncture(1, top_ext, controlling_winding=cat.alpha(top_ext, 0.0, "minus")),
+            (Puncture(1, top_ext, controlling_winding=cat.cz_index(top_ext).alpha_minus),
              Puncture(-1, mid, controlling_winding=ap)),
             kind="nontrivial", wind_pi=0, image_class="west",
         )

@@ -486,8 +486,6 @@ class TestNonFiniteWindow:
     def test_threshold_rejected(self, demo_catalog, threshold):
         ref = OrbitRef("rot_p", 1)
         with pytest.raises(CatalogError, match="finite"):
-            demo_catalog.alpha(ref, threshold, "minus")
-        with pytest.raises(CatalogError, match="finite"):
             demo_catalog.cz_index(ref, threshold)
 
 

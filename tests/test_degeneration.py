@@ -52,9 +52,9 @@ def codes(verdict):
 def two_sided(cat, top_ext, mid, bot_ext, *, top_windpi=0, bot_windpi=0,
               image=("west", "east")):
     """Two nontrivial components joined along `mid`, extremal windings."""
-    am, ap = cat.alpha(mid, 0.0, "minus"), cat.alpha(mid, 0.0, "plus")
-    a_top = cat.alpha(top_ext, 0.0, "minus")
-    a_bot = cat.alpha(bot_ext, 0.0, "plus")
+    am, ap = cat.cz_index(mid).alpha_minus, cat.cz_index(mid).alpha_plus
+    a_top = cat.cz_index(top_ext).alpha_minus
+    a_bot = cat.cz_index(bot_ext).alpha_plus
     return Building(
         components=(
             Component(
@@ -542,8 +542,8 @@ class TestEnumerateLimits:
             b = dg.limit_to_building(demo_catalog, asym, limit)
             windings = {(p.constraint, p.orbit): p.controlling_winding
                         for comp in b.components for p in comp.punctures if p.sign == 1}
-            assert windings[(2.0, RP)] == demo_catalog.alpha(RP, -2.0, "minus") == -1
-            assert windings[(0.0, RP)] == demo_catalog.alpha(RP, 0.0, "minus") == 0
+            assert windings[(2.0, RP)] == demo_catalog.cz_index(RP, -2.0).alpha_minus == -1
+            assert windings[(0.0, RP)] == demo_catalog.cz_index(RP, 0.0).alpha_minus == 0
 
     def test_even_puncture_input_rejected(self, cat):
         asym = dg.Asymptotics(punctures=(Puncture(1, HE), Puncture(1, H2)))

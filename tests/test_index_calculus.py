@@ -49,15 +49,15 @@ def cat(fixture_catalog):
 class TestCzTotal:
     def test_trivial_cylinder_cancels(self, cat):
         b = Building(components=(tcyl("t", HE),))
-        assert ic.cz_total(cat, b) == 0
+        assert ic.index_report(cat, b).mu_total == 0
 
     def test_plane_at_rotation_orbit(self, cat):
         b = Building(components=(Component("p", 0, (Puncture(1, RP),)),))
-        assert ic.cz_total(cat, b) == 1
+        assert ic.index_report(cat, b).mu_total == 1
 
     def test_constrained_plane(self, cat):
         b = Building(components=(Component("p", 0, (Puncture(1, RP),)),))
-        assert ic.cz_total(cat, set_constraints(b, {("p", 0): 2.0})) == -1
+        assert ic.index_report(cat, set_constraints(b, {("p", 0): 2.0})).mu_total == -1
 
 
 class TestFredholmIndex:
@@ -93,20 +93,19 @@ class TestNormalChern:
 class TestParities:
     def test_plane_at_even_orbit(self, cat):
         b = Building(components=(Component("p", 0, (Puncture(1, H2),)),))
-        gamma0, gamma1 = ic.puncture_parities(cat, b)
-        assert gamma0 == (("p", 0),)
-        assert gamma1 == ()
+        report = ic.index_report(cat, b)
+        assert report.gamma0 == (("p", 0),)
+        assert report.gamma1 == ()
 
     def test_rotation_puncture_is_odd(self, cat):
         b = Building(components=(Component("p", 0, (Puncture(1, RP),)),))
-        gamma0, gamma1 = ic.puncture_parities(cat, b)
-        assert gamma1 == (("p", 0),)
+        assert ic.index_report(cat, b).gamma1 == (("p", 0),)
 
     def test_constraint_keeps_rotation_odd(self, cat):
         # mu(gamma; 2) = -1: crossing a double eigenvalue preserves parity
         b = Building(components=(Component("p", 0, (Puncture(1, RP),)),))
-        _, gamma1 = ic.puncture_parities(cat, set_constraints(b, {("p", 0): 2.0}))
-        assert gamma1 == (("p", 0),)
+        report = ic.index_report(cat, set_constraints(b, {("p", 0): 2.0}))
+        assert report.gamma1 == (("p", 0),)
 
 
 class TestDefect:
@@ -205,7 +204,7 @@ class TestRandomCorpus:
             report = ic.verify_additivity(cat, b)
             assert report.index_ok and report.c_n_ok
             ind = ic.fredholm_index(cat, b)
-            gamma0, _ = ic.puncture_parities(cat, b)
+            gamma0 = ic.index_report(cat, b).gamma0
             from hbcalc.buildings import arithmetic_genus
 
             genus = arithmetic_genus(b)
@@ -288,9 +287,7 @@ def random_cases(catalog, count, seed):
 
 
 PAIRS = [
-    (ic.cz_total, support.reference_cz_total),
     (ic.fredholm_index, support.reference_fredholm_index),
-    (ic.puncture_parities, support.reference_puncture_parities),
     (ic.normal_chern, support.reference_normal_chern),
     (ic.component_reports, support.reference_component_reports),
     (ic.verify_additivity, support.reference_verify_additivity),
@@ -335,19 +332,22 @@ class TestEndsOracle:
         a = ic.End(cat, ("p", 0), pos)
         b = ic.End(cat, ("n", 0), neg)
         assert (a.cut, b.cut) == (-2.0, 2.0)
-        assert a.extremal == cat.alpha(RP, -2.0, "minus")
-        assert b.extremal == cat.alpha(RP, 2.0, "plus")
+        assert a.extremal == cat.cz_index(RP, -2.0).alpha_minus
+        assert b.extremal == cat.cz_index(RP, 2.0).alpha_plus
         assert (a.mu, a.parity) == (cat.cz_index(RP, -2.0).mu_cz, cat.cz_index(RP, -2.0).parity)
+
+
+#: The catalog's spectral queries: the summary at a cut and the table under it.
+SPECTRAL_QUERIES = ("cz_index", "table")
 
 
 def queried(catalog, fn, *args):
     """Whether fn raised (and what), and the spectral memo keys it created,
     from an empty analysis slot."""
     catalog._summaries.clear()
-    catalog._alphas.clear()
     catalog._analysis[0] = None
     kind, value = outcome(fn, catalog, *args)
-    return (value if kind == "raised" else None), set(catalog._summaries), set(catalog._alphas)
+    return (value if kind == "raised" else None), set(catalog._summaries)
 
 
 class TestEndsQueries:
@@ -391,7 +391,7 @@ class TestEndsQueries:
         building = random_building(np.random.default_rng(8), cat, max_components=6)
         ic.index_report(cat, building)  # warm
         calls = Counter()
-        for name in ("cz_index", "alpha"):
+        for name in SPECTRAL_QUERIES:
             real = getattr(Catalog, name)
             monkeypatch.setattr(Catalog, name, lambda self, *a, _real=real, _name=name: (
                 calls.update([_name]) or _real(self, *a)))
@@ -401,7 +401,7 @@ class TestEndsQueries:
         ic.index_report(cat, building)
         # one row per puncture, shared by the building's sums and its components'
         punctures = sum(len(c.punctures) for c in building.components)
-        assert calls == Counter(cz_index=punctures, alpha=punctures, ends=1)
+        assert calls == Counter(cz_index=punctures, ends=1)
 
 
 # --- the per-building analysis ------------------------------------------------
@@ -456,7 +456,7 @@ def mutants(catalog):
     lost = Component("lost", 0, (Puncture(1, OrbitRef("nowhere"), controlling_winding=0),),
                      wind_pi=0)
     yield replace(b, components=b.components + (lost,), nodal_pairs=(("lost", "main_top"),))
-    eigenvalue = min(x for x in catalog.table(RP, 6.0).eigenvalues() if x < 0)
+    eigenvalue = min(e.eigenvalue for e in catalog.table(RP, 6.0).entries if e.eigenvalue < 0)
     yield set_constraints(b, {("cyl_top", 0): -eigenvalue})  # the cut -c is the eigenvalue
 
 
@@ -507,7 +507,7 @@ class TestAnalysisRecord:
         # and bad-double tests of breaking orbits (cut 0) and the ends of the
         # sides of a two-component core
         log = []
-        for name in ("cz_index", "alpha"):
+        for name in SPECTRAL_QUERIES:
             real = getattr(Catalog, name)
             monkeypatch.setattr(Catalog, name, lambda self, *a, _real=real, _name=name: (
                 log.append((_name, *a)) or _real(self, *a)))
@@ -533,12 +533,11 @@ class TestAnalysisRecord:
                     continue
                 ends_on = [b for kind, b, *_ in log if kind == "ends"]
                 assert not any(id(b) in analysed for b in ends_on), name
-                assert not any(kind == "alpha" for kind, *_ in log), name
                 if name == "validate_nice":
                     # Catalog.parity and is_bad: cz_index(ref, 0.0) of a breaking
-                    # orbit or of its simple orbit
+                    # orbit or of its simple orbit, and the table of a new one
                     assert ends_on == [], name
-                    assert all(a[0] == "cz_index" and a[1] in halves and a[2:] == (0.0,)
+                    assert all(a[1] in halves and (a[0] == "table" or a[2:] == (0.0,))
                                for a in log), log
                 else:
                     # one analysis of a two-component core, for both sides

@@ -40,21 +40,23 @@ COVERS = range(1, 17)
 
 
 class TestAlpha:
+    """The extremal windings, read from the summary of cz_index."""
+
     def test_rotation_threshold_zero(self, fixture_catalog):
-        assert fixture_catalog.alpha(OrbitRef("rot_p"), 0.0, "minus") == 0
+        assert fixture_catalog.cz_index(OrbitRef("rot_p"), 0.0).alpha_minus == 0
 
     def test_rotation_threshold_minus_two(self, fixture_catalog):
         # eigenvalues -5*pi/2 (winding -1) and -pi/2 (winding 0) straddle -2
-        assert fixture_catalog.alpha(OrbitRef("rot_p"), -2.0, "minus") == -1
-        assert fixture_catalog.alpha(OrbitRef("rot_p"), -2.0, "plus") == 0
+        s = fixture_catalog.cz_index(OrbitRef("rot_p"), -2.0)
+        assert (s.alpha_minus, s.alpha_plus) == (-1, 0)
 
     def test_hyperbolic_threshold_zero(self, fixture_catalog):
-        assert fixture_catalog.alpha(OrbitRef("hyp_even"), 0.0, "minus") == 0
-        assert fixture_catalog.alpha(OrbitRef("hyp_even"), 0.0, "plus") == 0
+        s = fixture_catalog.cz_index(OrbitRef("hyp_even"), 0.0)
+        assert (s.alpha_minus, s.alpha_plus) == (0, 0)
 
     def test_threshold_on_eigenvalue_rejected(self, fixture_catalog):
         with pytest.raises(DegenerateThresholdError):
-            fixture_catalog.alpha(OrbitRef("hyp_even"), 1.0, "minus")
+            fixture_catalog.cz_index(OrbitRef("hyp_even"), 1.0)
 
     def test_memo_matches_cold_catalog(self):
         warm = load_catalog(str(FIXTURES / "catalog_fixture.json"))
@@ -62,21 +64,19 @@ class TestAlpha:
         for orbit_id in warm.ids():
             for k in (1, 2):
                 ref = OrbitRef(orbit_id, k)
-                eigenvalues = warm.table(ref, 6.0).eigenvalues()
+                eigenvalues = [e.eigenvalue for e in warm.table(ref, 6.0).entries]
                 for t in (-3.1, -2.0, -0.7, 0.0, 0.7, 2.0, 3.1):
                     if min(abs(x - t) for x in eigenvalues) > 0.05:
-                        queries += [(ref, t, "minus"), (ref, t, "plus")]
-        first = [warm.alpha(*q) for q in queries]
-        assert [warm.alpha(*q) for q in queries] == first  # warm: memo hits
+                        queries.append((ref, t))
+        summaries = [warm.cz_index(*q) for q in queries]
+        assert all(warm.cz_index(*q) is s for q, s in zip(queries, summaries))  # memo hits
+        first = [(s.alpha_minus, s.alpha_plus) for s in summaries]
         cold = load_catalog(str(FIXTURES / "catalog_fixture.json"))
-        assert [cold.alpha(*q) for q in reversed(queries)] == first[::-1]
-        direct = [
-            getattr(warm.table(ref, 12.0), f"alpha_{side}")(t) for ref, t, side in queries
-        ]
+        reverse = [cold.cz_index(*q) for q in reversed(queries)]
+        assert [(s.alpha_minus, s.alpha_plus) for s in reverse] == first[::-1]
+        direct = [(warm.table(ref, 12.0).alpha_minus(t), warm.table(ref, 12.0).alpha_plus(t))
+                  for ref, t in queries]
         assert first == direct
-        for _ in range(2):  # a rejected side is never memoized
-            with pytest.raises(ValueError, match="side"):
-                warm.alpha(OrbitRef("rot_p"), 0.0, "up")
 
 
 class TestCzIndex:
@@ -99,7 +99,7 @@ class TestCzIndex:
             for k in (1, 2):
                 ref = OrbitRef(orbit_id, k)
                 table = fixture_catalog.table(ref, 6.0)
-                eigenvalues = table.eigenvalues()
+                eigenvalues = [e.eigenvalue for e in table.entries]
                 base = fixture_catalog.cz_index(ref, 0.0)
                 checked = 0
                 while checked < 50:

@@ -7,8 +7,8 @@ windows 10, 40 and 100, and for the nondegenerate_trig_loop corpus of
 acceptance criterion 02 (20 loops of 201 samples, seed 20240601) at covers
 2, 3, 4, 5 and 8 and windows 10 and 40, it asks a Catalog (Bloch blocks for
 k >= 2) and a DenseCoverCatalog (one dense solve of loop.cover(k, grid=n) on
-the same default grid n) for the tables at each window, then cz_index, alpha
-on both sides of the cut 0 and is_bad.  Rows (winding, multiplicity), grids,
+the same default grid n) for the tables at each window, then cz_index (both
+extremal windings, parity and index at the cut 0) and is_bad.  Rows (winding, multiplicity), grids,
 invariants and exception classes must be identical and eigenvalues within
 CLUSTER_TOL * window.  The Catalog keeps its last cover solve and re-audits it
 while a growing window keeps the grid, so each of its tables must also be
