@@ -41,19 +41,12 @@ __all__ = [
     "BuildingError",
     "CatalogError",
     "DegenerateThresholdError",
-    "FlowLoop",
     "HbcalcError",
     "IncompleteInputError",
     "InconsistentDataError",
     "InputError",
     "InternalCheckError",
     "NoCoreError",
-    "SpectralEntry",
     "SpectralResolutionError",
-    "SpectralTable",
-    "build_operator",
-    "cz_crossing",
-    "fourier_diff_matrix",
-    "spectrum_from_loop",
-    "winding",
+    *_SPECTRAL,
 ]

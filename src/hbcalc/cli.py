@@ -651,10 +651,10 @@ def _cmd_enumerate(args) -> int:
                     "top": list(lt.top),
                     "bottom": list(lt.bottom),
                     "breaking": {"simple": lt.breaking.simple, "k": lt.breaking.k},
-                    "index_top": lt.index_top,
-                    "index_bottom": lt.index_bottom,
-                    "c_N_top": lt.c_n_top,
-                    "c_N_bottom": lt.c_n_bottom,
+                    "index_top": 1,
+                    "index_bottom": 1,
+                    "c_N_top": 0,
+                    "c_N_bottom": 0,
                 }
                 for lt in limits
             ],

@@ -30,6 +30,8 @@ weights, and refuses more than MAX_LIMITS of them (or a table of more than
 MAX_PARTIAL_SUMS entries) with an OutputBudgetError before building any; a
 depth-first pass then visits only the splittings that satisfy the index
 equations, so its cost grows with the output rather than with 2^(#ends).
+Each limit is a top, a bottom and a breaking orbit: both sides have index 1
+and c_N = 0 for every limit, so they are not stored.
 """
 
 from __future__ import annotations
@@ -631,15 +633,15 @@ class Asymptotics:
 
 @dataclass(frozen=True)
 class LimitType:
-    """One admissible two-level degeneration of a stable index-2 curve."""
+    """One admissible two-level degeneration of a stable index-2 curve.
+
+    Both sides have index 1 and c_N = 0 by construction (2c_N = ind - 2 + 2g
+    + #even with g = 0 and the breaking end as the one even puncture), so
+    neither is stored."""
 
     top: tuple[int, ...]  # indices into Asymptotics.punctures
     bottom: tuple[int, ...]
     breaking: OrbitRef
-    index_top: int = 1
-    index_bottom: int = 1
-    c_n_top: int = 0
-    c_n_bottom: int = 0
 
 
 def _asymptotic_ends(catalog: Catalog, asymptotics: Asymptotics) -> list[End]:

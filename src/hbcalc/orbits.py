@@ -63,13 +63,13 @@ MAX_GROWTHS = 16
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Extremal windings, parity and Conley-Zehnder index at one spectral cut."""
+    """Extremal windings, parity and Conley-Zehnder index at one spectral cut
+    (the cut is the key of the catalog's memo, not a field)."""
 
     alpha_minus: int
     alpha_plus: int
     parity: int
     mu_cz: int
-    threshold: float
 
 
 class SimpleOrbit:
@@ -123,12 +123,6 @@ class Catalog:
         self._crossing = {o.id: o.model.holding() for o in seen.values() if o.is_flow}
         self._audit()
 
-    def __contains__(self, orbit_id: str) -> bool:
-        return orbit_id in self._orbits
-
-    def __iter__(self):
-        return iter(sorted(self._orbits))
-
     def orbit(self, orbit_id: str) -> SimpleOrbit:
         try:
             return self._orbits[orbit_id]
@@ -139,9 +133,6 @@ class Catalog:
         return sorted(self._orbits)
 
     # --- spectra -------------------------------------------------------
-
-    def _strength(self, orbit: SimpleOrbit) -> float:
-        return orbit.model.strength() if orbit.is_flow else 0.0
 
     def _compute_flow_table(self, orbit: SimpleOrbit, k: int, window: float,
                             grid: int | None) -> SpectralTable:
@@ -218,7 +209,7 @@ class Catalog:
                 )
             return stored
         try:
-            need = abs(threshold) + self._strength(orbit) * ref.k + 8.0
+            need = abs(threshold) + orbit.model.strength() * ref.k + 8.0
         except OverflowError:  # a cover past the float range; default_grid rejects it
             need = math.inf
         for _ in range(MAX_GROWTHS):
@@ -267,8 +258,7 @@ class Catalog:
                     f"orbit {ref.simple!r} cover {ref.k}: winding route gives mu={mu} "
                     f"but eigenvalue counting gives {counted} at threshold {threshold}"
                 )
-        summary = SpectralSummary(alpha_minus=am, alpha_plus=ap, parity=parity,
-                                  mu_cz=mu, threshold=float(threshold))
+        summary = SpectralSummary(alpha_minus=am, alpha_plus=ap, parity=parity, mu_cz=mu)
         self._summaries[key] = summary
         return summary
 

@@ -20,7 +20,7 @@ from hbcalc.buildings import (
 )
 from hbcalc import degeneration as dg
 from hbcalc import index_calculus as ic
-from hbcalc.cli import load_building, load_catalog, main
+from hbcalc.cli import load_asymptotics, load_building, load_catalog, main
 from hbcalc.errors import HbcalcError, IncompleteInputError, InputError, OutputBudgetError
 from hbcalc.orbits import OrbitRef
 
@@ -642,3 +642,44 @@ class TestEnumerateOracle:
         assert time.perf_counter() - start < 2.0
         assert [(lt.top, lt.bottom) for lt in got] == want
         assert {lt.breaking for lt in got} == {HE}
+
+
+class TestEnumerateSideConstants:
+    """`enumerate` writes index 1 and c_N 0 for both sides of every limit
+    without computing them; each materialized side must have exactly those,
+    on the demo input and on seeded random index-2 curves over the two flow
+    catalogs."""
+
+    def sides(self, catalog, curve):
+        out = []
+        for limit in dg.enumerate_limits(catalog, curve):
+            building = dg.limit_to_building(catalog, curve, limit)
+            out.append({r.component: (r.index, r.c_n)
+                        for r in ic.component_reports(catalog, building)})
+        return out
+
+    @pytest.mark.parametrize("catalog_file", ["catalog_demo.json", "catalog_fixture.json"])
+    def test_demo_limits(self, capsys, catalog_file):
+        asymptotics = str(FIXTURES / "asymptotics_demo.json")
+        catalog = str(FIXTURES / catalog_file)
+        assert main(["enumerate", "--catalog", catalog, "--asymptotics", asymptotics,
+                     "--json"]) == 0
+        written = [{"top": (lt["index_top"], lt["c_N_top"]),
+                    "bottom": (lt["index_bottom"], lt["c_N_bottom"])}
+                   for lt in json.loads(capsys.readouterr().out)["limits"]]
+        assert written
+        assert self.sides(load_catalog(catalog), load_asymptotics(asymptotics)) == written
+
+    def test_random_curves(self, demo_catalog, fixture_catalog):
+        rng = np.random.default_rng(911)
+        listed = 0
+        for catalog in (demo_catalog, fixture_catalog):
+            options = support.stable_end_options(catalog, rng)
+            for n in range(1, 11):
+                curve = support.random_stable_asymptotics(rng, options, n)
+                if curve is None:
+                    continue
+                sides = self.sides(catalog, curve)
+                listed += len(sides)
+                assert all(s == {"top": (1, 0), "bottom": (1, 0)} for s in sides), curve
+        assert listed > 2000

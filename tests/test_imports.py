@@ -57,6 +57,15 @@ class TestPackageExports:
         assert hbcalc.FlowLoop is spectral.FlowLoop
         assert hbcalc.spectrum_from_loop is spectral.spectrum_from_loop
 
+    def test_export_list_is_pinned(self):
+        assert sorted(hbcalc.__all__) == [
+            "BuildingError", "CatalogError", "DegenerateThresholdError", "FlowLoop",
+            "HbcalcError", "IncompleteInputError", "InconsistentDataError", "InputError",
+            "InternalCheckError", "NoCoreError", "SpectralEntry", "SpectralResolutionError",
+            "SpectralTable", "build_operator", "cz_crossing", "fourier_diff_matrix",
+            "spectrum_from_loop", "winding",
+        ]
+
     def test_star_import_binds_all(self):
         namespace = {}
         exec("from hbcalc import *", namespace)
