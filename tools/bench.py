@@ -2,22 +2,27 @@
 
 Run from the repository root:
 
-    python3 tools/bench.py [--out BENCH_<n>.json] [--seed 0] [--seconds 30]
+    python3 tools/bench.py [--out BENCH_<n>.json]
     python3 tools/bench.py --against OTHER_CHECKOUT --out pairs.json
 
-The first form runs the unchanged perfbench/run.py once per workload with
---trace 0 (end-to-end metrics) and once with --trace 1 (per-layer metrics).
-For each run it keeps the result line and the facts of the report line: the
-machine, src_sha256, inputs_sha256, outputs_sha256 and fail_frac.  It also
+Every run is at seed SEED for SECONDS seconds, so that each BENCH_<n>.json
+can be quoted against the one before it.  The first form runs the unchanged
+perfbench/run.py once per workload with --trace 0 (end-to-end metrics) and
+once with --trace 1 (per-layer metrics).  For each run it keeps the result
+line and the facts of the report line: the machine, src_sha256,
+inputs_sha256, outputs_sha256 and fail_frac.  It also
 keeps the per-layer metrics that perfbench/selftest.py requires to fire but
 that read 0 ("silent"), as they read.  Then it times the tier-1 tests (the
 pytest suite under tests/) and keeps their wall time and count, the
 tools/loc.py count and the commit (`git rev-parse HEAD`, plus whether src/
-differs from it).  --out defaults to the first free BENCH_<n>.json.
+differs from it).  --out defaults to the first free BENCH_<n>.json.  The
+tier-1 run keeps collecting past a module that fails to import, and its
+count of errors is kept next to passed and failed.
 
 The second form runs PAIRS alternating pairs at --trace 0 instead: in each
-pair the other checkout and this one run the same workload, seed and seconds,
-in alternating order.  For each end-to-end metric it keeps every pair, both
+pair the other checkout and this one run the same workload in alternating
+order.  Its output has another layout, so it needs --out: it never takes a
+BENCH_<n>.json name.  For each end-to-end metric it keeps every pair, both
 medians, the other checkout's quartile spread and the relative change of the
 median against the bound BENCHMARK.json sets.
 """
@@ -37,13 +42,15 @@ from selftest import FIRES  # noqa: E402  (perfbench/ is not a package)
 
 #: alternating pairs per workload, the fewest the nine-tenths rule can judge
 PAIRS = 10
+#: the seed and run length of every perfbench run
+SEED = 0
+SECONDS = 30.0
 
 
-def run_perfbench(checkout: pathlib.Path, workload: str, seed: int, seconds: float,
-                  trace: int) -> dict:
+def run_perfbench(checkout: pathlib.Path, workload: str, trace: int) -> dict:
     """One perfbench run: its result line and the facts of its report line."""
     argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=600)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("report "):
@@ -57,23 +64,25 @@ def run_perfbench(checkout: pathlib.Path, workload: str, seed: int, seconds: flo
 
 def tier1() -> dict:
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"],
                           cwd=ROOT, capture_output=True, text=True, timeout=1800)
     wall = time.perf_counter() - start
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
     return {"wall_s": round(wall, 2), "exit": proc.returncode, "summary": summary,
-            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0)}
+            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("errors", counts.get("error", 0))}
 
 
 def git(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True, timeout=30)
 
 
-def single_runs(workloads, seed: int, seconds: float) -> dict:
+def single_runs(workloads) -> dict:
     out = {}
     for workload in workloads:
-        runs = {f"trace_{trace}": run_perfbench(ROOT, workload, seed, seconds, trace)
+        runs = {f"trace_{trace}": run_perfbench(ROOT, workload, trace)
                 for trace in (0, 1)}
         metrics = runs["trace_1"]["result"]["metrics"]
         runs["silent"] = [name for name in FIRES[workload] if not metrics[name]["value"]]
@@ -83,8 +92,8 @@ def single_runs(workloads, seed: int, seconds: float) -> dict:
     return {
         "commit": git("rev-parse", "HEAD").stdout.strip(),
         "src_differs_from_commit": git("diff", "--quiet", "HEAD", "--", "src").returncode != 0,
-        "seed": seed,
-        "seconds": seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "workloads": out,
         "tier1": tier1(),
         "loc": int(loc.stdout.split()[-1]),
@@ -96,14 +105,14 @@ def quartile_spread(values: list) -> float:
     return q3 - q1
 
 
-def pair_runs(other: pathlib.Path, workloads, seed: int, seconds: float, bounds: dict) -> dict:
+def pair_runs(other: pathlib.Path, workloads, bounds: dict) -> dict:
     out = {}
     for workload in workloads:
         rows = []
         for i in range(PAIRS):
             order = ("other", "this") if i % 2 == 0 else ("this", "other")
-            row = {side: run_perfbench(other if side == "other" else ROOT, workload, seed,
-                                       seconds, 0) for side in order}
+            row = {side: run_perfbench(other if side == "other" else ROOT, workload, 0)
+                   for side in order}
             rows.append(row)
         metrics = {}
         for name, (better, bound) in bounds.items():
@@ -120,7 +129,7 @@ def pair_runs(other: pathlib.Path, workloads, seed: int, seconds: float, bounds:
                 "pairs_this_better": sum(sign * (a - b) < 0 for a, b in zip(after, before)),
             }
         out[workload] = {"metrics": metrics, "pairs": rows}
-    return {"seed": seed, "seconds": seconds, "pairs": PAIRS, "workloads": out}
+    return {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS, "workloads": out}
 
 
 def next_bench_path() -> pathlib.Path:
@@ -133,17 +142,17 @@ def next_bench_path() -> pathlib.Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=pathlib.Path)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--against", type=pathlib.Path)
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
+    if args.against is not None and args.out is None:
+        parser.error("--against needs --out: pair runs are not a BENCH_<n>.json")
     if args.against is None:
-        data = single_runs(workloads, args.seed, args.seconds)
+        data = single_runs(workloads)
     else:
         bounds = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
-        data = pair_runs(args.against.resolve(), workloads, args.seed, args.seconds, bounds)
+        data = pair_runs(args.against.resolve(), workloads, bounds)
     out = args.out or next_bench_path()
     out.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out}")
