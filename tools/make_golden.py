@@ -45,6 +45,10 @@ def cases() -> list[list[str]]:
         argv = ["spectrum", "--catalog", catalog, "--orbit", orbit, "--cover", str(cover),
                 "--window", str(window), "--json"]
         out.append(argv + (["--grid", str(grid)] if grid else []))
+    # window 5 on the 33-sample demo loops: the default grid is the sample count
+    for orbit in ("rot_m", "rot_p"):
+        out.append(["spectrum", "--catalog", "fixtures/catalog_demo.json", "--orbit", orbit,
+                    "--window", "5", "--json"])
     for building, op in (
             (FIGURE3, ["augment", "--site", "cyl_top:0"]), (FIGURE3, ["augment", "--pair", "1"]),
             (FIGURE3, ["core"]), (FIGURE3, ["node", "--components", "main_top,main_bot"]),
