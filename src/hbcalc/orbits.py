@@ -8,7 +8,7 @@ for concurrent readers.  It also keeps its last cover solve (the Bloch
 eigenpairs of one gamma^k, k >= 2, on the base grid of its default grid, with
 the windings read so far): a wider window whose grid keeps the base grid only
 audits that solve again, so each cover is solved once per base grid.
-Likewise it keeps one crossing record per flow orbit (the one-period part of
+Each flow loop keeps its own crossing record (the one-period part of
 cz_crossing: the monodromy P, its trace and what the swept angles give), so
 the crossing-form indices of all covers gamma^k of an orbit and its dynamical
 type (is_hyperbolic, from the same P) take one integration of its flow.  The
@@ -47,9 +47,7 @@ from .errors import CatalogError, InternalCheckError, SpectralResolutionError, U
 from .spectral import (
     FlowLoop,
     SpectralTable,
-    check_grid_budget,
     cz_crossing,
-    default_grid,
     monodromy,
     spectrum_from_loop,
 )
@@ -119,8 +117,6 @@ class Catalog:
         self._summaries: dict[tuple[str, int, float], SpectralSummary] = {}
         self._held: list = [None]  # the last cover solve (spectrum_from_loop's `held`)
         self._analysis: list = [None]  # the last building analysed (index_calculus.Analysis)
-        # each flow model with a slot for its crossing record (FlowLoop.holding)
-        self._crossing = {o.id: o.model.holding() for o in seen.values() if o.is_flow}
         self._audit()
 
     def orbit(self, orbit_id: str) -> SimpleOrbit:
@@ -136,14 +132,7 @@ class Catalog:
 
     def _compute_flow_table(self, orbit: SimpleOrbit, k: int, window: float,
                             grid: int | None) -> SpectralTable:
-        loop = orbit.model
-        if grid is None and k > 1:  # the Bloch blocks of the cover, solved once per base grid
-            table = spectrum_from_loop(loop, window, cover=k, held=self._held)
-        else:  # k = 1 or an explicit grid: one dense solve
-            self._held[0] = None  # keep one decomposition alive at a time
-            n = grid if grid is not None else default_grid(loop.n, k, window, loop.strength())
-            check_grid_budget(n)  # before loop.cover samples n points
-            table = spectrum_from_loop(loop.cover(k, grid=n), window, grid=n)
+        table = spectrum_from_loop(orbit.model, window, grid, cover=k, held=self._held)
         if table.min_abs_eigenvalue() <= table.cluster_tol():
             raise CatalogError(
                 f"orbit {orbit.id!r} cover {k} is degenerate (0 is an eigenvalue)"
@@ -273,7 +262,7 @@ class Catalog:
                     f"orbit {orbit_id!r} is table-mode without a 'hyperbolic' flag"
                 )
             return orbit.hyperbolic
-        tr = abs(float(np.trace(monodromy(self._crossing[orbit_id]))))
+        tr = abs(float(np.trace(monodromy(orbit.model))))
         if abs(tr - 2.0) <= 1e-9:
             raise CatalogError(f"orbit {orbit_id!r} has borderline monodromy trace {tr}")
         return tr > 2.0
@@ -292,12 +281,13 @@ class Catalog:
     def cz_via_crossing(self, ref: OrbitRef) -> int:
         """Crossing-form route to the Conley-Zehnder index (flow models only).
 
-        Every cover of an orbit is served from one integration of its flow.
+        Every cover of an orbit is served from one integration of its flow
+        (the loop's crossing record).
         """
         orbit = self.orbit(ref.simple)
         if not orbit.is_flow:
             raise CatalogError(f"orbit {ref.simple!r} has no flow model")
-        return cz_crossing(self._crossing[ref.simple], ref.k)
+        return cz_crossing(orbit.model, ref.k)
 
     # --- audits ----------------------------------------------------------
 

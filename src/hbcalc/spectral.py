@@ -40,9 +40,9 @@ part for j in {0, k/2}; they go through the same winding, clustering and
 audit code as the dense route.  The block index is a free cross-check: the
 winding of a block-j eigenfunction is +-j mod k (its deck-shift eigenvalues
 are exp(+-2 pi i j / k)), and any other winding inside the window raises
-SpectralResolutionError.  An explicit grid names a
-dense discretization, so loop.cover(k) with a grid stays dense; the catalog
-uses that route for explicit grids, and the tests use it as the oracle.
+SpectralResolutionError.  An explicit grid names a dense discretization, so
+spectrum_from_loop solves loop.cover(k, grid=n) densely when it is given a grid
+(and for k = 1); the tests use that route as the oracle.
 
 A caller may keep the last solve in a one-slot list (spectrum_from_loop's
 `held`): the catalog keeps its last cover solve and audits it again for each
@@ -76,10 +76,11 @@ degenerate exactly when k rho is an integer.  cz_crossing is split the same
 way: a one-period record (P, tr P, and the index of one period or rho, or the
 error of a failed sweep check or of a P that overflowed) and a per-cover part
 (RK4 budget, the overflow of P, eigenvalue 1 of P^k, Bott's formula).  The
-record is the only source of P: monodromy(loop, k) is P^k from it.  A loop
-from loop.holding() keeps the record in a one-slot list of its own, so its
-covers and its monodromy integrate once; the catalog holds one such loop per
-flow orbit.
+record is the only source of P: monodromy(loop, k) is P^k from it.  It depends
+on the samples alone, so every FlowLoop keeps its own in a one-slot list: all
+covers and monodromies of a loop integrate once.  The step count of one period
+is a function of the loop's strength; the RK4 budget still bounds cover times
+steps.
 
 All integers produced here are relative to the trivialization implicit in
 the flow-loop coordinates; only comparisons made in one consistent
@@ -142,7 +143,7 @@ class FlowLoop:
     scheme needs it) and every sample symmetric to 1e-12.
     """
 
-    __slots__ = ("samples", "_strength", "_held")
+    __slots__ = ("samples", "_strength", "_held")  # _held: [the crossing record or None]
 
     def __init__(self, samples):
         arr = _as_samples(samples)
@@ -160,7 +161,7 @@ class FlowLoop:
         arr = 0.5 * arr + 0.5 * np.transpose(arr, (0, 2, 1))
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "_held", None)
+        object.__setattr__(self, "_held", [None])
         a, b, c = arr[:, 0, 0], arr[:, 0, 1], arr[:, 1, 1]
         with np.errstate(over="ignore"):  # an overflow is rejected below
             radius = np.abs(a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b**2)
@@ -199,18 +200,6 @@ class FlowLoop:
     def strength(self) -> float:
         """Max spectral norm over the samples (used for windows and step sizes)."""
         return self._strength
-
-    def holding(self) -> "FlowLoop":
-        """This loop (the same samples) with a one-slot list of its own, in which
-        cz_crossing and monodromy keep their shared one-period record: every
-        cover and monodromy asked of the returned loop is served from one
-        integration of the flow.  The loop itself keeps nothing, so its own
-        calls integrate afresh."""
-        view = object.__new__(FlowLoop)
-        for name in ("samples", "_strength"):
-            object.__setattr__(view, name, getattr(self, name))
-        object.__setattr__(view, "_held", [None])
-        return view
 
     def value_at(self, ts) -> np.ndarray:
         """Trigonometric interpolation of the samples at times ts (mod 1).
@@ -507,41 +496,40 @@ def spectrum_from_loop(
     cover: int = 1,
     held: list | None = None,
 ) -> SpectralTable:
-    """Windowed spectral table of the operator defined by a coefficient loop.
+    """Windowed spectral table of the k-fold cover (k = `cover`) of the
+    operator defined by a coefficient loop.
 
-    With cover=1 this is one dense symmetric solve on `grid` points (by
-    default the grid heuristic); pass loop.cover(k) to solve a cover densely.
-    With cover=k >= 2 the k-fold cover of `loop` is solved by its Bloch blocks
-    on the base grid (module docstring) and the table reports the grid the
-    dense solve would use; an explicit grid names a dense discretization, so
-    it cannot be combined with cover >= 2.  The audit trims winding classes
-    that the window cuts at its edges and raises SpectralResolutionError when
-    the interior of the window is not resolved (too-coarse grid, inconsistent
-    windings, gaps in the winding run, a winding off its Bloch block).
+    An explicit grid, or cover=1, is one dense symmetric solve of
+    loop.cover(k, grid=n) on n = `grid` points (by default the grid
+    heuristic).  Otherwise the cover is solved by its Bloch blocks on the base
+    grid (module docstring) and the table reports the grid the dense solve
+    would use.  The grid budget is checked before anything of that size is
+    sampled.  The audit trims winding classes that the window cuts at its
+    edges and raises SpectralResolutionError when the interior of the window
+    is not resolved (too-coarse grid, inconsistent windings, gaps in the
+    winding run, a winding off its Bloch block).
 
     `held` is an optional one-slot list owned by the caller, [None] or the last
-    solve.  A solve of the same loop object, cover and Bloch base grid
+    Bloch solve.  A solve of the same loop object, cover and Bloch base grid
     m = next_odd(ceil(grid / cover)) is reused, whatever grid the request
     reports (the solve depends on the grid only through m): only the window's
     audit runs again, and it reads windings only for eigenfunctions that no
     earlier window of that solve scanned.  Any other request empties the slot
-    before it solves, so at most one solve is kept.
+    before it solves, so at most one solve is kept; a dense solve keeps none.
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
     if cover < 1:
         raise ValueError(f"cover must be >= 1, got {cover}")
-    strength = loop.strength()
-    if grid is None:
-        n = default_grid(loop.n, cover, window, strength)
-    elif cover > 1:
-        raise ValueError("an explicit grid names a dense cover; pass loop.cover(k) instead")
-    elif grid % 2 == 0 or grid < 3:
+    if grid is not None and (grid % 2 == 0 or grid < 3):
         raise ValueError(f"grid must be odd and >= 3, got {grid}")
-    else:
-        n = grid
+    n = grid or default_grid(loop.n, cover, window, loop.strength())
     check_grid_budget(n)
     held = [None] if held is None else held
+    if grid is not None or cover == 1:  # one dense solve, kept by no one
+        held[0] = None
+        loop, cover, held = loop.cover(cover, grid=n), 1, [None]
+    strength = loop.strength()
     m = _base_grid(n, cover)
     solve = held[0]  # read once: another reader may replace it meanwhile
     if solve is None or solve[0] is not loop or solve[1:3] != (cover, m):
@@ -738,17 +726,17 @@ def _cluster_means(vals: np.ndarray, starts: list[int], ends: list[int]) -> list
 # --- linearized flow / crossing form --------------------------------------
 
 
-def monodromy(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> np.ndarray:
+def monodromy(loop: FlowLoop, cover: int = 1) -> np.ndarray:
     """Endpoint of the linearized flow Psi' = J0 S(t) Psi over `cover` periods.
 
     This is P**cover, with P the RK4 monodromy of one period from the
-    one-period record that cz_crossing keeps (a held loop makes it once for
-    both).  A record whose sweep check failed still gives its P; only
-    cz_crossing raises that failure.  A flow that overflows within one period
-    raises the record's SpectralResolutionError, and a P**cover that
-    overflows raises one that names the cover.
+    loop's one-period record, which cz_crossing shares.  A record whose sweep
+    check failed still gives its P; only cz_crossing raises that failure.  A
+    flow that overflows within one period raises the record's
+    SpectralResolutionError, and a P**cover that overflows raises one that
+    names the cover.
     """
-    p = _record(loop, cover, steps)[1]
+    p = _record(loop, cover)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
         power = np.array(np.linalg.matrix_power(p, cover))  # a copy: P stays the record's
     if not np.isfinite(power).all():
@@ -758,11 +746,11 @@ def monodromy(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> np.nd
     return power
 
 
-def _step_count(loop: FlowLoop, cover: int, steps: int | None) -> int:
+def _step_count(loop: FlowLoop, cover: int) -> int:
     """RK4 steps per period, once `cover` periods of them are within budget."""
     if cover < 1:
         raise ValueError(f"cover must be >= 1, got {cover}")
-    n_steps = steps or max(2048, 256 * int(math.ceil(loop.strength() + 1)))
+    n_steps = max(2048, 256 * int(math.ceil(loop.strength() + 1)))
     if cover * n_steps > MAX_RK4_STEPS:
         raise SpectralResolutionError(
             f"cover {cover} needs {cover} x {n_steps} RK4 steps, above the budget of "
@@ -818,7 +806,7 @@ def _swept_angles(path: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return np.sum(d, axis=0)
 
 
-def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int:
+def cz_crossing(loop: FlowLoop, cover: int = 1) -> int:
     """Conley-Zehnder index of the orbit via the linearized-flow rotation number.
 
     Independent of the eigensolver route: integrates Psi' = J0 S(t) Psi with
@@ -830,15 +818,14 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
     2*floor(cover*rho)+1 from its rotation number rho.
 
     The one-period record (_one_period) does not depend on the cover, and
-    monodromy reads its P from the same record.  A loop from loop.holding()
-    keeps it for its step count, so each further cover only checks its RK4
-    budget, tests P**cover for the eigenvalue 1 and applies Bott's formula; a
-    failed sweep check is raised by every cover after that test, as if the
-    path were swept again.  A P that is not finite (the flow overflowed within
-    one period) has no eigenvalues to test: every cover within budget raises
-    SpectralResolutionError for it.
+    monodromy reads its P from the same record.  The loop keeps it, so each
+    further cover only checks its RK4 budget, tests P**cover for the
+    eigenvalue 1 and applies Bott's formula; a failed sweep check is raised by
+    every cover after that test, as if the path were swept again.  A P that is
+    not finite (the flow overflowed within one period) has no eigenvalues to
+    test: every cover within budget raises SpectralResolutionError for it.
     """
-    _, p, tr, value, error = _record(loop, cover, steps)
+    p, tr, value, error = _record(loop, cover)
     with np.errstate(over="ignore", invalid="ignore"):  # P**cover of a hyperbolic P may overflow
         tr_cover = float(np.trace(np.linalg.matrix_power(p, cover)))
     # symplectic 2x2: det(P - 1) = 2 - tr, so eigenvalue 1 means tr = 2; no
@@ -862,23 +849,22 @@ def cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int
     return 2 * math.floor(turns) + 1
 
 
-def _record(loop: FlowLoop, cover: int, steps: int | None) -> tuple:
-    """The one-period record for the step count of `cover` periods, read from
-    the loop's slot or made (and kept there on a held loop).  A P that is not
-    finite (the flow overflowed) has no use to either caller: its error is
-    raised here."""
-    n_steps = _step_count(loop, cover, steps)
-    held = loop._held or [None]
-    record = held[0]  # read once: another reader may replace it meanwhile
-    if record is None or record[0] != n_steps:
-        held[0] = record = _one_period(loop, n_steps)
-    if not np.isfinite(record[1]).all():
-        raise record[4][0](*record[4][1])
+def _record(loop: FlowLoop, cover: int) -> tuple:
+    """The loop's one-period record, made and kept in its slot on first use,
+    once the RK4 budget of `cover` periods is checked.  A P that is not finite
+    (the flow overflowed) has no use to either caller: its error is raised
+    here."""
+    n_steps = _step_count(loop, cover)
+    record = loop._held[0]  # read once: a concurrent first reader may fill it meanwhile
+    if record is None:
+        loop._held[0] = record = _one_period(loop, n_steps)
+    if not np.isfinite(record[0]).all():
+        raise record[3][0](*record[3][1])
     return record
 
 
 def _one_period(loop: FlowLoop, n_steps: int) -> tuple:
-    """The record of one period: (n_steps, P, tr P, value, error).
+    """The record of one period: (P, tr P, value, error).
 
     `value` is the index of one period for a hyperbolic P and the rotation
     number for an elliptic one; `error` is None, or the class and arguments of
@@ -890,11 +876,11 @@ def _one_period(loop: FlowLoop, n_steps: int) -> tuple:
         p = path[-1].copy()  # the record keeps P, not the path
         tr = float(np.trace(p))
     if not np.isfinite(p).all():
-        return (n_steps, p, tr, None, (SpectralResolutionError, (_overflow(n_steps),)))
+        return (p, tr, None, (SpectralResolutionError, (_overflow(n_steps),)))
     try:
-        return (n_steps, p, tr, _classify(path, p, tr), None)
+        return (p, tr, _classify(path, p, tr), None)
     except SpectralResolutionError as exc:
-        return (n_steps, p, tr, None, (type(exc), exc.args))
+        return (p, tr, None, (type(exc), exc.args))
 
 
 def _overflow(n_steps: int) -> str:

@@ -209,8 +209,9 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
 
 class DenseCoverCatalog(Catalog):
     """A Catalog that solves every flow cover as one dense problem on the
-    default grid, spectrum_from_loop(loop.cover(k, grid=n), window, grid=n):
-    the oracle for the Bloch-block route of ``Catalog``."""
+    default grid, spectrum_from_loop(loop, window, grid=n, cover=k), which is
+    the dense solve of loop.cover(k, grid=n): the oracle for the Bloch-block
+    route of ``Catalog``."""
 
     def _compute_flow_table(self, orbit, k, window, grid):
         if grid is None:
@@ -351,10 +352,10 @@ def reference_cluster_means(vals: np.ndarray, starts, ends) -> list[float]:
 def reference_cz_crossing(loop: FlowLoop, cover: int = 1, steps: int | None = None) -> int:
     """cz_crossing as one call that integrates and sweeps its own period: the
     oracle for the crossing record that ``hbcalc.spectral.cz_crossing`` keeps
-    on a held loop.  Every cover gives the same integer, or raises the same
+    on each loop.  Every cover gives the same integer, or raises the same
     exception class with the same message, except that a hyperbolic monodromy
     whose power overflows is called degenerate here."""
-    path = spectral._integrate_frames(loop, spectral._step_count(loop, cover, steps))
+    path = spectral._integrate_frames(loop, steps or spectral._step_count(loop, cover))
     p = path[-1]
     tr_cover = float(np.trace(np.linalg.matrix_power(p, cover)))
     if abs(tr_cover - 2.0) <= 1e-9 * max(1.0, abs(tr_cover)):

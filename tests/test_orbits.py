@@ -432,12 +432,30 @@ class TestBlochRoute:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_cover_and_grid_are_exclusive(self):
+    def test_a_grid_with_a_cover_solves_the_cover_densely(self):
+        # the dense route is loop.cover(k, grid=n) solved on its n points; the
+        # pre-covered loop is sampled once more by cover(1, grid=n), which moves
+        # its eigenvalues by rounding only
         loop = rotating_axis_loop(1)
-        with pytest.raises(ValueError, match="explicit grid"):
-            spectrum_from_loop(loop, 10.0, grid=101, cover=2)
+        for k in (1, 3):
+            got = spectrum_from_loop(loop, 10.0, grid=151, cover=k)
+            want = spectrum_from_loop(loop.cover(k, grid=151), 10.0, grid=151)
+            assert (got.grid, got.window) == (want.grid, want.window) == (151, 10.0)
+            assert ([(e.winding, e.multiplicity) for e in got.entries]
+                    == [(e.winding, e.multiplicity) for e in want.entries])
+            assert np.allclose([e.eigenvalue for e in got.entries],
+                               [e.eigenvalue for e in want.entries], rtol=1e-12, atol=1e-12)
         with pytest.raises(ValueError, match="cover"):
             spectrum_from_loop(loop, 10.0, cover=0)
+
+    def test_a_dense_solve_empties_the_held_slot(self):
+        loop = rotating_axis_loop(1)
+        held = [None]
+        spectrum_from_loop(loop, 10.0, cover=3, held=held)  # a Bloch solve, kept
+        assert held[0] is not None
+        for grid, cover in ((151, 3), (None, 1), (101, 1)):
+            spectrum_from_loop(loop, 10.0, grid=grid, cover=cover, held=held)
+            assert held == [None], (grid, cover)
 
     def test_explicit_grid_and_simple_orbits_stay_dense(self, monkeypatch):
         catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
@@ -459,10 +477,10 @@ class TestBlochRoute:
 
 
 class TestCrossingRecord:
-    """Catalog.cz_via_crossing serves every cover of a flow orbit from one
-    integration of its flow (a held loop keeps cz_crossing's one-period
-    record); each (loop, k) keeps the integer, or the exception class and
-    message, of a fresh integration."""
+    """Every FlowLoop keeps cz_crossing's one-period record, so monodromy,
+    cz_crossing at every cover and the catalog's is_hyperbolic and
+    cz_via_crossing take one integration of its flow; each (loop, k) keeps the
+    integer, or the exception class and message, of a fresh integration."""
 
     @staticmethod
     def count_integrations(monkeypatch) -> list:
@@ -483,26 +501,37 @@ class TestCrossingRecord:
                for i in catalog.ids() for k in COVERS}
         # the load audit made the records of the two even orbits (is_hyperbolic
         # reads P from them), so only the four odd orbits are integrated here
-        assert sorted(calls) == sorted(id(catalog._crossing[i]) for i in catalog.ids()
+        assert sorted(calls) == sorted(id(catalog.orbit(i).model) for i in catalog.ids()
                                        if catalog.parity(OrbitRef(i)) == 1)
         assert len(calls) == 4
         calls.clear()
         for (i, k), outcome in got.items():
             assert outcome == crossing_outcome(
                 lambda: spectral.cz_crossing(catalog.orbit(i).model, k)), (i, k)
-        # the orbit's own loop keeps nothing: each plain call integrates
-        assert len(calls) == len(got)
+        assert calls == []  # the orbit's own loop keeps its record
+        # a new loop on the same samples integrates anew, once, and agrees bit for bit
+        fresh = {i: FlowLoop(catalog.orbit(i).model.samples) for i in catalog.ids()}
+        for (i, k), outcome in got.items():
+            assert outcome == crossing_outcome(lambda: spectral.cz_crossing(fresh[i], k)), (i, k)
+        assert sorted(calls) == sorted(id(loop) for loop in fresh.values())
+        for i, loop in fresh.items():
+            assert (spectral.monodromy(loop).tobytes()
+                    == spectral.monodromy(catalog.orbit(i).model).tobytes()), i
 
     def test_type_and_every_cover_take_one_integration(self, monkeypatch):
         # is_hyperbolic reads P from the crossing record, so the type of an
-        # orbit and the crossing indices of all its covers share one integration
+        # orbit, its monodromies and the crossing indices of all its covers,
+        # from the catalog or from its loop, share one integration
         calls = self.count_integrations(monkeypatch)
         catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
         types = {i: catalog.is_hyperbolic(i) for i in catalog.ids()}
         for i in catalog.ids():
+            loop = catalog.orbit(i).model
             for k in COVERS:
                 crossing_outcome(lambda: catalog.cz_via_crossing(OrbitRef(i, k)))
-        assert sorted(calls) == sorted(id(catalog._crossing[i]) for i in catalog.ids())
+                crossing_outcome(lambda: spectral.cz_crossing(loop, k))
+                crossing_outcome(lambda: spectral.monodromy(loop, k))
+        assert sorted(calls) == sorted(id(catalog.orbit(i).model) for i in catalog.ids())
         assert types == {i: abs(np.trace(spectral.monodromy(catalog.orbit(i).model))) > 2
                          for i in catalog.ids()}
         assert sum(types.values()) == 3  # hyp2, hyp_even and hyp_odd
@@ -520,14 +549,15 @@ class TestCrossingRecord:
     def test_corpus_matches_a_fresh_integration(self, fixture_catalog, trig_loops, monkeypatch):
         # the one-period path does not depend on the cover: each call checks its
         # own RK4 budget, then the fresh calls and the reference share one path
-        # per loop and classify it anew
+        # per sample array and classify it anew
         paths = {}
         integrate = spectral._integrate_frames
 
         def shared(loop, n_steps):
-            if (loop, n_steps) not in paths:
-                paths[loop, n_steps] = integrate(loop, n_steps)
-            return paths[loop, n_steps]
+            key = (loop.samples.tobytes(), n_steps)
+            if key not in paths:
+                paths[key] = integrate(loop, n_steps)
+            return paths[key]
 
         monkeypatch.setattr(spectral, "_integrate_frames", shared)
         loops = {name: fixture_catalog.orbit(name).model for name in fixture_catalog.ids()}
@@ -537,12 +567,13 @@ class TestCrossingRecord:
         loops["overflow"] = FlowLoop.constant(np.diag([750.0, -750.0]))
         outcomes = {}
         for name, loop in loops.items():
-            held = loop.holding()
+            held = FlowLoop(loop.samples)  # keeps the record of its first cover
             for k in [*COVERS, 513]:  # 513 x 2048 steps is past the RK4 budget
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # the overflowing integration warns
                     got = crossing_outcome(lambda: spectral.cz_crossing(held, k))
-                    fresh = crossing_outcome(lambda: spectral.cz_crossing(loop, k))
+                    fresh = crossing_outcome(
+                        lambda: spectral.cz_crossing(FlowLoop(loop.samples), k))
                     want = crossing_outcome(lambda: reference_cz_crossing(loop, k))
                 if name == "overflow" and want[0] is DegenerateThresholdError:
                     # the reference reads the overflowed P as degenerate (trace inf)
@@ -558,35 +589,42 @@ class TestCrossingRecord:
                    "cover 513 needs 513 x" in outcomes[name, 513][1] for name in loops)
 
     def test_a_failed_sweep_is_raised_by_every_cover(self, monkeypatch):
-        # 4 steps a period sweep more than pi/2 a step: the elliptic rot3 and the
-        # positive hyperbolic rotating axis fail the sweep check of one period,
-        # and every cover raises it after its own degeneracy test
-        cases = [(rotation_loop(5 * math.pi / 2), 4), (rotating_axis_loop(2, a=1.0), 4)]
+        # the steep rotating axis sweeps more than pi/2 a step at its own step
+        # count; at 4 steps a period (the step count patched) so do the elliptic
+        # rot3 and the positive hyperbolic rotating axis.  Each fails the sweep
+        # check of one period, and every cover raises it after its own
+        # degeneracy test, from one integration
+        cases = [(rotating_axis_loop(2, a=20.0), None), (rotation_loop(5 * math.pi / 2), 4),
+                 (rotating_axis_loop(2, a=1.0), 4)]
         calls = self.count_integrations(monkeypatch)
+        real_count = spectral._step_count
         for loop, steps in cases:
-            held = loop.holding()
-            for steps_now in (steps, None, steps):  # a new step count replaces the record
-                before = calls.count(id(held))
-                for k in COVERS:
-                    got = crossing_outcome(lambda: spectral.cz_crossing(held, k, steps_now))
-                    assert got == crossing_outcome(
-                        lambda: reference_cz_crossing(loop, k, steps_now)), (k, steps_now)
-                    if steps_now:
-                        assert got[0] is SpectralResolutionError
-                assert calls.count(id(held)) - before == 1
+            want = {k: crossing_outcome(lambda: reference_cz_crossing(loop, k, steps))
+                    for k in COVERS}
+            monkeypatch.setattr(spectral, "_step_count",
+                                (lambda loop, cover: steps) if steps else real_count)
+            calls.clear()
+            for k in COVERS:
+                got = crossing_outcome(lambda: spectral.cz_crossing(loop, k))
+                assert got == want[k], (k, steps)
+                assert got[0] is SpectralResolutionError
+            assert calls == [id(loop)]
 
     def test_concurrent_crossing_readers_agree(self):
         # four threads ask every cover of every orbit of one catalog, in four
         # orders, while the crossing records are being made
         fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
-        orbits = [fixture.orbit(i) for i in fixture.ids()]
-        keys = [(o.id, k) for o in orbits for k in COVERS]
+        keys = [(i, k) for i in fixture.ids() for k in COVERS]
         want = {(i, k): crossing_outcome(lambda: spectral.cz_crossing(fixture.orbit(i).model, k))
                 for i, k in keys}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(2):
+                # new loops, whose records the catalog's load audit and the
+                # threads make
+                orbits = [SimpleOrbit(o.id, o.period, FlowLoop(o.model.samples))
+                          for o in map(fixture.orbit, fixture.ids())]
                 catalog, got = Catalog(orbits), []
 
                 def read(offset):

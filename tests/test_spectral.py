@@ -253,7 +253,10 @@ class TestBatchedWindings:
         monkeypatch.setattr(spectral, "WINDING_BATCH_POINTS", 500)
         assert spectrum_from_loop(loop, 40.0, cover=k, held=held) == whole
         assert len(sizes) > 1 and max(sizes) <= 500
-        assert held[0] is not None and (solve is None or held[0] is solve)
+        if k == 1:  # a dense solve keeps nothing
+            assert held[0] is None
+        else:
+            assert held[0] is not None and (solve is None or held[0] is solve)
         assert set(loops).isdisjoint(read_before)
         assert sorted(read_before + loops) == sorted(read_fresh)
 
@@ -338,8 +341,8 @@ class TestCrossingForm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert [cz_crossing(loop, k) for k in (1, 354, 355, 512)] == [0, 0, 0, 0]
-            held = loop.holding()
-            assert [cz_crossing(held, k) for k in (355, 1, 512)] == [0, 0, 0]
+            fresh = FlowLoop(loop.samples)  # its record is made at cover 355
+            assert [cz_crossing(fresh, k) for k in (355, 1, 512)] == [0, 0, 0]
             odd = rotating_axis_loop(1, a=2.0)  # negative hyperbolic, index 1
             assert [cz_crossing(odd, k) for k in (1, 355, 512)] == [1, 355, 512]
         with warnings.catch_warnings():
@@ -352,16 +355,14 @@ class TestCrossingForm:
         # diag(750, -750) is within the RK4 budget up to cover 5, but e^750 is
         # past the float range: P is not finite, which is no degenerate orbit
         loop = FlowLoop.constant(np.diag([750.0, -750.0]))
-        held = loop.holding()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in (1, 3, 5, 1):
-                for crossing in (loop, held):
-                    with pytest.raises(SpectralResolutionError,
-                                       match="overflows within one period of 192256 RK4 steps"):
-                        cz_crossing(crossing, k)
+                with pytest.raises(SpectralResolutionError,
+                                   match="overflows within one period of 192256 RK4 steps"):
+                    cz_crossing(loop, k)
             with pytest.raises(SpectralResolutionError, match="cover 6 needs"):
-                cz_crossing(held, 6)
+                cz_crossing(loop, 6)
 
     def test_overflowing_monodromy_is_an_error(self, monkeypatch):
         # monodromy overflows as the crossing record does: it raises the same
@@ -376,8 +377,8 @@ class TestCrossingForm:
                 with pytest.raises(SpectralResolutionError,
                                    match="overflows within one period of 192256 RK4 steps"):
                     call()
-            # the catalog keeps the record once, with the overflow as its error
-            _, p, _, value, error = catalog._crossing["big"]._held[0]
+            # the loop keeps the record once, with the overflow as its error
+            p, _, value, error = loop._held[0]
             assert not np.isfinite(p).all() and value is None
             assert error[0] is SpectralResolutionError
 
@@ -424,11 +425,8 @@ class TestStrength:
         for loop in (random_trig_loop(rng), hyperbolic_loop(2.5), FlowLoop(np.zeros((3, 2, 2)))):
             want = max(float(np.linalg.norm(s, 2)) for s in loop.samples)
             assert loop.strength() == pytest.approx(want, rel=1e-12, abs=1e-300)
-            held = loop.holding()
-            assert held.samples is loop.samples and held.strength() == loop.strength()
-            assert held.n == loop.n
             with pytest.raises(AttributeError, match="immutable"):
-                held.samples = loop.samples
+                loop.samples = loop.samples
 
 
 class TestJacobi:
@@ -476,7 +474,7 @@ class TestMonodromy:
         loop = FlowLoop.constant(np.diag([2.0, -2.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for source in (loop, loop.holding()):
+            for source in (loop, FlowLoop(loop.samples)):
                 for k in (354, 355):
                     assert np.isfinite(monodromy(source, k)).all(), k
                 for k in (356, 400):
@@ -485,16 +483,20 @@ class TestMonodromy:
                         monodromy(source, k)
 
     def test_a_failed_sweep_still_gives_the_monodromy(self):
-        # 4 steps a period sweep more than pi/2 a step: cz_crossing raises the
-        # record's failure, monodromy returns its P
-        loop = rotating_axis_loop(2, a=1.0)
-        held = loop.holding()
+        # at the default step count the steep rotating axis sweeps more than
+        # pi/2 a step: cz_crossing raises the record's failure, monodromy
+        # returns its P, whichever of the two made the record
+        loop = rotating_axis_loop(2, a=20.0)
+        fresh = FlowLoop(loop.samples)
+        period = spectral._integrate_frames(loop, spectral._step_count(loop, 1))
         for k in (1, 3):
             with pytest.raises(SpectralResolutionError, match="sweeps more than pi/2"):
-                cz_crossing(held, k, 4)
-            want = np.linalg.matrix_power(spectral._integrate_frames(loop, 4)[-1], k)
-            assert np.array_equal(monodromy(held, k, 4), want)
-            assert np.array_equal(monodromy(loop, k, 4), want)
+                cz_crossing(loop, k)
+            want = np.linalg.matrix_power(period[-1], k)
+            assert np.array_equal(monodromy(loop, k), want)
+            assert np.array_equal(monodromy(fresh, k), want)
+            with pytest.raises(SpectralResolutionError, match="sweeps more than pi/2"):
+                cz_crossing(fresh, k)
 
 
 ORACLE_COVERS = (1, 2, 3, 4, 8, 16)
@@ -547,14 +549,19 @@ class TestPropagatorOracle:
             if name == "zero" or (name, k) == ("rot3", 4):
                 assert want_cz is DegenerateThresholdError
 
-    def test_rk4_budget(self):
+    def test_rk4_budget(self, monkeypatch):
         loop = rotation_loop(1.0)  # 2048 steps per period
         assert spectral.MAX_RK4_STEPS // 2048 == 512
+        # strength 5000 takes 256 x 5001 steps a period, past the budget at cover 1
+        steep = FlowLoop.constant(np.diag([5000.0, -5000.0]))
+        monkeypatch.setattr(spectral, "_integrate_frames",
+                            lambda *args: pytest.fail("integrated past the RK4 budget"))
         for compute in (monodromy, cz_crossing):
             with pytest.raises(SpectralResolutionError, match="cover 513 needs 513 x 2048"):
                 compute(loop, 513)
-        with pytest.raises(SpectralResolutionError, match="budget"):
-            monodromy(loop, 1, steps=spectral.MAX_RK4_STEPS + 1)
+            with pytest.raises(SpectralResolutionError,
+                               match=r"cover 1 needs 1 x 1280256 RK4 steps, above the budget"):
+                compute(steep, 1)
 
     def test_rejects_cover_below_one(self):
         for compute in (monodromy, cz_crossing):
@@ -584,26 +591,17 @@ class TestBottIteration:
     the whole k-fold path, on the fixture orbits, the criterion-02 loops and 40
     unscreened random loops (seed 99) at k = 1..16."""
 
-    def test_corpus_matches_the_cover_path(self, fixture_catalog, trig_loops, monkeypatch):
+    def test_corpus_matches_the_cover_path(self, fixture_catalog, trig_loops):
         loops = {name: fixture_catalog.orbit(name).model for name in FIXTURE_ORBITS}
         loops.update((f"c02_{i}", loop) for i, loop in enumerate(trig_loops))
         rng = np.random.default_rng(99)
         loops.update((f"r99_{i}", random_trig_loop(rng)) for i in range(40))
         assert len(loops) == 66
-        # the one-period path does not depend on the cover: integrate each loop once
-        periods = {}
-        integrate = spectral._integrate_frames
-
-        def cached(loop, n_steps):
-            if id(loop) not in periods:
-                periods[id(loop)] = integrate(loop, n_steps)
-            return periods[id(loop)]
-
-        monkeypatch.setattr(spectral, "_integrate_frames", cached)
         changed = []
         for name, loop in loops.items():
             got_1 = _outcome(lambda: cz_crossing(loop, 1))
-            period = periods[id(loop)]
+            # the one-period path does not depend on the cover
+            period = spectral._integrate_frames(loop, spectral._step_count(loop, 1))
             # the path the crossing route swept before Bott's formula; that of
             # a k-fold cover is the first k periods of the 16-fold one
             full, n_steps = cover_path(period, 16), len(period) - 1
@@ -641,15 +639,15 @@ class TestMonodromySource:
             loop = FlowLoop(np.zeros((3, 2, 2)))
         else:
             loop = random_trig_loop(np.random.default_rng(31 + int(name[-1])))
-        n_steps = spectral._step_count(loop, 1, None)
+        n_steps = spectral._step_count(loop, 1)
         scan = spectral._integrate_frames(loop, n_steps)
         want = reference_integrate_frames(loop, 1, None)[-1]
         assert np.max(np.abs(scan[-1] - want)) <= 1e-9 * np.max(np.abs(want))
-        after_cz = loop.holding()
+        after_cz = FlowLoop(loop.samples)
         _outcome(lambda: cz_crossing(after_cz, 2))
         for k in (1, 2, 5, 16):
             power = np.linalg.matrix_power(scan[-1], k)
-            for source in (loop, loop.holding(), after_cz):
+            for source in (loop, FlowLoop(loop.samples), after_cz):
                 assert monodromy(source, k).tobytes() == power.tobytes(), (name, k)
 
 
@@ -688,5 +686,5 @@ class TestHalfGrid:
         path = spectral._integrate_frames(loop, 50)  # half grid of 100
         want = reference_integrate_frames(loop, 2, 50)
         assert np.max(np.abs(path - want[:51])) <= 1e-12 * np.max(np.abs(want[:51]))
-        got_p = monodromy(loop, 2, 50)
+        got_p = np.linalg.matrix_power(path[-1], 2)  # two periods of the one-period frames
         assert np.max(np.abs(got_p - want[-1])) <= 1e-12 * np.max(np.abs(want[-1]))

@@ -7,7 +7,8 @@ windows 10, 40 and 100, and for the nondegenerate_trig_loop corpus of
 acceptance criterion 02 (20 loops of 201 samples, seed 20240601) at covers
 2, 3, 4, 5 and 8 and windows 10 and 40, it asks a Catalog (Bloch blocks for
 k >= 2) and a DenseCoverCatalog (one dense solve of loop.cover(k, grid=n) on
-the same default grid n) for the tables at each window, then cz_index (both
+the same default grid n; it shares the Catalog's orbits, and so their flow
+loops and crossing records) for the tables at each window, then cz_index (both
 extremal windings, parity and index at the cut 0) and is_bad.  Rows (winding, multiplicity), grids,
 invariants and exception classes must be identical and eigenvalues within
 CLUSTER_TOL * window.  The Catalog keeps its last cover solve and re-audits it
@@ -15,11 +16,14 @@ while a growing window keeps the grid, so each of its tables must also be
 identical, bit for bit, to the table a fresh Catalog returns for that window
 alone.  For every (orbit, k) it visits, Catalog.cz_via_crossing, which
 serves all covers of an orbit and its is_hyperbolic from one integration of
-its flow, must give the integer, or raise the exception class with the
-message, of a fresh spectral.cz_crossing(loop, k).  Prints one summary line
-per corpus, with the cover solves, the tables that reused one and the
-catalog's RK4 integrations (its load audit, is_bad and crossing queries), and
-exits 1 on any difference.  The trig corpus solves dense problems of dimension up to 3218;
+its flow (the crossing record its loop keeps), must give the integer, or raise
+the exception class with the message, of cz_crossing on a new loop with the
+same samples, FlowLoop(orbit.model.samples), which integrates afresh.  Prints
+one summary line per corpus, with the cover solves, the tables that reused one
+and the RK4 integrations of the orbits' own loops (the load audits, is_bad and
+crossing queries of both catalogs; each corpus is swept on new loops over its
+samples, so no crossing record exists before the sweep), and exits 1 on any
+difference.  The trig corpus solves dense problems of dimension up to 3218;
 the whole sweep takes minutes with one BLAS thread.
 """
 
@@ -85,6 +89,7 @@ class AuditCounter:
 
 def sweep(name, orbits, covers, windows, audit) -> int:
     start, before = time.perf_counter(), audit.counts()
+    orbits = [SimpleOrbit(o.id, o.period, spectral.FlowLoop(o.model.samples)) for o in orbits]
     audit.integrated.clear()
     bloch, dense = Catalog(orbits), DenseCoverCatalog(orbits)
     cases = rows = failures = 0
@@ -95,7 +100,8 @@ def sweep(name, orbits, covers, windows, audit) -> int:
         for k in covers:
             ref = OrbitRef(orbit.id, k)
             crossing = crossing_outcome(lambda: bloch.cz_via_crossing(ref))
-            fresh = crossing_outcome(lambda: spectral.cz_crossing(orbit.model, k))
+            fresh = crossing_outcome(
+                lambda: spectral.cz_crossing(spectral.FlowLoop(orbit.model.samples), k))
             if crossing != fresh:
                 failures += 1
                 print(f"DIFF {orbit.id}^{k} cz_via_crossing {crossing} != cz_crossing {fresh}")
@@ -114,10 +120,9 @@ def sweep(name, orbits, covers, windows, audit) -> int:
                     gap = max(abs(x - y) for x, y in zip(a[2], b[2]))
                     worst = max(worst, gap / (spectral.CLUSTER_TOL * query[1]))
     solves, tables, read = (b - a for a, b in zip(before, audit.counts()))
-    # the catalog integrates only its held loops, which stay alive, so their ids
-    # name them
-    held = {id(loop) for loop in bloch._crossing.values()}
-    rk4 = sum(i in held for i in audit.integrated)
+    # the orbits' loops stay alive, so their ids name them
+    models = {id(orbit.model) for orbit in orbits}
+    rk4 = sum(i in models for i in audit.integrated)
     for orbit, ref, got in asked:  # the tables of windows asked in ascending order
         for i, window in enumerate(windows):
             if cover_outcomes(Catalog([orbit]), ref, (window,), invariants=False) != got[i:i + 1]:
@@ -128,7 +133,7 @@ def sweep(name, orbits, covers, windows, audit) -> int:
           f"({len(covers)}) x windows {list(windows)}: {cases} queries, {rows} table rows, "
           f"raised {dict(sorted(raised.items()))}, {solves} Bloch solves, {tables - solves} "
           f"tables reusing one, {read} Bloch windings audited, {len(orbits) * len(covers)} "
-          f"crossing queries, {rk4} RK4 integrations by the catalog, worst eigenvalue gap "
+          f"crossing queries, {rk4} RK4 integrations of the orbit loops, worst eigenvalue gap "
           f"{worst:.2e} of CLUSTER_TOL * window, {failures} differences, "
           f"{time.perf_counter() - start:.0f} s")
     return failures
