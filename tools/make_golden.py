@@ -59,6 +59,10 @@ def cases() -> list[list[str]]:
     out.append(["spectrum", "--catalog", "fixtures/catalog_demo.json", "--orbit", "nowhere",
                 "--window", "5", "--json"])
     out.append(["index", "--catalog", "fixtures/catalog_table.json", "--building", FIGURE3])
+    # exit 2: a surgery op without the flags it needs, or with both of augment's
+    for op in (["augment", "--site", "cyl_top:0", "--pair", "1"], ["augment"], ["node"],
+               ["glue", "--pos", "cyl_top:0"], ["union"]):
+        out.append(["surgery", "--building", FIGURE3, "--op"] + op)
     return out
 
 
