@@ -189,9 +189,6 @@ class Building:
         except KeyError:
             raise BuildingError(f"unknown component {cid!r}") from None
 
-    def has_component(self, cid: str) -> bool:
-        return cid in self._by_id
-
     def puncture(self, site: Site) -> Puncture:
         cid, idx = site
         if cid not in self._by_id:
@@ -386,8 +383,7 @@ def disjoint_union(a: Building, b: Building) -> Building:
 def add_node(building: Building, comp_a: str, comp_b: str) -> Building:
     """Append one nodal pair (comp_a may equal comp_b); chi drops by exactly 2."""
     for cid in (comp_a, comp_b):
-        if not building.has_component(cid):
-            raise BuildingError(f"unknown component {cid!r}")
+        building.component(cid)  # raises on an unknown id
     return replace(building, nodal_pairs=building.nodal_pairs + ((comp_a, comp_b),))
 
 
@@ -539,8 +535,7 @@ def subbuilding(building: Building, ids: Iterable[str]) -> tuple[Building, dict[
     """
     keep = set(ids)
     for cid in keep:
-        if not building.has_component(cid):
-            raise BuildingError(f"unknown component {cid!r}")
+        building.component(cid)  # raises on an unknown id
     comps = tuple(c for c in building.components if c.id in keep)
     pairs = tuple(
         (p, n)

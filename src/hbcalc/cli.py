@@ -130,6 +130,16 @@ def _read(obj, key, kind: str, at, default=_REQUIRED):
     return value
 
 
+def _read_fixed(obj, at, layout: str, kinds) -> tuple:
+    """The elements of the JSON array `obj` at location `at`, which must hold
+    one per entry of `kinds`: each a kind for `_read`, or a reader called with
+    the element and its location.  `layout` names the elements in an error."""
+    if len(_read(obj, None, "an array", at)) != len(kinds):
+        raise InputError(f"{_path(at)}: expected [{layout}]")
+    return tuple(kind(obj[i], (at, i)) if callable(kind) else _read(obj, i, kind, at)
+                 for i, kind in enumerate(kinds))
+
+
 def _check_format(obj: dict, path: str) -> None:
     version = _read(obj, "format", "an integer", path)
     if version != FORMAT_VERSION:
@@ -208,12 +218,8 @@ def catalog_from_data(data, path: str = "catalog") -> Catalog:
         mtype = _read(model_obj, "type", "a string", model_at)
         if mtype == "flow":
             samples_at = (model_at, "samples")
-            triples = []
-            for j, row in enumerate(_read(model_obj, "samples", "an array", model_at)):
-                row_at = (samples_at, j)
-                if len(_read(row, None, "an array", row_at)) != 3:
-                    raise InputError(f"{_path(row_at)}: expected [s11, s12, s22]")
-                triples.append([_read(row, k, "a number", row_at) for k in range(3)])
+            triples = [_read_fixed(row, (samples_at, j), "s11, s12, s22", ("a number",) * 3)
+                       for j, row in enumerate(_read(model_obj, "samples", "an array", model_at))]
             try:
                 model = FlowLoop.from_triples(triples)
             except ValueError as exc:
@@ -226,20 +232,11 @@ def catalog_from_data(data, path: str = "catalog") -> Catalog:
                     k = int(key)
                 except ValueError:
                     raise InputError(f"{cpath}: cover keys must be integers") from None
-                entries = []
-                for j, row in enumerate(_read(rows, None, "an array", cpath)):
-                    row_at = (cpath, j)
-                    if len(_read(row, None, "an array", row_at)) != 3:
-                        raise InputError(
-                            f"{_path(row_at)}: expected [eigenvalue, winding, multiplicity]")
-                    entries.append(
-                        SpectralEntry(
-                            eigenvalue=_read(row, 0, "a number", row_at),
-                            winding=_read(row, 1, "an integer", row_at),
-                            multiplicity=_read(row, 2, "an integer", row_at),
-                        )
-                    )
-                entries.sort(key=lambda e: e.eigenvalue)
+                entries = sorted(
+                    (SpectralEntry(*_read_fixed(row, (cpath, j), "eigenvalue, winding, multiplicity",
+                                                ("a number", "an integer", "an integer")))
+                     for j, row in enumerate(_read(rows, None, "an array", cpath))),
+                    key=lambda e: e.eigenvalue)
                 window = max((abs(e.eigenvalue) for e in entries), default=0.0)
                 table = SpectralTable(entries=tuple(entries), window=window, grid=0)
                 try:
@@ -335,29 +332,17 @@ def building_from_data(data, path: str = "building") -> Building:
         except BuildingError as exc:  # a field error already names its own path
             raise InputError(f"{_path(at)}: {exc}") from exc
 
-    def site(entry, at):
-        if len(_read(entry, None, "an array", at)) != 2:
-            raise InputError(f"{_path(at)}: expected [component id, puncture index]")
-        return (_read(entry, 0, "a string", at), _read(entry, 1, "an integer", at))
+    def pairs(field, layout, kinds):
+        return tuple(_read_fixed(pair, ((path, field), i), layout, kinds)
+                     for i, pair in enumerate(_read(root, field, "an array", path, [])))
 
-    breaking = []
-    for i, pair in enumerate(_read(root, "breaking_pairs", "an array", path, [])):
-        at = ((path, "breaking_pairs"), i)
-        if len(_read(pair, None, "an array", at)) != 2:
-            raise InputError(f"{_path(at)}: expected [positive site, negative site]")
-        breaking.append((site(pair[0], (at, 0)), site(pair[1], (at, 1))))
-    nodal = []
-    for i, pair in enumerate(_read(root, "nodal_pairs", "an array", path, [])):
-        at = ((path, "nodal_pairs"), i)
-        if len(_read(pair, None, "an array", at)) != 2:
-            raise InputError(f"{_path(at)}: expected [component id, component id]")
-        nodal.append((_read(pair, 0, "a string", at), _read(pair, 1, "a string", at)))
+    def site(entry, at):
+        return _read_fixed(entry, at, "component id, puncture index", ("a string", "an integer"))
+
+    breaking = pairs("breaking_pairs", "positive site, negative site", (site, site))
+    nodal = pairs("nodal_pairs", "component id, component id", ("a string",) * 2)
     try:
-        return Building(
-            components=tuple(components),
-            breaking_pairs=tuple(breaking),
-            nodal_pairs=tuple(nodal),
-        )
+        return Building(components=tuple(components), breaking_pairs=breaking, nodal_pairs=nodal)
     except HbcalcError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -366,27 +351,26 @@ def load_building(filename: str) -> Building:
     return building_from_data(_load_json(filename), path=filename)
 
 
-def _building_ends(building: Building, filename: str):
-    """Each puncture of a building loaded from `filename`, with its location."""
-    for i, comp in enumerate(building.components):
-        for j, p in enumerate(comp.punctures):
-            yield ((((filename, "components"), i), "punctures"), j), p
-
-
 @contextlib.contextmanager
-def _citing_orbits(catalog_file: str, ends):
+def _citing_orbits(catalog_file: str, holders):
     """Report an orbit that the catalog lacks at the orbit field of the first
-    puncture naming it; `ends` yields (location, puncture) pairs of the file."""
+    puncture naming it; `holders` yields the (location, punctures) of each
+    record of the file that lists punctures, in file order."""
     try:
         yield
     except UnknownOrbitError as exc:
-        at = next((at for at, p in ends if p.orbit.simple == exc.orbit_id), None)
+        at = next((((held_at, "punctures"), j) for held_at, punctures in holders
+                   for j, p in enumerate(punctures) if p.orbit.simple == exc.orbit_id), None)
         if at is None:
             raise
         raise InputError(
             f"{_path(at, 'orbit')}: unknown orbit id {exc.orbit_id!r} "
             f"(not in catalog {catalog_file})"
         ) from exc
+
+
+def _orbit_data(ref: OrbitRef | None) -> dict | None:
+    return None if ref is None else {"simple": ref.simple, "k": ref.k}
 
 
 def building_to_data(building: Building) -> dict:
@@ -397,7 +381,7 @@ def building_to_data(building: Building) -> dict:
         for p in comp.punctures:
             record = {
                 "sign": "+" if p.sign == 1 else "-",
-                "orbit": {"simple": p.orbit.simple, "k": p.orbit.k},
+                "orbit": _orbit_data(p.orbit),
                 "constraint": p.constraint,
             }
             if p.controlling_winding is not None:
@@ -535,7 +519,7 @@ def _cmd_spectrum(args) -> int:
     if args.json:
         payload = {
             "format": FORMAT_VERSION,
-            "orbit": {"simple": ref.simple, "k": ref.k},
+            "orbit": _orbit_data(ref),
             "window": table.window,
             "grid": table.grid,
             "entries": [
@@ -552,12 +536,22 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _building_inputs(args):
+    """The catalog and the building that `args` name, loaded; an orbit that the
+    catalog lacks is cited in the building file within."""
+    catalog = load_catalog(args.catalog)
+    building = load_building(args.building)
+    at = (args.building, "components")
+    with _citing_orbits(args.catalog, (((at, i), c.punctures)
+                                       for i, c in enumerate(building.components))):
+        yield catalog, building
+
+
 def _cmd_index(args) -> int:
     from .index_calculus import index_report, verify_additivity
 
-    catalog = load_catalog(args.catalog)
-    building = load_building(args.building)
-    with _citing_orbits(args.catalog, _building_ends(building, args.building)):
+    with _building_inputs(args) as (catalog, building):
         report = index_report(catalog, building)
         verify_additivity(catalog, building)  # raises InternalCheckError on a mismatch
     if args.json:
@@ -570,9 +564,7 @@ def _cmd_index(args) -> int:
 def _cmd_validate(args) -> int:
     from .degeneration import validate_nice
 
-    catalog = load_catalog(args.catalog)
-    building = load_building(args.building)
-    with _citing_orbits(args.catalog, _building_ends(building, args.building)):
+    with _building_inputs(args) as (catalog, building):
         verdict = validate_nice(catalog, building)
     if args.json:
         payload = {
@@ -637,9 +629,8 @@ def _cmd_enumerate(args) -> int:
 
     catalog = load_catalog(args.catalog)
     asymptotics = load_asymptotics(args.asymptotics)
-    ends = ((((args.asymptotics, "punctures"), i), p) for i, p in enumerate(asymptotics.punctures))
     try:
-        with _citing_orbits(args.catalog, ends):
+        with _citing_orbits(args.catalog, [(args.asymptotics, asymptotics.punctures)]):
             limits = enumerate_limits(catalog, asymptotics)
     except OutputBudgetError as exc:
         raise InputError(f"{args.asymptotics}: {exc}") from exc
@@ -650,7 +641,7 @@ def _cmd_enumerate(args) -> int:
                 {
                     "top": list(lt.top),
                     "bottom": list(lt.bottom),
-                    "breaking": {"simple": lt.breaking.simple, "k": lt.breaking.k},
+                    "breaking": _orbit_data(lt.breaking),
                     "index_top": 1,
                     "index_bottom": 1,
                     "c_N_top": 0,
@@ -673,9 +664,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_check(args) -> int:
     from .degeneration import classify_stable_limit
 
-    catalog = load_catalog(args.catalog)
-    building = load_building(args.building)
-    with _citing_orbits(args.catalog, _building_ends(building, args.building)):
+    with _building_inputs(args) as (catalog, building):
         verdict = classify_stable_limit(catalog, building)
     if args.json:
         payload = {
@@ -683,11 +672,7 @@ def _cmd_check(args) -> int:
             "kind": verdict.kind,
             "index": verdict.index,
             "violations": _violations_data(verdict.violations),
-            "breaking_orbit": (
-                None
-                if verdict.breaking_orbit is None
-                else {"simple": verdict.breaking_orbit.simple, "k": verdict.breaking_orbit.k}
-            ),
+            "breaking_orbit": _orbit_data(verdict.breaking_orbit),
             "top_component": verdict.top_component,
             "bottom_component": verdict.bottom_component,
         }
@@ -716,30 +701,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra, indices and degeneration checks for holomorphic buildings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="windowed spectrum of an orbit cover")
-    p.add_argument("--catalog", required=True)
+    # the subparsers in help order; each flag that several share is declared in
+    # one loop, placed so that every subcommand keeps its order of arguments
+    commands = {}
+    for name, func, text in (
+            ("spectrum", _cmd_spectrum, "windowed spectrum of an orbit cover"),
+            ("index", _cmd_index, "index report of a building"),
+            ("validate", _cmd_validate, "nicely-embedded checks"),
+            ("surgery", _cmd_surgery, "apply a surgery operation, emit the result"),
+            ("enumerate", _cmd_enumerate, "admissible limits of a stable index-2 curve"),
+            ("check", _cmd_check, "run a theorem checker")):
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].set_defaults(func=func)
+    reporting = [p for name, p in commands.items() if name != "surgery"]
+    for p in reporting:
+        p.add_argument("--catalog", required=True)
+    p = commands["spectrum"]
     p.add_argument("--orbit", required=True)
     p.add_argument("--cover", type=int, default=1)
     p.add_argument("--window", type=float, required=True)
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("index", help="index report of a building")
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--building", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_index)
-
-    p = sub.add_parser("validate", help="nicely-embedded checks")
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--building", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("surgery", help="apply a surgery operation, emit the result")
-    p.add_argument("--building", required=True)
+    for name in ("index", "validate", "surgery", "check"):
+        commands[name].add_argument("--building", required=True)
+    p = commands["surgery"]
     p.add_argument("--op", required=True, choices=["augment", "core", "node", "glue", "union"])
     p.add_argument("--site", default=None, help="augment: COMPONENT:PUNCTURE_INDEX")
     p.add_argument("--pair", type=int, default=None, help="augment: breaking pair index")
@@ -747,20 +731,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pos", default=None, help="glue: positive site COMPONENT:INDEX")
     p.add_argument("--neg", default=None, help="glue: negative site COMPONENT:INDEX")
     p.add_argument("--other", default=None, help="union: second building file")
-    p.set_defaults(func=_cmd_surgery)
-
-    p = sub.add_parser("enumerate", help="admissible limits of a stable index-2 curve")
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--asymptotics", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("check", help="run a theorem checker")
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--building", required=True)
-    p.add_argument("--theorem", required=True, choices=["stable"])
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
+    commands["enumerate"].add_argument("--asymptotics", required=True)
+    commands["check"].add_argument("--theorem", required=True, choices=["stable"])
+    for p in reporting:
+        p.add_argument("--json", action="store_true")
     return parser
 
 

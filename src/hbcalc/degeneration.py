@@ -53,7 +53,12 @@ from .index_calculus import Analysis, End, _analysis, fredholm_index
 # bound here as well, where perfbench/selftest.py checks that the tracer wraps it
 from .index_calculus import defect  # noqa: F401
 from .orbits import Catalog, OrbitRef, is_simply_covered_eigenfunction
-from .spectral import MAX_LIMITS, MAX_PARTIAL_SUMS
+
+#: Output budget of one ``enumerate``, checked before anything of that size is
+#: built: limit types listed (counted first) and entries of the subset-sum
+#: table that counts them.
+MAX_LIMITS = 2**16
+MAX_PARTIAL_SUMS = 2**18
 
 
 @dataclass(frozen=True)

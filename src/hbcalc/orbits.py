@@ -251,8 +251,8 @@ class Catalog:
         self._summaries[key] = summary
         return summary
 
-    def parity(self, ref: OrbitRef, threshold: float = 0.0) -> int:
-        return self.cz_index(ref, threshold).parity
+    def parity(self, ref: OrbitRef) -> int:
+        return self.cz_index(ref, 0.0).parity
 
     def is_hyperbolic(self, orbit_id: str) -> bool:
         orbit = self.orbit(orbit_id)

@@ -112,14 +112,10 @@ WINDING_GUARD = 0.1
 #: Maximum allowed per-step angle when reading a winding off a discrete loop.
 MAX_STEP_ANGLE = math.pi / 2
 #: Resource budget, checked before anything of that size is allocated: rows of
-#: the dense operator (2 * grid; 4096 rows are 128 MiB of float64), RK4 steps
-#: of one linearized-flow integration (cover * steps per period), limit types
-#: listed by one ``enumerate`` (counted before any is built) and entries of the
-#: subset-sum table that counts them.
+#: the dense operator (2 * grid; 4096 rows are 128 MiB of float64) and RK4 steps
+#: of one linearized-flow integration (cover * steps per period).
 MAX_DENSE_DIM = 4096
 MAX_RK4_STEPS = 2**20
-MAX_LIMITS = 2**16
-MAX_PARTIAL_SUMS = 2**18
 #: Loop points per batched winding read: bounds the batch's temporaries (about
 #: 100 bytes a point) whatever the window, cover or grid.
 WINDING_BATCH_POINTS = 2**14
@@ -187,12 +183,7 @@ class FlowLoop:
         rows = np.asarray(triples, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"expected rows [s11, s12, s22], got shape {rows.shape}")
-        arr = np.empty((rows.shape[0], 2, 2))
-        arr[:, 0, 0] = rows[:, 0]
-        arr[:, 0, 1] = rows[:, 1]
-        arr[:, 1, 0] = rows[:, 1]
-        arr[:, 1, 1] = rows[:, 2]
-        return cls(arr)
+        return cls(rows[:, [[0, 1], [1, 2]]])
 
     def to_triples(self) -> list[list[float]]:
         return [[float(s[0, 0]), float(s[0, 1]), float(s[1, 1])] for s in self.samples]
@@ -876,16 +867,13 @@ def _one_period(loop: FlowLoop, n_steps: int) -> tuple:
         p = path[-1].copy()  # the record keeps P, not the path
         tr = float(np.trace(p))
     if not np.isfinite(p).all():
-        return (p, tr, None, (SpectralResolutionError, (_overflow(n_steps),)))
+        overflow = (f"the linearized flow overflows within one period of {n_steps} RK4 "
+                    "steps: the monodromy is not finite")
+        return (p, tr, None, (SpectralResolutionError, (overflow,)))
     try:
         return (p, tr, _classify(path, p, tr), None)
     except SpectralResolutionError as exc:
         return (p, tr, None, (type(exc), exc.args))
-
-
-def _overflow(n_steps: int) -> str:
-    return (f"the linearized flow overflows within one period of {n_steps} RK4 steps: "
-            "the monodromy is not finite")
 
 
 def _classify(path: np.ndarray, p: np.ndarray, tr: float):

@@ -326,7 +326,7 @@ class TestBuildingIndex:
         assert b.pair_partner(("t", 1)) == ("v", 0)
         assert b.pair_partner(("t", 0)) is None
         assert b.node_endpoints("v") == 2 and b.node_endpoints("t") == 0
-        assert b.has_component("t") and not b.has_component("x")
+        assert b.component("t").id == "t"
         with pytest.raises(BuildingError, match="unknown component"):
             b.component("x")
 

@@ -20,7 +20,7 @@ from hbcalc.cli import (
 )
 from hbcalc.errors import CatalogError, InputError, InternalCheckError
 from hbcalc.orbits import OrbitRef
-from hbcalc.spectral import MAX_LIMITS, MAX_PARTIAL_SUMS
+from hbcalc.degeneration import MAX_LIMITS, MAX_PARTIAL_SUMS
 
 from support import FIXTURES, REPO, analytic_rotation_table
 

@@ -36,7 +36,8 @@ import pytest
 
 from hbcalc import cli, spectral
 from hbcalc.cli import main
-from hbcalc.spectral import MAX_DENSE_DIM, MAX_LIMITS
+from hbcalc.degeneration import MAX_LIMITS
+from hbcalc.spectral import MAX_DENSE_DIM
 
 from support import FIXTURES, loader_argv, random_stable_asymptotics, stable_end_options
 
