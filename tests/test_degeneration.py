@@ -267,6 +267,32 @@ class TestClassifyStableLimit:
         verdict = dg.classify_stable_limit(cat, b)
         assert "IMAGE_NOT_DISTINCT" in codes(verdict)
 
+    def test_two_breaking_pairs_in_the_core(self, cat):
+        # the sides glue along hyp_even and along rot_m: a genus-1 building of
+        # index 2 whose two-component core has one breaking pair too many
+        def end(sign, ref):
+            summary = cat.cz_index(ref)
+            winding = summary.alpha_minus if sign > 0 else summary.alpha_plus
+            return Puncture(sign, ref, controlling_winding=winding)
+
+        b = Building(
+            components=(
+                Component("main_top", 0, (end(-1, HE), end(-1, RM)),
+                          kind="nontrivial", wind_pi=0, image_class="west"),
+                Component("main_bot", 0, (end(1, HE), end(1, RM), end(-1, RM)),
+                          kind="nontrivial", wind_pi=0, image_class="east"),
+            ),
+            breaking_pairs=((("main_bot", 0), ("main_top", 0)),
+                            (("main_bot", 1), ("main_top", 1))),
+        )
+        verdict = dg.classify_stable_limit(cat, b)
+        assert not verdict.ok and verdict.kind is None
+        assert verdict.index == 2
+        assert codes(verdict) == ["BREAKING_ORBIT_ODD", "MULTIPLE_BREAKING"]
+        [multiple] = [v for v in verdict.violations if v.code == "MULTIPLE_BREAKING"]
+        assert multiple.location == "building"
+        assert multiple.message.startswith("core has 2 breaking pairs")
+
     def test_irreducible_cylinder_reported_not_raised(self, cat):
         # a self-glued cylinder attached by a node sails past the index gate
         # (node points add 2) but has no core; that is a verdict, not a crash

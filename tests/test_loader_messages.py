@@ -153,8 +153,12 @@ CASES = [
      2, "error: {bad}.components: required field missing\n"),
     ("fig3-id-missing", FIG3, MAIN_BOT + ("id",), DROP,
      2, "error: {bad}.components[2].id: required field missing\n"),
+    ("fig3-id-empty", FIG3, MAIN_BOT + ("id",), "",
+     2, "error: {bad}.components[2]: component id must be nonempty\n"),
     ("fig3-genus-string", FIG3, MAIN_BOT + ("genus",), "0",
      2, "error: {bad}.components[2].genus: expected an integer\n"),
+    ("fig3-genus-negative", FIG3, MAIN_BOT + ("genus",), -1,
+     2, "error: {bad}.components[2]: component 'main_bot': genus must be >= 0\n"),
     ("fig3-genus-5001-digits", FIG3, (), TEXT(
         (FIXTURES / FIG3).read_text().replace('"genus": 0', '"genus": ' + "9" * 5001, 1)),
      2, "error: {bad}: invalid JSON: Exceeds the limit (4300 digits) for integer string"
@@ -170,6 +174,8 @@ CASES = [
      0, ""),
     ("fig3-wind_pi-string", FIG3, MAIN_BOT + ("wind_pi",), "0",
      2, "error: {bad}.components[2].wind_pi: expected an integer\n"),
+    ("fig3-wind_pi-negative", FIG3, MAIN_BOT + ("wind_pi",), -1,
+     2, "error: {bad}.components[2]: component 'main_bot': wind_pi must be >= 0\n"),
     ("fig3-image_class-null", FIG3, MAIN_BOT + ("image_class",), None,
      0, ""),
     ("fig3-image_class-integer", FIG3, MAIN_BOT + ("image_class",), 5,

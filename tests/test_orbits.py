@@ -12,12 +12,14 @@ from hbcalc.errors import (
     SpectralResolutionError,
 )
 from hbcalc.orbits import (
+    MAX_GROWTHS,
+    MAX_WINDOW,
     Catalog,
     OrbitRef,
     SimpleOrbit,
     is_simply_covered_eigenfunction,
 )
-from hbcalc.cli import load_catalog
+from hbcalc.cli import load_catalog, main
 from hbcalc import spectral
 from hbcalc.spectral import FlowLoop, build_operator, spectrum_from_loop
 
@@ -234,6 +236,61 @@ class TestCatalogAudit:
                     fixture_catalog.cz_via_crossing(ref)
                     == fixture_catalog.cz_index(ref, 0.0).mu_cz
                 )
+
+
+class ShortCatalog(Catalog):
+    """A catalog whose tables below window `reach` keep no eigenvalue, as if
+    its solver resolved nothing short of that window; `windows` records the
+    window of every table asked for."""
+
+    reach = 0.0
+
+    def __init__(self, orbits):
+        self.windows = []
+        super().__init__(orbits)
+
+    def table(self, ref, window, grid=None):
+        self.windows.append(window)
+        full = super().table(ref, window, grid)
+        return full if window >= self.reach else full.clip(0.0)
+
+
+class TestWindowGrowth:
+    """A spectral query at a cut grows its window by 1.7 until the table
+    brackets the cut, and gives up past MAX_WINDOW."""
+
+    def test_grows_until_the_cut_is_bracketed(self, demo_catalog):
+        catalog = ShortCatalog([demo_catalog.orbit(oid) for oid in demo_catalog.ids()])
+        ref, cut = OrbitRef("rot_p"), -2.0
+        start = abs(cut) + catalog.orbit("rot_p").model.strength() + 8.0
+        catalog.reach = 2 * start
+        catalog.windows.clear()
+        summary = catalog.cz_index(ref, cut)
+        assert catalog.windows == [start, start * 1.7, start * 1.7 * 1.7]
+        assert summary == demo_catalog.cz_index(ref, cut)
+
+    def test_gives_up_past_max_window(self, monkeypatch, capsys):
+        made = []
+
+        class Unresolved(ShortCatalog):
+            reach = math.inf
+
+            def __init__(self, orbits):
+                made.append(self)
+                super().__init__(orbits)
+
+        monkeypatch.setattr("hbcalc.orbits.Catalog", Unresolved)
+        path = str(FIXTURES / "catalog_demo.json")
+        argv = ["spectrum", "--catalog", path, "--orbit", "rot_p", "--window", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: orbit 'hyp_even' cover 1: spectrum not resolved past threshold 0.0\n"
+        )
+        windows = made[0].windows
+        assert windows[-1] > MAX_WINDOW >= max(windows[:-1])
+        assert len(windows) <= MAX_GROWTHS
+        assert [b / a for a, b in zip(windows, windows[1:])] == pytest.approx(
+            [1.7] * (len(windows) - 1))
 
 
 class TestBlochRoute:
