@@ -183,7 +183,9 @@ class FlowLoop:
         rows = np.asarray(triples, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"expected rows [s11, s12, s22], got shape {rows.shape}")
-        return cls(rows[:, [[0, 1], [1, 2]]])
+        # in C order: the index map alone returns a transposed layout, which
+        # changes the summation order of the solves and so their last bits
+        return cls(np.ascontiguousarray(rows[:, [[0, 1], [1, 2]]]))
 
     def to_triples(self) -> list[list[float]]:
         return [[float(s[0, 0]), float(s[0, 1]), float(s[1, 1])] for s in self.samples]
