@@ -4,10 +4,10 @@ Orbits are user-declared models: either a flow loop (the coefficient loop of
 the asymptotic operator, from which spectra are computed on demand) or
 explicit spectral tables listed per cover.  The catalog is immutable after
 construction and caches computed tables, so all queries are cheap and safe
-for concurrent readers.  It also keeps its last cover solve (the Bloch
-eigenpairs of one gamma^k, k >= 2, on the base grid of its default grid, with
-the windings read so far): a wider window whose grid keeps the base grid only
-audits that solve again, so each cover is solved once per base grid.
+for concurrent readers.  It also keeps its last solve (the Bloch eigenpairs
+of one gamma^k, k >= 1, on the base grid of the requested or default grid,
+with the windings read so far): a wider window whose grid keeps the base grid
+only audits that solve again, so each cover is solved once per base grid.
 Each flow loop keeps its own crossing record (the one-period part of
 cz_crossing: the monodromy P, its trace and what the swept angles give), so
 the crossing-form indices of all covers gamma^k of an orbit and its dynamical
@@ -115,7 +115,7 @@ class Catalog:
         self._orbits = seen
         self._tables: dict[tuple[str, int], SpectralTable] = {}
         self._summaries: dict[tuple[str, int, float], SpectralSummary] = {}
-        self._held: list = [None]  # the last cover solve (spectrum_from_loop's `held`)
+        self._held: list = [None]  # the last solve (spectrum_from_loop's `held`)
         self._analysis: list = [None]  # the last building analysed (index_calculus.Analysis)
         self._audit()
 

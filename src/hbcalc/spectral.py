@@ -14,38 +14,39 @@ winding.
 
 Discretization is Fourier spectral collocation on a uniform grid with an
 odd number of points: the differentiation matrix is then exactly
-antisymmetric, so the discretized operator is exactly symmetric and the
-eigenproblem is solved by a dense symmetric solver.  Eigenvector winding
-numbers are read off directly from the discrete loops, guarded against
-under-resolution; a table reads its scanned eigenfunctions in batches of at
-most WINDING_BATCH_POINTS loop points (_windings takes a (B, n, 2) array and
-returns each loop's total turns and a fault code), and the public winding()
-is the batch of one.
+antisymmetric, so the discretized operator is exactly symmetric and each of
+its Bloch blocks (below) is solved by a dense Hermitian solver.  Eigenvector
+winding numbers are read off directly from the discrete loops, guarded
+against under-resolution; a table reads its scanned eigenfunctions in batches
+of at most WINDING_BATCH_POINTS loop points (_windings takes a (B, n, 2)
+array and returns each loop's total turns and a fault code), and the public
+winding() is the batch of one.
 
-A k-fold cover (spectrum_from_loop(loop, window, cover=k), which the catalog
-uses for k >= 2 on its default grid) is not solved as one dense problem on
-its n-point grid.  The cover operator commutes with the deck shift
-t -> t + 1/k, so with s = kt every eigenfunction is u(s) = exp(2 pi i j s/k) w(s)
-with w 1-periodic (Floquet-Bloch; Kuchment, Floquet Theory for Partial
-Differential Equations, 1993).  Block j is the Hermitian matrix
+Every solve of spectrum_from_loop(loop, window, grid, cover=k) splits the
+k-fold cover into Floquet-Bloch blocks.  The cover operator commutes with the
+deck shift t -> t + 1/k, so with s = kt every eigenfunction is
+u(s) = exp(2 pi i j s/k) w(s) with w 1-periodic (Kuchment, Floquet Theory for
+Partial Differential Equations, 1993).  Block j is the Hermitian matrix
 
     build_operator(loop.resample(m)) - (2 pi j / k) (I_m (x) i J0)
 
-on the base grid of m = next_odd(ceil(n / k)) points, and its eigenvalues
-times k are eigenvalues of the cover.  Blocks j and k - j are complex
-conjugates, so blocks 0..k//2 are solved.  On the k*m-point cover grid the
-real eigenfunctions are the real and imaginary parts of exp(2 pi i j t) w(kt)
-for 0 < j < k/2 (one eigenvalue of multiplicity two) and the phase-fixed real
-part for j in {0, k/2}; they go through the same winding, clustering and
-audit code as the dense route.  The block index is a free cross-check: the
-winding of a block-j eigenfunction is +-j mod k (its deck-shift eigenvalues
-are exp(+-2 pi i j / k)), and any other winding inside the window raises
-SpectralResolutionError.  An explicit grid names a dense discretization, so
-spectrum_from_loop solves loop.cover(k, grid=n) densely when it is given a grid
-(and for k = 1); the tests use that route as the oracle.
+on the base grid of m = next_odd(ceil(n / k)) points, where n is the requested
+grid (by default the grid heuristic), and its eigenvalues times k are
+eigenvalues of the cover.  For k = 1 this is the one dense symmetric solve on
+m = n points.  Blocks j and k - j are complex conjugates, so blocks 0..k//2
+are solved.  On the k*m-point cover grid the real eigenfunctions are the real
+and imaginary parts of exp(2 pi i j t) w(kt) for 0 < j < k/2 (one eigenvalue
+of multiplicity two) and the phase-fixed real part for j in {0, k/2}, and the
+windings, clustering and audit read them there.  The block index is a free
+cross-check: the winding of a block-j eigenfunction is +-j mod k (its
+deck-shift eigenvalues are exp(+-2 pi i j / k)), and any other winding inside
+the window raises SpectralResolutionError.  A table reports the grid n it was
+asked for, which is k*m or less; a grid n <= k leaves m < 3 and is refused.
+The tests keep the dense solve of the cover loop sampled on n points as the
+oracle of this route.
 
 A caller may keep the last solve in a one-slot list (spectrum_from_loop's
-`held`): the catalog keeps its last cover solve and audits it again for each
+`held`): the catalog keeps its last solve and audits it again for each
 window whose grid has the same base grid m (wider windows move the grid n in
 steps smaller than k, which often keep m), reading windings only for
 eigenfunctions that the wider scan adds, so the table is the one a fresh solve
@@ -126,7 +127,9 @@ def next_odd(n: int) -> int:
 
 
 def _as_samples(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
+    # in C order: the layout sets the summation order of the solves, and so
+    # their last bits
+    arr = np.ascontiguousarray(samples, dtype=float)
     if arr.ndim != 3 or arr.shape[1:] != (2, 2):
         raise ValueError(f"expected samples of shape (n, 2, 2), got {arr.shape}")
     return arr
@@ -183,9 +186,7 @@ class FlowLoop:
         rows = np.asarray(triples, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"expected rows [s11, s12, s22], got shape {rows.shape}")
-        # in C order: the index map alone returns a transposed layout, which
-        # changes the summation order of the solves and so their last bits
-        return cls(np.ascontiguousarray(rows[:, [[0, 1], [1, 2]]]))
+        return cls(rows[:, [[0, 1], [1, 2]]])
 
     def to_triples(self) -> list[list[float]]:
         return [[float(s[0, 0]), float(s[0, 1]), float(s[1, 1])] for s in self.samples]
@@ -217,16 +218,6 @@ class FlowLoop:
             return self
         ts = np.arange(n) / n
         return FlowLoop(self.value_at(ts))
-
-    def cover(self, k: int, grid: int | None = None) -> "FlowLoop":
-        """Coefficient loop of the k-fold cover: S_k(t) = k S(kt mod 1)."""
-        if k < 1:
-            raise ValueError(f"cover must be >= 1, got {k}")
-        if k == 1 and grid is None:
-            return self
-        n = next_odd(k * self.n) if grid is None else grid
-        ts = (k * np.arange(n) / n) % 1.0
-        return FlowLoop(k * self.value_at(ts))
 
 
 def _root_sums(coef: np.ndarray, m: int, count: int) -> np.ndarray:
@@ -492,25 +483,24 @@ def spectrum_from_loop(
     """Windowed spectral table of the k-fold cover (k = `cover`) of the
     operator defined by a coefficient loop.
 
-    An explicit grid, or cover=1, is one dense symmetric solve of
-    loop.cover(k, grid=n) on n = `grid` points (by default the grid
-    heuristic).  Otherwise the cover is solved by its Bloch blocks on the base
-    grid (module docstring) and the table reports the grid the dense solve
-    would use.  The grid budget is checked before anything of that size is
-    sampled.  The audit trims winding classes that the window cuts at its
-    edges and raises SpectralResolutionError when the interior of the window
-    is not resolved (too-coarse grid, inconsistent windings, gaps in the
-    winding run, a winding off its Bloch block).
+    The cover is solved by its Bloch blocks on the base grid
+    m = next_odd(ceil(n / k)) of the grid n = `grid` (by default the grid
+    heuristic), and the table reports n (module docstring).  The grid budget
+    is checked, and a grid that leaves the cover fewer than 3 points a period
+    refused, before anything is sampled.  The audit trims winding classes that
+    the window cuts at its edges and raises SpectralResolutionError when the
+    interior of the window is not resolved (too-coarse grid, inconsistent
+    windings, gaps in the winding run, a winding off its Bloch block).
 
     `held` is an optional one-slot list owned by the caller, [None] or the last
-    Bloch solve.  A solve of the same loop object, cover and Bloch base grid
-    m = next_odd(ceil(grid / cover)) is reused, whatever grid the request
-    reports (the solve depends on the grid only through m): only the window's
-    audit runs again, and it reads windings only for eigenfunctions that no
-    earlier window of that solve scanned.  Any other request empties the slot
-    before it solves, so at most one solve is kept; a dense solve keeps none.
+    solve.  A solve of the same loop object, cover and base grid m is reused,
+    whatever grid the request reports (the solve depends on the grid only
+    through m): only the window's audit runs again, and it reads windings only
+    for eigenfunctions that no earlier window of that solve scanned.  Any
+    other request empties the slot before it solves, so at most one solve is
+    kept.
     """
-    if window <= 0:
+    if not window > 0:
         raise ValueError(f"window must be positive, got {window}")
     if cover < 1:
         raise ValueError(f"cover must be >= 1, got {cover}")
@@ -518,12 +508,12 @@ def spectrum_from_loop(
         raise ValueError(f"grid must be odd and >= 3, got {grid}")
     n = grid or default_grid(loop.n, cover, window, loop.strength())
     check_grid_budget(n)
-    held = [None] if held is None else held
-    if grid is not None or cover == 1:  # one dense solve, kept by no one
-        held[0] = None
-        loop, cover, held = loop.cover(cover, grid=n), 1, [None]
-    strength = loop.strength()
     m = _base_grid(n, cover)
+    if m < 3:
+        raise SpectralResolutionError(
+            f"grid {n} gives cover {cover} fewer than 3 points a period; increase the grid"
+        )
+    held = [None] if held is None else held
     solve = held[0]  # read once: another reader may replace it meanwhile
     if solve is None or solve[0] is not loop or solve[1:3] != (cover, m):
         held[0] = None  # free the kept solve before making another
@@ -531,7 +521,7 @@ def spectrum_from_loop(
         # windings read so far: turns, and fault codes with -1 for "not read"
         held[0] = solve = (loop, cover, m, (vals, blocks, points),
                            (np.empty(len(vals)), np.full(len(vals), -1)))
-    return _audited_table(*solve[3], cover, window, cover * strength, n, solve[4])
+    return _audited_table(*solve[3], cover, window, cover * loop.strength(), n, solve[4])
 
 
 def _base_grid(n: int, k: int) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import pathlib
@@ -27,6 +28,7 @@ from hbcalc.buildings import (
 from hbcalc.degeneration import Asymptotics, LimitType, breaking_candidates
 from hbcalc.errors import (
     BuildingError,
+    CatalogError,
     DegenerateThresholdError,
     HbcalcError,
     IncompleteInputError,
@@ -50,8 +52,10 @@ from hbcalc.spectral import (
     MAX_STEP_ANGLE,
     WINDING_GUARD,
     FlowLoop,
+    check_grid_budget,
     default_grid,
     monodromy,
+    next_odd,
     spectrum_from_loop,
 )
 
@@ -130,7 +134,7 @@ def nondegenerate_trig_loop(rng: np.random.Generator, **kwargs) -> FlowLoop:
                 if abs(tr - 2.0) < 1e-3:
                     ok = False
                     break
-                table = spectrum_from_loop(loop.cover(k), window=1.0)
+                table = spectrum_from_loop(dense_cover(loop, k), window=1.0)
                 if table.min_abs_eigenvalue() < 0.05:
                     ok = False
                     break
@@ -207,17 +211,56 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
 # --- dense cover oracle ----------------------------------------------------------
 
 
+def dense_cover(loop: FlowLoop, k: int, grid: int | None = None) -> FlowLoop:
+    """Coefficient loop of the k-fold cover, S_k(t) = k S(kt mod 1), sampled
+    on `grid` points (by default next_odd(k * loop.n)).
+
+    Its solve on `grid` points is one dense eigenproblem of dimension
+    2 * grid: the oracle for the Bloch blocks of spectrum_from_loop(loop,
+    window, grid, cover=k).
+    """
+    if k < 1:
+        raise ValueError(f"cover must be >= 1, got {k}")
+    if k == 1 and grid is None:
+        return loop
+    n = next_odd(k * loop.n) if grid is None else grid
+    ts = (k * np.arange(n) / n) % 1.0
+    return FlowLoop(k * loop.value_at(ts))
+
+
+@contextlib.contextmanager
+def eigh_dims():
+    """Record the dimension of every numpy.linalg.eigh call made in the block."""
+    dims = []
+    real = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    np.linalg.eigh = eigh
+    try:
+        yield dims
+    finally:
+        np.linalg.eigh = real
+
+
 class DenseCoverCatalog(Catalog):
-    """A Catalog that solves every flow cover as one dense problem on the
-    default grid, spectrum_from_loop(loop, window, grid=n, cover=k), which is
-    the dense solve of loop.cover(k, grid=n): the oracle for the Bloch-block
-    route of ``Catalog``."""
+    """A Catalog that solves every flow cover as one dense problem of
+    dimension 2n: spectrum_from_loop(dense_cover(loop, k, n), window, grid=n)
+    on the grid n that ``Catalog`` uses.  The oracle for the Bloch-block route
+    of ``Catalog``; it keeps no solve."""
 
     def _compute_flow_table(self, orbit, k, window, grid):
-        if grid is None:
-            loop = orbit.model
-            grid = default_grid(loop.n, k, window, loop.strength())
-        return super()._compute_flow_table(orbit, k, window, grid)
+        loop = orbit.model
+        n = grid or default_grid(loop.n, k, window, loop.strength())
+        check_grid_budget(n)  # before sampling: a cover far past the budget has millions of points
+        with eigh_dims() as dims:
+            table = spectrum_from_loop(dense_cover(loop, k, n), window, grid=n)
+        assert dims == [2 * n], dims
+        if table.min_abs_eigenvalue() <= table.cluster_tol():
+            raise CatalogError(f"orbit {orbit.id!r} cover {k} is degenerate (0 is an eigenvalue)")
+        return table
 
 
 def loader_argv(fixture: str, path: str) -> list[str]:

@@ -40,6 +40,7 @@ from hbcalc.spectral import cz_crossing, spectrum_from_loop
 from support import (
     CORPUS_ORBITS,
     FIXTURES,
+    dense_cover,
     iter_trivial_buildings,
     random_building,
     rotation_loop,
@@ -99,7 +100,7 @@ def test_criterion_03_crossing_form_oracle(trig_loops):
     checked = 0
     for loop in trig_loops:
         for k in (1, 2):
-            table = spectrum_from_loop(loop.cover(k), window=15.0 * k)
+            table = spectrum_from_loop(dense_cover(loop, k), window=15.0 * k)
             alpha_minus = table.alpha_minus(0.0)
             parity = table.alpha_plus(0.0) - alpha_minus
             assert cz_crossing(loop, k) == 2 * alpha_minus + parity
@@ -111,7 +112,7 @@ def test_criterion_04_covering_and_coprimality(trig_loops):
     pairs_checked = 0
     for loop in trig_loops:
         base = spectrum_from_loop(loop, window=15.0, grid=201)
-        cover = spectrum_from_loop(loop.cover(2), window=36.0)
+        cover = spectrum_from_loop(dense_cover(loop, 2), window=36.0)
         cover_pairs = [(e.eigenvalue, e.winding) for e in cover.entries]
         for e in base.entries:
             hits = [w for lam, w in cover_pairs if abs(lam - 2 * e.eigenvalue) <= 1e-6]

@@ -28,6 +28,8 @@ from support import (
     DenseCoverCatalog,
     cover_outcomes,
     crossing_outcome,
+    dense_cover,
+    eigh_dims,
     hyperbolic_loop,
     nondegenerate_trig_loop,
     outcome_differences,
@@ -134,7 +136,7 @@ class TestBadOrbits:
         loop = rotating_axis_loop(1)
         tables = {
             1: spectrum_from_loop(loop, window=9.0),
-            2: spectrum_from_loop(loop.cover(2), window=9.0),
+            2: spectrum_from_loop(dense_cover(loop, 2), window=9.0),
         }
         catalog = Catalog([SimpleOrbit("tab_odd", 1.0, tables, hyperbolic=None)])
         with pytest.raises(CatalogError, match="hyperbolic"):
@@ -163,7 +165,7 @@ class TestCoveringLemma:
         loop = rotating_axis_loop(1, n=n)
         base = build_operator(loop)
         vals, vecs = np.linalg.eigh(base)
-        cover_loop = loop.cover(k, grid=n)
+        cover_loop = dense_cover(loop, k, grid=n)
         cover_op = build_operator(cover_loop)
         perm = (k * np.arange(n)) % n
         keep = np.abs(vals) <= 6.0
@@ -294,8 +296,8 @@ class TestWindowGrowth:
 
 
 class TestBlochRoute:
-    """The Catalog solves covers k >= 2 by Bloch blocks; the dense solve of
-    loop.cover(k, grid=n) on the same default grid is the oracle."""
+    """The Catalog solves every cover by Bloch blocks; the dense solve of
+    dense_cover(loop, k, n) on the same grid n is the oracle."""
 
     @staticmethod
     def assert_routes_agree(orbits, covers, windows, invariants=True):
@@ -368,7 +370,7 @@ class TestBlochRoute:
             n = spectral.default_grid(loop.n, k, 10.0, loop.strength())
             m = spectral.next_odd(math.ceil(n / k))
             vals, blocks, points = spectral._bloch_eigenpairs(loop, k, n)
-            dense = build_operator(loop.cover(k, grid=k * m)) if k % 2 else None
+            dense = build_operator(dense_cover(loop, k, grid=k * m)) if k % 2 else None
             inside = np.flatnonzero(np.abs(vals) <= 10.0)
             basis = points(inside).reshape(len(inside), -1)
             assert basis.dtype == float
@@ -422,13 +424,14 @@ class TestBlochRoute:
             catalog.table(b, window)
         assert solves == [(3, 99), (5, 165)] * 2
         assert catalog._held != [None]
-        # explicit grids and simple covers solve densely and keep nothing
+        # explicit grids and simple covers are solves like any other: kept
         catalog.spectrum_of(a, 10.0, grid=151)
-        assert catalog._held == [None]
+        assert solves[-1] == (3, 151) and catalog._held[0][1:3] == (3, 51)
         catalog.table(OrbitRef("rot_p", 2), 10.0)
-        assert catalog._held != [None]
+        assert catalog._held[0][1] == 2
         catalog.cz_index(OrbitRef("rot_m", 1), -2.0)  # grows the simple orbit's table
-        assert solves[-1][0] == 1 and catalog._held == [None]
+        assert solves[-1][0] == 1
+        assert catalog._held[0][:2] == (catalog.orbit("rot_m").model, 1)
         # table-mode orbits solve nothing and take no grid
         table_catalog.cz_index(OrbitRef("rot_tab", 2))
         table_catalog.spectrum_of(OrbitRef("rot_tab", 2), 10.0)
@@ -490,13 +493,14 @@ class TestBlochRoute:
             sys.setswitchinterval(interval)
 
     def test_a_grid_with_a_cover_solves_the_cover_densely(self):
-        # the dense route is loop.cover(k, grid=n) solved on its n points; the
-        # pre-covered loop is sampled once more by cover(1, grid=n), which moves
-        # its eigenvalues by rounding only
+        # the dense oracle is dense_cover(loop, k, n) solved on its n points; the
+        # Bloch blocks solve on the k * m >= n points of the cover grid, and the
+        # pre-covered loop is sampled once more, which moves eigenvalues by
+        # rounding only
         loop = rotating_axis_loop(1)
         for k in (1, 3):
             got = spectrum_from_loop(loop, 10.0, grid=151, cover=k)
-            want = spectrum_from_loop(loop.cover(k, grid=151), 10.0, grid=151)
+            want = spectrum_from_loop(dense_cover(loop, k, grid=151), 10.0, grid=151)
             assert (got.grid, got.window) == (want.grid, want.window) == (151, 10.0)
             assert ([(e.winding, e.multiplicity) for e in got.entries]
                     == [(e.winding, e.multiplicity) for e in want.entries])
@@ -505,32 +509,40 @@ class TestBlochRoute:
         with pytest.raises(ValueError, match="cover"):
             spectrum_from_loop(loop, 10.0, cover=0)
 
-    def test_a_dense_solve_empties_the_held_slot(self):
+    def test_simple_and_explicit_grid_solves_are_kept(self):
         loop = rotating_axis_loop(1)
         held = [None]
-        spectrum_from_loop(loop, 10.0, cover=3, held=held)  # a Bloch solve, kept
-        assert held[0] is not None
-        for grid, cover in ((151, 3), (None, 1), (101, 1)):
-            spectrum_from_loop(loop, 10.0, grid=grid, cover=cover, held=held)
-            assert held == [None], (grid, cover)
+        for grid, cover in ((None, 3), (151, 3), (None, 1), (101, 1)):
+            table = spectrum_from_loop(loop, 10.0, grid=grid, cover=cover, held=held)
+            solve, m = held[0], spectral.next_odd(math.ceil(table.grid / cover))
+            assert solve[:3] == (loop, cover, m), (grid, cover)
+            # the same request audits the kept solve again
+            assert spectrum_from_loop(loop, 10.0, grid=grid, cover=cover, held=held) == table
+            assert held[0] is solve
 
-    def test_explicit_grid_and_simple_orbits_stay_dense(self, monkeypatch):
+    def test_explicit_grid_and_simple_orbits_solve_bloch_blocks(self):
+        # an explicit grid n, or a simple orbit, solves blocks 0..k//2 of
+        # dimension 2m on the base grid m = next_odd(ceil(n / k)); the table
+        # reports n
         catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
-        dims = []
-        real = np.linalg.eigh
-
-        def eigh(a, *args, **kwargs):
-            dims.append(np.shape(a)[-1])
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        table = catalog.spectrum_of(OrbitRef("hyp2", 3), 10.0, grid=151)
-        assert (dims, table.grid) == ([302], 151)
-        dims.clear()
-        table = catalog.spectrum_of(OrbitRef("hyp2", 3), 10.0)
-        n = spectral.default_grid(33, 3, 10.0, catalog.orbit("hyp2").model.strength())
+        strength = catalog.orbit("hyp2").model.strength()
+        n = spectral.default_grid(33, 3, 10.0, strength)
         m = spectral.next_odd(math.ceil(n / 3))
-        assert (dims, table.grid) == ([2 * m, 2 * m], n)
+        for k, grid, dims_want, grid_want in ((3, 151, [102, 102], 151),
+                                              (3, None, [2 * m, 2 * m], n),
+                                              (1, 101, [202], 101),
+                                              (2, 101, [102, 102], 101)):
+            with eigh_dims() as dims:
+                table = catalog.spectrum_of(OrbitRef("hyp2", k), 10.0, grid=grid)
+            assert (dims, table.grid) == (dims_want, grid_want), (k, grid)
+
+    def test_a_grid_below_three_points_a_period_is_refused(self, monkeypatch):
+        loop = rotating_axis_loop(1)
+        monkeypatch.setattr(spectral, "_bloch_eigenpairs", None)  # refused before sampling
+        for grid, cover in ((101, 200), (101, 101), (3, 5)):
+            with pytest.raises(SpectralResolutionError,
+                               match=f"grid {grid} gives cover {cover} fewer than 3 points"):
+                spectrum_from_loop(loop, 10.0, grid=grid, cover=cover)
 
 
 class TestCrossingRecord:

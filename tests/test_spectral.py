@@ -25,6 +25,7 @@ from support import (
     REPO,
     analytic_rotation_table,
     cover_path,
+    dense_cover,
     hyperbolic_loop,
     jacobi_eigh,
     nondegenerate_trig_loop,
@@ -73,7 +74,7 @@ class TestFlowLoop:
         huge = FlowLoop.constant(8e307 * np.eye(2), n=3)
         assert np.all(np.isfinite(huge.samples)) and huge.strength() == 8e307
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            huge.cover(3)  # k * S overflows
+            dense_cover(huge, 3)  # k * S overflows
 
     @pytest.mark.parametrize("triple", [[1e308, 0.0, 1e308], [1e200, 0.0, 0.0],
                                         [0.0, 1e160, 0.0], [1e308, 1e308, -1e308]])
@@ -82,6 +83,18 @@ class TestFlowLoop:
             warnings.simplefilter("error")  # no RuntimeWarning on the way
             with pytest.raises(ValueError, match="finite spectral norm"):
                 FlowLoop.from_triples([triple] * 3)
+
+    def test_sample_layout_does_not_change_a_table(self, fixture_catalog):
+        # samples are stored in C order, so Fortran-order and strided arrays of
+        # the same values give the same tables, bit for bit
+        for orbit_id in fixture_catalog.ids():
+            samples = fixture_catalog.orbit(orbit_id).model.samples
+            strided = np.zeros(samples.shape + (2,))
+            strided[..., 1] = samples
+            for k in (1, 2, 3):
+                want = spectrum_from_loop(FlowLoop(samples), 10.0, cover=k)
+                for layout in (np.asfortranarray(samples), strided[..., 1]):
+                    assert spectrum_from_loop(FlowLoop(layout), 10.0, cover=k) == want
 
     def test_trig_interpolation_is_exact_for_resolved_loops(self):
         loop = rotating_axis_loop(1, n=11)
@@ -93,7 +106,7 @@ class TestFlowLoop:
 
     def test_cover_scales_and_wraps(self):
         loop = rotating_axis_loop(1, n=11)
-        double = loop.cover(2)
+        double = dense_cover(loop, 2)
         ts = np.arange(double.n) / double.n
         expected = 2 * loop.value_at((2 * ts) % 1.0)
         assert np.max(np.abs(double.samples - expected)) < 1e-12
@@ -253,10 +266,7 @@ class TestBatchedWindings:
         monkeypatch.setattr(spectral, "WINDING_BATCH_POINTS", 500)
         assert spectrum_from_loop(loop, 40.0, cover=k, held=held) == whole
         assert len(sizes) > 1 and max(sizes) <= 500
-        if k == 1:  # a dense solve keeps nothing
-            assert held[0] is None
-        else:
-            assert held[0] is not None and (solve is None or held[0] is solve)
+        assert held[0] is not None and (solve is None or held[0] is solve)  # every solve is kept
         assert set(loops).isdisjoint(read_before)
         assert sorted(read_before + loops) == sorted(read_fresh)
 
@@ -270,6 +280,11 @@ class TestRotationSpectrum:
             assert entry.eigenvalue == pytest.approx(lam, rel=1e-8)
             assert entry.winding == w
             assert entry.multiplicity == mult
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
+    def test_rejects_a_window_that_is_not_positive(self, window):
+        with pytest.raises(ValueError, match="window must be positive"):
+            spectrum_from_loop(rotation_loop(math.pi / 2), window)
 
     def test_grid_convergence(self):
         coarse = spectrum_from_loop(rotation_loop(math.pi / 2), window=10.0, grid=101)
@@ -297,7 +312,7 @@ class TestCovering:
     def test_cover_contains_scaled_table(self, k):
         for loop in (rotation_loop(math.pi / 2), hyperbolic_loop(), rotating_axis_loop(1)):
             base = spectrum_from_loop(loop, window=2.5)
-            covered = spectrum_from_loop(loop.cover(k), window=k * 2.5 + 4.0)
+            covered = spectrum_from_loop(dense_cover(loop, k), window=k * 2.5 + 4.0)
             got = [(e.eigenvalue, e.winding) for e in covered.entries]
             for e in base.entries:
                 matches = [
@@ -317,7 +332,7 @@ class TestCrossingForm:
 
     def test_rotation_double_cover_matches_spectrum(self):
         loop = rotation_loop(math.pi / 2)
-        table = spectrum_from_loop(loop.cover(2), window=8.0)
+        table = spectrum_from_loop(dense_cover(loop, 2), window=8.0)
         alpha_minus = table.alpha_minus(0.0)
         parity = table.alpha_plus(0.0) - alpha_minus
         assert cz_crossing(loop, 2) == 2 * alpha_minus + parity

@@ -1,32 +1,34 @@
-"""Sweep the Bloch-block cover route against the dense oracle.
+"""Sweep the Bloch-block route of every cover against the dense oracle.
 
 Run from the repository root:  python3 tools/cover_route_sweep.py
 
 For every orbit of fixtures/catalog_fixture.json at covers k = 1..16 and
 windows 10, 40 and 100, and for the nondegenerate_trig_loop corpus of
 acceptance criterion 02 (20 loops of 201 samples, seed 20240601) at covers
-2, 3, 4, 5 and 8 and windows 10 and 40, it asks a Catalog (Bloch blocks for
-k >= 2) and a DenseCoverCatalog (one dense solve of loop.cover(k, grid=n) on
-the same default grid n; it shares the Catalog's orbits, and so their flow
-loops and crossing records) for the tables at each window, then cz_index (both
-extremal windings, parity and index at the cut 0) and is_bad.  Rows (winding, multiplicity), grids,
-invariants and exception classes must be identical and eigenvalues within
-CLUSTER_TOL * window.  The Catalog keeps its last cover solve and re-audits it
-while a growing window keeps the grid, so each of its tables must also be
-identical, bit for bit, to the table a fresh Catalog returns for that window
-alone.  For every (orbit, k) it visits, Catalog.cz_via_crossing, which
-serves all covers of an orbit and its is_hyperbolic from one integration of
-its flow (the crossing record its loop keeps), must give the integer, or raise
-the exception class with the message, of cz_crossing on a new loop with the
-same samples, FlowLoop(orbit.model.samples), which integrates afresh.  Prints
-one summary line per corpus, with the cover solves, the tables that reused one
-and the RK4 integrations of the orbits' own loops (the load audits, is_bad and
-crossing queries of both catalogs; each corpus is swept on new loops over its
-samples, so no crossing record exists before the sweep), and exits 1 on any
-difference.  The trig corpus solves dense problems of dimension up to 3218;
-the whole sweep takes minutes with one BLAS thread.
+1, 2, 3, 4, 5 and 8 and windows 10 and 40, it asks a Catalog (Bloch blocks
+for every k, k = 1 included) and a DenseCoverCatalog (one dense solve of
+dimension 2n of the cover loop dense_cover(loop, k, n) on the same default
+grid n; it shares the Catalog's orbits, and so their flow loops and crossing
+records) for the tables at each window, then cz_index (both extremal
+windings, parity and index at the cut 0) and is_bad.  Rows (winding,
+multiplicity), grids, invariants and exception classes must be identical and
+eigenvalues within CLUSTER_TOL * window.  The Catalog keeps its last solve
+and re-audits it while a growing window keeps the grid, so each of its tables
+must also be identical, bit for bit, to the table a fresh Catalog returns for
+that window alone.  For every (orbit, k) it visits, Catalog.cz_via_crossing,
+which serves all covers of an orbit and its is_hyperbolic from one
+integration of its flow (the crossing record its loop keeps), must give the
+integer, or raise the exception class with the message, of cz_crossing on a
+new loop with the same samples, FlowLoop(orbit.model.samples), which
+integrates afresh.  Prints one summary line per corpus, with the Catalog's
+Bloch solves, the tables that reused one and the windings they read (the
+oracle's dense solves are not counted), and the RK4 integrations of the
+orbits' own loops (the load audits, is_bad and crossing queries of both
+catalogs; each corpus is swept on new loops over its samples, so no crossing
+record exists before the sweep), and exits 1 on any difference.  The trig
+corpus solves dense problems of dimension up to 3218; the whole sweep takes
+minutes with one BLAS thread.
 """
-
 import pathlib
 import sys
 import time
@@ -36,7 +38,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from hbcalc import spectral  # noqa: E402
+from hbcalc import orbits as orbits_module, spectral  # noqa: E402
 from hbcalc.cli import load_catalog  # noqa: E402
 from hbcalc.orbits import Catalog, OrbitRef, SimpleOrbit  # noqa: E402
 from support import (  # noqa: E402
@@ -49,30 +51,38 @@ from support import (  # noqa: E402
 
 
 class AuditCounter:
-    """Counts, for covers k >= 2, the Bloch solves, the tables audited (a table
-    that audits a kept solve again reuses it) and the windings read from Bloch
+    """Counts the Bloch solves of the Catalog's own spectrum_from_loop calls
+    (the oracle's are not counted), the tables they audit (a table that audits
+    a kept solve again reuses it) and the windings they read from Bloch
     eigenfunctions, each of which passed the block-index audit when the table
     was returned.  A table reads its windings in batches, so each batch adds
     its size."""
 
     def __init__(self):
-        self.cover = 1
+        self.counting = False  # inside a spectrum_from_loop call of a Catalog
         self.read = self.solves = self.tables = 0
         self.integrated: list[int] = []  # id() of each loop integrated
-        real_pairs, real_audit = spectral._bloch_eigenpairs, spectral._audited_table
-        real_windings, real_integrate = spectral._windings, spectral._integrate_frames
+        real_solve, real_pairs = orbits_module.spectrum_from_loop, spectral._bloch_eigenpairs
+        real_audit, real_windings = spectral._audited_table, spectral._windings
+        real_integrate = spectral._integrate_frames
 
-        def pairs(loop, k, n):
-            self.solves += k > 1
-            return real_pairs(loop, k, n)
+        def solve(*args, **kwargs):
+            self.counting = True
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                self.counting = False
 
-        def audit(vals, blocks, points, k, *args):
-            self.cover = k
-            self.tables += k > 1
-            return real_audit(vals, blocks, points, k, *args)
+        def pairs(*args):
+            self.solves += self.counting
+            return real_pairs(*args)
+
+        def audit(*args):
+            self.tables += self.counting
+            return real_audit(*args)
 
         def windings(pts):
-            if self.cover > 1:
+            if self.counting:
                 self.read += len(pts)
             return real_windings(pts)
 
@@ -80,6 +90,7 @@ class AuditCounter:
             self.integrated.append(id(loop))
             return real_integrate(loop, n_steps)
 
+        orbits_module.spectrum_from_loop = solve
         spectral._bloch_eigenpairs, spectral._audited_table = pairs, audit
         spectral._windings, spectral._integrate_frames = windings, integrate
 
@@ -147,7 +158,7 @@ def main() -> int:
     rng = np.random.default_rng(20240601)  # the corpus of acceptance criteria 02-04
     loops = [nondegenerate_trig_loop(rng, n=201) for _ in range(20)]
     orbits = [SimpleOrbit(f"trig{i}", 1.0, loop) for i, loop in enumerate(loops)]
-    failures += sweep("trig corpus", orbits, (2, 3, 4, 5, 8), (10.0, 40.0), audit)
+    failures += sweep("trig corpus", orbits, (1, 2, 3, 4, 5, 8), (10.0, 40.0), audit)
     print("cover route sweep:", "FAILED" if failures else
           "identical to the dense oracle, to fresh catalogs and to fresh crossing integrations")
     return 1 if failures else 0

@@ -58,6 +58,9 @@ def cases() -> list[list[str]]:
     # exit 2: an orbit the catalog does not have
     out.append(["spectrum", "--catalog", "fixtures/catalog_demo.json", "--orbit", "nowhere",
                 "--window", "5", "--json"])
+    # exit 2: a grid that leaves the cover fewer than 3 points a period
+    out.append(["spectrum", "--catalog", "fixtures/catalog_demo.json", "--orbit", "rot_p",
+                "--cover", "200", "--window", "10", "--grid", "101", "--json"])
     out.append(["index", "--catalog", "fixtures/catalog_table.json", "--building", FIGURE3])
     # exit 2: a surgery op without the flags it needs, or with both of augment's
     for op in (["augment", "--site", "cyl_top:0", "--pair", "1"], ["augment"], ["node"],
