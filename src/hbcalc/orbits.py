@@ -4,10 +4,14 @@ Orbits are user-declared models: either a flow loop (the coefficient loop of
 the asymptotic operator, from which spectra are computed on demand) or
 explicit spectral tables listed per cover.  The catalog is immutable after
 construction and caches computed tables, so all queries are cheap and safe
-for concurrent readers.  It also keeps its last solve (the Bloch eigenpairs
-of one gamma^k, k >= 1, on the base grid of the requested or default grid,
-with the windings read so far): a wider window whose grid keeps the base grid
-only audits that solve again, so each cover is solved once per base grid.
+for concurrent readers: per flow cover it keeps the widest table solved on
+the default grid, and `table` clips narrower windows from it (the tables that
+`cz_index` reads), while `spectrum_of` solves at the window it is asked, so
+what it returns does not depend on what was solved before.  It also keeps
+its last solve, whatever the cover and grid (the Bloch eigenpairs of one
+gamma^k, k >= 1, on the base grid of the requested or default grid, with the
+windings read so far): a later window whose grid keeps the base grid only
+audits that solve again, so each cover is solved once per base grid.
 Each flow loop keeps its own crossing record (the one-period part of
 cz_crossing: the monodromy P, its trace and what the swept angles give), so
 the crossing-form indices of all covers gamma^k of an orbit and its dynamical
@@ -54,9 +58,6 @@ from .spectral import (
 
 #: Window growth is capped here; needing more means the request is off-scale.
 MAX_WINDOW = 500.0
-#: Bound on the window growths of one _table_past call.  Growth starts at a
-#: window >= 8 and 8 * 1.7**8 > MAX_WINDOW, so finite requests stop sooner.
-MAX_GROWTHS = 16
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,17 @@ class Catalog:
         return cached if cached.window == window else cached.clip(window)
 
     def spectrum_of(self, ref: OrbitRef, window: float, grid: int | None = None) -> SpectralTable:
-        """Public spectral query (CLI `spectrum` maps straight onto this)."""
+        """Public spectral query (CLI `spectrum` maps straight onto this).
+
+        A flow table is solved at this window, never clipped from a wider
+        cached one, so it does not depend on what the catalog solved before;
+        it is cached when it is the widest of its cover.
+        """
         if not (math.isfinite(window) and window > 0):
             raise CatalogError(f"window must be finite and positive, got {window}")
+        cached = self._tables.get((ref.simple, ref.k))
+        if grid is None and cached is not None and cached.window > window:
+            return self._compute_flow_table(self.orbit(ref.simple), ref.k, window, None)
         return self.table(ref, window, grid)
 
     def _table_past(self, ref: OrbitRef, threshold: float) -> SpectralTable:
@@ -197,22 +206,22 @@ class Catalog:
                     f"reach past threshold {threshold}"
                 )
             return stored
+        # growth starts at a window >= 8 and 8 * 1.7**8 > MAX_WINDOW: at most 9 tables
         try:
             need = abs(threshold) + orbit.model.strength() * ref.k + 8.0
         except OverflowError:  # a cover past the float range; default_grid rejects it
             need = math.inf
-        for _ in range(MAX_GROWTHS):
+        while True:
             table = self.table(ref, need)
             lo, hi = table.kept_range()
             if lo < threshold < hi:
                 return table
             if need > MAX_WINDOW:
-                break
+                raise SpectralResolutionError(
+                    f"orbit {ref.simple!r} cover {ref.k}: spectrum not resolved "
+                    f"past threshold {threshold}"
+                )
             need *= 1.7
-        raise SpectralResolutionError(
-            f"orbit {ref.simple!r} cover {ref.k}: spectrum not resolved "
-            f"past threshold {threshold}"
-        )
 
     # --- integer invariants ---------------------------------------------
 

@@ -22,6 +22,13 @@ of at most WINDING_BATCH_POINTS loop points (_windings takes a (B, n, 2)
 array and returns each loop's total turns and a fault code), and the public
 winding() is the batch of one.
 
+Between its samples S is read as their trigonometric interpolant (Trefethen,
+Spectral Methods in MATLAB, 2000, ch. 3), and _uniform_values is its one
+evaluation: a DFT of the samples gives its Fourier coefficients, and its
+values at m uniform points are sums of them against two small root-of-unity
+tables, exact for every m, with no dense kernel and no numpy.fft.  It samples
+the base grid of the Bloch blocks (FlowLoop.resample) and the RK4 half grid.
+
 Every solve of spectrum_from_loop(loop, window, grid, cover=k) splits the
 k-fold cover into Floquet-Bloch blocks.  The cover operator commutes with the
 deck shift t -> t + 1/k, so with s = kt every eigenfunction is
@@ -57,17 +64,14 @@ flow  Psi' = J0 S(t) Psi  and classifies the swept angles
 (crossing-form/rotation-number computation); it never touches the
 eigensolver, so the two routes cross-check each other.
 
-The flow is integrated by classical RK4 over one period.  S on the half grid
-t = i h / 2 is the trigonometric interpolant of the samples (Trefethen,
-Spectral Methods in MATLAB, 2000, ch. 3): a DFT of the samples gives its
-Fourier coefficients, and its values are sums of them against two small
-root-of-unity tables, without a dense kernel or numpy.fft.  Because the
-ODE is linear, each step is a 2x2 matrix M_j built in closed form from S on the
-half grid; all M_j are formed by batched matrix products and the frames
-Psi(t_j) = M_{j-1} ... M_0 by a log-depth prefix-product scan.  Covers need
-no further integration.  With P = Psi(1) the one-period monodromy, the k-fold
-monodromy is P^k, and in dimension 2 the index of the k-fold cover follows
-from one period by Bott's iteration formula (Bott, On the iteration of closed
+The flow is integrated by classical RK4 over one period, from S on the half
+grid t = i h / 2 (_uniform_values).  Because the ODE is linear, each step is
+a 2x2 matrix M_j built in closed form from S on the half grid; all M_j are
+formed by batched matrix products and the frames Psi(t_j) = M_{j-1} ... M_0
+by a log-depth prefix-product scan.  Covers need no further integration.
+With P = Psi(1) the one-period monodromy, the k-fold monodromy is P^k, and
+in dimension 2 the index of the k-fold cover follows from one period by
+Bott's iteration formula (Bott, On the iteration of closed
 geodesics and the Sturm intersection theory, CPAM 1956; Long, Index Theory
 for Symplectic Paths with Applications, 2002): a hyperbolic P gives k times
 the index of one period; an elliptic P has rotation number rho = m + theta,
@@ -136,7 +140,8 @@ def _as_samples(samples) -> np.ndarray:
 
 
 class FlowLoop:
-    """Uniform samples of the symmetric coefficient loop S(t).
+    """Uniform samples of the symmetric coefficient loop S(t), read between
+    them as their trigonometric interpolant (module docstring).
 
     The sample count must be odd and at least 3 (the spectral differentiation
     scheme needs it) and every sample symmetric to 1e-12.
@@ -195,29 +200,12 @@ class FlowLoop:
         """Max spectral norm over the samples (used for windows and step sizes)."""
         return self._strength
 
-    def value_at(self, ts) -> np.ndarray:
-        """Trigonometric interpolation of the samples at times ts (mod 1).
-
-        Exact whenever the underlying loop is a trigonometric polynomial of
-        degree <= (n - 1) / 2.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        n = self.n
-        x = ts[:, None] - np.arange(n)[None, :] / n
-        # Dirichlet kernel sin(n pi x) / (n sin(pi x)), value 1 at x in Z
-        num = np.sin(n * np.pi * x)
-        den = n * np.sin(np.pi * x)
-        near = np.abs(den) < 1e-13
-        den[near] = 1.0
-        kernel = num / den
-        kernel[near] = 1.0
-        return np.einsum("tj,jab->tab", kernel, self.samples)
-
     def resample(self, n: int) -> "FlowLoop":
+        """The trigonometric interpolant of the samples, sampled on n uniform
+        points (_uniform_values)."""
         if n == self.n:
             return self
-        ts = np.arange(n) / n
-        return FlowLoop(self.value_at(ts))
+        return FlowLoop(_uniform_values(self.samples, n))
 
 
 def _root_sums(coef: np.ndarray, m: int, count: int) -> np.ndarray:
@@ -238,8 +226,8 @@ def _root_sums(coef: np.ndarray, m: int, count: int) -> np.ndarray:
 
 
 def _uniform_values(samples: np.ndarray, m: int) -> np.ndarray:
-    """The trigonometric interpolant of n uniform samples (FlowLoop.value_at)
-    at the m points i / m, exact for every m.
+    """The trigonometric interpolant of n uniform samples at the m points
+    i / m, exact for every m: the one evaluation of a loop between its samples.
 
     The interpolant's Fourier coefficients c_f, f <= (n - 1) / 2, are a DFT of
     the samples; its values are a sum over them.  Both are _root_sums, so
@@ -354,8 +342,9 @@ class SpectralTable:
     """Windowed eigenvalues of an asymptotic operator with their windings.
 
     Entries are sorted by eigenvalue; only complete winding classes inside
-    the window are listed, so within the window the winding is nondecreasing
-    and every winding value carries total multiplicity exactly two.
+    the window (|eigenvalue| <= window + CLUSTER_TOL * max(1, window)) are
+    listed, so within the window the winding is nondecreasing and every
+    winding value carries total multiplicity exactly two.
     """
 
     entries: tuple[SpectralEntry, ...]
@@ -440,12 +429,19 @@ class SpectralTable:
             raise SpectralResolutionError(
                 f"requested window {window} exceeds trusted window {self.window}"
             )
-        inside = [e for e in self.entries if abs(e.eigenvalue) <= window]
+        inside = [e for e in self.entries if abs(e.eigenvalue) <= _edge(window)]
         per: dict[int, int] = {}
         for e in inside:
             per[e.winding] = per.get(e.winding, 0) + e.multiplicity
         kept = tuple(e for e in inside if per.get(e.winding) == 2)
         return SpectralTable(entries=kept, window=window, grid=self.grid)
+
+
+def _edge(window: float) -> float:
+    """The largest |eigenvalue| inside a window: an eigenvalue within the
+    clustering tolerance of the edge is on it, so the last bits of a solve
+    never decide whether its winding class is kept."""
+    return window + CLUSTER_TOL * max(1.0, window)
 
 
 class InternalAudit(SpectralResolutionError):
@@ -588,6 +584,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     """
     scan = window + 2.0 * strength + 8.0
     tol = CLUSTER_TOL * max(1.0, window)
+    edge = _edge(window)
 
     lo = int(np.searchsorted(vals, -scan, side="left"))
     hi = int(np.searchsorted(vals, scan, side="right"))
@@ -602,7 +599,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     for lam, j, total, fault in zip(lams, blocks[lo:hi].tolist(), turns[lo:hi].tolist(),
                                     faults[lo:hi].tolist()):
         if fault:
-            if abs(lam) <= window:
+            if abs(lam) <= edge:
                 raise SpectralResolutionError(
                     f"eigenvector at lambda={lam:.6g} is under-resolved at grid {n}; "
                     "increase the grid"
@@ -613,7 +610,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
             w = round(total)
         if w is not None and (w - j) % k and (w + j) % k:
             # u(t) = exp(2 pi i j t) w(kt) winds j times mod k, up to conjugation
-            if abs(lam) <= window:
+            if abs(lam) <= edge:
                 raise SpectralResolutionError(
                     f"eigenvector at lambda={lam:.6g} from Bloch block {j} of {k} has "
                     f"winding {w}, not +-{j} mod {k}; increase the grid"
@@ -629,7 +626,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     for start, end, mean in zip(starts, ends, _cluster_means(vals[lo:hi], starts, ends)):
         known = {w for w in winds[start:end] if w is not None}
         if len(known) > 1:
-            if abs(mean) <= window:
+            if abs(mean) <= edge:
                 raise SpectralResolutionError(
                     f"eigenvalue cluster at {mean:.6g} mixes windings {sorted(known)}; "
                     "increase the grid"
@@ -643,7 +640,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     for lam, w, _ in cluster_data:
         if w is None:
             continue
-        if last is not None and w < last and abs(lam) <= window:
+        if last is not None and w < last and abs(lam) <= edge:
             raise SpectralResolutionError(
                 "winding is not nondecreasing across the window; increase the grid"
             )
@@ -655,7 +652,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
         if w is None:
             continue
         per_class[w] = per_class.get(w, 0) + mult
-        if abs(lam) <= window:
+        if abs(lam) <= edge:
             per_class_in[w] = per_class_in.get(w, 0) + mult
 
     if any(m > 2 for m in per_class.values()):
@@ -686,7 +683,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     entries = tuple(
         SpectralEntry(eigenvalue=lam, winding=w, multiplicity=mult)
         for lam, w, mult in cluster_data
-        if w in kept and abs(lam) <= window
+        if w in kept and abs(lam) <= edge
     )
     table = SpectralTable(entries=entries, window=window, grid=n)
     table.validate()

@@ -211,6 +211,27 @@ def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
 # --- dense cover oracle ----------------------------------------------------------
 
 
+def dense_value_at(loop: FlowLoop, ts) -> np.ndarray:
+    """Trigonometric interpolation of the loop's samples at times ts (mod 1),
+    through the dense Dirichlet kernel: O(len(ts) * n) sines.
+
+    Exact whenever the underlying loop is a trigonometric polynomial of
+    degree <= (n - 1) / 2.  The oracle for hbcalc.spectral._uniform_values,
+    which FlowLoop.resample and the RK4 half grid use.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    n = loop.n
+    x = ts[:, None] - np.arange(n)[None, :] / n
+    # Dirichlet kernel sin(n pi x) / (n sin(pi x)), value 1 at x in Z
+    num = np.sin(n * np.pi * x)
+    den = n * np.sin(np.pi * x)
+    near = np.abs(den) < 1e-13
+    den[near] = 1.0
+    kernel = num / den
+    kernel[near] = 1.0
+    return np.einsum("tj,jab->tab", kernel, loop.samples)
+
+
 def dense_cover(loop: FlowLoop, k: int, grid: int | None = None) -> FlowLoop:
     """Coefficient loop of the k-fold cover, S_k(t) = k S(kt mod 1), sampled
     on `grid` points (by default next_odd(k * loop.n)).
@@ -225,7 +246,7 @@ def dense_cover(loop: FlowLoop, k: int, grid: int | None = None) -> FlowLoop:
         return loop
     n = next_odd(k * loop.n) if grid is None else grid
     ts = (k * np.arange(n) / n) % 1.0
-    return FlowLoop(k * loop.value_at(ts))
+    return FlowLoop(k * dense_value_at(loop, ts))
 
 
 @contextlib.contextmanager
@@ -469,7 +490,7 @@ def reference_integrate_frames(loop: FlowLoop, cover: int, steps: int | None) ->
     n_steps = steps or max(2048, 256 * int(math.ceil(strength + 1)))
     h = 1.0 / n_steps
     ts = np.arange(2 * n_steps + 1) * (h / 2)
-    s_half = loop.value_at(ts % 1.0)
+    s_half = dense_value_at(loop, ts % 1.0)
     a_half = np.einsum("ij,tjk->tik", J0, s_half)
 
     total = cover * n_steps

@@ -340,19 +340,19 @@ class TestLoaderFuzz:
 
     def test_large_covers_fail_the_budget_before_allocating(self, capsys, tmp_path,
                                                             warm_fixture_catalogs, monkeypatch):
-        sizes = {"eigh": [0], "value_at": [0]}
-        real_eigh, real_value_at = np.linalg.eigh, spectral.FlowLoop.value_at
+        sizes = {"eigh": [0], "resample": [0]}
+        real_eigh, real_resample = np.linalg.eigh, spectral.FlowLoop.resample
 
         def eigh(a, *args, **kwargs):
             sizes["eigh"].append(np.shape(a)[-1])
             return real_eigh(a, *args, **kwargs)
 
-        def value_at(loop, ts):
-            sizes["value_at"].append(np.size(ts))
-            return real_value_at(loop, ts)
+        def resample(loop, n):
+            sizes["resample"].append(n)
+            return real_resample(loop, n)
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        monkeypatch.setattr(spectral.FlowLoop, "value_at", value_at)
+        monkeypatch.setattr(spectral.FlowLoop, "resample", resample)
         path = tmp_path / "input.json"
         cases = list(large_cover_mutants(505))
         assert {cover for _, _, cover, _ in cases} == set(LARGE_COVERS)
@@ -372,10 +372,9 @@ class TestLoaderFuzz:
             assert (code, out) == (2, ""), (case, err)
             assert "budget of 4096" in err, (case, err)
             assert "Traceback" not in err and "internal error" not in err, (case, err)
-        # nothing of a large cover's size was sampled or solved: the largest
-        # legitimate sample request is the 4097-point RK4 half grid
+        # nothing of a large cover's size was resampled or solved
         assert max(sizes["eigh"]) <= MAX_DENSE_DIM
-        assert max(sizes["value_at"]) <= 2 * MAX_DENSE_DIM
+        assert max(sizes["resample"]) <= 2 * MAX_DENSE_DIM
 
     def test_wide_asymptotics_exit_cleanly_in_time(self, capsys, tmp_path, fixture_catalog,
                                                    warm_fixture_catalogs):

@@ -12,7 +12,6 @@ from hbcalc.errors import (
     SpectralResolutionError,
 )
 from hbcalc.orbits import (
-    MAX_GROWTHS,
     MAX_WINDOW,
     Catalog,
     OrbitRef,
@@ -290,9 +289,48 @@ class TestWindowGrowth:
         )
         windows = made[0].windows
         assert windows[-1] > MAX_WINDOW >= max(windows[:-1])
-        assert len(windows) <= MAX_GROWTHS
+        # growth starts at a window >= 8, so 8 * 1.7**j passes MAX_WINDOW within 9 tables
+        assert len(windows) <= math.ceil(math.log(MAX_WINDOW / 8.0, 1.7)) + 1 == 9
         assert [b / a for a, b in zip(windows, windows[1:])] == pytest.approx(
             [1.7] * (len(windows) - 1))
+
+
+class TestWindowEdge:
+    """A winding class within CLUSTER_TOL * max(1, window) of the window's edge
+    is inside it.  hyp_even is S = diag(1, -1), so cover k has its winding-0
+    class at exactly -k and +k, on the edge of the window k."""
+
+    @pytest.mark.parametrize("route", [Catalog, DenseCoverCatalog])
+    def test_the_class_on_the_edge_is_kept(self, route, fixture_catalog):
+        catalog = route([fixture_catalog.orbit(i) for i in fixture_catalog.ids()])
+        for k in range(1, 11):
+            ref = OrbitRef("hyp_even", k)
+            solved = catalog.spectrum_of(ref, float(k))
+            catalog.table(ref, 2.0 * k)
+            clipped = catalog.table(ref, float(k))  # the clip of the window-2k table
+            for table in (solved, clipped):
+                assert [(e.winding, e.multiplicity) for e in table.entries] == [(0, 1)] * 2, k
+                assert [e.eigenvalue for e in table.entries] == pytest.approx([-k, k], abs=1e-9)
+
+
+class TestSpectrumOf:
+    """spectrum_of solves the window it is asked: its table does not depend on
+    what the catalog solved before, and the widest table of a cover stays
+    cached for the clips cz_index reads."""
+
+    def test_a_narrower_window_is_solved_not_clipped(self):
+        catalog = load_catalog(str(FIXTURES / "catalog_demo.json"))
+        ref, key = OrbitRef("rot_m"), ("rot_m", 1)
+        audit = catalog._tables[key]  # the load audit's parity table
+        assert audit.window > 5.0
+        table = catalog.spectrum_of(ref, 5.0)
+        assert (table.window, table.grid) == (5.0, 33)
+        assert table == spectrum_from_loop(catalog.orbit("rot_m").model, 5.0)
+        assert catalog._tables[key] is audit
+        wide = catalog.spectrum_of(ref, 2 * audit.window)
+        assert catalog._tables[key] is wide
+        assert catalog.spectrum_of(ref, wide.window) is wide
+        assert catalog.table(ref, 5.0) == wide.clip(5.0)
 
 
 class TestBlochRoute:

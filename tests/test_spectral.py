@@ -26,6 +26,7 @@ from support import (
     analytic_rotation_table,
     cover_path,
     dense_cover,
+    dense_value_at,
     hyperbolic_loop,
     jacobi_eigh,
     nondegenerate_trig_loop,
@@ -102,13 +103,13 @@ class TestFlowLoop:
         ts = np.arange(33) / 33
         expected = rotating_axis_loop(1, n=33).samples
         assert np.max(np.abs(fine.samples - expected)) < 1e-12
-        assert np.max(np.abs(loop.value_at(ts) - expected)) < 1e-12
+        assert np.max(np.abs(dense_value_at(loop, ts) - expected)) < 1e-12
 
     def test_cover_scales_and_wraps(self):
         loop = rotating_axis_loop(1, n=11)
         double = dense_cover(loop, 2)
         ts = np.arange(double.n) / double.n
-        expected = 2 * loop.value_at((2 * ts) % 1.0)
+        expected = 2 * dense_value_at(loop, (2 * ts) % 1.0)
         assert np.max(np.abs(double.samples - expected)) < 1e-12
 
 
@@ -417,6 +418,17 @@ class TestBuildOperator:
             assert got.tobytes() == want.tobytes(), loop.n
 
 
+class TestClip:
+    def test_a_class_within_the_cluster_tolerance_of_the_edge_is_inside(self):
+        for window in (0.5, 5.0, 300.0):
+            tol = spectral.CLUSTER_TOL * max(1.0, window)
+            rows = (spectral.SpectralEntry(-window - 0.9 * tol, 0, 1),
+                    spectral.SpectralEntry(window + 0.9 * tol, 0, 1))
+            table = spectral.SpectralTable(entries=rows, window=2 * window, grid=33)
+            assert table.clip(window).entries == rows
+            assert table.clip(0.999 * window).entries == ()
+
+
 class TestClusterMeans:
     """_cluster_means is np.mean of each cluster, bit for bit (support oracle)."""
 
@@ -667,7 +679,8 @@ class TestMonodromySource:
 
 
 class TestHalfGrid:
-    """The half grid of _integrate_frames is the dense value_at interpolant."""
+    """_uniform_values, which samples the RK4 half grid and every resample, is the
+    dense Dirichlet-kernel interpolant (support.dense_value_at)."""
 
     def test_loads_no_fft_module(self):
         # numpy.fft loads lazily and stays resident: about 0.9 MB of peak RSS
@@ -685,8 +698,16 @@ class TestHalfGrid:
         loop = fixture_catalog.orbit(name).model
         m = 2 * max(2048, 256 * math.ceil(loop.strength() + 1))  # the default step count
         got = spectral._uniform_values(loop.samples, m)
-        want = loop.value_at(np.arange(m) / m)
+        want = dense_value_at(loop, np.arange(m) / m)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(loop.samples))
+
+    @pytest.mark.parametrize("name", FIXTURE_ORBITS)
+    def test_resample_is_the_dense_interpolant(self, name, fixture_catalog):
+        loop = fixture_catalog.orbit(name).model
+        for m in (3, 17, loop.n + 2, 183):
+            want = dense_value_at(loop, np.arange(m) / m)
+            got = loop.resample(m).samples
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(loop.samples)), m
 
     def test_loop_longer_than_the_half_grid(self):
         # random samples: every frequency up to 100 is present, more than a grid
@@ -696,7 +717,7 @@ class TestHalfGrid:
         loop = FlowLoop(samples + np.transpose(samples, (0, 2, 1)))
         for m in (100, 7, 2, 201, 202):
             got = spectral._uniform_values(loop.samples, m)
-            want = loop.value_at(np.arange(m) / m)
+            want = dense_value_at(loop, np.arange(m) / m)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(loop.samples)), m
         path = spectral._integrate_frames(loop, 50)  # half grid of 100
         want = reference_integrate_frames(loop, 2, 50)

@@ -126,10 +126,11 @@ def sweep(name, orbits, covers, windows, audit) -> int:
                 cases += 1
                 if isinstance(a, type):
                     raised[a.__name__] = raised.get(a.__name__, 0) + 1
-                elif query[0] == "table" and not isinstance(b, type) and a[2]:
+                elif query[0] == "table":
                     rows += len(a[0])
-                    gap = max(abs(x - y) for x, y in zip(a[2], b[2]))
-                    worst = max(worst, gap / (spectral.CLUSTER_TOL * query[1]))
+                    if not isinstance(b, type) and a[:2] == b[:2]:  # else a DIFF above
+                        gap = max((abs(x - y) for x, y in zip(a[2], b[2])), default=0.0)
+                        worst = max(worst, gap / (spectral.CLUSTER_TOL * query[1]))
     solves, tables, read = (b - a for a, b in zip(before, audit.counts()))
     # the orbits' loops stay alive, so their ids name them
     models = {id(orbit.model) for orbit in orbits}
