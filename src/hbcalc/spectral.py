@@ -439,8 +439,8 @@ class SpectralTable:
 
 def _edge(window: float) -> float:
     """The largest |eigenvalue| inside a window: an eigenvalue within the
-    clustering tolerance of the edge is on it, so the last bits of a solve
-    never decide whether its winding class is kept."""
+    clustering tolerance of the edge is on it, so the last bits of a solve do
+    not decide whether a class exactly on the edge is kept."""
     return window + CLUSTER_TOL * max(1.0, window)
 
 
