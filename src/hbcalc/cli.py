@@ -47,18 +47,24 @@ is cited at the ``orbit`` field of the first puncture that names it, with the
 catalog file.  An error in a flag's value names the flag, as in ``--cover: ...``.
 JSON output is byte-stable for fixed inputs (sorted keys, sorted lists, and
 computed eigenvalues rounded to 12 significant digits).
+
+A command run as a process (``python -m hbcalc.cli`` or the ``hbcalc``
+script, both through `run`) runs with the cyclic garbage collector off and
+ends with ``os._exit`` once its output is flushed; `main()` called in process
+does neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .buildings import (
     Building,
@@ -760,5 +766,31 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m hbcalc.cli`` and the ``hbcalc`` script.
+
+    Runs `main` with the cyclic garbage collector off (a command is short,
+    and the end of the process frees what its cycles hold), flushes stdout
+    and stderr, and ends the process with ``os._exit``, so the interpreter's
+    teardown (collections over numpy's and hbcalc's objects) never runs.
+    Nothing is lost by that: a command's only outputs are stdout and stderr,
+    and it registers no atexit work.  Any other output a command gains (such
+    as a ``--trace FILE``) must be closed before ``os._exit``, which closes
+    nothing.  A flush whose reader has gone shows nothing and keeps the exit
+    code.
+    """
+    gc.disable()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help or a flag error
+        code = exc.code
+    except OSError:  # the message of an error met a stderr whose reader has gone
+        code = 2
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: fd closed at start
+        with contextlib.suppress(OSError, ValueError):
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

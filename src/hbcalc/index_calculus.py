@@ -48,11 +48,11 @@ from .buildings import (
     Component,
     Puncture,
     Site,
-    arithmetic_genus,
     detach_component,
     euler_char,
+    is_connected,
 )
-from .errors import BuildingError, IncompleteInputError, InconsistentDataError, InternalCheckError
+from .errors import IncompleteInputError, InconsistentDataError, InternalCheckError
 from .orbits import Catalog, SpectralSummary
 
 
@@ -215,10 +215,7 @@ class Analysis(_Sums):
     @cached_property
     def genus(self) -> int | None:
         """Arithmetic genus of the glued surface; None when it is disconnected."""
-        try:
-            return arithmetic_genus(self.building)
-        except BuildingError:
-            return None
+        return (2 - len(self.rows) - self.chi) // 2 if is_connected(self.building) else None
 
     def part(self, cid: str) -> Part:
         """Component `cid` on its own, read through the building's rows."""

@@ -539,9 +539,10 @@ def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
     parts = [(0, False)]  # (block, imaginary part?) of each run of 2m entries
     x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
     for j in range(1, k // 2 + 1):
-        # base - (2 pi j / k) (I (x) i J0), written into the 2x2 diagonal blocks
+        # base - (2 pi j / k) (I (x) i J0), written into the 2x2 diagonal blocks;
+        # eigh reads the lower triangle only, so the Hermitian upper entries
+        # block[x, y] (the conjugates) are left unwritten
         block = base.astype(complex)
-        block[x, y] += (2j * math.pi * j / k)
         block[y, x] -= (2j * math.pi * j / k)
         solved.append(np.linalg.eigh(block))
         # block k - j is the conjugate of block j: one solve, two real parts

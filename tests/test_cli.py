@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -636,6 +637,103 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err == b""
+
+
+    def test_stderr_closed_before_an_error_message(self):
+        # the message cannot be shown, but the exit code still says "input error"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hbcalc.cli", *GOLDEN_BY_CODE["loader"]["argv"]],
+                cwd=REPO, env=fresh_env(), stdout=subprocess.PIPE, stderr=write_end, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    def test_help_to_a_stdout_whose_reader_has_gone(self):
+        # the help text waits in the buffer for run's flush, which fails quietly
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hbcalc.cli", "--help"], cwd=REPO,
+                                  env=fresh_env(), stdout=write_end, stderr=subprocess.PIPE,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_stdout_closed_at_start(self):
+        # Python then has no sys.stdout; the command fails as an internal error
+        proc = subprocess.run(
+            [sys.executable, "-m", "hbcalc.cli", *GOLDEN_BY_CODE["0"]["argv"]], cwd=REPO,
+            env=fresh_env(), stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: internal error: ") and b"Traceback" not in proc.stderr
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh command, its stdout block-buffered as in a shell."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+GOLDEN = json.loads((REPO / "tests" / "golden" / "cli.json").read_text())
+#: one pinned case per exit code: success, violations, a loader error, a flag error
+GOLDEN_BY_CODE = {
+    name: next(c for c in GOLDEN if c["code"] == code and c["stderr"].startswith(prefix))
+    for name, code, prefix in [("0", 0, ""), ("1", 1, ""), ("loader", 2, "error: fixtures/"),
+                               ("flag", 2, "error: --")]
+}
+
+
+class TestProcessEntry:
+    """`python -m hbcalc.cli` runs through `cli.run` (collector off, os._exit);
+    `main` called in process keeps the collector and returns."""
+
+    def test_main_in_process_keeps_the_collector(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO)
+        assert gc.isenabled()
+        for case in GOLDEN_BY_CODE.values():
+            assert main(case["argv"]) == case["code"]
+            assert gc.isenabled()
+        with pytest.raises(SystemExit):
+            main(["index", "--bogus"])
+        assert gc.isenabled()
+
+    def test_run_turns_the_collector_off_and_skips_teardown(self):
+        # an atexit handler stands for the interpreter's teardown, which os._exit skips
+        script = ("import atexit, gc, hbcalc.cli as cli\n"
+                  "atexit.register(print, 'teardown')\n"
+                  "cli.main = lambda: print('collector on:', gc.isenabled()) or 3\n"
+                  "cli.run()\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=fresh_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "collector on: False\n", "")
+
+    def test_console_script_is_run(self):
+        scripts = (REPO / "pyproject.toml").read_text().split("[project.scripts]")[1]
+        assert scripts.split("[")[0].split() == ["hbcalc", "=", '"hbcalc.cli:run"']
+
+    @pytest.mark.parametrize("name", list(GOLDEN_BY_CODE))
+    def test_fresh_process_gives_the_golden_output(self, name):
+        case = GOLDEN_BY_CODE[name]
+        proc = subprocess.run([sys.executable, "-m", "hbcalc.cli", *case["argv"]], cwd=REPO,
+                              env=fresh_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            case["code"], case["stdout"], case["stderr"])
+
+    def test_fresh_process_argparse_error(self, capsys):
+        argv = ["index", "--catalog", str(FIXTURES / "catalog_demo.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "hbcalc.cli", *argv], cwd=REPO,
+                              env=fresh_env(), capture_output=True, text=True, timeout=60)
+        assert exc.value.code == proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+        assert "the following arguments are required: --building" in proc.stderr
 
 
 class TestGridPastFloatRange:

@@ -12,8 +12,10 @@ from hbcalc.buildings import (
     Component,
     Puncture,
     add_node,
+    arithmetic_genus,
     augment,
     core,
+    disjoint_union,
     is_connected,
     set_constraints,
 )
@@ -221,6 +223,39 @@ class TestRandomCorpus:
                     == 0
                 )
                 assert (comp_report.index + piece_gamma0) % 2 == 0
+
+
+class TestAnalysisGenus:
+    """`Analysis.genus` reads the chi and external rows the analysis holds:
+    `arithmetic_genus` on a connected building, None on a disconnected one."""
+
+    def test_equals_arithmetic_genus_on_the_corpora(self, cat):
+        cases = list(fixture_cases())
+        cases += [(cat, b) for b, _ in random_cases(cat, 30, 29)]
+        rng = np.random.default_rng(31)
+        for _chi, _genus2, _n_ext, (combo, edges) in support.iter_trivial_buildings(3, 3, 1):
+            if rng.random() < 0.05:
+                cases.append((cat, support.build_trivial_building(combo, edges, RP)))
+        checked = 0
+        for catalog, b in cases:
+            try:
+                analysis = ic.Analysis(catalog, b)
+            except HbcalcError:  # an orbit the catalog lacks: no analysis to read
+                continue
+            assert analysis.genus == arithmetic_genus(b), b
+            checked += 1
+        assert checked > 200
+
+    def test_none_on_a_disconnected_building(self, cat):
+        rng = np.random.default_rng(37)
+        pieces = [Building(components=(tcyl("t", RP),))]
+        pieces += [random_building(rng, cat) for _ in range(6)]
+        for a, b in zip(pieces, pieces[1:]):
+            union = disjoint_union(a, b)
+            assert not is_connected(union)
+            with pytest.raises(BuildingError, match="connected buildings only"):
+                arithmetic_genus(union)
+            assert ic.Analysis(cat, union).genus is None
 
 
 # --- the single ends pass against the per-function formulas --------------------

@@ -373,6 +373,33 @@ class TestBlochRoute:
         assert (outcome_differences(cover_outcomes(bloch, OrbitRef("r", 6), (10.0,)),
                                     cover_outcomes(dense, OrbitRef("r", 6), (10.0,))) == [])
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_each_block_is_solved_as_its_full_hermitian_block(self, k, monkeypatch):
+        # eigh reads the lower triangle only, so the shift is written there alone;
+        # the eigenpairs must be those of the whole Hermitian block, bit for bit
+        loop = rotating_axis_loop(1)
+        n = spectral.default_grid(loop.n, k, 20.0, loop.strength())
+        m = spectral._base_grid(n, k)
+        base = build_operator(loop.resample(m))
+        real, solved = np.linalg.eigh, []
+
+        def eigh(a, *args, **kwargs):
+            solved.append((a.copy(), real(a, *args, **kwargs)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        spectral._bloch_eigenpairs(loop, k, n)
+        assert len(solved) == k // 2 + 1
+        x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
+        for j, (given, (vals, vecs)) in enumerate(solved):
+            full = base.astype(complex)
+            full[x, y] += 2j * math.pi * j / k
+            full[y, x] -= 2j * math.pi * j / k
+            assert np.array_equal(full, full.conj().T)
+            assert np.array_equal(np.tril(given), np.tril(full))
+            want_vals, want_vecs = real(full if j else base)
+            assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+
     def test_block_index_pins_the_winding(self, monkeypatch):
         loop = rotating_axis_loop(1)
         real = spectral._bloch_eigenpairs
