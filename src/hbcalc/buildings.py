@@ -461,21 +461,12 @@ def augment(building: Building, site) -> Building:
     # the cylinder end matching the puncture's sign becomes the new external
     # puncture (inheriting the constraint); the opposite end glues to `site`,
     # whose constraint is reset to zero as a breaking puncture
-    comps = []
-    for comp in building.components:
-        if comp.id != target_site[0]:
-            comps.append(comp)
-            continue
-        new_puncts = list(comp.punctures)
-        new_puncts[target_site[1]] = replace(punct, constraint=0.0)
-        comps.append(replace(comp, punctures=tuple(new_puncts)))
-    comps.append(cyl)
     if punct.sign == 1:
         new_pair: BreakingPair = (target_site, (cyl.id, 1))
     else:
         new_pair = ((cyl.id, 0), target_site)
     return Building(
-        components=tuple(comps),
+        components=_with_constraints(building.components, {target_site: 0.0}) + (cyl,),
         breaking_pairs=building.breaking_pairs + (new_pair,),
         nodal_pairs=building.nodal_pairs,
     )

@@ -38,10 +38,10 @@ Asymptotics file (for ``enumerate``)::
 
 Exit codes: 0 success or ok-verdict, 1 verdict violations, 2 input errors
 (and internal errors, reported without a traceback; and a stdout that its
-reader closed early, reported not at all).  Non-finite numbers
-(NaN, Infinity) and integers past the float range are input errors.  A file
-error cites the file and the JSON path of the field, as in
-``bad.json.components[2].punctures[0].constraint``; one reader (``_read``)
+reader closed early or that was closed at start, reported not at all).
+Non-finite numbers (NaN, Infinity) and integers past the float range are
+input errors.  A file error cites the file and the JSON path of the field, as
+in ``bad.json.components[2].punctures[0].constraint``; one reader (``_read``)
 checks every field's presence and JSON kind.  An orbit that the catalog lacks
 is cited at the ``orbit`` field of the first puncture that names it, with the
 catalog file.  An error in a flag's value names the flag, as in ``--cover: ...``.
@@ -747,6 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # its descriptor was closed at start (``>&-``): no reader
+        return 2
     try:
         code = args.func(args)
         sys.stdout.flush()

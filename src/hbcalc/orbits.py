@@ -5,13 +5,15 @@ the asymptotic operator, from which spectra are computed on demand) or
 explicit spectral tables listed per cover.  The catalog is immutable after
 construction and caches computed tables, so all queries are cheap and safe
 for concurrent readers: per flow cover it keeps the widest table solved on
-the default grid, and `table` clips narrower windows from it (the tables that
-`cz_index` reads), while `spectrum_of` solves at the window it is asked, so
-what it returns does not depend on what was solved before.  It also keeps
-its last solve, whatever the cover and grid (the Bloch eigenpairs of one
-gamma^k, k >= 1, on the base grid of the requested or default grid, with the
-windings read so far): a later window whose grid keeps the base grid only
-audits that solve again, so each cover is solved once per base grid.
+the default grid, and `table` clips narrower windows from it, while
+`spectrum_of` solves at the window it is asked, so what it returns does not
+depend on what was solved before.  `cz_index` reads one table per cut (the
+flow table at window |t| + k * strength + 8, or the stored table) and refuses
+a cut that it does not strictly bracket.  The catalog also keeps its last
+solve, whatever the cover and grid (the Bloch eigenpairs of one gamma^k,
+k >= 1, on the base grid of the requested or default grid, with the windings
+read so far): a later window whose grid keeps the base grid only audits that
+solve again, so each cover is solved once per base grid.
 Each flow loop keeps its own crossing record (the one-period part of
 cz_crossing: the monodromy P, its trace and what the swept angles give), so
 the crossing-form indices of all covers gamma^k of an orbit and its dynamical
@@ -55,10 +57,6 @@ from .spectral import (
     monodromy,
     spectrum_from_loop,
 )
-
-#: Window growth is capped here; needing more means the request is off-scale.
-MAX_WINDOW = 500.0
-
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -150,18 +148,15 @@ class Catalog:
             )
         return stored
 
-    def table(self, ref: OrbitRef, window: float, grid: int | None = None) -> SpectralTable:
+    def table(self, ref: OrbitRef, window: float) -> SpectralTable:
         """Spectral table of gamma^k trusted on [-window, window].
 
-        Flow models are solved and cached (the cache keeps the widest table
-        per cover); table models are clipped to the request and cannot grow,
-        and take no grid.
+        Flow models are solved on the default grid and cached (the cache keeps
+        the widest table per cover); table models are clipped to the request
+        and cannot grow.
         """
         orbit = self.orbit(ref.simple)
         if not orbit.is_flow:
-            if grid is not None:
-                raise CatalogError(f"orbit {ref.simple!r} is table-mode: its tables are "
-                                   f"stored, not solved on a grid")
             stored = self._stored_table(orbit, ref)
             if window > stored.window:
                 raise SpectralResolutionError(
@@ -169,8 +164,6 @@ class Catalog:
                     f"{stored.window} < requested {window}"
                 )
             return stored.clip(window)
-        if grid is not None:
-            return self._compute_flow_table(orbit, ref.k, window, grid)
         key = (ref.simple, ref.k)
         cached = self._tables.get(key)
         if cached is None or cached.window < window:
@@ -183,45 +176,44 @@ class Catalog:
 
         A flow table is solved at this window, never clipped from a wider
         cached one, so it does not depend on what the catalog solved before;
-        it is cached when it is the widest of its cover.
+        it is cached when it is the widest of its cover on the default grid.
+        An explicit grid is a solve that is not cached; table-mode orbits
+        take none.
         """
         if not (math.isfinite(window) and window > 0):
             raise CatalogError(f"window must be finite and positive, got {window}")
+        orbit = self.orbit(ref.simple)
+        if grid is not None:
+            if not orbit.is_flow:
+                raise CatalogError(f"orbit {ref.simple!r} is table-mode: its tables are "
+                                   f"stored, not solved on a grid")
+            return self._compute_flow_table(orbit, ref.k, window, grid)
         cached = self._tables.get((ref.simple, ref.k))
-        if grid is None and cached is not None and cached.window > window:
-            return self._compute_flow_table(self.orbit(ref.simple), ref.k, window, None)
-        return self.table(ref, window, grid)
+        if cached is not None and cached.window > window:
+            return self._compute_flow_table(orbit, ref.k, window, None)
+        return self.table(ref, window)
 
     def _table_past(self, ref: OrbitRef, threshold: float) -> SpectralTable:
-        """A table whose kept range strictly brackets the threshold."""
+        """The one table read at a cut: the stored table of a table-mode
+        orbit, or the flow table at window |t| + k * strength + 8.  Its kept
+        range must strictly bracket the cut."""
         if not math.isfinite(threshold):
             raise CatalogError(f"spectral threshold must be finite, got {threshold}")
         orbit = self.orbit(ref.simple)
-        if not orbit.is_flow:
-            stored = self._stored_table(orbit, ref)
-            lo, hi = stored.kept_range()
-            if not lo < threshold < hi:
-                raise SpectralResolutionError(
-                    f"orbit {ref.simple!r} cover {ref.k}: stored table does not "
-                    f"reach past threshold {threshold}"
-                )
-            return stored
-        # growth starts at a window >= 8 and 8 * 1.7**8 > MAX_WINDOW: at most 9 tables
-        try:
-            need = abs(threshold) + orbit.model.strength() * ref.k + 8.0
-        except OverflowError:  # a cover past the float range; default_grid rejects it
-            need = math.inf
-        while True:
-            table = self.table(ref, need)
-            lo, hi = table.kept_range()
-            if lo < threshold < hi:
-                return table
-            if need > MAX_WINDOW:
-                raise SpectralResolutionError(
-                    f"orbit {ref.simple!r} cover {ref.k}: spectrum not resolved "
-                    f"past threshold {threshold}"
-                )
-            need *= 1.7
+        if orbit.is_flow:
+            try:
+                window = abs(threshold) + orbit.model.strength() * ref.k + 8.0
+            except OverflowError:  # a cover past the float range; default_grid rejects it
+                window = math.inf
+            table, unresolved = self.table(ref, window), "spectrum not resolved"
+        else:
+            table, unresolved = self._stored_table(orbit, ref), "stored table does not reach"
+        lo, hi = table.kept_range()
+        if not lo < threshold < hi:
+            raise SpectralResolutionError(
+                f"orbit {ref.simple!r} cover {ref.k}: {unresolved} past threshold {threshold}"
+            )
+        return table
 
     # --- integer invariants ---------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import itertools
 import math
 import pathlib
@@ -69,23 +70,19 @@ CORPUS_ORBITS = ("rot_p", "rot_m", "hyp_even", "hyp_odd", "hyp2")
 # --- model loops -------------------------------------------------------------
 
 
-def rotation_loop(theta: float, n: int = 33) -> FlowLoop:
-    return FlowLoop.constant(theta * np.eye(2), n=n)
+def tool(name: str):
+    """A script under tools/, imported as a module (its main() does not run)."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def hyperbolic_loop(a: float = 1.0, n: int = 33) -> FlowLoop:
-    return FlowLoop.constant(np.diag([a, -a]), n=n)
-
-
-def rotating_axis_loop(half_turns: int, a: float = 0.7, n: int = 33) -> FlowLoop:
-    ts = np.arange(n) / n
-    phase = 2 * math.pi * half_turns * ts
-    s = np.zeros((n, 2, 2))
-    s[:, 0, 0] = math.pi * half_turns + a * np.sin(phase)
-    s[:, 0, 1] = -a * np.cos(phase)
-    s[:, 1, 0] = -a * np.cos(phase)
-    s[:, 1, 1] = math.pi * half_turns - a * np.sin(phase)
-    return FlowLoop(s)
+# the fixture generator defines the model loops of the shipped catalogs
+_fixtures = tool("make_fixtures")
+rotation_loop = _fixtures.rotation_loop
+hyperbolic_loop = _fixtures.hyperbolic_loop
+rotating_axis_loop = _fixtures.rotating_axis_loop
 
 
 def analytic_rotation_table(theta: float, window: float):

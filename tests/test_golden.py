@@ -7,7 +7,6 @@ checked without writing: tools/make_fixtures.py must render every committed
 fixture byte for byte, and tools/make_golden.py must list the pinned cases.
 """
 
-import importlib.util
 import io
 import json
 
@@ -15,17 +14,9 @@ import pytest
 
 from hbcalc.cli import _dump_json, main
 
-from support import FIXTURES, REPO
+from support import FIXTURES, REPO, tool
 
 GOLDEN = json.loads((REPO / "tests" / "golden" / "cli.json").read_text())
-
-
-def tool(name: str):
-    """A script under tools/, imported as a module (its main() does not run)."""
-    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_golden_covers_every_command():

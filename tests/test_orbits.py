@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import warnings
@@ -12,7 +13,6 @@ from hbcalc.errors import (
     SpectralResolutionError,
 )
 from hbcalc.orbits import (
-    MAX_WINDOW,
     Catalog,
     OrbitRef,
     SimpleOrbit,
@@ -119,6 +119,26 @@ class TestCzIndex:
                     assert s.mu_cz == 2 * s.alpha_minus + s.parity
                     assert s.mu_cz == 2 * s.alpha_plus - s.parity
                     checked += 1
+
+
+class TestCutHistory:
+    """What cz_index answers at a cut does not depend on the queries asked
+    before it on the same catalog."""
+
+    @pytest.mark.parametrize("name", ["catalog_demo.json", "catalog_fixture.json"])
+    def test_answers_match_a_fresh_catalog_in_any_order(self, name):
+        loaded = load_catalog(str(FIXTURES / name))
+        orbits = [loaded.orbit(oid) for oid in loaded.ids()]
+        rng = np.random.default_rng(2026)
+        cuts = [0.0, *rng.uniform(-25.0, 25.0, size=4)]
+        queries = [(OrbitRef(orbit.id, k), cut)
+                   for orbit in orbits for k in range(1, 7) for cut in cuts]
+        fresh = {q: crossing_outcome(lambda: Catalog(orbits).cz_index(*q)) for q in queries}
+        for _ in range(3):
+            catalog = Catalog(orbits)
+            for i in rng.permutation(len(queries)):
+                query = queries[i]
+                assert crossing_outcome(lambda: catalog.cz_index(*query)) == fresh[query], query
 
 
 class TestBadOrbits:
@@ -250,27 +270,27 @@ class ShortCatalog(Catalog):
         self.windows = []
         super().__init__(orbits)
 
-    def table(self, ref, window, grid=None):
+    def table(self, ref, window):
         self.windows.append(window)
-        full = super().table(ref, window, grid)
+        full = super().table(ref, window)
         return full if window >= self.reach else full.clip(0.0)
 
 
-class TestWindowGrowth:
-    """A spectral query at a cut grows its window by 1.7 until the table
-    brackets the cut, and gives up past MAX_WINDOW."""
+class TestUnresolvedCut:
+    """A spectral query at a cut reads one table, at window |t| + k * strength
+    + 8, and refuses the cut when that table does not bracket it."""
 
-    def test_grows_until_the_cut_is_bracketed(self, demo_catalog):
+    def test_one_table_per_cut_then_refused(self, demo_catalog, monkeypatch, capsys):
         catalog = ShortCatalog([demo_catalog.orbit(oid) for oid in demo_catalog.ids()])
-        ref, cut = OrbitRef("rot_p"), -2.0
-        start = abs(cut) + catalog.orbit("rot_p").model.strength() + 8.0
-        catalog.reach = 2 * start
-        catalog.windows.clear()
-        summary = catalog.cz_index(ref, cut)
-        assert catalog.windows == [start, start * 1.7, start * 1.7 * 1.7]
-        assert summary == demo_catalog.cz_index(ref, cut)
+        catalog.reach = math.inf
+        for ref, cut in ((OrbitRef("rot_p"), -2.0), (OrbitRef("rot_m", 3), 5.0)):
+            catalog.windows.clear()
+            message = f"orbit '{ref.simple}' cover {ref.k}: spectrum not resolved past threshold {cut}"
+            with pytest.raises(SpectralResolutionError, match=re.escape(message)):
+                catalog.cz_index(ref, cut)
+            start = abs(cut) + catalog.orbit(ref.simple).model.strength() * ref.k + 8.0
+            assert catalog.windows == [start]
 
-    def test_gives_up_past_max_window(self, monkeypatch, capsys):
         made = []
 
         class Unresolved(ShortCatalog):
@@ -287,12 +307,13 @@ class TestWindowGrowth:
         assert capsys.readouterr().err == (
             f"error: {path}: orbit 'hyp_even' cover 1: spectrum not resolved past threshold 0.0\n"
         )
-        windows = made[0].windows
-        assert windows[-1] > MAX_WINDOW >= max(windows[:-1])
-        # growth starts at a window >= 8, so 8 * 1.7**j passes MAX_WINDOW within 9 tables
-        assert len(windows) <= math.ceil(math.log(MAX_WINDOW / 8.0, 1.7)) + 1 == 9
-        assert [b / a for a, b in zip(windows, windows[1:])] == pytest.approx(
-            [1.7] * (len(windows) - 1))
+        # the load audit asks the first orbit's parity, at the cut 0: one table
+        assert made[0].windows == [catalog.orbit("hyp_even").model.strength() + 8.0]
+
+    def test_a_stored_table_short_of_the_cut_is_refused(self, table_catalog):
+        message = "orbit 'rot_tab' cover 1: stored table does not reach past threshold 20.0"
+        with pytest.raises(SpectralResolutionError, match=re.escape(message)):
+            table_catalog.cz_index(OrbitRef("rot_tab"), 20.0)
 
 
 class TestWindowEdge:
