@@ -24,7 +24,6 @@ _SPECTRAL = (
     "cz_crossing",
     "fourier_diff_matrix",
     "spectrum_from_loop",
-    "winding",
 )
 
 

@@ -44,7 +44,9 @@ input errors.  A file error cites the file and the JSON path of the field, as
 in ``bad.json.components[2].punctures[0].constraint``; one reader (``_read``)
 checks every field's presence and JSON kind.  An orbit that the catalog lacks
 is cited at the ``orbit`` field of the first puncture that names it, with the
-catalog file.  An error in a flag's value names the flag, as in ``--cover: ...``.
+catalog file.  An error in a flag's value names the flag, as in ``--cover: ...``,
+and one about the building as a whole (it has no core, or is not connected for
+the stable check) cites the building file.
 JSON output is byte-stable for fixed inputs (sorted keys, sorted lists, and
 computed eigenvalues rounded to 12 significant digits).
 
@@ -195,9 +197,10 @@ def _dump_json(payload, out=None) -> None:
 def _canonical_float(x: float) -> float:
     """A computed float rounded to 12 significant digits for JSON output.
 
-    Far finer than the eigenvalue clustering tolerance (1e-7 relative), far
+    The digits are for byte stability, not a claim of accuracy: they are
     coarser than the last-digit noise of the eigensolver (about 1e-13, which
-    varies with the BLAS thread count and the solution route).
+    varies with the BLAS thread count and the solution route), but the default
+    grid can be off by far more (8.2e-6 on a 33-sample rough loop).
     """
     return float(f"{x:.12g}")
 
@@ -498,19 +501,20 @@ def _print_violations(violations) -> None:
 
 
 @contextlib.contextmanager
-def _citing_flag(flag: str):
-    """Report an error of the enclosed step as one in the value of `flag`."""
+def _citing(where: str, errors=HbcalcError):
+    """Report an error of the enclosed step, one of `errors`, as one in
+    `where`: the flag or the input file whose value it is about."""
     try:
         yield
-    except HbcalcError as exc:
-        raise InputError(f"{flag}: {exc}") from exc
+    except errors as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
 
 def _cmd_spectrum(args) -> int:
     if args.grid is not None and (args.grid < 3 or args.grid % 2 == 0):
         raise InputError(f"--grid must be odd and >= 3, got {args.grid}")
     catalog = load_catalog(args.catalog)
-    with _citing_flag("--cover"):
+    with _citing("--cover"):
         ref = OrbitRef(args.orbit, args.cover)
     if not (math.isfinite(args.window) and args.window > 0):
         raise InputError(f"--window: window must be finite and positive, got {args.window}")
@@ -604,24 +608,25 @@ def _cmd_surgery(args) -> int:
             flag, site = "--site", _parse_site(args.site, "--site")
         else:
             flag, site = "--pair", args.pair
-        with _citing_flag(flag):
+        with _citing(flag):
             result = augment(building, site)
     elif args.op == "core":
-        result = core(building)
+        with _citing(args.building):
+            result = core(building)
     elif args.op == "node":
         if args.components is None:
             raise InputError("node needs --components A,B")
         parts = args.components.split(",")
         if len(parts) != 2:
             raise InputError("--components: expected exactly two comma-separated ids")
-        with _citing_flag("--components"):
+        with _citing("--components"):
             result = add_node(building, parts[0], parts[1])
     elif args.op == "glue":
         if args.pos is None or args.neg is None:
             raise InputError("glue needs --pos and --neg sites")
-        result = glue_punctures(
-            building, _parse_site(args.pos, "--pos"), _parse_site(args.neg, "--neg")
-        )
+        pos, neg = _parse_site(args.pos, "--pos"), _parse_site(args.neg, "--neg")
+        with _citing("--pos/--neg"):
+            result = glue_punctures(building, pos, neg)
     else:  # union: argparse restricts --op to these five
         if args.other is None:
             raise InputError("union needs --other FILE")
@@ -635,11 +640,9 @@ def _cmd_enumerate(args) -> int:
 
     catalog = load_catalog(args.catalog)
     asymptotics = load_asymptotics(args.asymptotics)
-    try:
-        with _citing_orbits(args.catalog, [(args.asymptotics, asymptotics.punctures)]):
-            limits = enumerate_limits(catalog, asymptotics)
-    except OutputBudgetError as exc:
-        raise InputError(f"{args.asymptotics}: {exc}") from exc
+    with (_citing(args.asymptotics, OutputBudgetError),
+          _citing_orbits(args.catalog, [(args.asymptotics, asymptotics.punctures)])):
+        limits = enumerate_limits(catalog, asymptotics)
     if args.json:
         payload = {
             "format": FORMAT_VERSION,
@@ -670,7 +673,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_check(args) -> int:
     from .degeneration import classify_stable_limit
 
-    with _building_inputs(args) as (catalog, building):
+    with _building_inputs(args) as (catalog, building), _citing(args.building, BuildingError):
         verdict = classify_stable_limit(catalog, building)
     if args.json:
         payload = {

@@ -678,7 +678,7 @@ def breaking_candidates(catalog: Catalog) -> list[OrbitRef]:
     for orbit_id in catalog.ids():
         if catalog.parity(OrbitRef(orbit_id, 1)) == 0:
             out.append(OrbitRef(orbit_id, 1))
-        elif catalog.is_hyperbolic(orbit_id) and catalog.is_bad(OrbitRef(orbit_id, 2)):
+        elif catalog.is_bad(OrbitRef(orbit_id, 2)):
             out.append(OrbitRef(orbit_id, 2))
     return out
 

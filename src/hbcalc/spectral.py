@@ -19,8 +19,7 @@ its Bloch blocks (below) is solved by a dense Hermitian solver.  Eigenvector
 winding numbers are read off directly from the discrete loops, guarded
 against under-resolution; a table reads its scanned eigenfunctions in batches
 of at most WINDING_BATCH_POINTS loop points (_windings takes a (B, n, 2)
-array and returns each loop's total turns and a fault code), and the public
-winding() is the batch of one.
+array and returns each loop's total turns and a 0/1 fault).
 
 Between its samples S is read as their trigonometric interpolant (Trefethen,
 Spectral Methods in MATLAB, 2000, ch. 3), and _uniform_values is its one
@@ -239,19 +238,14 @@ def _uniform_values(samples: np.ndarray, m: int) -> np.ndarray:
     return _root_sums(coef, m, m).real.reshape(m, 2, 2)
 
 
-#: fault codes of _windings, in the order the checks run
-ZERO_VECTOR, COARSE_STEP, OFF_INTEGER = 1, 2, 3
-
-
 def _windings(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Total turns and a fault code of each loop in a (B, n, 2) batch of
+    """Total turns and a 0/1 fault of each loop in a (B, n, 2) batch of
     plane-vector loops.
 
     A loop's total turns are its summed signed step angles over 2*pi; rounded,
-    they are its winding when its fault is 0.  Otherwise the fault is the
-    first check it fails: ZERO_VECTOR (a numerically zero vector), COARSE_STEP
-    (a step angle >= pi/2) or OFF_INTEGER (turns further than WINDING_GUARD
-    from an integer).
+    they are its winding when its fault is 0.  The fault is 1 when the loop is
+    under-resolved: it has a numerically zero vector, a step angle >= pi/2, or
+    turns further than WINDING_GUARD from an integer.
     """
     x, y = pts[..., 0], pts[..., 1]
     norms = np.hypot(x, y)
@@ -262,33 +256,7 @@ def _windings(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     coarse = np.max(np.abs(steps), axis=1) >= MAX_STEP_ANGLE
     turns = np.sum(steps, axis=1) / (2 * math.pi)
     off = ~(np.abs(turns - np.rint(turns)) <= WINDING_GUARD)
-    faults = np.select([zero, coarse, off], [ZERO_VECTOR, COARSE_STEP, OFF_INTEGER], 0)
-    return turns, faults
-
-
-def winding(points) -> int:
-    """Total signed angle of a loop of plane vectors, an (n, 2) array, divided
-    by 2*pi and rounded to an integer.
-
-    Rejects zero vectors; per-step angles >= pi/2 or a pre-rounding value
-    further than 0.1 from an integer mean the loop is under-resolved.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected points of shape (n, 2), got {pts.shape}")
-    (total,), (fault,) = _windings(pts[None])
-    if fault == ZERO_VECTOR:
-        raise ValueError("loop contains a (numerically) zero vector")
-    if fault == COARSE_STEP:
-        raise SpectralResolutionError(
-            "winding step angle exceeds pi/2; sample the loop on a finer grid"
-        )
-    if fault == OFF_INTEGER:
-        raise SpectralResolutionError(
-            f"winding {total:.4f} is not within {WINDING_GUARD} of an integer; "
-            "increase the grid"
-        )
-    return round(float(total))
+    return turns, (zero | coarse | off).astype(int)
 
 
 def fourier_diff_matrix(n: int) -> np.ndarray:
@@ -354,22 +322,23 @@ class SpectralTable:
     def validate(self) -> None:
         lams = [e.eigenvalue for e in self.entries]
         if lams != sorted(lams):
-            raise InternalAudit("entries not sorted by eigenvalue")
+            raise SpectralResolutionError("entries not sorted by eigenvalue")
         winds = [e.winding for e in self.entries]
         if winds != sorted(winds):
-            raise InternalAudit("winding not nondecreasing in the eigenvalue")
+            raise SpectralResolutionError("winding not nondecreasing in the eigenvalue")
         per: dict[int, int] = {}
         for e in self.entries:
             if e.multiplicity < 1:
-                raise InternalAudit("nonpositive multiplicity")
+                raise SpectralResolutionError("nonpositive multiplicity")
             per[e.winding] = per.get(e.winding, 0) + e.multiplicity
         for w, m in per.items():
             if m != 2:
-                raise InternalAudit(f"winding {w} has total multiplicity {m} != 2")
+                raise SpectralResolutionError(f"winding {w} has total multiplicity {m} != 2")
         if per and len(per) != max(per) - min(per) + 1:
             gap = next(w for w in range(min(per), max(per)) if w not in per)
-            raise InternalAudit(f"no eigenvalue has winding {gap} between windings "
-                                f"{min(per)} and {max(per)}; the kept windings must be one run")
+            raise SpectralResolutionError(f"no eigenvalue has winding {gap} between windings "
+                                          f"{min(per)} and {max(per)}; the kept windings "
+                                          "must be one run")
 
     # --- query helpers -------------------------------------------------
 
@@ -444,10 +413,6 @@ def _edge(window: float) -> float:
     return window + CLUSTER_TOL * max(1.0, window)
 
 
-class InternalAudit(SpectralResolutionError):
-    """A computed table failed its own consistency audit."""
-
-
 def check_grid_budget(grid: int) -> None:
     """Reject a grid whose dense operator would exceed MAX_DENSE_DIM rows."""
     if 2 * grid > MAX_DENSE_DIM:
@@ -514,7 +479,7 @@ def spectrum_from_loop(
     if solve is None or solve[0] is not loop or solve[1:3] != (cover, m):
         held[0] = None  # free the kept solve before making another
         vals, blocks, points = _bloch_eigenpairs(loop, cover, n)
-        # windings read so far: turns, and fault codes with -1 for "not read"
+        # windings read so far: turns, and 0/1 faults with -1 for "not read"
         held[0] = solve = (loop, cover, m, (vals, blocks, points),
                            (np.empty(len(vals)), np.full(len(vals), -1)))
     return _audited_table(*solve[3], cover, window, cover * loop.strength(), n, solve[4])
@@ -580,8 +545,8 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     `vals` are sorted eigenvalues, `blocks[i]` the Bloch block of entry i of a
     k-fold cover and `points(idx)` the real eigenfunctions of the entries
     `idx`; `strength` bounds the coefficient loop and `n` is the reported grid.
-    `read` is (turns, faults) of every entry, fault -1 where not yet read;
-    the scan reads the missing ones and fills them in.
+    `read` is (turns, faults) of every entry, fault 0 or 1 once read and -1
+    before; the scan reads the missing ones and fills them in.
     """
     scan = window + 2.0 * strength + 8.0
     tol = CLUSTER_TOL * max(1.0, window)

@@ -352,24 +352,42 @@ class TestSurgery:
         assert code == 2
         assert "ghost" in err
 
-    @pytest.mark.parametrize("flags", [
-        ["--op", "augment", "--site", "cyl_top:5"],
-        ["--op", "glue", "--pos", "cyl_top:7", "--neg", "cyl_bot:1"],
+    @pytest.mark.parametrize("flags, cited", [
+        (["--op", "augment", "--site", "cyl_top:5"], "--site"),
+        (["--op", "glue", "--pos", "cyl_top:7", "--neg", "cyl_bot:1"], "--pos/--neg"),
     ])
-    def test_out_of_range_puncture_is_input_error(self, capsys, flags):
+    def test_out_of_range_puncture_is_input_error(self, capsys, flags, cited):
         fig3 = str(FIXTURES / "building_figure3.json")
         code, out, err = run(capsys, "surgery", "--building", fig3, *flags)
         assert code == 2
         assert out == ""
         assert "internal error" not in err and "Traceback" not in err
+        assert err.startswith(f"error: {cited}: ")
         assert "out of range for component 'cyl_top'" in err
 
     def test_glue_over_distinct_orbits_names_them(self, capsys):
         fig3 = str(FIXTURES / "building_figure3.json")
         code, out, err = run(capsys, "surgery", "--building", fig3,
                              "--op", "glue", "--pos", "cyl_top:0", "--neg", "cyl_bot:1")
+        assert (code, out, err) == (2, "", "error: --pos/--neg: cannot glue punctures over "
+                                           "distinct orbits rot_p^1 and rot_m^1\n")
+
+    def test_core_without_a_core_cites_the_building_file(self, capsys):
+        cyl = str(FIXTURES / "building_cylinder.json")
+        code, out, err = run(capsys, "surgery", "--building", cyl, "--op", "core")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cyl}: building has no core: a connected piece consists "
+                       "entirely of trivial cylinders\n")
+
+    def test_stable_check_of_a_disconnected_building_cites_the_file(self, capsys, tmp_path):
+        cyl = str(FIXTURES / "building_cylinder.json")
+        _, out, _ = run(capsys, "surgery", "--building", cyl, "--op", "union", "--other", cyl)
+        union_file = tmp_path / "union.json"
+        union_file.write_text(out)
+        code, out, err = run(capsys, "check", "--theorem", "stable", "--catalog",
+                             str(FIXTURES / "catalog_demo.json"), "--building", str(union_file))
         assert (code, out, err) == (
-            2, "", "error: cannot glue punctures over distinct orbits rot_p^1 and rot_m^1\n")
+            2, "", f"error: {union_file}: stable-limit classification needs a connected building\n")
 
 
 class TestHumanOutput:

@@ -63,7 +63,7 @@ class TestPackageExports:
             "HbcalcError", "IncompleteInputError", "InconsistentDataError", "InputError",
             "InternalCheckError", "NoCoreError", "SpectralEntry", "SpectralResolutionError",
             "SpectralTable", "build_operator", "cz_crossing", "fourier_diff_matrix",
-            "spectrum_from_loop", "winding",
+            "spectrum_from_loop",
         ]
 
     def test_star_import_binds_all(self):

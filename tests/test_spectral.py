@@ -18,7 +18,6 @@ from hbcalc.spectral import (
     fourier_diff_matrix,
     monodromy,
     spectrum_from_loop,
-    winding,
 )
 
 from support import (
@@ -143,50 +142,52 @@ class TestOperator:
             assert np.max(np.abs(d @ f - 2j * math.pi * m * f)) < 1e-9
 
 
-class TestWinding:
-    def test_constant_loop(self):
-        assert winding(np.array([[1.0, 0.0]] * 7)) == 0
-
-    def test_one_counterclockwise_turn(self):
-        ts = np.arange(9) / 9
-        pts = np.stack([np.cos(2 * math.pi * ts), np.sin(2 * math.pi * ts)], axis=1)
-        assert winding(pts) == 1
-
-    def test_two_clockwise_turns(self):
-        ts = np.arange(17) / 17
-        pts = np.stack([np.cos(4 * math.pi * ts), -np.sin(4 * math.pi * ts)], axis=1)
-        assert winding(pts) == -2
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            winding(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
-
-    @pytest.mark.parametrize("shape", [(7,), (7, 3), (2, 7, 2)])
-    def test_rejects_points_not_of_shape_n_by_2(self, shape):
-        with pytest.raises(ValueError, match="shape"):
-            winding(np.ones(shape))
-
-    def test_under_resolved_loop_rejected(self):
-        # three turns over ten points: 0.6*pi per step, beyond the guard
-        ts = np.arange(10) / 10
-        pts = np.stack([np.cos(6 * math.pi * ts), np.sin(6 * math.pi * ts)], axis=1)
-        with pytest.raises(SpectralResolutionError):
-            winding(pts)
-
-
 def reference_outcome(pts):
-    """(winding, fault code) of one loop by the per-loop reference."""
+    """(winding, fault) of one loop by the per-loop reference: fault 1 where
+    the reference refuses the loop."""
     try:
         return reference_winding(pts), 0
-    except SpectralResolutionError as exc:
-        return None, spectral.COARSE_STEP if "step angle" in str(exc) else spectral.OFF_INTEGER
-    except ValueError:
-        return None, spectral.ZERO_VECTOR
+    except (ValueError, SpectralResolutionError):
+        return None, 1
 
 
 def batched_outcomes(batch):
     turns, faults = spectral._windings(np.asarray(batch, dtype=float))
     return [(None if f else round(t), f) for t, f in zip(turns.tolist(), faults.tolist())]
+
+
+def circle(turns, n):
+    ts = np.arange(n) / n
+    return np.stack([np.cos(2 * math.pi * turns * ts), np.sin(2 * math.pi * turns * ts)], axis=1)
+
+
+class TestWinding:
+    """spectral._windings on one loop, a batch of one, against the reference."""
+
+    def test_constant_loop(self):
+        pts = np.array([[1.0, 0.0]] * 7)
+        assert batched_outcomes([pts]) == [reference_outcome(pts)] == [(0, 0)]
+
+    def test_one_counterclockwise_turn(self):
+        pts = circle(1, 9)
+        assert batched_outcomes([pts]) == [reference_outcome(pts)] == [(1, 0)]
+
+    def test_two_clockwise_turns(self):
+        pts = circle(-2, 17)
+        assert batched_outcomes([pts]) == [reference_outcome(pts)] == [(-2, 0)]
+
+    def test_zero_vector_is_a_fault(self):
+        pts = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        assert batched_outcomes([pts]) == [reference_outcome(pts)] == [(None, 1)]
+        with pytest.raises(ValueError, match="zero"):
+            reference_winding(pts)
+
+    def test_under_resolved_loop_is_a_fault(self):
+        # three turns over ten points: 0.6*pi per step, beyond the guard
+        pts = circle(3, 10)
+        assert batched_outcomes([pts]) == [reference_outcome(pts)] == [(None, 1)]
+        with pytest.raises(SpectralResolutionError, match="step angle"):
+            reference_winding(pts)
 
 
 class TestBatchedWindings:
@@ -209,13 +210,11 @@ class TestBatchedWindings:
         tiny[3] *= 1e-14  # zero relative to the largest vector
         coarse = np.stack([np.cos(26 * math.pi * t), np.sin(26 * math.pi * t)], 1)  # 13 turns
         coarse_and_zero = coarse.copy()
-        coarse_and_zero[0] = 0.0  # the zero-vector check runs first
+        coarse_and_zero[0] = 0.0
         batch = loops + [zero, tiny, coarse, coarse_and_zero]
         want = [reference_outcome(pts) for pts in batch]
         assert batched_outcomes(batch) == want
-        assert [f for _, f in want[-4:]] == [spectral.ZERO_VECTOR, spectral.ZERO_VECTOR,
-                                            spectral.COARSE_STEP, spectral.ZERO_VECTOR]
-        assert all(f == 0 for _, f in want[:-4])
+        assert [f for _, f in want] == [0] * 60 + [1] * 4
 
     def test_off_integer_total(self):
         # A closed loop sums to whole turns unless a step is misread: products past
@@ -225,9 +224,10 @@ class TestBatchedWindings:
                         (-big, -big), (small, -big), (big, -big)])
         with np.errstate(over="ignore", invalid="ignore"):
             want = reference_outcome(pts)
-            assert batched_outcomes([pts]) == [want] == [(None, spectral.OFF_INTEGER)]
-            with pytest.raises(SpectralResolutionError, match=r"winding 0\.8750 is not within"):
-                winding(pts)
+            assert batched_outcomes([pts]) == [want] == [(None, 1)]
+            assert f"{spectral._windings(pts[None])[0][0]:.4f}" == "0.8750"
+            with pytest.raises(SpectralResolutionError, match="not within"):
+                reference_winding(pts)
 
     @pytest.mark.parametrize("k", [1, 3, 4])
     def test_cover_eigenfunctions(self, k):
@@ -238,7 +238,7 @@ class TestBatchedWindings:
         batch = points(np.arange(len(vals)))
         want = [reference_outcome(pts) for pts in batch]
         assert batched_outcomes(batch) == want
-        assert {f for _, f in want} == {0, spectral.COARSE_STEP}
+        assert {f for _, f in want} == {0, 1}
 
     @pytest.mark.parametrize("k, held_window", [(1, None), (3, None), (5, 10.0)],
                              ids=["1", "3", "5-held-10"])

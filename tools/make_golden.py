@@ -66,6 +66,16 @@ def cases() -> list[list[str]]:
     for op in (["augment", "--site", "cyl_top:0", "--pair", "1"], ["augment"], ["node"],
                ["glue", "--pos", "cyl_top:0"], ["union"]):
         out.append(["surgery", "--building", FIGURE3, "--op"] + op)
+    # the text output of a flow orbit and of a table orbit
+    out.append(["spectrum", "--catalog", "fixtures/catalog_demo.json", "--orbit", "rot_p",
+                "--cover", "1", "--window", "10"])
+    out.append(["spectrum", "--catalog", "fixtures/catalog_table.json", "--orbit", "rot_tab",
+                "--window", "5"])
+    # exit 2: a glue over distinct orbits, cited at its flags, and a building
+    # without a core, cited at its file
+    out.append(["surgery", "--building", FIGURE3, "--op", "glue", "--pos", "cyl_top:0",
+                "--neg", "cyl_bot:1"])
+    out.append(["surgery", "--building", "fixtures/building_cylinder.json", "--op", "core"])
     return out
 
 
