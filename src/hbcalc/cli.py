@@ -16,7 +16,8 @@ Catalog file::
 
 Flow samples are the symmetric coefficient loop of the asymptotic operator on
 a uniform odd grid; table covers list complete winding classes (the trusted
-window is the largest listed |eigenvalue|).
+window is the largest listed |eigenvalue|).  No solve produces a stored table,
+so ``spectrum`` reports its grid as 0.
 
 Building file::
 

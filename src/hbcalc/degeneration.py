@@ -4,8 +4,10 @@ subbuilding arithmetic, stable-limit classification and enumeration.
 The checkers emit coded violations (stable strings, part of the output
 contract) instead of raising, so mutant configurations can be inspected and
 scripted against.  Genuinely missing or self-contradictory input data still
-raises.  Every check reads each end under the constraint stored on its
-puncture (see ``hbcalc.index_calculus``).
+raises.  Violations, verdicts, `Asymptotics` and `LimitType` are immutable
+NamedTuples of their values; `TrivialBoundaryData` checks its fields when it
+is built, and stays a frozen dataclass.  Every check reads each end under the
+constraint stored on its puncture (see ``hbcalc.index_calculus``).
 
 Violation codes
 ---------------
@@ -39,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .buildings import (
     Building,
@@ -61,15 +64,13 @@ MAX_LIMITS = 2**16
 MAX_PARTIAL_SUMS = 2**18
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     location: str
     message: str
 
 
-@dataclass(frozen=True)
-class NiceVerdict:
+class NiceVerdict(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -244,8 +245,7 @@ def _nice_checks(catalog: Catalog, record: Analysis) -> list[Violation]:
 # --- stable-limit classification --------------------------------------------
 
 
-@dataclass(frozen=True)
-class StableLimitVerdict:
+class StableLimitVerdict(NamedTuple):
     kind: str | None  # "SMOOTH" | "BROKEN_PAIR" | None
     violations: tuple[Violation, ...]
     index: int
@@ -442,8 +442,7 @@ class TrivialBoundaryData:
             raise InputError("cover_parity must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class TrivialSubbuildingVerdict:
+class TrivialSubbuildingVerdict(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
     branch: str  # "opposite_signs" | "coprime"
@@ -575,8 +574,7 @@ def trivial_subbuilding_check(data: TrivialBoundaryData) -> TrivialSubbuildingVe
     )
 
 
-@dataclass(frozen=True)
-class ConstantSubbuildingVerdict:
+class ConstantSubbuildingVerdict(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
     value: int  # c_N + 2 * attaching nodes = -chi_closed + 2 * n_attach
@@ -623,8 +621,7 @@ def constant_subbuilding_bound(chi_closed: int, n_attach: int,
 # --- stable-limit enumeration -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Asymptotics:
+class Asymptotics(NamedTuple):
     """Ends of a stable genus-0 index-2 curve: punctures plus total rel_c1.
 
     The enumerator materializes candidate sides with relative Chern number
@@ -636,8 +633,7 @@ class Asymptotics:
     rel_c1: int = 0
 
 
-@dataclass(frozen=True)
-class LimitType:
+class LimitType(NamedTuple):
     """One admissible two-level degeneration of a stable index-2 curve.
 
     Both sides have index 1 and c_N = 0 by construction (2c_N = ind - 2 + 2g

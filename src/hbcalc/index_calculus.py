@@ -35,13 +35,15 @@ of the last building it was asked about, keyed by identity; a building made
 inside a check (the core) is analysed outside that slot.  Each end is read
 under the constraint stored on its puncture (zero at a breaking puncture): to
 evaluate a building under other constraints, override them with
-`buildings.set_constraints` first.
+`buildings.set_constraints` first.  The reports (`DefectReport`,
+`ComponentReport`, `AdditivityReport`, `IndexReport`) are immutable
+NamedTuples of their values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .buildings import (
     Building,
@@ -108,8 +110,7 @@ def _mu(rows: list[End]) -> int:
     return sum(e.sign * e.mu for e in rows)
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """Asymptotic defects of a nontrivial component under its constraints."""
 
     per_puncture: tuple[tuple[Site, int], ...]
@@ -284,8 +285,7 @@ def defect(catalog: Catalog, building: Building, comp_id: str) -> DefectReport |
     return _analysis(catalog, building).part(comp_id).defect
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     component: str
     induced_constraints: tuple[tuple[Site, float], ...]
     index: int
@@ -294,8 +294,7 @@ class ComponentReport:
     wind_pi_consistent: bool
 
 
-@dataclass(frozen=True)
-class AdditivityReport:
+class AdditivityReport(NamedTuple):
     index_total: int
     index_component_sum: int
     c_n_total: int
@@ -351,8 +350,7 @@ def verify_additivity(catalog: Catalog, building: Building) -> AdditivityReport:
     return report
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     """Everything the `index` CLI subcommand prints."""
 
     chi: int

@@ -29,10 +29,10 @@ extremal winding numbers are
 
 the parity is their difference (0 or 1 for a nondegenerate cut), and the
 Conley-Zehnder index is 2*alpha_minus + parity.  All four come from one
-query, `cz_index`, whose `SpectralSummary` is memoized per (orbit, cover,
-cut); nothing else reads the windings at a cut.  Positive-puncture
-constraints c >= 0 enter through the cut -c, negative ones through +c; the
-building layer supplies the sign.  Constrained indices are double-checked
+query, `cz_index`, whose `SpectralSummary` (an immutable NamedTuple) is
+memoized per (orbit, cover, cut); nothing else reads the windings at a cut.
+Positive-puncture constraints c >= 0 enter through the cut -c, negative ones
+through +c; the building layer supplies the sign.  Constrained indices are double-checked
 against the eigenvalue-counting forms
 
     mu(gamma; c)  = mu(gamma) - #(spectrum in (-c, 0)),
@@ -44,7 +44,7 @@ counted with multiplicity; a mismatch is an internal error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,8 @@ from .spectral import (
     spectrum_from_loop,
 )
 
-@dataclass(frozen=True)
-class SpectralSummary:
+
+class SpectralSummary(NamedTuple):
     """Extremal windings, parity and Conley-Zehnder index at one spectral cut
     (the cut is the key of the catalog's memo, not a field)."""
 

@@ -46,8 +46,10 @@ of multiplicity two) and the phase-fixed real part for j in {0, k/2}, and the
 windings, clustering and audit read them there.  The block index is a free
 cross-check: the winding of a block-j eigenfunction is +-j mod k (its
 deck-shift eigenvalues are exp(+-2 pi i j / k)), and any other winding inside
-the window raises SpectralResolutionError.  A table reports the grid n it was
-asked for, which is k*m or less; a grid n <= k leaves m < 3 and is refused.
+the window raises SpectralResolutionError.  A table (SpectralTable, an
+immutable NamedTuple of SpectralEntry rows) reports the grid n it was asked
+for, which is k*m or less, or 0 for a stored table that no solve produced; a
+grid n <= k leaves m < 3 and is refused.
 The tests keep the dense solve of the cover loop sampled on n points as the
 oracle of this route.
 
@@ -94,8 +96,7 @@ trivialization are meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -298,21 +299,21 @@ def build_operator(loop: FlowLoop) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SpectralEntry:
+class SpectralEntry(NamedTuple):
     eigenvalue: float
     winding: int
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectralTable:
+class SpectralTable(NamedTuple):
     """Windowed eigenvalues of an asymptotic operator with their windings.
 
     Entries are sorted by eigenvalue; only complete winding classes inside
     the window (|eigenvalue| <= window + CLUSTER_TOL * max(1, window)) are
     listed, so within the window the winding is nondecreasing and every
-    winding value carries total multiplicity exactly two.
+    winding value carries total multiplicity exactly two.  `grid` is the grid
+    n the table was solved for; 0 marks a stored table (a table-mode orbit's)
+    that no solve produced.
     """
 
     entries: tuple[SpectralEntry, ...]

@@ -3,7 +3,6 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -632,7 +631,7 @@ class TestEnumerateOracle:
         rng = np.random.default_rng(910)
         for catalog, options, curves in corpora:
             evens = [p for p, _, parity in options if parity == 0]
-            bad = [dg.Asymptotics(punctures=()), replace(curves[-1], rel_c1=1)]
+            bad = [dg.Asymptotics(punctures=()), curves[-1]._replace(rel_c1=1)]
             for curve in curves:
                 # twice the ends of an index-2 curve have index 6
                 bad.append(dg.Asymptotics(punctures=curve.punctures * 2))

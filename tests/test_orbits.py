@@ -316,6 +316,40 @@ class TestUnresolvedCut:
             table_catalog.cz_index(OrbitRef("rot_tab"), 20.0)
 
 
+class TestRoughLoopCut:
+    """A full-degree 33-sample loop (white noise) with a cut between its
+    grid-41 and its fine-grid eigenvalue: the cut table of cz_index (grid 41)
+    puts that eigenvalue at -0.0128231346, below the cut, so it answers
+    mu_cz = 0 without an error; finer grids and the crossing route put it
+    above the cut, where mu_cz is -1."""
+
+    CUT = -0.012821648
+
+    @staticmethod
+    def loop(shift: float = 0.0) -> FlowLoop:
+        a = np.random.default_rng(7).standard_normal((33, 2, 2))
+        return FlowLoop((a + a.transpose(0, 2, 1)) / 2 + shift * np.eye(2))
+
+    def test_oracles_put_the_eigenvalue_above_the_cut(self):
+        assert spectral.cz_crossing(self.loop(self.CUT), 1) == -1
+        for grid in (81, 161, 321):
+            table = spectrum_from_loop(self.loop(), 1.0, grid)
+            near = [e for e in table.entries if abs(e.eigenvalue - self.CUT) < 1e-3]
+            assert [(e.winding, e.multiplicity) for e in near] == [(0, 1)], grid
+            assert near[0].eigenvalue == pytest.approx(-0.0128201605, abs=1e-10), grid
+            assert near[0].eigenvalue > self.CUT
+
+    @pytest.mark.xfail(strict=True, reason="the grid-41 cut table is trusted uncertified "
+                                           "and gives mu_cz 0")
+    def test_cz_index_answers_the_crossing_index_or_refuses(self):
+        catalog = Catalog([SimpleOrbit("g", 1.0, self.loop())])
+        try:
+            summary = catalog.cz_index(OrbitRef("g", 1), self.CUT)
+        except SpectralResolutionError:
+            return
+        assert summary.mu_cz == -1
+
+
 class TestWindowEdge:
     """A winding class within CLUSTER_TOL * max(1, window) of the window's edge
     is inside it.  hyp_even is S = diag(1, -1), so cover k has its winding-0

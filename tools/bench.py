@@ -25,10 +25,20 @@ order.  Its output has another layout, so it needs --out: it never takes a
 BENCH_<n>.json name.  For each end-to-end metric it keeps every pair, both
 medians, the other checkout's quartile spread and the relative change of the
 median against the bound BENCHMARK.json sets.
+
+Cold numbers depend on bytecode: a 10 s cli_cold run at seed 0 on a 2-core
+x86-64 Linux box read 4.56 ops/s with PYTHONDONTWRITEBYTECODE=1 and no
+src/hbcalc/__pycache__, and 5.68 ops/s after `python3 -m compileall src`.
+So both layouts keep, per checkout (under "bytecode", and in the second form
+under "other" and "this"), the value of PYTHONDONTWRITEBYTECODE (null when
+unset) and whether src/hbcalc/__pycache__ held .pyc files before its first
+perfbench run and after its last.  perfbench passes the environment on, so
+with the variable unset the first run of a checkout writes its bytecode.
 """
 
 import argparse
 import json
+import os
 import pathlib
 import re
 import statistics
@@ -75,11 +85,21 @@ def tier1() -> dict:
             "errors": counts.get("errors", counts.get("error", 0))}
 
 
+def has_pyc(checkout: pathlib.Path) -> bool:
+    return any((checkout / "src" / "hbcalc" / "__pycache__").glob("*.pyc"))
+
+
+def bytecode(checkout: pathlib.Path, pyc_at_start: bool) -> dict:
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "pyc_at_start": pyc_at_start, "pyc_at_end": has_pyc(checkout)}
+
+
 def git(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True, timeout=30)
 
 
 def single_runs(workloads) -> dict:
+    pyc_at_start = has_pyc(ROOT)
     out = {}
     for workload in workloads:
         runs = {f"trace_{trace}": run_perfbench(ROOT, workload, trace)
@@ -87,6 +107,7 @@ def single_runs(workloads) -> dict:
         metrics = runs["trace_1"]["result"]["metrics"]
         runs["silent"] = [name for name in FIRES[workload] if not metrics[name]["value"]]
         out[workload] = runs
+    state = bytecode(ROOT, pyc_at_start)
     loc = subprocess.run([sys.executable, str(ROOT / "tools" / "loc.py")], cwd=ROOT,
                          capture_output=True, text=True, timeout=60)
     return {
@@ -94,6 +115,7 @@ def single_runs(workloads) -> dict:
         "src_differs_from_commit": git("diff", "--quiet", "HEAD", "--", "src").returncode != 0,
         "seed": SEED,
         "seconds": SECONDS,
+        "bytecode": state,
         "workloads": out,
         "tier1": tier1(),
         "loc": int(loc.stdout.split()[-1]),
@@ -106,13 +128,14 @@ def quartile_spread(values: list) -> float:
 
 
 def pair_runs(other: pathlib.Path, workloads, bounds: dict) -> dict:
+    checkouts = {"other": other, "this": ROOT}
+    pyc_at_start = {side: has_pyc(path) for side, path in checkouts.items()}
     out = {}
     for workload in workloads:
         rows = []
         for i in range(PAIRS):
             order = ("other", "this") if i % 2 == 0 else ("this", "other")
-            row = {side: run_perfbench(other if side == "other" else ROOT, workload, 0)
-                   for side in order}
+            row = {side: run_perfbench(checkouts[side], workload, 0) for side in order}
             rows.append(row)
         metrics = {}
         for name, (better, bound) in bounds.items():
@@ -129,7 +152,9 @@ def pair_runs(other: pathlib.Path, workloads, bounds: dict) -> dict:
                 "pairs_this_better": sum(sign * (a - b) < 0 for a, b in zip(after, before)),
             }
         out[workload] = {"metrics": metrics, "pairs": rows}
-    return {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS, "workloads": out}
+    state = {side: bytecode(path, pyc_at_start[side]) for side, path in checkouts.items()}
+    return {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS, "bytecode": state,
+            "workloads": out}
 
 
 def next_bench_path() -> pathlib.Path:
