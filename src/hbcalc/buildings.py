@@ -273,14 +273,6 @@ def is_connected(building: Building) -> bool:
     return len(_reachable(adj, building.components[0].id)) == len(adj)
 
 
-def arithmetic_genus(building: Building) -> int:
-    """Genus of the glued compactified surface of a connected building."""
-    if not is_connected(building):
-        raise BuildingError("arithmetic genus is defined for connected buildings only")
-    # 2 - n_ext - chi = 2 (1 - #components + sum of genera + #pairs + #nodes)
-    return (2 - len(building.external_sites()) - euler_char(building)) // 2
-
-
 def trivial_breaking_pairs(building: Building) -> set[int]:
     """Indices of the trivial breaking pairs, found in one depth-first pass.
 

@@ -206,7 +206,7 @@ def _canonical_float(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-# --- catalog (de)serialization ------------------------------------------------
+# --- catalog reading ----------------------------------------------------------
 
 
 def catalog_from_data(data, path: str = "catalog") -> Catalog:
@@ -269,27 +269,6 @@ def catalog_from_data(data, path: str = "catalog") -> Catalog:
 
 def load_catalog(filename: str) -> Catalog:
     return catalog_from_data(_load_json(filename), path=filename)
-
-
-def catalog_to_data(catalog: Catalog) -> dict:
-    orbits = []
-    for oid in catalog.ids():
-        orbit = catalog.orbit(oid)
-        if orbit.is_flow:
-            model = {"type": "flow", "samples": orbit.model.to_triples()}
-        else:
-            model = {
-                "type": "table",
-                "covers": {
-                    str(k): [[e.eigenvalue, e.winding, e.multiplicity] for e in table.entries]
-                    for k, table in sorted(orbit.model.items())
-                },
-            }
-        record = {"id": oid, "period": orbit.period, "model": model}
-        if orbit.hyperbolic is not None:
-            record["hyperbolic"] = orbit.hyperbolic
-        orbits.append(record)
-    return {"format": FORMAT_VERSION, "orbits": orbits}
 
 
 # --- building (de)serialization -----------------------------------------------

@@ -181,20 +181,12 @@ class FlowLoop:
         return self.samples.shape[0]
 
     @classmethod
-    def constant(cls, matrix, n: int = 33) -> "FlowLoop":
-        m = np.asarray(matrix, dtype=float)
-        return cls(np.broadcast_to(m, (n, 2, 2)).copy())
-
-    @classmethod
     def from_triples(cls, triples: Sequence[Sequence[float]]) -> "FlowLoop":
         """Build from rows [s11, s12, s22] (the catalog file layout)."""
         rows = np.asarray(triples, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError(f"expected rows [s11, s12, s22], got shape {rows.shape}")
         return cls(rows[:, [[0, 1], [1, 2]]])
-
-    def to_triples(self) -> list[list[float]]:
-        return [[float(s[0, 0]), float(s[0, 1]), float(s[1, 1])] for s in self.samples]
 
     def strength(self) -> float:
         """Max spectral norm over the samples (used for windows and step sizes)."""
@@ -478,7 +470,7 @@ def spectrum_from_loop(
     held = [None] if held is None else held
     solve = held[0]  # read once: another reader may replace it meanwhile
     if solve is None or solve[0] is not loop or solve[1:3] != (cover, m):
-        held[0] = None  # free the kept solve before making another
+        held[0] = solve = None  # free the kept solve before making another
         vals, blocks, points = _bloch_eigenpairs(loop, cover, n)
         # windings read so far: turns, and 0/1 faults with -1 for "not read"
         held[0] = solve = (loop, cover, m, (vals, blocks, points),

@@ -1,4 +1,10 @@
-"""Shared test helpers: fixture paths, loop builders, random corpora, oracles."""
+"""Shared test helpers: fixture paths, loop builders, random corpora, oracles.
+
+Also the helpers that only tests use, kept out of src/hbcalc: constant
+loops (`constant_loop`), the arithmetic genus of a connected building
+(`arithmetic_genus`), and catalog serialization (`catalog_to_data`, from
+tools/make_fixtures.py).
+"""
 
 from __future__ import annotations
 
@@ -16,7 +22,6 @@ from hbcalc.buildings import (
     Component,
     Puncture,
     Site,
-    arithmetic_genus,
     component_graph,
     core,
     detach_component,
@@ -83,6 +88,12 @@ _fixtures = tool("make_fixtures")
 rotation_loop = _fixtures.rotation_loop
 hyperbolic_loop = _fixtures.hyperbolic_loop
 rotating_axis_loop = _fixtures.rotating_axis_loop
+catalog_to_data = _fixtures.catalog_to_data
+
+
+def constant_loop(matrix, n: int = 33) -> FlowLoop:
+    """The loop whose n samples all equal the 2x2 `matrix`."""
+    return FlowLoop(np.tile(np.asarray(matrix, dtype=float), (n, 1, 1)))
 
 
 def analytic_rotation_table(theta: float, window: float):
@@ -559,6 +570,19 @@ def reference_cz_from_path(path: np.ndarray) -> int:
     if len(floors) != 1:
         raise SpectralResolutionError("swept angles straddle a multiple of 2 pi")
     return 2 * floors.pop() + 1
+
+
+# --- arithmetic genus ------------------------------------------------------------
+
+
+def arithmetic_genus(building: Building) -> int:
+    """Genus of the glued compactified surface of a connected building: the
+    oracle for ``IndexReport.genus``, from the Euler characteristic and the
+    external ends alone."""
+    if not is_connected(building):
+        raise BuildingError("arithmetic genus is defined for connected buildings only")
+    # 2 - n_ext - chi = 2 (1 - #components + sum of genera + #pairs + #nodes)
+    return (2 - len(building.external_sites()) - euler_char(building)) // 2
 
 
 # --- per-pair trivial-breaking reference ---------------------------------------

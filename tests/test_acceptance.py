@@ -17,7 +17,6 @@ from hbcalc.buildings import (
     Component,
     Puncture,
     add_node,
-    arithmetic_genus,
     augment,
     core,
     euler_char,
@@ -28,7 +27,6 @@ from hbcalc.cli import (
     building_from_data,
     building_to_data,
     catalog_from_data,
-    catalog_to_data,
     main,
 )
 from hbcalc import degeneration as dg
@@ -40,6 +38,8 @@ from hbcalc.spectral import cz_crossing, spectrum_from_loop
 from support import (
     CORPUS_ORBITS,
     FIXTURES,
+    arithmetic_genus,
+    catalog_to_data,
     dense_cover,
     iter_trivial_buildings,
     random_building,

@@ -9,7 +9,6 @@ from hbcalc.buildings import (
     Component,
     Puncture,
     add_node,
-    arithmetic_genus,
     augment,
     core,
     disjoint_union,
@@ -26,6 +25,7 @@ from hbcalc.errors import BuildingError, NoCoreError
 from hbcalc.orbits import OrbitRef
 
 from support import (
+    arithmetic_genus,
     build_trivial_building,
     iter_trivial_buildings,
     random_building,

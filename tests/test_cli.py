@@ -16,14 +16,13 @@ from hbcalc.cli import (
     building_from_data,
     building_to_data,
     catalog_from_data,
-    catalog_to_data,
     main,
 )
 from hbcalc.errors import CatalogError, InputError, InternalCheckError
 from hbcalc.orbits import OrbitRef
 from hbcalc.degeneration import MAX_LIMITS, MAX_PARTIAL_SUMS
 
-from support import FIXTURES, REPO, analytic_rotation_table
+from support import FIXTURES, REPO, analytic_rotation_table, catalog_to_data
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
 CATALOGS = [n for n in ALL_FIXTURES if n.startswith("catalog")]

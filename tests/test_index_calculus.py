@@ -12,7 +12,6 @@ from hbcalc.buildings import (
     Component,
     Puncture,
     add_node,
-    arithmetic_genus,
     augment,
     core,
     disjoint_union,
@@ -30,7 +29,7 @@ from hbcalc.errors import BuildingError, HbcalcError, InconsistentDataError, Inc
 from hbcalc.orbits import Catalog, OrbitRef
 
 import support
-from support import FIXTURES, random_building, safe_constraint
+from support import FIXTURES, arithmetic_genus, random_building, safe_constraint
 
 RP = OrbitRef("rot_p")
 RM = OrbitRef("rot_m")
@@ -207,8 +206,6 @@ class TestRandomCorpus:
             assert report.index_ok and report.c_n_ok
             ind = ic.fredholm_index(cat, b)
             gamma0 = ic.index_report(cat, b).gamma0
-            from hbcalc.buildings import arithmetic_genus
-
             genus = arithmetic_genus(b)
             assert 2 * ic.normal_chern(cat, b) == ind - 2 + 2 * genus + len(gamma0)
             # per-component index parity: ind + #even is even

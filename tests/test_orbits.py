@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hbcalc.spectral import FlowLoop, build_operator, spectrum_from_loop
 from support import (
     FIXTURES,
     DenseCoverCatalog,
+    constant_loop,
     cover_outcomes,
     crossing_outcome,
     dense_cover,
@@ -216,7 +218,7 @@ class TestCatalogAudit:
         with pytest.raises(ValueError, match="finite"):
             Catalog([SimpleOrbit("bad", 1.0, FlowLoop.from_triples(rows))])
         with pytest.raises(ValueError, match="finite"):
-            SimpleOrbit("bad", 1.0, FlowLoop.constant([[math.inf, 0.0], [0.0, 1.0]]))
+            SimpleOrbit("bad", 1.0, constant_loop([[math.inf, 0.0], [0.0, 1.0]]))
 
     def test_dense_budget_checked_before_solving(self, demo_catalog):
         # a strength of 1e6 makes the audit ask for a grid near 3e6
@@ -321,13 +323,21 @@ class TestRoughLoopCut:
     grid-41 and its fine-grid eigenvalue: the cut table of cz_index (grid 41)
     puts that eigenvalue at -0.0128231346, below the cut, so it answers
     mu_cz = 0 without an error; finer grids and the crossing route put it
-    above the cut, where mu_cz is -1."""
+    above the cut, where mu_cz is -1.
+
+    CORPUS holds five more such cuts of the same kind of loop (other seeds),
+    as (seed, cut, crossing index).  Each sits 3.4e-6 to 5.2e-6 from both
+    the cut table's eigenvalue (grid 41 or 43) and the grid-321 one, above
+    the cluster tolerance (about 1.05e-6), and the two eigenvalues lie on
+    opposite sides of the cut."""
 
     CUT = -0.012821648
+    CORPUS = [(0, -0.202973487, -1), (4, -0.3572944, 0), (4, 0.146205391, 1),
+              (5, -0.037675357, 0), (9, 0.089604814, 0)]
 
     @staticmethod
-    def loop(shift: float = 0.0) -> FlowLoop:
-        a = np.random.default_rng(7).standard_normal((33, 2, 2))
+    def loop(shift: float = 0.0, seed: int = 7) -> FlowLoop:
+        a = np.random.default_rng(seed).standard_normal((33, 2, 2))
         return FlowLoop((a + a.transpose(0, 2, 1)) / 2 + shift * np.eye(2))
 
     def test_oracles_put_the_eigenvalue_above_the_cut(self):
@@ -339,8 +349,8 @@ class TestRoughLoopCut:
             assert near[0].eigenvalue == pytest.approx(-0.0128201605, abs=1e-10), grid
             assert near[0].eigenvalue > self.CUT
 
-    @pytest.mark.xfail(strict=True, reason="the grid-41 cut table is trusted uncertified "
-                                           "and gives mu_cz 0")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the grid-41 cut table is trusted uncertified and gives mu_cz 0")
     def test_cz_index_answers_the_crossing_index_or_refuses(self):
         catalog = Catalog([SimpleOrbit("g", 1.0, self.loop())])
         try:
@@ -348,6 +358,24 @@ class TestRoughLoopCut:
         except SpectralResolutionError:
             return
         assert summary.mu_cz == -1
+
+    @pytest.mark.parametrize("seed, cut, mu", CORPUS)
+    def test_the_fine_grid_and_the_crossing_route_agree(self, seed, cut, mu):
+        assert spectral.cz_crossing(self.loop(cut, seed), 1) == mu
+        table = spectrum_from_loop(self.loop(seed=seed), 10.0, 321)
+        assert table.alpha_minus(cut) + table.alpha_plus(cut) == mu  # 2 alpha_minus + parity
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the grid-41/43 cut table is trusted uncertified and gives "
+                              "the other index")
+    @pytest.mark.parametrize("seed, cut, mu", CORPUS)
+    def test_cz_index_answers_the_crossing_index_or_refuses_on_the_corpus(self, seed, cut, mu):
+        catalog = Catalog([SimpleOrbit("g", 1.0, self.loop(seed=seed))])
+        try:
+            summary = catalog.cz_index(OrbitRef("g", 1), cut)
+        except SpectralResolutionError:
+            return
+        assert summary.mu_cz == mu
 
 
 class TestWindowEdge:
@@ -526,6 +554,24 @@ class TestBlochRoute:
         assert {t.grid for t in tables} == {529}
         assert len(dims) == 16 // 2 + 1
         assert tables == fresh
+
+    def test_the_kept_solve_is_released_before_the_next(self, monkeypatch):
+        # the kept solve holds every eigenvector of every Bloch block (through
+        # its eigenfunction reader): none of it may live on while the next
+        # cover is solved
+        catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        catalog.table(OrbitRef("hyp2", 3), 10.0)
+        kept = weakref.ref(catalog._held[0][3][0])  # the solve's eigenvalues
+        alive = []
+        real = spectral._bloch_eigenpairs
+
+        def pairs(loop, k, n):
+            alive.append(kept() is not None)
+            return real(loop, k, n)
+
+        monkeypatch.setattr(spectral, "_bloch_eigenpairs", pairs)
+        catalog.table(OrbitRef("rot_p", 5), 10.0)
+        assert alive == [False]
 
     def test_one_cover_solve_is_kept(self, monkeypatch, table_catalog):
         catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
@@ -753,7 +799,7 @@ class TestCrossingRecord:
         loops.update((f"c02_{i}", loop) for i, loop in enumerate(trig_loops))
         loops["zero"] = FlowLoop(np.zeros((3, 2, 2)))
         # e^750 overflows within one period: P itself is not finite
-        loops["overflow"] = FlowLoop.constant(np.diag([750.0, -750.0]))
+        loops["overflow"] = constant_loop(np.diag([750.0, -750.0]))
         outcomes = {}
         for name, loop in loops.items():
             held = FlowLoop(loop.samples)  # keeps the record of its first cover

@@ -23,6 +23,7 @@ from hbcalc.spectral import (
 from support import (
     REPO,
     analytic_rotation_table,
+    constant_loop,
     cover_path,
     dense_cover,
     dense_value_at,
@@ -68,10 +69,10 @@ class TestFlowLoop:
 
     def test_library_routes_to_non_finite_samples(self):
         with pytest.raises(ValueError, match="finite"):
-            FlowLoop.constant(np.full((2, 2), math.nan))
+            constant_loop(np.full((2, 2), math.nan))
         with pytest.raises(ValueError, match="finite"):
             FlowLoop.from_triples([[0.0, math.inf, 0.0]] * 3)
-        huge = FlowLoop.constant(8e307 * np.eye(2), n=3)
+        huge = constant_loop(8e307 * np.eye(2), n=3)
         assert np.all(np.isfinite(huge.samples)) and huge.strength() == 8e307
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             dense_cover(huge, 3)  # k * S overflows
@@ -353,7 +354,7 @@ class TestCrossingForm:
     def test_overflowing_power_of_a_hyperbolic_monodromy(self):
         # diag(2, -2): P^355 has trace e^710, past the float range, but no power
         # of a hyperbolic P has the eigenvalue 1; the cover is k times the index
-        loop = FlowLoop.constant(np.diag([2.0, -2.0]))
+        loop = constant_loop(np.diag([2.0, -2.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert [cz_crossing(loop, k) for k in (1, 354, 355, 512)] == [0, 0, 0, 0]
@@ -370,7 +371,7 @@ class TestCrossingForm:
     def test_overflowing_one_period_monodromy(self):
         # diag(750, -750) is within the RK4 budget up to cover 5, but e^750 is
         # past the float range: P is not finite, which is no degenerate orbit
-        loop = FlowLoop.constant(np.diag([750.0, -750.0]))
+        loop = constant_loop(np.diag([750.0, -750.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in (1, 3, 5, 1):
@@ -383,7 +384,7 @@ class TestCrossingForm:
     def test_overflowing_monodromy_is_an_error(self, monkeypatch):
         # monodromy overflows as the crossing record does: it raises the same
         # error, with no numpy warning, and is_hyperbolic reads no inf trace
-        loop = FlowLoop.constant(np.diag([750.0, -750.0]))
+        loop = constant_loop(np.diag([750.0, -750.0]))
         monkeypatch.setattr(Catalog, "_audit", lambda self: None)  # its solve is over budget
         catalog = Catalog([SimpleOrbit("big", 1.0, loop)])
         with warnings.catch_warnings():
@@ -498,7 +499,7 @@ class TestMonodromy:
     def test_overflowing_power_names_the_cover(self):
         # diag(2, -2): P is finite and so is P**355, whose entries are about
         # e^710 / 2 (its trace e^710 is not); P**356 is past the float range
-        loop = FlowLoop.constant(np.diag([2.0, -2.0]))
+        loop = constant_loop(np.diag([2.0, -2.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for source in (loop, FlowLoop(loop.samples)):
@@ -580,7 +581,7 @@ class TestPropagatorOracle:
         loop = rotation_loop(1.0)  # 2048 steps per period
         assert spectral.MAX_RK4_STEPS // 2048 == 512
         # strength 5000 takes 256 x 5001 steps a period, past the budget at cover 1
-        steep = FlowLoop.constant(np.diag([5000.0, -5000.0]))
+        steep = constant_loop(np.diag([5000.0, -5000.0]))
         monkeypatch.setattr(spectral, "_integrate_frames",
                             lambda *args: pytest.fail("integrated past the RK4 budget"))
         for compute in (monodromy, cz_crossing):
@@ -685,7 +686,7 @@ class TestHalfGrid:
     def test_loads_no_fft_module(self):
         # numpy.fft loads lazily and stays resident: about 0.9 MB of peak RSS
         code = ("import sys, numpy as np; from hbcalc.spectral import FlowLoop, cz_crossing; "
-                "cz_crossing(FlowLoop.constant(np.diag([1.0, 2.0]))); "
+                "cz_crossing(FlowLoop(np.tile(np.diag([1.0, 2.0]), (33, 1, 1)))); "
                 "print('numpy.fft' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

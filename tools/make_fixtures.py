@@ -3,7 +3,9 @@
 Run from the repository root:  python3 tools/make_fixtures.py
 
 The shipped fixtures are byte-for-byte the canonical emission of the
-serializers in hbcalc.cli, so the round-trip tests can compare exact bytes.
+serializers, so the round-trip tests can compare exact bytes.  Buildings are
+written by hbcalc.cli.building_to_data, which the `surgery` command also
+prints with; catalogs, which no command writes, by `catalog_to_data` here.
 """
 
 import math
@@ -15,11 +17,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hbcalc.buildings import Building, Component, Puncture, set_constraints
-from hbcalc.cli import (
-    _dump_json,
-    building_to_data,
-    catalog_to_data,
-)
+from hbcalc.cli import FORMAT_VERSION, _dump_json, building_to_data
 from hbcalc.orbits import Catalog, OrbitRef, SimpleOrbit
 from hbcalc.spectral import FlowLoop
 
@@ -28,12 +26,12 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 def rotation_loop(theta: float, n: int = 33) -> FlowLoop:
     """Constant rotation coefficients: spectrum 2*pi*m - theta, winding m."""
-    return FlowLoop.constant(theta * np.eye(2), n=n)
+    return FlowLoop(np.tile(theta * np.eye(2), (n, 1, 1)))
 
 
 def hyperbolic_loop(a: float = 1.0, n: int = 33) -> FlowLoop:
     """Constant diag(a, -a): even hyperbolic orbit with mu = 0."""
-    return FlowLoop.constant(np.diag([a, -a]), n=n)
+    return FlowLoop(np.tile(np.diag([a, -a]), (n, 1, 1)))
 
 
 def rotating_axis_loop(half_turns: int, a: float = 0.7, n: int = 33) -> FlowLoop:
@@ -51,6 +49,31 @@ def rotating_axis_loop(half_turns: int, a: float = 0.7, n: int = 33) -> FlowLoop
     s[:, 1, 0] = -a * np.cos(phase)
     s[:, 1, 1] = math.pi * half_turns - a * np.sin(phase)
     return FlowLoop(s)
+
+
+def catalog_to_data(catalog: Catalog) -> dict:
+    """The catalog file of `catalog`: a flow loop as its sample rows
+    [s11, s12, s22], a table model as its [eigenvalue, winding, multiplicity]
+    rows per cover (hbcalc.cli.catalog_from_data reads it back)."""
+    orbits = []
+    for oid in catalog.ids():
+        orbit = catalog.orbit(oid)
+        if orbit.is_flow:
+            rows = [[float(s[0, 0]), float(s[0, 1]), float(s[1, 1])] for s in orbit.model.samples]
+            model = {"type": "flow", "samples": rows}
+        else:
+            model = {
+                "type": "table",
+                "covers": {
+                    str(k): [[e.eigenvalue, e.winding, e.multiplicity] for e in table.entries]
+                    for k, table in sorted(orbit.model.items())
+                },
+            }
+        record = {"id": oid, "period": orbit.period, "model": model}
+        if orbit.hyperbolic is not None:
+            record["hyperbolic"] = orbit.hyperbolic
+        orbits.append(record)
+    return {"format": FORMAT_VERSION, "orbits": orbits}
 
 
 def demo_catalog() -> Catalog:

@@ -76,6 +76,8 @@ def cases() -> list[list[str]]:
     out.append(["surgery", "--building", FIGURE3, "--op", "glue", "--pos", "cyl_top:0",
                 "--neg", "cyl_bot:1"])
     out.append(["surgery", "--building", "fixtures/building_cylinder.json", "--op", "core"])
+    # a union with itself: every component id and site of the other is renamed
+    out.append(["surgery", "--building", FIGURE3, "--op", "union", "--other", FIGURE3])
     return out
 
 
