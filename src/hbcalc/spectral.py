@@ -15,11 +15,12 @@ winding.
 Discretization is Fourier spectral collocation on a uniform grid with an
 odd number of points: the differentiation matrix is then exactly
 antisymmetric, so the discretized operator is exactly symmetric and each of
-its Bloch blocks (below) is solved by a dense Hermitian solver.  Eigenvector
-winding numbers are read off directly from the discrete loops, guarded
-against under-resolution; a table reads its scanned eigenfunctions in batches
-of at most WINDING_BATCH_POINTS loop points (_windings takes a (B, n, 2)
-array and returns each loop's total turns and a 0/1 fault).
+its Bloch blocks (below) is solved by a dense Hermitian or real symmetric
+solver.  Eigenvector winding numbers are read off directly from the discrete
+loops, guarded against under-resolution; a table reads its scanned
+eigenfunctions in batches of at most WINDING_BATCH_POINTS loop points
+(_windings takes a (B, n, 2) array and returns each loop's total turns and a
+0/1 fault).
 
 Between its samples S is read as their trigonometric interpolant (Trefethen,
 Spectral Methods in MATLAB, 2000, ch. 3), and _uniform_values is its one
@@ -40,16 +41,21 @@ on the base grid of m = next_odd(ceil(n / k)) points, where n is the requested
 grid (by default the grid heuristic), and its eigenvalues times k are
 eigenvalues of the cover.  For k = 1 this is the one dense symmetric solve on
 m = n points.  Blocks j and k - j are complex conjugates, so blocks 0..k//2
-are solved.  On the k*m-point cover grid the real eigenfunctions are the real
-and imaginary parts of exp(2 pi i j t) w(kt) for 0 < j < k/2 (one eigenvalue
-of multiplicity two) and the phase-fixed real part for j in {0, k/2}, and the
-windings, clustering and audit read them there.  The block index is a free
-cross-check: the winding of a block-j eigenfunction is +-j mod k (its
-deck-shift eigenvalues are exp(+-2 pi i j / k)), and any other winding inside
-the window raises SpectralResolutionError.  A table (SpectralTable, an
-immutable NamedTuple of SpectralEntry rows) reports the grid n it was asked
-for, which is k*m or less, or 0 for a stored table that no solve produced; a
-grid n <= k leaves m < 3 and is refused.
+are solved, and two of them are real: block 0, and for even k block k/2, the
+antiperiodic operator, which is solved as a deflated real block of dimension
+2m - 2 (_antiperiodic_eigenpairs): the alternating mode of the base grid, whose
+pair of eigenvalues lies beyond every scan of a default grid, is dropped, so an
+even cover has 2km - 2 eigenvalues and an odd one 2km.  On the k*m-point cover
+grid the real eigenfunctions are w(kt) for j = 0, the real and imaginary parts
+of exp(2 pi i j t) w(kt) for 0 < j < k/2 (one eigenvalue of multiplicity two),
+and for j = k/2 the block's real eigenvector repeated with alternating signs
+over the k periods, and the windings, clustering and audit read them there.
+The block index is a free cross-check: the winding of a block-j eigenfunction
+is +-j mod k (its deck-shift eigenvalues are exp(+-2 pi i j / k)), and any
+other winding inside the window raises SpectralResolutionError.  A table
+(SpectralTable, an immutable NamedTuple of SpectralEntry rows) reports the grid
+n it was asked for, which is k*m or less, or 0 for a stored table that no solve
+produced; a grid n <= k leaves m < 3 and is refused.
 The tests keep the dense solve of the cover loop sampled on n points as the
 oracle of this route.
 
@@ -489,14 +495,16 @@ def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
     function taking an index array to the real eigenfunctions of those
     entries, a (len, k*m, 2) array on the k*m-point cover grid,
     m = next_odd(ceil(n / k)).  For k = 1 this is the dense solve of
-    build_operator(loop.resample(m)).
+    build_operator(loop.resample(m)).  An odd cover has 2km eigenvalues; an
+    even one has 2km - 2, since its block k/2 is the deflated real block of
+    _antiperiodic_eigenpairs.
     """
     m = _base_grid(n, k)
     base = build_operator(loop.resample(m))
     solved = [np.linalg.eigh(base)]  # (eigenvalues, eigenvectors) of blocks 0..k//2
-    parts = [(0, False)]  # (block, imaginary part?) of each run of 2m entries
+    parts = [(0, False)]  # (block, imaginary part?) of each run of a block's entries
     x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
-    for j in range(1, k // 2 + 1):
+    for j in range(1, (k + 1) // 2):
         # base - (2 pi j / k) (I (x) i J0), written into the 2x2 diagonal blocks;
         # eigh reads the lower triangle only, so the Hermitian upper entries
         # block[x, y] (the conjugates) are left unwritten
@@ -504,12 +512,16 @@ def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
         block[y, x] -= (2j * math.pi * j / k)
         solved.append(np.linalg.eigh(block))
         # block k - j is the conjugate of block j: one solve, two real parts
-        parts += [(j, False), (j, True)] if 2 * j < k else [(j, False)]
+        parts += [(j, False), (j, True)]
+    if k % 2 == 0:
+        solved.append(_antiperiodic_eigenpairs(base, m))  # overwrites base
+        parts.append((k // 2, False))
+    sizes = [len(solved[j][0]) for j, _ in parts]
     all_vals = k * np.concatenate([solved[j][0] for j, _ in parts])
     order = np.argsort(all_vals, kind="stable")
-    owner = np.repeat(np.arange(len(parts)), 2 * m)[order]
+    owner = np.repeat(np.arange(len(parts)), sizes)[order]
     block_of, imag_of = np.array(parts)[owner].T
-    column = np.tile(np.arange(2 * m), len(parts))[order]
+    column = np.concatenate([np.arange(size) for size in sizes])[order]
     cells = np.arange(k * m)
 
     def points(idx) -> np.ndarray:
@@ -519,16 +531,60 @@ def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
             sel = np.flatnonzero(block_of[idx] == j)
             entries = idx[sel]
             w = np.tile(solved[j][1][:, column[entries]].T.reshape(-1, m, 2), (1, k, 1))
-            if j == 0:
+            if 2 * j == k:  # antiperiodic: u(p + r m) = (-1)^r u(p)
+                w.reshape(len(sel), k, m, 2)[:, 1::2] *= -1.0
+            if 2 * j in (0, k):  # the real blocks
                 out[sel] = w
                 continue
             v = np.exp((2j * math.pi * j / (k * m)) * cells)[:, None] * w
-            if 2 * j == k:  # a conjugation-invariant block: rotate v onto the real axis
-                v *= np.exp(-0.5j * np.angle(np.sum(v * v, axis=(1, 2))))[:, None, None]
             out[sel] = np.where(imag_of[entries, None, None] == 1, v.imag, v.real)
         return out
 
     return all_vals[order], block_of, points
+
+
+def _antiperiodic_eigenpairs(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and real eigenvectors, of length 2m, of Bloch block k/2 of an
+    even cover, from a = build_operator(loop.resample(m)), which is overwritten.
+
+    In the basis v(s) = exp(i pi s) w(s) the block is the real antiperiodic
+    operator: each derivative entry (p, q) of a times cos(pi (p - q) / m), plus
+    an imaginary term on the alternating vector n = (-1)^p / sqrt(m) of each
+    plane component alone.  That mode, the grid's Nyquist mode, has no real
+    derivative; its pair of eigenvalues, near +-pi k m on the cover, lies beyond
+    every scan of a default grid n <= k m (pi n >= 5 (window + k s) + 20 pi,
+    above the scan's window + 2 k s + 8, s the loop's strength).  It is deflated:
+    the Householder reflector H = I - 2 h h^T, h ~ n - e_0, of each component
+    takes n to e_0, and point 0 of the reflected matrix is dropped, leaving a
+    real symmetric solve of dimension 2m - 2.  Its eigenvectors are padded with
+    two zeros and reflected back; on the cover grid an eigenfunction is
+    u(p + r m) = (-1)^r u(p).
+    """
+    a4 = a.reshape(m, 2, m, 2)
+    cos = np.cos((math.pi / m) * np.arange(1 - m, m))
+    a4 *= np.lib.stride_tricks.sliding_window_view(cos, m)[:, None, ::-1, None]
+    h = (-1.0) ** np.arange(m)
+    h[0] = 1.0 - math.sqrt(m)  # n - e_0, times sqrt(m)
+    h /= math.sqrt(2.0 * m - 2.0 * math.sqrt(m))
+    # H a H = a - U G^T - G U^T with U = h (x) I_2 and G = 2 a U - 2 U (U^T a U),
+    # and g[d, p, c] = G[(p, c), d] (a is symmetric, so U^T a gives a U).  Rows
+    # and columns of point 0 are dropped, so only points p, q >= 1 are updated,
+    # where h_p = +-h_1 alternates: (U G^T)[p, c, q, d] = h_p g[c, q, d] is g
+    # broadcast over every other row point, G U^T the same on the transposed
+    # view, and nothing of a's size is allocated
+    g = (h @ a.reshape(m, -1)).reshape(2, m, 2)
+    g = 2.0 * g - 2.0 * h[:, None] * np.tensordot(g, h, axes=(1, 0))[:, None, :]
+    for view in (a, a.T):
+        for start, hp in ((1, h[1]), (2, h[2])):
+            view.reshape(m, 2, m, 2)[start::2] -= hp * g
+    vals, reduced = np.linalg.eigh(a[2:, 2:])
+    vecs = np.empty((m, 2, 2 * m - 2))
+    vecs[1:] = reduced.reshape(m - 1, 2, -1)
+    proj = 2.0 * np.tensordot(h[1:], vecs[1:], axes=(0, 0))  # 2 U^T (0, 0, reduced)
+    vecs[0] = -h[0] * proj
+    for start, hp in ((1, h[1]), (2, h[2])):
+        vecs[start::2] -= hp * proj
+    return vals, vecs.reshape(2 * m, -1)
 
 
 def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
@@ -550,7 +606,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     lams = vals[lo:hi].tolist()
     turns, faults = read
     missing = lo + np.flatnonzero(faults[lo:hi] < 0)
-    step = max(1, WINDING_BATCH_POINTS // (len(vals) // 2))  # len(vals) / 2 points a loop
+    step = max(1, WINDING_BATCH_POINTS // (k * _base_grid(n, k)))  # k m points a loop
     for start in range(0, len(missing), step):
         idx = missing[start : start + step]
         turns[idx], faults[idx] = _windings(points(idx))  # faults last: they mark the read

@@ -58,6 +58,7 @@ from hbcalc.spectral import (
     MAX_STEP_ANGLE,
     WINDING_GUARD,
     FlowLoop,
+    build_operator,
     check_grid_budget,
     default_grid,
     monodromy,
@@ -409,6 +410,20 @@ def reference_build_operator(loop: FlowLoop) -> np.ndarray:
     for i in range(n):
         a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] -= loop.samples[i]
     return a
+
+
+def reference_antiperiodic_block(loop: FlowLoop, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R, P) for Bloch block k/2 of an even cover, as dense products: R is
+    build_operator(loop.resample(m)) with each derivative entry (p, q) times
+    cos(pi (p - q) / m), and P = H (x) I_2, with H the Householder reflector
+    that takes n = (-1)^p / sqrt(m) to e_0.  The oracle for
+    ``hbcalc.spectral._antiperiodic_eigenpairs``, which solves (P R P)[2:, 2:]
+    and reflects its eigenvectors, padded with two zeros, back by P."""
+    p = np.arange(m)
+    cos = np.cos(np.pi * (p[:, None] - p[None, :]) / m)
+    r = build_operator(loop.resample(m)) * np.kron(cos, np.ones((2, 2)))
+    v = (-1.0) ** p / math.sqrt(m) - np.eye(m)[0]
+    return r, np.kron(np.eye(m) - 2 * np.outer(v, v) / (v @ v), np.eye(2))
 
 
 def reference_cluster_means(vals: np.ndarray, starts, ends) -> list[float]:

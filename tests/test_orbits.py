@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -21,7 +22,7 @@ from hbcalc.orbits import (
 )
 from hbcalc.cli import load_catalog, main
 from hbcalc import spectral
-from hbcalc.spectral import FlowLoop, build_operator, spectrum_from_loop
+from hbcalc.spectral import J0, FlowLoop, build_operator, spectrum_from_loop
 
 from support import (
     FIXTURES,
@@ -34,6 +35,7 @@ from support import (
     hyperbolic_loop,
     nondegenerate_trig_loop,
     outcome_differences,
+    reference_antiperiodic_block,
     reference_build_operator,
     reference_cluster_means,
     reference_cz_crossing,
@@ -365,6 +367,18 @@ class TestRoughLoopCut:
         table = spectrum_from_loop(self.loop(seed=seed), 10.0, 321)
         assert table.alpha_minus(cut) + table.alpha_plus(cut) == mu  # 2 alpha_minus + parity
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_even_covers_answer_the_crossing_index(self, seed):
+        # block k/2 of an even cover is solved real, deflated of its
+        # alternating mode; on these loops, which have Fourier content up to
+        # the sampling limit, cz_index at covers 2, 4 and 6 still answers the
+        # crossing index of the loop shifted by the cut
+        catalog = Catalog([SimpleOrbit("g", 1.0, self.loop(seed=seed))])
+        for k in (2, 4, 6):
+            for cut in (0.0, 0.5, -0.5):
+                mu = spectral.cz_crossing(self.loop(cut / k, seed), k)
+                assert catalog.cz_index(OrbitRef("g", k), cut).mu_cz == mu, (k, cut)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the grid-41/43 cut table is trusted uncertified and gives "
                               "the other index")
@@ -457,9 +471,11 @@ class TestBlochRoute:
                                     cover_outcomes(dense, OrbitRef("r", 6), (10.0,))) == [])
 
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
-    def test_each_block_is_solved_as_its_full_hermitian_block(self, k, monkeypatch):
-        # eigh reads the lower triangle only, so the shift is written there alone;
-        # the eigenpairs must be those of the whole Hermitian block, bit for bit
+    def test_each_block_is_solved_as_documented(self, k, monkeypatch):
+        # block 0 and blocks 0 < j < k/2: eigh reads the lower triangle only, so
+        # the shift is written there alone, and the eigenpairs must be those of
+        # the whole block, bit for bit; block k/2 of an even cover: a float64
+        # eigh of dimension 2m - 2 on the deflated real antiperiodic block
         loop = rotating_axis_loop(1)
         n = spectral.default_grid(loop.n, k, 20.0, loop.strength())
         m = spectral._base_grid(n, k)
@@ -475,6 +491,15 @@ class TestBlochRoute:
         assert len(solved) == k // 2 + 1
         x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
         for j, (given, (vals, vecs)) in enumerate(solved):
+            if 2 * j == k:
+                r, p = reference_antiperiodic_block(loop, m)
+                want = (p @ r @ p)[2:, 2:]
+                assert given.dtype == float and given.shape == (2 * m - 2, 2 * m - 2)
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(np.tril(given) - np.tril(want))) <= 1e-14 * scale
+                want_vals, want_vecs = real(given)
+                assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+                continue
             full = base.astype(complex)
             full[x, y] += 2j * math.pi * j / k
             full[y, x] -= 2j * math.pi * j / k
@@ -482,6 +507,58 @@ class TestBlochRoute:
             assert np.array_equal(np.tril(given), np.tril(full))
             want_vals, want_vecs = real(full if j else base)
             assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+
+    def test_the_antiperiodic_block_reflects_its_padded_eigenvectors_back(self):
+        loop = rotating_axis_loop(1)
+        for m in (3, 5, 35):
+            a = build_operator(loop.resample(m))
+            vals, vecs = spectral._antiperiodic_eigenpairs(a, m)
+            reduced_vals, reduced = np.linalg.eigh(a[2:, 2:])  # a holds the reflected block
+            _, p = reference_antiperiodic_block(loop, m)
+            padded = np.zeros((2 * m, 2 * m - 2))
+            padded[2:] = reduced
+            assert np.array_equal(vals, reduced_vals)
+            assert vecs.shape == (2 * m, 2 * m - 2)
+            assert np.max(np.abs(vecs - p @ padded)) <= 1e-14
+            assert np.allclose(vecs.T @ vecs, np.eye(2 * m - 2), atol=1e-13)
+
+    def test_the_antiperiodic_block_matches_the_hermitian_block_in_the_scan(self):
+        # at covers 2, 4, 8 and 16, on the base grids of windows 10, 40 and 100,
+        # block k/2 keeps the eigenvalues of the complex Hermitian block inside
+        # the widest scan: only the alternating-mode pair near +-pi m is
+        # deflated; its rebuilt eigenfunctions change sign from one period of
+        # the cover to the next
+        fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        rng = np.random.default_rng(20261018)  # test_trig_loops' corpus
+        loops = ([fixture.orbit(i).model for i in fixture.ids()]
+                 + [nondegenerate_trig_loop(rng, n=25, scale=1.0) for _ in range(5)])
+        for loop, k in itertools.product(loops, (2, 4, 8, 16)):
+            grids = {}
+            for window in (10.0, 40.0, 100.0):
+                n = spectral.default_grid(loop.n, k, window, loop.strength())
+                grids[spectral._base_grid(n, k)] = (n, window)
+            for m, (n, window) in grids.items():
+                scan = (window + 2.0 * k * loop.strength() + 8.0) / k  # in block units
+                r, _ = reference_antiperiodic_block(loop, m)
+                x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
+                block = build_operator(loop.resample(m)).astype(complex)
+                block[x, y] += 1j * math.pi
+                block[y, x] -= 1j * math.pi
+                # in the basis v = exp(i pi s) w the block is R plus a term on
+                # the alternating vector n alone
+                e = np.exp(1j * math.pi * np.arange(m) / m).repeat(2)
+                alternating = (-1.0) ** np.arange(m) / math.sqrt(m)
+                imaginary = 1j * math.pi * m * np.kron(np.outer(alternating, alternating), J0)
+                assert np.max(np.abs(e[:, None] * block * e.conj() - (r - imaginary))) \
+                    <= 1e-13 * np.max(np.abs(r))
+                want = np.linalg.eigh(block)[0]
+                vals, blocks, points = spectral._bloch_eigenpairs(loop, k, n)
+                mine = np.flatnonzero((blocks == k // 2) & (np.abs(vals) <= k * scan))
+                got, want = vals[mine] / k, want[np.abs(want) <= scan]  # k is a power of 2
+                assert len(got) == len(want), (m, k)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+                u = points(mine)
+                assert np.array_equal(u[:, m:], -u[:, :-m])
 
     def test_block_index_pins_the_winding(self, monkeypatch):
         loop = rotating_axis_loop(1)
@@ -499,9 +576,10 @@ class TestBlochRoute:
     def test_eigenfunctions_do_not_depend_on_eigenvector_phases(self, monkeypatch):
         # eigh fixes each complex eigenvector only up to a unit factor: turn them
         # by a spread of phases.  Every rebuilt eigenfunction must keep the norm
-        # of a real (j = 0), real or imaginary (0 < j < k/2) or phase-fixed
-        # (j = k/2) part, and for odd k be an eigenvector of the dense cover
-        # operator on the k*m-point grid, whose Fourier modes the blocks split.
+        # of a real (j = 0), real or imaginary (0 < j < k/2) or real
+        # antiperiodic (j = k/2) part, and for odd k be an eigenvector of the
+        # dense cover operator on the k*m-point grid, whose Fourier modes the
+        # blocks split.
         loop = rotating_axis_loop(1)
         tables = {k: spectrum_from_loop(loop, 10.0, cover=k) for k in (2, 3, 4)}
         real = np.linalg.eigh
@@ -688,8 +766,8 @@ class TestBlochRoute:
 
     def test_explicit_grid_and_simple_orbits_solve_bloch_blocks(self):
         # an explicit grid n, or a simple orbit, solves blocks 0..k//2 of
-        # dimension 2m on the base grid m = next_odd(ceil(n / k)); the table
-        # reports n
+        # dimension 2m on the base grid m = next_odd(ceil(n / k)), but for
+        # block k/2 of an even cover, of dimension 2m - 2; the table reports n
         catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
         strength = catalog.orbit("hyp2").model.strength()
         n = spectral.default_grid(33, 3, 10.0, strength)
@@ -697,7 +775,7 @@ class TestBlochRoute:
         for k, grid, dims_want, grid_want in ((3, 151, [102, 102], 151),
                                               (3, None, [2 * m, 2 * m], n),
                                               (1, 101, [202], 101),
-                                              (2, 101, [102, 102], 101)):
+                                              (2, 101, [102, 100], 101)):
             with eigh_dims() as dims:
                 table = catalog.spectrum_of(OrbitRef("hyp2", k), 10.0, grid=grid)
             assert (dims, table.grid) == (dims_want, grid_want), (k, grid)

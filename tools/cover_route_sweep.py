@@ -6,10 +6,12 @@ For every orbit of fixtures/catalog_fixture.json at covers k = 1..16 and
 windows 10, 40 and 100, and for the nondegenerate_trig_loop corpus of
 acceptance criterion 02 (20 loops of 201 samples, seed 20240601) at covers
 1, 2, 3, 4, 5 and 8 and windows 10 and 40, it asks a Catalog (Bloch blocks
-for every k, k = 1 included) and a DenseCoverCatalog (one dense solve of
-dimension 2n of the cover loop dense_cover(loop, k, n) on the same default
-grid n; it shares the Catalog's orbits, and so their flow loops and crossing
-records) for the tables at each window, then cz_index (both extremal
+for every k, k = 1 included: real symmetric blocks 0 and, for even k, the
+deflated antiperiodic block k/2, and Hermitian blocks between) and a
+DenseCoverCatalog (one dense solve of dimension 2n of the cover loop
+dense_cover(loop, k, n) on the same default grid n; it shares the Catalog's
+orbits, and so their flow loops and crossing records) for the tables at each
+window, then cz_index (both extremal
 windings, parity and index at the cut 0) and is_bad.  Rows (winding,
 multiplicity), grids, invariants and exception classes must be identical and
 eigenvalues within CLUSTER_TOL * window.  The Catalog keeps its last solve

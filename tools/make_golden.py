@@ -78,6 +78,13 @@ def cases() -> list[list[str]]:
     out.append(["surgery", "--building", "fixtures/building_cylinder.json", "--op", "core"])
     # a union with itself: every component id and site of the other is renamed
     out.append(["surgery", "--building", FIGURE3, "--op", "union", "--other", FIGURE3])
+    # even covers on small explicit grids, whose scans reach the top of Bloch
+    # block k/2, where its alternating-mode pair is deflated (exit 2 on grid 5)
+    for orbit, cover, window, grid in (("rot_p", 2, 10, 5), ("rot_p", 2, 10, 9),
+                                       ("hyp_even", 2, 8, 15), ("hyp_even", 4, 20, 41)):
+        out.append(["spectrum", "--catalog", "fixtures/catalog_demo.json", "--orbit", orbit,
+                    "--cover", str(cover), "--window", str(window), "--grid", str(grid),
+                    "--json"])
     return out
 
 
