@@ -206,7 +206,7 @@ def _nice_checks(catalog: Catalog, record: Analysis) -> list[Violation]:
     # controlling eigenfunctions of embedded ends are simply covered, and
     # ends of distinct embedded components over one simple orbit with the
     # same sign share multiplicity and winding
-    by_orbit: dict[tuple[str, int], list[tuple[str, str, int, int]]] = {}
+    by_orbit: dict[tuple[str, int], list[tuple[str, int, int]]] = {}
     for comp in nontrivial:
         class_key = comp.image_class if comp.image_class is not None else f"#{comp.id}"
         for p in comp.punctures:
@@ -220,14 +220,12 @@ def _nice_checks(catalog: Catalog, record: Analysis) -> list[Violation]:
                         f"winding {w} with gcd({p.orbit.k}, {w}) > 1",
                     )
                 )
-            by_orbit.setdefault((p.orbit.simple, p.sign), []).append(
-                (class_key, comp.id, p.orbit.k, w)
-            )
+            by_orbit.setdefault((p.orbit.simple, p.sign), []).append((class_key, p.orbit.k, w))
     for (simple, sign), group in sorted(by_orbit.items()):
         classes = {g[0] for g in group}
         if len(classes) < 2:
             continue
-        seen = {(g[2], g[3]) for g in group}
+        seen = {(g[1], g[2]) for g in group}
         if len(seen) > 1:
             violations.append(
                 Violation(

@@ -59,6 +59,13 @@ produced; a grid n <= k leaves m < 3 and is refused.
 The tests keep the dense solve of the cover loop sampled on n points as the
 oracle of this route.
 
+Inside a window the winding is monotone in the eigenvalue and each winding
+carries exactly two eigenvalues (Hofer, Wysocki and Zehnder, Properties of
+pseudoholomorphic curves in symplectisations II, GAFA 5, 1995).  The audit
+(_audited_table) refuses a scan that breaks this inside the window and keeps
+the winding classes that are complete there; _complete_classes is that one
+rule, and SpectralTable.clip applies it to a narrower window.
+
 A caller may keep the last solve in a one-slot list (spectrum_from_loop's
 `held`): the catalog keeps its last solve and audits it again for each
 window whose grid has the same base grid m (wider windows move the grid n in
@@ -392,16 +399,13 @@ class SpectralTable(NamedTuple):
         return total
 
     def clip(self, window: float) -> "SpectralTable":
-        """Restrict to complete winding classes inside a smaller window."""
+        """Restrict to complete winding classes inside a smaller window, as
+        _complete_classes keeps them in the solve's audit."""
         if window > self.window:
             raise SpectralResolutionError(
                 f"requested window {window} exceeds trusted window {self.window}"
             )
-        inside = [e for e in self.entries if abs(e.eigenvalue) <= _edge(window)]
-        per: dict[int, int] = {}
-        for e in inside:
-            per[e.winding] = per.get(e.winding, 0) + e.multiplicity
-        kept = tuple(e for e in inside if per.get(e.winding) == 2)
+        kept = tuple(_complete_classes(self.entries, window))
         return SpectralTable(entries=kept, window=window, grid=self.grid)
 
 
@@ -410,6 +414,18 @@ def _edge(window: float) -> float:
     clustering tolerance of the edge is on it, so the last bits of a solve do
     not decide whether a class exactly on the edge is kept."""
     return window + CLUSTER_TOL * max(1.0, window)
+
+
+def _complete_classes(rows, window: float) -> list:
+    """The complete winding classes inside a window: of (eigenvalue, winding,
+    multiplicity) rows sorted by eigenvalue, those within _edge(window) whose
+    winding carries total multiplicity two there.  The one rule of the solve's
+    audit and of every clip."""
+    inside = [row for row in rows if abs(row[0]) <= _edge(window)]
+    per: dict[int, int] = {}
+    for _, w, mult in inside:
+        per[w] = per.get(w, 0) + mult
+    return [row for row in inside if per[row[1]] == 2]
 
 
 def check_grid_budget(grid: int) -> None:
@@ -595,7 +611,9 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     k-fold cover and `points(idx)` the real eigenfunctions of the entries
     `idx`; `strength` bounds the coefficient loop and `n` is the reported grid.
     `read` is (turns, faults) of every entry, fault 0 or 1 once read and -1
-    before; the scan reads the missing ones and fills them in.
+    before; the scan reads the missing ones and fills them in.  The table
+    lists the rows that _complete_classes keeps, as SpectralTable.clip does;
+    its refusals establish everything SpectralTable.validate checks.
     """
     scan = window + 2.0 * strength + 8.0
     tol = CLUSTER_TOL * max(1.0, window)
@@ -662,14 +680,9 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
         last = w if last is None else max(last, w)
 
     per_class: dict[int, int] = {}
-    per_class_in: dict[int, int] = {}
-    for lam, w, mult in cluster_data:
-        if w is None:
-            continue
-        per_class[w] = per_class.get(w, 0) + mult
-        if abs(lam) <= edge:
-            per_class_in[w] = per_class_in.get(w, 0) + mult
-
+    for _, w, mult in cluster_data:
+        if w is not None:
+            per_class[w] = per_class.get(w, 0) + mult
     if any(m > 2 for m in per_class.values()):
         bad = [w for w, m in per_class.items() if m > 2]
         raise SpectralResolutionError(
@@ -678,31 +691,15 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
         )
 
     # keep complete classes; incomplete ones are only tolerable at the edges
-    kept_winds = sorted(w for w, m in per_class_in.items() if m == 2)
-    dropped = sorted(w for w, m in per_class_in.items() if m < 2)
-    if kept_winds:
-        w_lo, w_hi = kept_winds[0], kept_winds[-1]
-        if kept_winds != list(range(w_lo, w_hi + 1)):
-            raise SpectralResolutionError(
-                "gap in the run of complete winding classes inside the window; "
-                "increase the grid"
-            )
-        for w in dropped:
-            if w_lo < w < w_hi:
-                raise SpectralResolutionError(
-                    f"winding class {w} is deficient in the interior of the window; "
-                    "increase the grid"
-                )
-
-    kept = set(kept_winds)
-    entries = tuple(
-        SpectralEntry(eigenvalue=lam, winding=w, multiplicity=mult)
-        for lam, w, mult in cluster_data
-        if w in kept and abs(lam) <= edge
-    )
-    table = SpectralTable(entries=entries, window=window, grid=n)
-    table.validate()
-    return table
+    kept = _complete_classes(cluster_data, window)
+    kept_winds = sorted({w for _, w, _ in kept})
+    if kept_winds and kept_winds != list(range(kept_winds[0], kept_winds[-1] + 1)):
+        raise SpectralResolutionError(
+            "gap in the run of complete winding classes inside the window; "
+            "increase the grid"
+        )
+    entries = tuple(SpectralEntry(*row) for row in kept)
+    return SpectralTable(entries=entries, window=window, grid=n)
 
 
 def _cluster_means(vals: np.ndarray, starts: list[int], ends: list[int]) -> list[float]:

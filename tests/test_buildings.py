@@ -54,6 +54,11 @@ class TestInvariantValidation:
         with pytest.raises(BuildingError, match="distinct orbits"):
             Building(components=comps, breaking_pairs=((("a", 0), ("b", 0)),))
 
+    def test_puncture_sign(self):
+        with pytest.raises(BuildingError) as err:
+            Puncture(0, G)
+        assert str(err.value) == "puncture sign must be +1 or -1, got 0"
+
     def test_breaking_pair_sign_mismatch(self):
         comps = (plain("a", (1, G)), plain("b", (1, G)))
         with pytest.raises(BuildingError, match="positive"):

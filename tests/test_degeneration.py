@@ -401,6 +401,68 @@ class TestTrivialSubbuildingCheck:
         verdict = dg.trivial_subbuilding_check(data)
         assert any(v.code == "IDENTITY_MISMATCH" for v in verdict.violations)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"p": -1}, "p must be >= 0"),
+        ({"s": -2}, "s must be >= 0"),
+        ({"p": 0, "q": 0, "r": 1, "s": 1},
+         "need p + r > 0, q + s > 0 and p + q > 0 (punctures of both signs, at least one "
+         "severed)"),
+        ({"q": 0}, "need p + r > 0, q + s > 0 and p + q > 0 (punctures of both signs, at "
+                   "least one severed)"),
+        ({"m_c": 0}, "multiplicities must be >= 1"),
+        ({"m_e": 0}, "multiplicities must be >= 1"),
+        ({"cover_parity": 2}, "cover_parity must be 0 or 1"),
+    ])
+    def test_boundary_data_guards(self, changes, message):
+        fields = dict(p=1, q=1, r=0, s=0, m_c=1, w_c=0) | changes
+        with pytest.raises(InputError) as err:
+            dg.TrivialBoundaryData(**fields)
+        assert str(err.value) == message
+
+    def test_winding_relation_fails(self):
+        data = dg.TrivialBoundaryData(p=2, q=1, r=0, s=1, m_c=1, w_c=1, m_e=1, w_e=0)
+        verdict = dg.trivial_subbuilding_check(data)
+        assert dg.Violation("WINDING_RELATION", "boundary",
+                            "p*w_c + r*w_e = 2 != 1 = q*w_c + s*w_e") in verdict.violations
+        assert "MULTIPLICITY_RELATION" not in {v.code for v in verdict.violations}
+
+    # each way out of the opposite-signs dichotomy, from the cylindrical data of
+    # test_cylindrical_even_simple
+    @pytest.mark.parametrize("changes", [
+        {"r": 1, "s": 1, "w_e": 1},  # an external end off the severed ones
+        {"simple_even": False},  # m = 1 needs an even simple orbit
+        {"m_c": 2, "m_e": 2},  # m = 2 needs an odd hyperbolic simple orbit
+        {"m_c": 2, "m_e": 2, "simple_even": False, "simple_hyperbolic": False},
+        {"cover_parity": 1},  # the breaking cover must be even
+        {"w_c": 1},  # with the extremal winding
+    ])
+    def test_dichotomy_branches(self, changes):
+        fields = dict(p=1, q=1, r=0, s=0, m_c=1, w_c=0, chi=0, alpha_minus_cover=0,
+                      cover_parity=0, simple_even=True, simple_hyperbolic=True) | changes
+        data = dg.TrivialBoundaryData(**fields)
+        verdict = dg.trivial_subbuilding_check(data)
+        assert not verdict.ok and verdict.branch == "opposite_signs"
+        (dichotomy,) = [v for v in verdict.violations if v.code == "DICHOTOMY"]
+        assert dichotomy.message == (
+            "punctures pair off by sign, so the breaking cover must be a simply covered even "
+            "orbit or a bad double with extremal windings "
+            f"(got m_c={data.m_c}, m_e={data.m_e}, w_c={data.w_c}, w_e={data.w_e}, "
+            f"alpha={data.alpha_minus_cover}, parity={data.cover_parity}, "
+            f"even={data.simple_even}, hyperbolic={data.simple_hyperbolic})")
+
+    def test_not_coprime(self):
+        data = dg.TrivialBoundaryData(p=1, q=0, r=0, s=1, m_c=2, w_c=2, m_e=2, w_e=2)
+        verdict = dg.trivial_subbuilding_check(data)
+        assert verdict.branch == "coprime"
+        assert dg.Violation("NOT_COPRIME", "boundary",
+                            "controlling eigenfunctions must be simply covered: "
+                            "gcd(m_c=2, w_c=2), gcd(m_e=2, w_e=2)") in verdict.violations
+        # the external ends are read only when there are some
+        data = dg.TrivialBoundaryData(p=2, q=1, r=0, s=0, m_c=2, w_c=4)
+        assert dg.Violation("NOT_COPRIME", "boundary",
+                            "controlling eigenfunctions must be simply covered: "
+                            "gcd(m_c=2, w_c=4)") in dg.trivial_subbuilding_check(data).violations
+
     def test_accepts_data_from_actual_subbuildings(self, cat, figure3):
         for ids in maximal_trivial_subbuildings(figure3):
             sub, induced = subbuilding(figure3, ids)
@@ -451,6 +513,11 @@ class TestConstantSubbuildingBound:
         verdict = dg.constant_subbuilding_bound(0, 1, [-1])
         assert verdict.ok
         assert verdict.value == 2
+
+    def test_needs_an_attaching_node(self):
+        with pytest.raises(InputError) as err:
+            dg.constant_subbuilding_bound(2, 0, [-1])
+        assert str(err.value) == "a maximal constant subbuilding has at least one attaching node"
 
 
 def oracle_limits(cat, asymptotics):

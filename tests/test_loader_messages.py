@@ -50,8 +50,9 @@ END = MAIN_BOT + ("punctures", 0)
 NAN = float("nan")
 CAT_ORBITS = json.loads((FIXTURES / CAT).read_text())["orbits"]
 TAB_ORBITS = json.loads((FIXTURES / TAB).read_text())["orbits"]
+TAB_COVER = TAB_ORBITS[0]["model"]["covers"]["1"]
 #: cover 1 of the table fixture without its winding-1 class
-GAP = [row for row in TAB_ORBITS[0]["model"]["covers"]["1"] if row[1] != 1]
+GAP = [row for row in TAB_COVER if row[1] != 1]
 #: a table-mode orbit whose cover 1 is even: winding 0 has one eigenvalue on
 #: each side of 0
 EVEN_TAB = {"id": "even_tab", "period": 1.0, "model": {"type": "table", "covers": {
@@ -83,6 +84,8 @@ CASES = [
      2, "error: {bad}.orbits[0]: expected an object\n"),
     ("cat-id-missing", CAT, ORBIT + ("id",), DROP,
      2, "error: {bad}.orbits[0].id: required field missing\n"),
+    ("cat-id-empty", CAT, ORBIT + ("id",), "",
+     2, "error: {bad}.orbits[0]: orbit id must be nonempty\n"),
     ("cat-id-integer", CAT, ORBIT + ("id",), 3,
      2, "error: {bad}.orbits[0].id: expected a string\n"),
     ("cat-period-string", CAT, ORBIT + ("period",), "1",
@@ -131,6 +134,12 @@ CASES = [
     ("tab-winding-gap", TAB, COVER, GAP,
      2, "error: {bad}.orbits[0].model.covers['1']: no eigenvalue has winding 1"
         " between windings -2 and 2; the kept windings must be one run\n"),
+    ("tab-winding-decreasing", TAB, COVER,
+     [[lam, -w, mult] for lam, w, mult in TAB_COVER],
+     2, "error: {bad}.orbits[0].model.covers['1']: winding not nondecreasing in the"
+        " eigenvalue\n"),
+    ("tab-multiplicity-zero", TAB, COVER + (0, 2), 0,
+     2, "error: {bad}.orbits[0].model.covers['1']: nonpositive multiplicity\n"),
     # the audit of the whole catalog
     ("tab-even-unflagged", TAB, ("orbits",), TAB_ORBITS + [EVEN_TAB],
      2, "error: {bad}: orbit 'even_tab' is table-mode without a 'hyperbolic' flag\n"),

@@ -263,6 +263,54 @@ class TestCatalogAudit:
                 )
 
 
+class TestGuards:
+    """The refusals of orbit and catalog arguments, each with its exact message."""
+
+    @staticmethod
+    def message(cls, call) -> str:
+        with pytest.raises(cls) as err:
+            call()
+        assert type(err.value) is cls
+        return str(err.value)
+
+    def test_simple_orbit_arguments(self):
+        loop = rotation_loop(math.pi / 2)
+        table = spectral.SpectralTable(entries=(), window=1.0, grid=0)
+        assert self.message(CatalogError, lambda: SimpleOrbit("o", 0.0, loop)) == (
+            "orbit o: period must be positive")
+        assert self.message(CatalogError, lambda: SimpleOrbit("o", -1.0, loop)) == (
+            "orbit o: period must be positive")
+        for model in ({}, [table], None):
+            assert self.message(CatalogError, lambda: SimpleOrbit("o", 1.0, model)) == (
+                "orbit o: model must be a FlowLoop or a cover->table map")
+        for key in (0, "1", 1.0):
+            assert self.message(CatalogError, lambda: SimpleOrbit("o", 1.0, {key: table})) == (
+                f"orbit o: bad table model entry for cover {key!r}")
+        assert self.message(CatalogError, lambda: SimpleOrbit("o", 1.0, {1: [1.0, 0, 2]})) == (
+            "orbit o: bad table model entry for cover 1")
+        unsorted = table._replace(entries=(spectral.SpectralEntry(1.0, 0, 1),
+                                           spectral.SpectralEntry(-1.0, 0, 1)))
+        assert self.message(SpectralResolutionError,
+                            lambda: SimpleOrbit("o", 1.0, {1: unsorted})) == (
+            "entries not sorted by eigenvalue")
+
+    def test_spectrum_window(self, demo_catalog, table_catalog):
+        for catalog, orbit in ((demo_catalog, "rot_p"), (table_catalog, "rot_tab")):
+            for window in (0.0, -1.0, math.nan, math.inf):
+                assert self.message(
+                    CatalogError, lambda: catalog.spectrum_of(OrbitRef(orbit), window)) == (
+                    f"window must be finite and positive, got {window}")
+
+    def test_crossing_route_of_a_table_orbit(self, table_catalog):
+        assert self.message(
+            CatalogError, lambda: table_catalog.cz_via_crossing(OrbitRef("rot_tab"))) == (
+            "orbit 'rot_tab' has no flow model")
+
+    def test_simply_covered_needs_a_cover(self):
+        assert self.message(ValueError, lambda: is_simply_covered_eigenfunction(0, 1)) == (
+            "cover must be >= 1, got 0")
+
+
 class ShortCatalog(Catalog):
     """A catalog whose tables below window `reach` keep no eigenvalue, as if
     its solver resolved nothing short of that window; `windows` records the

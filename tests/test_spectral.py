@@ -48,6 +48,14 @@ def table_as_tuples(table, ndigits=9):
 
 
 class TestFlowLoop:
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError) as err:
+            FlowLoop(np.zeros((3, 2)))
+        assert str(err.value) == "expected samples of shape (n, 2, 2), got (3, 2)"
+        with pytest.raises(ValueError) as err:
+            FlowLoop.from_triples([[1.0, 0.0]] * 3)
+        assert str(err.value) == "expected rows [s11, s12, s22], got shape (3, 2)"
+
     def test_rejects_even_sample_count(self):
         with pytest.raises(ValueError, match="odd"):
             FlowLoop(np.zeros((4, 2, 2)))
@@ -428,6 +436,100 @@ class TestClip:
             table = spectral.SpectralTable(entries=rows, window=2 * window, grid=33)
             assert table.clip(window).entries == rows
             assert table.clip(0.999 * window).entries == ()
+
+
+class TestTableGuards:
+    """The refusals of a table's queries, each with its exact message."""
+
+    TABLE = spectral.SpectralTable(
+        entries=(spectral.SpectralEntry(-2.0, 0, 2), spectral.SpectralEntry(3.0, 1, 2)),
+        window=5.0, grid=33)
+
+    def test_a_clip_past_the_window(self):
+        with pytest.raises(SpectralResolutionError) as err:
+            self.TABLE.clip(6.0)
+        assert str(err.value) == "requested window 6.0 exceeds trusted window 5.0"
+
+    def test_an_alpha_with_nothing_on_its_side(self):
+        with pytest.raises(SpectralResolutionError) as err:
+            self.TABLE.alpha_minus(-4.0)
+        assert str(err.value) == "no eigenvalue below threshold -4.0 in window 5.0"
+        with pytest.raises(SpectralResolutionError) as err:
+            self.TABLE.alpha_plus(4.0)
+        assert str(err.value) == "no eigenvalue above threshold 4.0 in window 5.0"
+
+    def test_an_even_grid(self):
+        with pytest.raises(ValueError) as err:
+            spectrum_from_loop(rotation_loop(math.pi / 2), 10.0, 40)
+        assert str(err.value) == "grid must be odd and >= 3, got 40"
+
+
+class TestAuditRefusals:
+    """Each refusal of _audited_table on a hand-built scan: cover 1, so every
+    winding fits block 0; eigenfunctions (cos 2 pi w s, sin 2 pi w s) of chosen
+    windings w on 33 points; strength 0.5, so window 5 scans |lambda| <= 14."""
+
+    WINDOW = 5.0
+
+    @staticmethod
+    def audit(rows, window=WINDOW):
+        vals = np.array([lam for lam, _ in rows])
+        winds = np.array([w for _, w in rows])
+        m = 33
+        s = np.arange(m) / m
+
+        def points(idx):
+            angle = 2 * math.pi * winds[idx][:, None] * s
+            return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
+
+        read = (np.empty(len(rows)), np.full(len(rows), -1))
+        return spectral._audited_table(vals, np.zeros(len(rows), dtype=int), points, 1,
+                                       window, 0.5, m, read)
+
+    def refusal(self, rows) -> str:
+        with pytest.raises(SpectralResolutionError) as err:
+            self.audit(rows)
+        return str(err.value)
+
+    def test_a_well_formed_scan(self):
+        table = self.audit([(-2.0, 0), (-1.0, 0), (1.0, 1), (2.0, 1), (6.0, 2)])
+        assert table == spectral.SpectralTable(
+            entries=(spectral.SpectralEntry(-2.0, 0, 1), spectral.SpectralEntry(-1.0, 0, 1),
+                     spectral.SpectralEntry(1.0, 1, 1), spectral.SpectralEntry(2.0, 1, 1)),
+            window=self.WINDOW, grid=33)
+
+    def test_a_cluster_that_mixes_windings(self):
+        assert self.refusal([(1.0, 0), (1.0 + 1e-9, 1)]) == (
+            "eigenvalue cluster at 1 mixes windings [0, 1]; increase the grid")
+        # beyond the window's edge the mixed cluster is dropped
+        table = self.audit([(-1.0, 0), (1.0, 0), (6.0, 1), (6.0 + 1e-9, 2)])
+        assert table_as_tuples(table) == [(-1.0, 0, 1), (1.0, 0, 1)]
+
+    def test_a_winding_that_decreases(self):
+        assert self.refusal([(-2.0, 1), (-1.0, 1), (1.0, 0), (2.0, 0)]) == (
+            "winding is not nondecreasing across the window; increase the grid")
+        table = self.audit([(-1.0, 0), (1.0, 0), (6.0, 2), (6.5, 2), (7.0, 1), (7.5, 1)])
+        assert table_as_tuples(table) == [(-1.0, 0, 1), (1.0, 0, 1)]
+
+    def test_a_winding_that_decreases_on_a_rough_loop(self):
+        a = 20 * np.random.default_rng(2).standard_normal((33, 2, 2))
+        loop = FlowLoop((a + np.transpose(a, (0, 2, 1))) / 2)
+        with pytest.raises(SpectralResolutionError) as err:
+            spectrum_from_loop(loop, 40.0, 81, cover=2)
+        assert str(err.value) == "winding is not nondecreasing across the window; increase the grid"
+
+    def test_a_winding_with_three_eigenvalues(self):
+        assert self.refusal([(-1.0, 0), (1.0, 0), (2.0, 0)]) == (
+            "winding classes [0] carry more than two eigenvalues; increase the grid")
+        # refused anywhere in the scan, also beyond the window's edge
+        assert self.refusal([(-1.0, 0), (1.0, 0), (6.0, 1), (7.0, 1), (8.0, 1)]) == (
+            "winding classes [1] carry more than two eigenvalues; increase the grid")
+
+    def test_a_gap_in_the_run_of_complete_classes(self):
+        assert self.refusal([(-2.0, 0), (-1.0, 0), (1.0, 2), (2.0, 2)]) == (
+            "gap in the run of complete winding classes inside the window; increase the grid")
+        table = self.audit([(-2.0, 0), (-1.0, 0), (6.0, 2), (7.0, 2)])
+        assert table_as_tuples(table) == [(-2.0, 0, 1), (-1.0, 0, 1)]
 
 
 class TestClusterMeans:

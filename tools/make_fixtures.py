@@ -209,6 +209,15 @@ def oddbreak_building() -> Building:
     )
 
 
+def plane_building() -> Building:
+    """One nicely embedded index-1 plane with its positive end on the odd
+    orbit hyp2: the stable limit is SMOOTH."""
+    end = Puncture(1, OrbitRef("hyp2"), controlling_winding=1)
+    return Building(components=(
+        Component("v", 0, (end,), kind="nontrivial", wind_pi=0, image_class="leaf"),
+    ))
+
+
 def demo_asymptotics() -> dict:
     puncture = {"constraint": 0.0, "orbit": {"k": 1, "simple": "rot_p"}, "sign": "+"}
     return {"format": 1, "punctures": [puncture, dict(puncture)], "rel_c1": 0}
@@ -230,6 +239,7 @@ def payloads() -> dict:
         "building_figure3.json": building_to_data(figure3_building()),
         "building_constrained.json": building_to_data(constrained_building()),
         "building_fig3_oddbreak.json": building_to_data(oddbreak_building()),
+        "building_plane.json": building_to_data(plane_building()),
         "asymptotics_demo.json": demo_asymptotics(),
     }
 

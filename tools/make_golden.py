@@ -85,6 +85,13 @@ def cases() -> list[list[str]]:
         out.append(["spectrum", "--catalog", "fixtures/catalog_demo.json", "--orbit", orbit,
                     "--cover", str(cover), "--window", str(window), "--grid", str(grid),
                     "--json"])
+    # a nicely embedded plane, the one SMOOTH stable limit
+    for command in (["check", "--theorem", "stable"], ["check", "--theorem", "stable", "--json"],
+                    ["validate"], ["index"]):
+        out.append(command + ["--catalog", "fixtures/catalog_fixture.json", "--building",
+                              "fixtures/building_plane.json"])
+    # exit 2: an augment at a site that a breaking pair joins
+    out.append(["surgery", "--building", FIGURE3, "--op", "augment", "--site", "cyl_top:1"])
     return out
 
 
