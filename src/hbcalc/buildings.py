@@ -11,7 +11,10 @@ independent of them.
 
 Buildings are immutable; surgery (disjoint union, adding a node, gluing
 punctures, augmenting by trivial cylinders, collapsing to the core,
-extracting subbuildings) returns new values.
+extracting subbuildings) returns new values.  A component taken on its own
+(breaking pairs severed, nodes dropped) is not a building here: the index
+layer reads it as a `Part` of the building's analysis
+(``hbcalc.index_calculus``), from the component and the rows of its ends.
 """
 
 from __future__ import annotations
@@ -267,8 +270,10 @@ def _reachable(adj: dict[str, set[str]], start: str) -> set[str]:
 
 
 def is_connected(building: Building) -> bool:
+    """Whether the component graph is one piece; a building without
+    components is not connected (it has no surface, hence no genus)."""
     if not building.components:
-        return True
+        return False
     adj = component_graph(building)
     return len(_reachable(adj, building.components[0].id)) == len(adj)
 
@@ -531,20 +536,6 @@ def subbuilding(building: Building, ids: Iterable[str]) -> tuple[Building, dict[
     sub = Building(components=comps, breaking_pairs=pairs, nodal_pairs=nodes)
     induced = {site: sub.puncture(site).constraint for site in sub.external_sites()}
     return sub, induced
-
-
-def detach_component(building: Building, cid: str) -> tuple[Component, dict[Site, float]]:
-    """One component as a standalone finite energy surface: the component and
-    the constraints of its ends, keyed by site in puncture order.
-
-    All breaking pairs touching it are severed (even pairs joining the
-    component to itself) and node decorations are dropped; every puncture
-    becomes external with its stored constraint, which is zero at severed
-    breaking punctures.  This is the decomposition the index and Chern-number
-    additivity formulas sum over.
-    """
-    comp = building.component(cid)
-    return comp, {(cid, i): p.constraint for i, p in enumerate(comp.punctures)}
 
 
 def set_constraints(building: Building, values: dict[Site, float]) -> Building:

@@ -45,9 +45,12 @@ input errors.  A file error cites the file and the JSON path of the field, as
 in ``bad.json.components[2].punctures[0].constraint``; one reader (``_read``)
 checks every field's presence and JSON kind.  An orbit that the catalog lacks
 is cited at the ``orbit`` field of the first puncture that names it, with the
-catalog file.  An error in a flag's value names the flag, as in ``--cover: ...``,
-and one about the building as a whole (it has no core, or is not connected for
-the stable check) cites the building file.
+catalog file, and a controlling winding that ``validate`` or ``check`` needs
+at the ``controlling_winding`` field of the first puncture that lacks it.  An
+error in a flag's value names the flag, as in ``--cover: ...``, and one about
+the building as a whole (it has no core, or is not connected for the stable
+check; a building without components is not connected) cites the building
+file.
 JSON output is byte-stable for fixed inputs (sorted keys, sorted lists, and
 computed eigenvalues rounded to 12 significant digits).
 
@@ -81,7 +84,7 @@ from .buildings import (
     glue_punctures,
 )
 from .errors import BuildingError, CatalogError, HbcalcError, InputError, OutputBudgetError
-from .errors import UnknownOrbitError
+from .errors import IncompleteInputError, UnknownOrbitError
 
 # Each subcommand imports the modules it runs where it runs them: `surgery`
 # needs only buildings (no numpy), `spectrum` no index or degeneration layer.
@@ -529,13 +532,20 @@ def _cmd_spectrum(args) -> int:
 @contextlib.contextmanager
 def _building_inputs(args):
     """The catalog and the building that `args` name, loaded; an orbit that the
-    catalog lacks is cited in the building file within."""
+    catalog lacks, or a controlling winding that a check needs and the file
+    omits (the first such puncture), is cited in the building file within."""
     catalog = load_catalog(args.catalog)
     building = load_building(args.building)
     at = (args.building, "components")
     with _citing_orbits(args.catalog, (((at, i), c.punctures)
                                        for i, c in enumerate(building.components))):
-        yield catalog, building
+        try:
+            yield catalog, building
+        except IncompleteInputError as exc:
+            cid, j = exc.sites[0]
+            i = [c.id for c in building.components].index(cid)
+            raise InputError(f"{_path((((at, i), 'punctures'), j), 'controlling_winding')}: "
+                             f"{exc}") from exc
 
 
 def _cmd_index(args) -> int:

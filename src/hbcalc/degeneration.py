@@ -7,7 +7,11 @@ scripted against.  Genuinely missing or self-contradictory input data still
 raises.  Violations, verdicts, `Asymptotics` and `LimitType` are immutable
 NamedTuples of their values; `TrivialBoundaryData` checks its fields when it
 is built, and stays a frozen dataclass.  Every check reads each end under the
-constraint stored on its puncture (see ``hbcalc.index_calculus``).
+constraint stored on its puncture (see ``hbcalc.index_calculus``).  The
+checks read one building through its `Analysis`, which also holds the sorted
+nice-building violations once they are found: the stable-limit verdict
+extends the nice verdict of the same building, so `validate_nice` and
+`classify_stable_limit` run the nice-building checks once between them.
 
 Violation codes
 ---------------
@@ -83,8 +87,19 @@ def validate_nice(catalog: Catalog, building: Building) -> NiceVerdict:
     """Check the combinatorially decidable conditions for a nicely embedded
     building; geometric claims (distinct image classes do not intersect) are
     recorded assumptions, not verified."""
-    violations = _sorted_violations(_nice_checks(catalog, _analysis(catalog, building)))
+    violations = _nice_violations(catalog, _analysis(catalog, building))
     return NiceVerdict(ok=not violations, violations=violations)
+
+
+def _nice_violations(catalog: Catalog, record: Analysis) -> tuple[Violation, ...]:
+    """The sorted nice-building violations of the analysed building: checked
+    when first asked for and then held on the analysis, so that
+    `validate_nice` and `classify_stable_limit` on one building run the checks
+    once between them.  Nothing is held when a check raises, so a failing
+    building fails again, at the same point, when it is asked again."""
+    if record.nice is None:
+        record.nice = _sorted_violations(_nice_checks(catalog, record))
+    return record.nice
 
 
 def _nice_checks(catalog: Catalog, record: Analysis) -> list[Violation]:
@@ -263,12 +278,14 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
     component has induced index >= 1), the total-index gate ind in {1, 2},
     and for a two-component core the broken-pair structure conditions.  All
     violations are collected; the verdict kind is set only when everything
-    passes.
+    passes.  The core is taken only when the index is 1 or 2; without one
+    (the index is out of range or the building has no core) the kind stays
+    unset.
     """
     record = _analysis(catalog, building)
     if record.genus is None:
         raise BuildingError("stable-limit classification needs a connected building")
-    violations = _nice_checks(catalog, record)
+    violations = list(_nice_violations(catalog, record))
 
     for comp in building.components:
         if comp.kind != "nontrivial":
@@ -285,6 +302,7 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
             )
 
     ind = fredholm_index(catalog, building)
+    collapsed = None
     if ind not in (1, 2):
         violations.append(
             Violation(
@@ -293,23 +311,14 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
                 f"total constrained index {ind} is not 1 or 2",
             )
         )
-        return StableLimitVerdict(kind=None, violations=_sorted_violations(violations), index=ind)
+    else:
+        try:
+            collapsed = core(building)
+        except NoCoreError as exc:
+            violations.append(Violation("CORE_COMPONENTS", "building", str(exc)))
+    ncore = 0 if collapsed is None else len(collapsed.components)
 
-    try:
-        collapsed = core(building)
-    except NoCoreError as exc:
-        violations.append(Violation("CORE_COMPONENTS", "building", str(exc)))
-        return StableLimitVerdict(
-            kind=None, violations=_sorted_violations(violations), index=ind
-        )
-    ncore = len(collapsed.components)
-    kind = None
-    breaking: OrbitRef | None = None
-    top_id = bottom_id = None
-
-    if ncore == 1:
-        kind = "SMOOTH"
-    elif ncore == 2:
+    if ncore == 2:
         if ind != 2:
             violations.append(
                 Violation(
@@ -364,14 +373,7 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
                     "are required for generic data",
                 )
             )
-        if not violations:
-            kind = "BROKEN_PAIR"
-            pos_site, neg_site = collapsed.breaking_pairs[0]
-            breaking = collapsed.puncture(pos_site).orbit
-            # the side carrying the negative breaking puncture sits above
-            top_id = neg_site[0]
-            bottom_id = pos_site[0]
-    else:
+    elif ncore > 2:
         violations.append(
             Violation(
                 "CORE_COMPONENTS",
@@ -381,9 +383,16 @@ def classify_stable_limit(catalog: Catalog, building: Building) -> StableLimitVe
         )
 
     violations_t = _sorted_violations(violations)
-    if violations_t:
-        kind = None
-        breaking = top_id = bottom_id = None
+    kind = breaking = top_id = bottom_id = None
+    if ncore == 1 and not violations_t:
+        kind = "SMOOTH"
+    elif ncore == 2 and not violations_t:
+        kind = "BROKEN_PAIR"
+        pos_site, neg_site = collapsed.breaking_pairs[0]
+        breaking = collapsed.puncture(pos_site).orbit
+        # the side carrying the negative breaking puncture sits above
+        top_id = neg_site[0]
+        bottom_id = pos_site[0]
     return StableLimitVerdict(
         kind=kind,
         violations=violations_t,

@@ -48,11 +48,12 @@ class DegenerateThresholdError(HbcalcError):
 
 
 class IncompleteInputError(HbcalcError):
-    """A check needs optional data that was not supplied."""
+    """A check needs optional data that was not supplied; `sites` are the
+    (component id, puncture index) sites that lack it, in puncture order."""
 
-    def __init__(self, message, fields=()):
+    def __init__(self, message, sites=()):
         super().__init__(message)
-        self.fields = tuple(fields)
+        self.sites = tuple(sites)
 
 
 class InconsistentDataError(HbcalcError):

@@ -25,14 +25,16 @@ arithmetic genus, and hence the displayed identity, needs connectedness.
 
 Every formula is a sum over rows of `ends`, one per puncture with its signed
 cut, CZ index, parity and extremal winding.  What the entry points compute of
-one building is one `Analysis`: its rows, chi, c1, genus, index and c_N, and
-per component a `Part` (from `buildings.detach_component`: the component and
-its end constraints) with that component's rows, induced index, c_N and
-defect.  The building's sums read the rows of its external punctures, and a
-part reads the rows of its component's punctures, the same objects; so each
-end is read once, whichever entry points run.  The catalog keeps the analysis
-of the last building it was asked about, keyed by identity; a building made
-inside a check (the core) is analysed outside that slot.  Each end is read
+one building is one `Analysis`: its rows, chi, c1, genus, index and c_N, per
+component a `Part` (built with the analysis: the component and the rows of
+its punctures) with that component's induced index, c_N and defect, and the
+building's sorted nice-building violations once a check has asked for them
+(`hbcalc.degeneration`).  The building's sums read the rows of its external
+punctures, and a part reads the rows of its component's punctures, the same
+objects; so each end is read once, whichever entry points run.  The catalog
+keeps the analysis of the last building it was asked about, keyed by
+identity; a building made inside a check (the core) is analysed outside that
+slot.  Each end is read
 under the constraint stored on its puncture (zero at a breaking puncture): to
 evaluate a building under other constraints, override them with
 `buildings.set_constraints` first.  The reports (`DefectReport`,
@@ -50,7 +52,6 @@ from .buildings import (
     Component,
     Puncture,
     Site,
-    detach_component,
     euler_char,
     is_connected,
 )
@@ -168,7 +169,7 @@ class Part(_Sums):
         if missing:
             raise IncompleteInputError(
                 f"component {comp.id!r} lacks controlling windings at {missing}",
-                fields=[f"{cid}.punctures[{i}].controlling_winding" for cid, i in missing],
+                sites=missing,
             )
         per = tuple((e.site, abs(e.extremal - p.controlling_winding))
                     for e, p in zip(self.rows, comp.punctures))
@@ -195,11 +196,13 @@ class Analysis(_Sums):
     """What the index layer computes of one building.
 
     `table` holds one row per puncture, keyed by site, `chi` and `c1` are the
-    building's; these are read when the analysis is made, and the rest on
-    first use: `rows` are the external ends, sorted by site, `genus` the
-    arithmetic genus, `index` and `c_n` the building's Fredholm index and
-    normal Chern number, `part(cid)` the `Part` of one component and
-    `reports` the per-component reports.
+    building's, and `part(cid)` is the `Part` of one component, read through
+    the table's rows of its punctures; these are made with the analysis, and
+    the rest on first use: `rows` are the external ends, sorted by site,
+    `genus` the arithmetic genus, `index` and `c_n` the building's Fredholm
+    index and normal Chern number, and `reports` the per-component reports.
+    `nice` holds the sorted nice-building violations once a check has run
+    them without raising, and is None until then.
     """
 
     def __init__(self, catalog: Catalog, building: Building):
@@ -207,7 +210,10 @@ class Analysis(_Sums):
         self.table = ends(catalog, building)
         self.chi = euler_char(building)
         self.c1 = sum(c.rel_c1 for c in building.components)
-        self._parts: dict[str, Part] = {}
+        self._parts = {comp.id: Part(comp, [self.table[(comp.id, i)]
+                                            for i in range(len(comp.punctures))])
+                       for comp in building.components}
+        self.nice = None
 
     @cached_property
     def rows(self) -> list[End]:
@@ -220,11 +226,7 @@ class Analysis(_Sums):
 
     def part(self, cid: str) -> Part:
         """Component `cid` on its own, read through the building's rows."""
-        part = self._parts.get(cid)
-        if part is None:
-            comp, constraints = detach_component(self.building, cid)
-            part = self._parts[cid] = Part(comp, [self.table[site] for site in constraints])
-        return part
+        return self._parts[cid]
 
     @cached_property
     def reports(self) -> tuple[ComponentReport, ...]:

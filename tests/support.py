@@ -24,7 +24,6 @@ from hbcalc.buildings import (
     Site,
     component_graph,
     core,
-    detach_component,
     euler_char,
     is_connected,
     is_trivial_cylinder,
@@ -747,9 +746,12 @@ def reference_resolve_constraints(building: Building,
 
 
 def detached_piece(building: Building, cid: str) -> tuple[Building, dict[Site, float]]:
-    """One component as a one-component building, with its end constraints."""
-    comp, induced = detach_component(building, cid)
-    return Building(components=(comp,)), induced
+    """One component as a one-component building, with its end constraints:
+    every puncture external, at its stored constraint (zero at a severed
+    breaking puncture)."""
+    comp = building.component(cid)
+    return Building(components=(comp,)), {(cid, i): p.constraint
+                                          for i, p in enumerate(comp.punctures)}
 
 
 def reference_threshold(sign: int, constraint: float) -> float:
@@ -835,7 +837,7 @@ def reference_defect(catalog: Catalog, building: Building, comp_id: str,
     if missing:
         raise IncompleteInputError(
             f"component {comp_id!r} lacks controlling windings at {missing}",
-            fields=[f"{site[0]}.punctures[{site[1]}].controlling_winding" for site in missing],
+            sites=missing,
         )
     per = []
     total = 0

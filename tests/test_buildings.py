@@ -380,6 +380,10 @@ class TestAddNode:
         assert not is_connected(b)
         assert is_connected(add_node(b, "v", "w"))
 
+    def test_empty_building_is_not_connected(self):
+        # no surface, so no genus: index reports none and the stable check refuses it
+        assert not is_connected(Building(components=()))
+
     def test_unknown_component(self):
         b = Building(components=(plain("v", (1, G)),))
         with pytest.raises(BuildingError, match="unknown"):

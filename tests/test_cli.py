@@ -389,6 +389,39 @@ class TestSurgery:
             2, "", f"error: {union_file}: stable-limit classification needs a connected building\n")
 
 
+class TestEmptyBuilding:
+    """A building without components is not connected: `index` shows no
+    genus, the stable check refuses it as disconnected, and it is nicely
+    embedded (it has nothing to violate)."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"format": 1, "components": []}')
+        return str(path)
+
+    def command(self, capsys, empty, *argv):
+        return run(capsys, *argv, "--catalog", str(FIXTURES / "catalog_demo.json"),
+                   "--building", empty)
+
+    def test_index_has_no_genus(self, capsys, empty):
+        code, out, err = self.command(capsys, empty, "index")
+        assert (code, err) == (0, "")
+        assert "genus     = n/a (disconnected)\n" in out
+        code, out, err = self.command(capsys, empty, "index", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["genus"] is None
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_stable_check_cites_the_file(self, capsys, empty, json_flag):
+        code, out, err = self.command(capsys, empty, "check", "--theorem", "stable", *json_flag)
+        assert (code, out, err) == (
+            2, "", f"error: {empty}: stable-limit classification needs a connected building\n")
+
+    def test_validate_is_ok(self, capsys, empty):
+        assert self.command(capsys, empty, "validate") == (0, "nicely embedded: ok\n", "")
+
+
 class TestHumanOutput:
     def test_validate_ok_output(self, capsys):
         code, out, _ = run(

@@ -2,12 +2,10 @@ import itertools
 import json
 import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from hbcalc import buildings
 from hbcalc.buildings import (
     Building,
     Component,
@@ -314,38 +312,73 @@ class TestClassifyStableLimit:
         assert "NON_GENERIC" in codes(verdict)
 
 
-class TestDetachOnce:
-    """``check --theorem stable`` detaches each nontrivial component once for
-    its defect and its induced index together, then each side of a
-    two-component core once for its side index and its even ends."""
+class TestBuiltOnce:
+    """Each component's `Part` is built once per analysis, with the analysis
+    (the core's analysis included), and the nice-building checks run once
+    when `validate_nice` and `classify_stable_limit` read one building."""
 
     @pytest.mark.parametrize("name", ["building_cylinder.json", "building_figure3.json",
                                       "building_fig3_oddbreak.json"])
-    def test_each_component_once_before_core(self, capsys, monkeypatch, name):
-        events = []
-        real_detach, real_core = buildings.detach_component, buildings.core
+    def test_each_part_once_per_analysis(self, cat, monkeypatch, name):
+        built = []  # per analysis: its building and the components of the parts made
+        real_init, real_part = ic.Analysis.__init__, ic.Part
 
-        def detach(building, cid):
-            events.append(cid)
-            return real_detach(building, cid)
+        def init(self, catalog, building):
+            built.append((building, []))
+            real_init(self, catalog, building)
 
-        def core(building):
-            events.append("<core>")
-            return real_core(building)
+        def part(comp, rows):
+            built[-1][1].append(comp.id)
+            return real_part(comp, rows)
 
-        for module in (buildings, ic):
-            monkeypatch.setattr(module, "detach_component", detach)
-        monkeypatch.setattr(dg, "core", core)
-        path = str(FIXTURES / name)
-        code = main(["check", "--theorem", "stable", "--catalog",
-                     str(FIXTURES / "catalog_fixture.json"), "--building", path])
-        assert code in (0, 1), capsys.readouterr().err
-        building = load_building(path)
-        nontrivial = [c.id for c in building.components if c.kind == "nontrivial"]
-        before = events[:events.index("<core>")] if "<core>" in events else events
-        assert sorted(before) == sorted(nontrivial)
-        if name == "building_figure3.json":
-            assert Counter(events) == {"main_top": 2, "main_bot": 2, "<core>": 1}
+        monkeypatch.setattr(ic.Analysis, "__init__", init)
+        monkeypatch.setattr(ic, "Part", part)
+        building = load_building(str(FIXTURES / name))
+        dg.classify_stable_limit(cat, building)
+        dg.validate_nice(cat, building)
+        ic.index_report(cat, building)
+        ic.verify_additivity(cat, building)
+        assert built[0][0] is building
+        for analysed, ids in built:
+            assert sorted(ids) == sorted(c.id for c in analysed.components)
+        if name == "building_figure3.json":  # the core drops both cylinders
+            assert [sorted(ids) for _, ids in built] == [
+                ["cyl_bot", "cyl_top", "main_bot", "main_top"], ["main_bot", "main_top"]]
+
+    @pytest.fixture
+    def nice_runs(self, monkeypatch):
+        """The analysis of each run of the nice-building checks, in order."""
+        records = []
+        real = dg._nice_checks
+
+        def nice_checks(catalog, record):
+            records.append(record)
+            return real(catalog, record)
+
+        monkeypatch.setattr(dg, "_nice_checks", nice_checks)
+        return records
+
+    @pytest.mark.parametrize("classify_first", [False, True])
+    def test_nice_checks_once_per_building(self, cat, nice_runs, classify_first):
+        building = load_building(str(FIXTURES / "building_fig3_oddbreak.json"))
+        if classify_first:
+            stable = dg.classify_stable_limit(cat, building)
+            nice = dg.validate_nice(cat, building)
+        else:
+            nice = dg.validate_nice(cat, building)
+            stable = dg.classify_stable_limit(cat, building)
+        assert len(nice_runs) == 1 and nice_runs[0].building is building
+        assert nice.violations and set(nice.violations) <= set(stable.violations)
+
+    def test_nothing_held_when_the_checks_raise(self, cat, nice_runs):
+        # no controlling winding at the one end
+        building = Building(components=(Component("v", 0, (Puncture(1, H2),), wind_pi=0),))
+        with pytest.raises(IncompleteInputError):
+            dg.validate_nice(cat, building)
+        assert nice_runs[0].nice is None
+        with pytest.raises(IncompleteInputError):
+            dg.classify_stable_limit(cat, building)
+        assert len(nice_runs) == 2 and nice_runs[1] is nice_runs[0]
 
 
 class TestTrivialSubbuildingCheck:

@@ -138,7 +138,7 @@ class TestDefect:
         comp = Component("v", 0, (Puncture(1, H2),))
         with pytest.raises(IncompleteInputError) as err:
             ic.defect(cat, Building(components=(comp,)), "v")
-        assert "controlling_winding" in err.value.fields[0]
+        assert err.value.sites == (("v", 0),)
 
     def test_trivial_component_not_applicable(self, cat):
         b = Building(components=(tcyl("t", HE),))

@@ -10,6 +10,7 @@ field by field; these cases pin which.
 """
 
 import json
+import re
 
 import pytest
 
@@ -289,3 +290,57 @@ def test_orbit_missing_from_the_catalog(capsys, command, role, fixture, end, orb
     assert (got, captured.out) == (2, "")
     assert captured.err == (f"error: {named}.{end}.orbit: unknown orbit id {orbit!r}"
                             f" (not in catalog {catalog})\n")
+
+
+#: figure 3 with no controlling winding on main_bot's two ends
+NO_WINDINGS = json.loads((FIXTURES / FIG3).read_text())
+for _puncture in NO_WINDINGS["components"][2]["punctures"]:
+    del _puncture["controlling_winding"]
+
+
+@pytest.mark.parametrize("command", [["validate"], ["check", "--theorem", "stable"]],
+                         ids=["validate", "check"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_missing_controlling_winding_cites_its_field(capsys, tmp_path, command, json_flag):
+    # the nice checks need main_bot's defect, hence its controlling windings
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(NO_WINDINGS))
+    got = main(command + json_flag + ["--catalog", str(FIXTURES / CAT), "--building", str(bad)])
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (2, "")
+    assert captured.err == (f"error: {bad}.components[2].punctures[0].controlling_winding: "
+                            "component 'main_bot' lacks controlling windings at "
+                            "[('main_bot', 0), ('main_bot', 1)]\n")
+
+
+def test_missing_controlling_winding_leaves_index_without_a_defect(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(NO_WINDINGS))
+    got = main(loader_argv(FIG3, str(bad)))
+    captured = capsys.readouterr()
+    assert (got, captured.err) == (0, "")
+    assert "component main_bot: index=1 c_N=0 defect=n/a wind_pi=ok\n" in captured.out
+
+
+#: a flow orbit whose monodromy trace is within 1e-9 of 2, too close to call
+#: its type
+BORDERLINE = {"id": "x", "period": 1.0,
+              "model": {"type": "flow", "samples": [[1e-5, 0.0, -1e-5]] * 33}}
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--orbit", "x", "--window", "10"],
+    ["index", "--building", str(FIXTURES / FIG3)],
+    ["validate", "--building", str(FIXTURES / FIG3)],
+    ["check", "--theorem", "stable", "--building", str(FIXTURES / FIG3)],
+    ["enumerate", "--asymptotics", str(FIXTURES / ASY)],
+], ids=["spectrum", "index", "validate", "check", "enumerate"])
+def test_borderline_monodromy_trace_is_refused(capsys, tmp_path, command):
+    # the load audit asks each flow orbit's type before any command runs
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format": 1, "orbits": [BORDERLINE]}))
+    got = main(command[:1] + ["--catalog", str(bad)] + command[1:])
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (2, "")
+    assert re.fullmatch(re.escape(f"error: {bad}: orbit 'x' has borderline monodromy trace ")
+                        + r"2\.0+\d*\n", captured.err), captured.err

@@ -24,7 +24,10 @@ pair the other checkout and this one run the same workload in alternating
 order.  Its output has another layout, so it needs --out: it never takes a
 BENCH_<n>.json name.  For each end-to-end metric it keeps every pair, both
 medians, the other checkout's quartile spread and the relative change of the
-median against the bound BENCHMARK.json sets.
+median against the bound BENCHMARK.json sets.  It also keeps the length of
+each checkout's path (under "path_length"), and warns on stderr when the two
+differ: cover_spectra's peak_rss_mb moves by up to 0.5 MB with that length,
+so pairs are compared at paths of one length.
 
 Cold numbers depend on bytecode: a 10 s cli_cold run at seed 0 on a 2-core
 x86-64 Linux box read 4.56 ops/s with PYTHONDONTWRITEBYTECODE=1 and no
@@ -129,6 +132,10 @@ def quartile_spread(values: list) -> float:
 
 def pair_runs(other: pathlib.Path, workloads, bounds: dict) -> dict:
     checkouts = {"other": other, "this": ROOT}
+    path_length = {side: len(str(path)) for side, path in checkouts.items()}
+    if path_length["other"] != path_length["this"]:
+        print(f"warning: checkout paths differ in length ({path_length['other']} and "
+              f"{path_length['this']}); peak_rss_mb moves with it", file=sys.stderr)
     pyc_at_start = {side: has_pyc(path) for side, path in checkouts.items()}
     out = {}
     for workload in workloads:
@@ -154,7 +161,7 @@ def pair_runs(other: pathlib.Path, workloads, bounds: dict) -> dict:
         out[workload] = {"metrics": metrics, "pairs": rows}
     state = {side: bytecode(path, pyc_at_start[side]) for side, path in checkouts.items()}
     return {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS, "bytecode": state,
-            "workloads": out}
+            "path_length": path_length, "workloads": out}
 
 
 def next_bench_path() -> pathlib.Path:
