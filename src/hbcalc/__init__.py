@@ -20,9 +20,7 @@ _SPECTRAL = (
     "FlowLoop",
     "SpectralEntry",
     "SpectralTable",
-    "build_operator",
     "cz_crossing",
-    "fourier_diff_matrix",
     "spectrum_from_loop",
 )
 

@@ -12,52 +12,86 @@ loop  S_k(t) = k S(kt mod 1),  under which an eigenfunction e(t) with
 eigenvalue lambda lifts to e(kt) with eigenvalue k*lambda and k times the
 winding.
 
-Discretization is Fourier spectral collocation on a uniform grid with an
-odd number of points: the differentiation matrix is then exactly
-antisymmetric, so the discretized operator is exactly symmetric and each of
-its Bloch blocks (below) is solved by a dense Hermitian or real symmetric
-solver.  Eigenvector winding numbers are read off directly from the discrete
-loops, guarded against under-resolution; a table reads its scanned
-eigenfunctions in batches of at most WINDING_BATCH_POINTS loop points
-(_windings takes a (B, n, 2) array and returns each loop's total turns and a
-0/1 fault).
-
 Between its samples S is read as their trigonometric interpolant (Trefethen,
-Spectral Methods in MATLAB, 2000, ch. 3), and _uniform_values is its one
-evaluation: a DFT of the samples gives its Fourier coefficients, and its
-values at m uniform points are sums of them against two small root-of-unity
-tables, exact for every m, with no dense kernel and no numpy.fft.  It samples
-the base grid of the Bloch blocks (FlowLoop.resample) and the RK4 half grid.
+Spectral Methods in MATLAB, 2000, ch. 3), a trigonometric polynomial of degree
+d <= (n - 1) / 2 with coefficients S^_h, S^_-h the conjugate of S^_h.
+_coefficients is their DFT of the samples and _uniform_values sums them at m
+uniform points, exact for every m; both are sums against small root-of-unity
+tables (_root_sums), with no dense kernel and no numpy.fft.
 
 Every solve of spectrum_from_loop(loop, window, grid, cover=k) splits the
 k-fold cover into Floquet-Bloch blocks.  The cover operator commutes with the
 deck shift t -> t + 1/k, so with s = kt every eigenfunction is
 u(s) = exp(2 pi i j s/k) w(s) with w 1-periodic (Kuchment, Floquet Theory for
-Partial Differential Equations, 1993).  Block j is the Hermitian matrix
+Partial Differential Equations, 1993), and its eigenvalue is k times one of
+block j, the operator -J0 d/ds - S on such u.  In the Fourier basis
+exp(2 pi i nu s) e_c, nu = f + j/k, block j is the Hermitian matrix with
+-2 pi i nu J0 on the diagonal and -S^_(f - g) in block (f, g), and it is
+solved on the modes |f| <= F (Fourier-Galerkin; Boyd, Chebyshev and Fourier
+Spectral Methods, 2001).  Blocks j and k - j are complex conjugates, so blocks
+0..k//2 are solved.  Blocks 0 and k/2 are real: each is solved as a real
+symmetric matrix in the basis sqrt(2) cos(2 pi nu s) e_c, sqrt(2)
+sin(2 pi nu s) e_c over 0 <= nu <= F (block 0, with the constant for nu = 0)
+or 1/2 <= nu <= F - 1/2 (block k/2), of dimension 2 (2F + 1) and 4F.  Blocks
+0 < j < k/2 have one dimension, 2 (2F + 1), and are solved by one stacked
+eigh.  The real eigenfunctions are w(kt) for j = 0, the real and imaginary
+parts of exp(2 pi i j t) w(kt) for 0 < j < k/2 (one eigenvalue of
+multiplicity two), and for j = k/2 the block's real antiperiodic function,
+which changes sign from one period of the cover to the next.  The block index
+is a free cross-check: the winding of a block-j eigenfunction is +-j mod k
+(its deck-shift eigenvalues are exp(+-2 pi i j / k)), and any other winding
+inside the window raises SpectralResolutionError.
 
-    build_operator(loop.resample(m)) - (2 pi j / k) (I_m (x) i J0)
+The residual.  S has degree d, so A maps the kept modes into |f| <= F + d,
+and the continuous residual r = ||A u - lambda u|| of a computed pair, u a
+unit trigonometric polynomial, is exactly the norm of its coupling into the d
+modes on each side just outside the truncation (the rows of the block there),
+times k in cover units.  It puts lambda within r of the spectrum
+(Krylov-Bogoliubov), and within r^2 / gap given a gap (Kato-Temple).
 
-on the base grid of m = next_odd(ceil(n / k)) points, where n is the requested
-grid (by default the grid heuristic), and its eigenvalues times k are
-eigenvalues of the cover.  For k = 1 this is the one dense symmetric solve on
-m = n points.  Blocks j and k - j are complex conjugates, so blocks 0..k//2
-are solved, and two of them are real: block 0, and for even k block k/2, the
-antiperiodic operator, which is solved as a deflated real block of dimension
-2m - 2 (_antiperiodic_eigenpairs): the alternating mode of the base grid, whose
-pair of eigenvalues lies beyond every scan of a default grid, is dropped, so an
-even cover has 2km - 2 eigenvalues and an odd one 2km.  On the k*m-point cover
-grid the real eigenfunctions are w(kt) for j = 0, the real and imaginary parts
-of exp(2 pi i j t) w(kt) for 0 < j < k/2 (one eigenvalue of multiplicity two),
-and for j = k/2 the block's real eigenvector repeated with alternating signs
-over the k periods, and the windings, clustering and audit read them there.
-The block index is a free cross-check: the winding of a block-j eigenfunction
-is +-j mod k (its deck-shift eigenvalues are exp(+-2 pi i j / k)), and any
-other winding inside the window raises SpectralResolutionError.  A table
-(SpectralTable, an immutable NamedTuple of SpectralEntry rows) reports the grid
-n it was asked for, which is k*m or less, or 0 for a stored table that no solve
-produced; a grid n <= k leaves m < 3 and is refused.
-The tests keep the dense solve of the cover loop sampled on n points as the
-oracle of this route.
+The size rule.  A table audits the scan |lambda| <= window + 2 k s + 8, s the
+loop's strength.  Its solve starts at F0 = ceil((scan + k s) / (2 pi k)) + 1
+and doubles F while a scanned pair's residual exceeds
+RESIDUAL_TOL * max(1, window), up to the cap F = (m - 1) / 2, where the solve
+is accepted as it stands; no certificate refuses it there.  RESIDUAL_TOL is
+1e-10.  Below it is the rounding floor: the eigenvectors' entries on the top
+modes carry rounding of about 1e-16 ||A|| / gap, which the coupling (at most
+k s) carries into r, about 1e-16 * 10^3 * 50 = 5e-12 at the largest scans
+solved (||A|| about 2 pi k F, k s about 50); on the fixture loops and
+perfbench's models, at covers 1-16 and windows 10-100, the largest scanned
+residual of a table is 2e-16 to 3e-14 at F0.  Above it is the clustering
+tolerance CLUSTER_TOL * max(1, window), a thousand times RESIDUAL_TOL's: a
+pair within the tolerance is within a thousandth of the clustering tolerance
+of the spectrum, so the truncation decides no cluster, class or cut side.
+
+Completeness at F0.  An eigenfunction of the cover whose eigenvalue lambda
+lies in the scan has winding w with |2 pi w - lambda| <= k s: along
+A - tau k S(k.), tau from 0 to 1, eigenvalues move by at most k s and an
+eigenfunction never vanishes (it solves a linear ODE), so it keeps the
+winding w of its mode exp(2 pi i w t) at tau = 0 (HWZ II, below).  So
+|w| / k <= (scan + k s) / (2 pi k) <= F0 - 1, and the mode nu = w / k lies in
+its block's truncation with at least half a mode to spare: every block keeps
+|nu| <= F - 1/2.  The modes outside it sit at least
+2 pi k (F0 + 1/2) - scan >= k s + 3 pi k from lambda, so they hold at most
+the fraction e = s / (s + 3 pi) of the eigenfunction, and its part on the
+kept modes is a trial vector of the block with residual at most
+k s e / sqrt(1 - e^2): the block has an eigenvalue that close to lambda, and
+none of the scan is missing at F0.  Each pair the block returns is in turn
+within its own residual of the spectrum.  Item 7(a) of ROADMAP.md would
+certify both directions; here they are the argument, not a check.
+
+The grid.  The grid n of a table (requested, or the grid heuristic) no longer
+sizes the eigenproblem.  It sets the base grid m = next_odd(ceil(n / k)),
+whose (m - 1) / 2 caps F, and the k*m points of the cover grid t = i / (k m)
+on which the windings are read: w(s) = sum_f v_f exp(2 pi i f s) is evaluated
+at s = p / m and tiled over the k periods, where the windings, clustering and
+audit read the eigenfunctions.  A table (SpectralTable, an immutable
+NamedTuple of SpectralEntry rows) reports n, or 0 for a stored table that no
+solve produced; a grid n <= k leaves m < 3 and is refused.  The tests keep
+dense collocation of the cover loop on n points as the oracle of this route.
+A table reads its scanned eigenfunctions in batches of at most
+WINDING_BATCH_POINTS loop points (_windings takes a (B, n, 2) array and
+returns each loop's total turns and a 0/1 fault).
 
 Inside a window the winding is monotone in the eigenvalue and each winding
 carries exactly two eigenvalues (Hofer, Wysocki and Zehnder, Properties of
@@ -67,10 +101,9 @@ the winding classes that are complete there; _complete_classes is that one
 rule, and SpectralTable.clip applies it to a narrower window.
 
 A caller may keep the last solve in a one-slot list (spectrum_from_loop's
-`held`): the catalog keeps its last solve and audits it again for each
-window whose grid has the same base grid m (wider windows move the grid n in
-steps smaller than k, which often keep m), reading windings only for
-eigenfunctions that the wider scan adds, so the table is the one a fresh solve
+`held`): a request whose size rule reaches a solve of the same loop object,
+cover, base grid m and F audits that solve again, reading windings only for
+eigenfunctions that its wider scan adds, so the table is the one a fresh solve
 gives, bit for bit, and reports its own grid.
 
 An independent route to the Conley-Zehnder index integrates the linearized
@@ -125,13 +158,21 @@ SYMMETRY_TOL = 1e-12
 #: classes: well below the pi-scale gaps of nondegenerate model orbits,
 #: well above symmetric-eigensolver noise.
 CLUSTER_TOL = 1e-7
+#: Largest continuous residual ||A v - lambda v|| of a scanned eigenpair,
+#: relative to max(1, window), before its Galerkin blocks grow (module docstring).
+RESIDUAL_TOL = 1e-10
 #: A pre-rounding winding must be within this distance of an integer.
 WINDING_GUARD = 0.1
 #: Maximum allowed per-step angle when reading a winding off a discrete loop.
 MAX_STEP_ANGLE = math.pi / 2
-#: Resource budget, checked before anything of that size is allocated: rows of
-#: the dense operator (2 * grid; 4096 rows are 128 MiB of float64) and RK4 steps
-#: of one linearized-flow integration (cover * steps per period).
+#: Resource budget, checked before anything of that size is allocated: twice
+#: the grid, and the RK4 steps of one linearized-flow integration (cover *
+#: steps per period).  The grid bounds a solve's allocations: it caps each
+#: Galerkin block at dimension 2m, m = next_odd(ceil(grid / k)), so the k//2 + 1
+#: blocks hold about grid + 2k rows together, and it sets the k*m points each
+#: scanned eigenfunction is read on.  The bound of 4096 is that of the dense
+#: collocation operator of dimension 2 * grid that an earlier solve built (128
+#: MiB of float64), and its message still names that operator.
 MAX_DENSE_DIM = 4096
 MAX_RK4_STEPS = 2**20
 #: Loop points per batched winding read: bounds the batch's temporaries (about
@@ -205,13 +246,6 @@ class FlowLoop:
         """Max spectral norm over the samples (used for windows and step sizes)."""
         return self._strength
 
-    def resample(self, n: int) -> "FlowLoop":
-        """The trigonometric interpolant of the samples, sampled on n uniform
-        points (_uniform_values)."""
-        if n == self.n:
-            return self
-        return FlowLoop(_uniform_values(self.samples, n))
-
 
 def _root_sums(coef: np.ndarray, m: int, count: int) -> np.ndarray:
     """sum_f coef[f] exp(2 pi i f x / m) at x = 0..count-1, for coef of shape
@@ -230,16 +264,19 @@ def _root_sums(coef: np.ndarray, m: int, count: int) -> np.ndarray:
     return sums.transpose(0, 2, 1).reshape(a * b, -1)[:count]
 
 
+def _coefficients(samples: np.ndarray) -> np.ndarray:
+    """The Fourier coefficients c_f, f = 0..(n - 1) / 2, of the trigonometric
+    interpolant of n uniform samples, one flattened 2x2 matrix a row: a DFT of
+    the samples (_root_sums), so numpy.fft is never imported (it would stay
+    resident).  c_-f is the conjugate of c_f."""
+    n = samples.shape[0]
+    return _root_sums(samples.reshape(n, 4), n, (n + 1) // 2).conj() / n
+
+
 def _uniform_values(samples: np.ndarray, m: int) -> np.ndarray:
     """The trigonometric interpolant of n uniform samples at the m points
-    i / m, exact for every m: the one evaluation of a loop between its samples.
-
-    The interpolant's Fourier coefficients c_f, f <= (n - 1) / 2, are a DFT of
-    the samples; its values are a sum over them.  Both are _root_sums, so
-    numpy.fft is never imported (it would stay resident).
-    """
-    n = samples.shape[0]
-    coef = _root_sums(samples.reshape(n, 4), n, (n + 1) // 2).conj() / n
+    i / m, exact for every m: a sum over its coefficients (_root_sums)."""
+    coef = _coefficients(samples)
     coef[1:] *= 2  # c_f + c_-f = 2 Re c_f on real samples
     return _root_sums(coef, m, m).real.reshape(m, 2, 2)
 
@@ -256,52 +293,12 @@ def _windings(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x, y = pts[..., 0], pts[..., 1]
     norms = np.hypot(x, y)
     zero = np.min(norms, axis=1) <= 1e-13 * np.maximum(1.0, np.max(norms, axis=1))
-    nx = np.concatenate((x[:, 1:], x[:, :1]), axis=1)
-    ny = np.concatenate((y[:, 1:], y[:, :1]), axis=1)
+    nx, ny = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
     steps = np.arctan2(x * ny - y * nx, x * nx + y * ny)
     coarse = np.max(np.abs(steps), axis=1) >= MAX_STEP_ANGLE
     turns = np.sum(steps, axis=1) / (2 * math.pi)
     off = ~(np.abs(turns - np.rint(turns)) <= WINDING_GUARD)
     return turns, (zero | coarse | off).astype(int)
-
-
-def fourier_diff_matrix(n: int) -> np.ndarray:
-    """Spectral differentiation matrix for period-1 loops on an odd grid.
-
-    Exactly antisymmetric; differentiates trigonometric polynomials of
-    degree <= (n - 1) / 2 exactly.  Entry (i, j) depends on i - j alone, so
-    the 2n - 1 distinct values are computed once and row i is the reversed
-    window values[i : i + n].
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"grid must be odd and >= 3, got {n}")
-    diff = np.arange(1 - n, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.pi * (-1.0) ** diff / np.sin(np.pi * diff / n)
-    values[n - 1] = 0.0  # the diagonal
-    return np.lib.stride_tricks.sliding_window_view(values, n)[:, ::-1].copy()
-
-
-def build_operator(loop: FlowLoop) -> np.ndarray:
-    """Discretized asymptotic operator: -D (x) J0 - blockdiag(S(t_j)).
-
-    Both parts are exactly symmetric (D and J0 are both antisymmetric), so
-    the result is symmetric to machine precision; sample vectors stack as
-    (x_0, y_0, x_1, y_1, ...).
-    """
-    n = loop.n
-    d = fourier_diff_matrix(n)
-    a = np.empty((2 * n, 2 * n))
-    # the entries of -kron(D, J0), zeros signed as that product signs them
-    a[0::2, 1::2] = d
-    np.negative(d, out=a[1::2, 0::2])
-    a[0::2, 0::2] = a[1::2, 1::2] = d * -0.0
-    # entry (r, c) of the diagonal block of sample i is flat[i (4n + 2) + 2n r + c]
-    flat = a.reshape(-1)
-    for r in (0, 1):
-        for c in (0, 1):
-            flat[2 * n * r + c :: 4 * n + 2] -= loop.samples[:, r, c]
-    return a
 
 
 class SpectralEntry(NamedTuple):
@@ -429,7 +426,8 @@ def _complete_classes(rows, window: float) -> list:
 
 
 def check_grid_budget(grid: int) -> None:
-    """Reject a grid whose dense operator would exceed MAX_DENSE_DIM rows."""
+    """Reject a grid above MAX_DENSE_DIM / 2: the cap on the Galerkin blocks and
+    the points of the cover grid (MAX_DENSE_DIM)."""
     if 2 * grid > MAX_DENSE_DIM:
         raise SpectralResolutionError(
             f"grid {grid} needs a dense operator of dimension {2 * grid}, above the "
@@ -459,22 +457,24 @@ def spectrum_from_loop(
     """Windowed spectral table of the k-fold cover (k = `cover`) of the
     operator defined by a coefficient loop.
 
-    The cover is solved by its Bloch blocks on the base grid
-    m = next_odd(ceil(n / k)) of the grid n = `grid` (by default the grid
-    heuristic), and the table reports n (module docstring).  The grid budget
-    is checked, and a grid that leaves the cover fewer than 3 points a period
-    refused, before anything is sampled.  The audit trims winding classes that
-    the window cuts at its edges and raises SpectralResolutionError when the
-    interior of the window is not resolved (too-coarse grid, inconsistent
-    windings, gaps in the winding run, a winding off its Bloch block).
+    The cover is solved by its Galerkin Bloch blocks, on F modes a block: F
+    starts at F0 and doubles while a scanned pair's residual is above
+    RESIDUAL_TOL * max(1, window), up to the cap (m - 1) / 2.  Eigenfunctions
+    are read on the k*m points of the cover grid, m = next_odd(ceil(n / k))
+    for the grid n = `grid` (by default the grid heuristic), and the table
+    reports n (module docstring).  The grid budget is checked, and a grid that
+    leaves the cover fewer than 3 points a period refused, before anything is
+    solved.  The audit trims winding classes that the window cuts at its edges
+    and raises SpectralResolutionError when the interior of the window is not
+    resolved (too-coarse grid, inconsistent windings, gaps in the winding run,
+    a winding off its Bloch block).
 
     `held` is an optional one-slot list owned by the caller, [None] or the last
-    solve.  A solve of the same loop object, cover and base grid m is reused,
-    whatever grid the request reports (the solve depends on the grid only
-    through m): only the window's audit runs again, and it reads windings only
-    for eigenfunctions that no earlier window of that solve scanned.  Any
-    other request empties the slot before it solves, so at most one solve is
-    kept.
+    solve.  A solve of the same loop object, cover, m and F is reused: only
+    the window's audit runs again, and it reads windings only for
+    eigenfunctions that no earlier window of that solve scanned.  Any other
+    solve empties the slot first, so at most one solve is kept, and a table
+    does not depend on what was solved before it.
     """
     if not window > 0:
         raise ValueError(f"window must be positive, got {window}")
@@ -489,56 +489,78 @@ def spectrum_from_loop(
         raise SpectralResolutionError(
             f"grid {n} gives cover {cover} fewer than 3 points a period; increase the grid"
         )
+    strength = cover * loop.strength()
+    scan, tol = window + 2.0 * strength + 8.0, RESIDUAL_TOL * max(1.0, window)
+    cap, modes = (m - 1) // 2, (scan + strength) / (2 * math.pi * cover)
+    size = min(cap, math.ceil(modes) + 1) if modes < cap else cap  # F0; an infinite scan caps
     held = [None] if held is None else held
-    solve = held[0]  # read once: another reader may replace it meanwhile
-    if solve is None or solve[0] is not loop or solve[1:3] != (cover, m):
-        held[0] = solve = None  # free the kept solve before making another
-        vals, blocks, points = _bloch_eigenpairs(loop, cover, n)
-        # windings read so far: turns, and 0/1 faults with -1 for "not read"
-        held[0] = solve = (loop, cover, m, (vals, blocks, points),
-                           (np.empty(len(vals)), np.full(len(vals), -1)))
-    return _audited_table(*solve[3], cover, window, cover * loop.strength(), n, solve[4])
+    while True:
+        solve = held[0]  # read once: another reader may replace it meanwhile
+        if solve is None or solve[0] is not loop or solve[1:4] != (cover, m, size):
+            held[0] = solve = None  # free the kept solve before making another
+            pairs = _bloch_eigenpairs(loop, cover, m, size)
+            # windings read so far: turns, and 0/1 faults with -1 for "not read"
+            read = (np.empty(len(pairs[0])), np.full(len(pairs[0]), -1))
+            held[0] = solve = (loop, cover, m, size, pairs, read)
+        vals, residuals = solve[4][0], solve[4][3]
+        if size == cap or np.all(residuals[np.abs(vals) <= scan] <= tol):
+            break
+        size = min(cap, 2 * size)
+    return _audited_table(*solve[4][:3], cover, m, window, scan, n, solve[5])
 
 
 def _base_grid(n: int, k: int) -> int:
     """The points of one period on which the k-fold cover of an n-point grid
-    is solved by Bloch blocks."""
+    reads its eigenfunctions."""
     return next_odd(math.ceil(n / k))
 
 
-def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
-    """Eigenvalues of the k-fold cover, sorted, with their Bloch block and a
-    function taking an index array to the real eigenfunctions of those
-    entries, a (len, k*m, 2) array on the k*m-point cover grid,
-    m = next_odd(ceil(n / k)).  For k = 1 this is the dense solve of
-    build_operator(loop.resample(m)).  An odd cover has 2km eigenvalues; an
-    even one has 2km - 2, since its block k/2 is the deflated real block of
-    _antiperiodic_eigenpairs.
+def _bloch_eigenpairs(loop: FlowLoop, k: int, m: int, size: int):
+    """The Galerkin Bloch blocks of the k-fold cover on F = `size` modes a
+    block (module docstring): (vals, blocks, points, residuals).
+
+    `vals` are the cover's eigenvalues, sorted, `blocks[i]` the Bloch block of
+    entry i, `points(idx)` the real eigenfunctions of the entries `idx` as a
+    (len, k*m, 2) array on the k*m-point cover grid, and `residuals[i]` the
+    continuous residual ||A v - lambda v|| of entry i in cover units: k times
+    the norm of its coupling into the modes just outside its block.  Blocks 0
+    and k/2 are real symmetric, in a cos/sin basis; blocks 0 < j < k/2 have one
+    size and are solved by one stacked eigh.
     """
-    m = _base_grid(n, k)
-    base = build_operator(loop.resample(m))
-    solved = [np.linalg.eigh(base)]  # (eigenvalues, eigenvectors) of blocks 0..k//2
-    parts = [(0, False)]  # (block, imaginary part?) of each run of a block's entries
-    x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
-    for j in range(1, (k + 1) // 2):
-        # base - (2 pi j / k) (I (x) i J0), written into the 2x2 diagonal blocks;
-        # eigh reads the lower triangle only, so the Hermitian upper entries
-        # block[x, y] (the conjugates) are left unwritten
-        block = base.astype(complex)
-        block[y, x] -= (2j * math.pi * j / k)
-        solved.append(np.linalg.eigh(block))
-        # block k - j is the conjugate of block j: one solve, two real parts
-        parts += [(j, False), (j, True)]
+    coef = _coefficients(loop.samples).reshape(-1, 2, 2)
+    d, reach = len(coef) - 1, 2 * size + len(coef)
+    shat = np.zeros((2 * reach + 1, 2, 2), dtype=complex)  # S^_h at index reach + h
+    shat[reach - d : reach + d + 1] = np.concatenate((coef[:0:-1].conj(), coef))
+    # (block, imaginary part?, (vals, vecs, waves, residuals)) of each run of entries
+    parts = [(0, 0, _real_block(shat, reach, size, d, 0, m))]
+    js = np.arange(1, (k + 1) // 2)
+    if len(js):
+        inner, rows = np.arange(-size, size + 1), np.arange(-size - d, size + d + 1)
+        coupling = (-shat[reach + rows[:, None] - inner]).transpose(0, 2, 1, 3)
+        coupling = coupling.reshape(2 * len(rows), 2 * len(inner))
+        dim = 2 * len(inner)
+        a = np.repeat(coupling[None, 2 * d : 2 * d + dim], len(js), axis=0)
+        # -2 pi i nu J0 on the diagonal, nu = f + j / k
+        x, shift = np.arange(0, dim, 2), 2j * math.pi * (inner + js[:, None] / k)
+        a[:, x, x + 1] += shift
+        a[:, x + 1, x] -= shift
+        vals, vecs = np.linalg.eigh(a)
+        outside = np.concatenate((coupling[: 2 * d], coupling[2 * d + dim :]))
+        residuals = np.linalg.norm(outside @ vecs, axis=-2)
+        waves = np.exp((2j * math.pi / m) * np.outer(np.arange(m), inner))
+        for j in js.tolist():
+            # block k - j is the conjugate of block j: one solve, two real parts
+            block = (vals[j - 1], vecs[j - 1], waves, residuals[j - 1])
+            parts += [(j, 0, block), (j, 1, block)]
     if k % 2 == 0:
-        solved.append(_antiperiodic_eigenpairs(base, m))  # overwrites base
-        parts.append((k // 2, False))
-    sizes = [len(solved[j][0]) for j, _ in parts]
-    all_vals = k * np.concatenate([solved[j][0] for j, _ in parts])
+        parts.append((k // 2, 0, _real_block(shat, reach, size, d, 1, m)))
+    sizes = [len(block[0]) for _, _, block in parts]
+    all_vals = k * np.concatenate([block[0] for _, _, block in parts])
     order = np.argsort(all_vals, kind="stable")
-    owner = np.repeat(np.arange(len(parts)), sizes)[order]
-    block_of, imag_of = np.array(parts)[owner].T
-    column = np.concatenate([np.arange(size) for size in sizes])[order]
-    cells = np.arange(k * m)
+    residuals = k * np.concatenate([block[3] for _, _, block in parts])[order]
+    block_of, imag_of = np.repeat([part[:2] for part in parts], sizes, axis=0)[order].T
+    column = np.concatenate([np.arange(count) for count in sizes])[order]
+    solved, values = {j: block for j, _, block in parts}, {}
 
     def points(idx) -> np.ndarray:
         idx = np.asarray(idx, dtype=int)
@@ -546,76 +568,78 @@ def _bloch_eigenpairs(loop: FlowLoop, k: int, n: int):
         for j in set(block_of[idx].tolist()):  # not np.unique, which imports numpy.ma
             sel = np.flatnonzero(block_of[idx] == j)
             entries = idx[sel]
-            w = np.tile(solved[j][1][:, column[entries]].T.reshape(-1, m, 2), (1, k, 1))
+            if j not in values:
+                # all of a block's eigenfunctions on the base grid in one product,
+                # made on first read, so no point depends on the batch it is read in
+                _, vecs, waves, _ = solved[j]
+                values[j] = (waves @ vecs.reshape(waves.shape[1], -1)).reshape(m, 2, -1)
+            w = np.tile(values[j][:, :, column[entries]].transpose(2, 0, 1), (1, k, 1))
             if 2 * j == k:  # antiperiodic: u(p + r m) = (-1)^r u(p)
                 w.reshape(len(sel), k, m, 2)[:, 1::2] *= -1.0
             if 2 * j in (0, k):  # the real blocks
                 out[sel] = w
                 continue
-            v = np.exp((2j * math.pi * j / (k * m)) * cells)[:, None] * w
+            v = np.exp((2j * math.pi * j / (k * m)) * np.arange(k * m))[:, None] * w
             out[sel] = np.where(imag_of[entries, None, None] == 1, v.imag, v.real)
         return out
 
-    return all_vals[order], block_of, points
+    return all_vals[order], block_of, points, residuals
 
 
-def _antiperiodic_eigenpairs(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and real eigenvectors, of length 2m, of Bloch block k/2 of an
-    even cover, from a = build_operator(loop.resample(m)), which is overwritten.
+def _real_block(shat: np.ndarray, reach: int, size: int, d: int, half: int, m: int):
+    """Real Bloch block 0 (half = 0) or k/2 (half = 1) on F = `size` modes:
+    (vals, vecs, waves, residuals), in base units.
 
-    In the basis v(s) = exp(i pi s) w(s) the block is the real antiperiodic
-    operator: each derivative entry (p, q) of a times cos(pi (p - q) / m), plus
-    an imaginary term on the alternating vector n = (-1)^p / sqrt(m) of each
-    plane component alone.  That mode, the grid's Nyquist mode, has no real
-    derivative; its pair of eigenvalues, near +-pi k m on the cover, lies beyond
-    every scan of a default grid n <= k m (pi n >= 5 (window + k s) + 20 pi,
-    above the scan's window + 2 k s + 8, s the loop's strength).  It is deflated:
-    the Householder reflector H = I - 2 h h^T, h ~ n - e_0, of each component
-    takes n to e_0, and point 0 of the reflected matrix is dropped, leaving a
-    real symmetric solve of dimension 2m - 2.  Its eigenvectors are padded with
-    two zeros and reflected back; on the cover grid an eigenfunction is
-    u(p + r m) = (-1)^r u(p).
+    The basis is sqrt(2) cos(2 pi nu s) e_c and sqrt(2) sin(2 pi nu s) e_c
+    over the modes nu = h + half / 2 that the block keeps (0 <= nu <= F for
+    block 0, 1/2 <= nu <= F - 1/2 for block k/2), with the constant e_c for
+    nu = 0 and no sine there.  With D = S^_(nu - mu) and P = S^_(nu + mu), the
+    2x2 blocks of -S are -Re(D + P) (cos row, cos column), Im(P - D) (cos,
+    sin), Im(D + P) (sin, cos) and Re(P - D) (sin, sin), and -J0 d/ds adds
+    -2 pi nu J0 at (cos, sin) and 2 pi nu J0 at (sin, cos) of each mode.  The
+    rows run on over the d modes past the last kept one: those rows are the
+    coupling whose norm is the residual.  `waves` holds the basis functions,
+    without e_c, at the m points p / m.
     """
-    a4 = a.reshape(m, 2, m, 2)
-    cos = np.cos((math.pi / m) * np.arange(1 - m, m))
-    a4 *= np.lib.stride_tricks.sliding_window_view(cos, m)[:, None, ::-1, None]
-    h = (-1.0) ** np.arange(m)
-    h[0] = 1.0 - math.sqrt(m)  # n - e_0, times sqrt(m)
-    h /= math.sqrt(2.0 * m - 2.0 * math.sqrt(m))
-    # H a H = a - U G^T - G U^T with U = h (x) I_2 and G = 2 a U - 2 U (U^T a U),
-    # and g[d, p, c] = G[(p, c), d] (a is symmetric, so U^T a gives a U).  Rows
-    # and columns of point 0 are dropped, so only points p, q >= 1 are updated,
-    # where h_p = +-h_1 alternates: (U G^T)[p, c, q, d] = h_p g[c, q, d] is g
-    # broadcast over every other row point, G U^T the same on the transposed
-    # view, and nothing of a's size is allocated
-    g = (h @ a.reshape(m, -1)).reshape(2, m, 2)
-    g = 2.0 * g - 2.0 * h[:, None] * np.tensordot(g, h, axes=(1, 0))[:, None, :]
-    for view in (a, a.T):
-        for start, hp in ((1, h[1]), (2, h[2])):
-            view.reshape(m, 2, m, 2)[start::2] -= hp * g
-    vals, reduced = np.linalg.eigh(a[2:, 2:])
-    vecs = np.empty((m, 2, 2 * m - 2))
-    vecs[1:] = reduced.reshape(m - 1, 2, -1)
-    proj = 2.0 * np.tensordot(h[1:], vecs[1:], axes=(0, 0))  # 2 U^T (0, 0, reduced)
-    vecs[0] = -h[0] * proj
-    for start, hp in ((1, h[1]), (2, h[2])):
-        vecs[start::2] -= hp * proj
-    return vals, vecs.reshape(2 * m, -1)
+    kept = size + 1 - half
+    inner, rows = np.arange(kept), np.arange(kept + d)
+    diff = shat[reach + rows[:, None] - inner].transpose(0, 2, 1, 3)
+    plus = shat[reach + rows[:, None] + inner + half].transpose(0, 2, 1, 3)
+    # axes: cos or sin row, its mode and component, cos or sin column, its mode
+    # and component
+    a = np.empty((2, kept + d, 2, 2, kept, 2))
+    a[0, :, :, 0], a[0, :, :, 1] = -(diff + plus).real, (plus - diff).imag
+    a[1, :, :, 0], a[1, :, :, 1] = (diff + plus).imag, (plus - diff).real
+    if not half:  # the constant has no sqrt(2)
+        a[0, 0] *= math.sqrt(0.5)
+        a[:, :, :, 0, 0] *= math.sqrt(0.5)
+    nu = 2 * math.pi * (inner + 0.5 * half)
+    a[0, inner, :, 1, inner] -= nu[:, None, None] * J0
+    a[1, inner, :, 0, inner] += nu[:, None, None] * J0
+    # cosines, then sines (without that of nu = 0), of the kept modes
+    keep = np.concatenate((np.arange(2 * kept), np.arange(2 * kept + 2 - 2 * half, 4 * kept)))
+    a = a.reshape(2, kept + d, 2, 4 * kept)[..., keep]
+    vals, vecs = np.linalg.eigh(a[:, :kept].reshape(4 * kept, -1)[keep])
+    residuals = np.linalg.norm(a[:, kept:].reshape(4 * d, -1) @ vecs, axis=0)
+    phase = (2 * math.pi / m) * np.outer(np.arange(m), inner + 0.5 * half)
+    waves = math.sqrt(2.0) * np.hstack((np.cos(phase), np.sin(phase)[:, 1 - half :]))
+    waves[:, 0] /= math.sqrt(2.0) if not half else 1.0  # the constant has no sqrt(2)
+    return vals, vecs, waves, residuals
 
 
-def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
+def _audited_table(vals, blocks, points, k: int, m: int, window: float, scan: float,
                    n: int, read) -> SpectralTable:
     """Read windings off the eigenfunctions, cluster and audit them into a table.
 
     `vals` are sorted eigenvalues, `blocks[i]` the Bloch block of entry i of a
     k-fold cover and `points(idx)` the real eigenfunctions of the entries
-    `idx`; `strength` bounds the coefficient loop and `n` is the reported grid.
+    `idx`, on k*m points each; the audit reads every eigenvalue in
+    [-scan, scan], and `n` is the reported grid.
     `read` is (turns, faults) of every entry, fault 0 or 1 once read and -1
     before; the scan reads the missing ones and fills them in.  The table
     lists the rows that _complete_classes keeps, as SpectralTable.clip does;
     its refusals establish everything SpectralTable.validate checks.
     """
-    scan = window + 2.0 * strength + 8.0
     tol = CLUSTER_TOL * max(1.0, window)
     edge = _edge(window)
 
@@ -624,7 +648,7 @@ def _audited_table(vals, blocks, points, k: int, window: float, strength: float,
     lams = vals[lo:hi].tolist()
     turns, faults = read
     missing = lo + np.flatnonzero(faults[lo:hi] < 0)
-    step = max(1, WINDING_BATCH_POINTS // (k * _base_grid(n, k)))  # k m points a loop
+    step = max(1, WINDING_BATCH_POINTS // (k * m))  # k m points a loop
     for start in range(0, len(missing), step):
         idx = missing[start : start + step]
         turns[idx], faults[idx] = _windings(points(idx))  # faults last: they mark the read

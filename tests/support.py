@@ -57,7 +57,6 @@ from hbcalc.spectral import (
     MAX_STEP_ANGLE,
     WINDING_GUARD,
     FlowLoop,
-    build_operator,
     check_grid_budget,
     default_grid,
     monodromy,
@@ -225,7 +224,7 @@ def dense_value_at(loop: FlowLoop, ts) -> np.ndarray:
 
     Exact whenever the underlying loop is a trigonometric polynomial of
     degree <= (n - 1) / 2.  The oracle for hbcalc.spectral._uniform_values,
-    which FlowLoop.resample and the RK4 half grid use.
+    which samples the RK4 half grid.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     n = loop.n
@@ -244,9 +243,9 @@ def dense_cover(loop: FlowLoop, k: int, grid: int | None = None) -> FlowLoop:
     """Coefficient loop of the k-fold cover, S_k(t) = k S(kt mod 1), sampled
     on `grid` points (by default next_odd(k * loop.n)).
 
-    Its solve on `grid` points is one dense eigenproblem of dimension
-    2 * grid: the oracle for the Bloch blocks of spectrum_from_loop(loop,
-    window, grid, cover=k).
+    Its collocation solve on `grid` points (collocation_table) is one dense
+    eigenproblem of dimension 2 * grid: the oracle for the Bloch blocks of
+    spectrum_from_loop(loop, window, grid, cover=k).
     """
     if k < 1:
         raise ValueError(f"cover must be >= 1, got {k}")
@@ -275,17 +274,17 @@ def eigh_dims():
 
 
 class DenseCoverCatalog(Catalog):
-    """A Catalog that solves every flow cover as one dense problem of
-    dimension 2n: spectrum_from_loop(dense_cover(loop, k, n), window, grid=n)
-    on the grid n that ``Catalog`` uses.  The oracle for the Bloch-block route
-    of ``Catalog``; it keeps no solve."""
+    """A Catalog that solves every flow cover as one dense collocation problem
+    of dimension 2n: collocation_table(dense_cover(loop, k, n), window, n) on
+    the grid n that ``Catalog`` uses.  The oracle for the Galerkin Bloch-block
+    route of ``Catalog``; it keeps no solve."""
 
     def _compute_flow_table(self, orbit, k, window, grid):
         loop = orbit.model
         n = grid or default_grid(loop.n, k, window, loop.strength())
         check_grid_budget(n)  # before sampling: a cover far past the budget has millions of points
         with eigh_dims() as dims:
-            table = spectrum_from_loop(dense_cover(loop, k, n), window, grid=n)
+            table = collocation_table(dense_cover(loop, k, n), window, n)
         assert dims == [2 * n], dims
         if table.min_abs_eigenvalue() <= table.cluster_tol():
             raise CatalogError(f"orbit {orbit.id!r} cover {k} is degenerate (0 is an eigenvalue)")
@@ -389,9 +388,8 @@ def reference_winding(points) -> int:
 
 
 def reference_fourier_diff_matrix(n: int) -> np.ndarray:
-    """The spectral differentiation matrix from all n^2 entries of the formula:
-    the oracle for ``hbcalc.spectral.fourier_diff_matrix``, which must give the
-    same bytes."""
+    """The Fourier spectral differentiation matrix of period-1 loops on an odd
+    grid of n points, from all n^2 entries of the formula."""
     j = np.arange(n)
     diff = j[:, None] - j[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -401,9 +399,9 @@ def reference_fourier_diff_matrix(n: int) -> np.ndarray:
 
 
 def reference_build_operator(loop: FlowLoop) -> np.ndarray:
-    """-D (x) J0 - blockdiag(S(t_j)) as a Kronecker product and one subtraction
-    per sample: the oracle for ``hbcalc.spectral.build_operator``, which must
-    give the same bytes, signed zeros included."""
+    """The Fourier-collocation operator -D (x) J0 - blockdiag(S(t_j)) of the
+    loop on its own samples, as a Kronecker product and one subtraction per
+    sample (sample vectors stack as (x_0, y_0, x_1, y_1, ...))."""
     n = loop.n
     a = -np.kron(reference_fourier_diff_matrix(n), J0)
     for i in range(n):
@@ -411,18 +409,57 @@ def reference_build_operator(loop: FlowLoop) -> np.ndarray:
     return a
 
 
-def reference_antiperiodic_block(loop: FlowLoop, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R, P) for Bloch block k/2 of an even cover, as dense products: R is
-    build_operator(loop.resample(m)) with each derivative entry (p, q) times
-    cos(pi (p - q) / m), and P = H (x) I_2, with H the Householder reflector
-    that takes n = (-1)^p / sqrt(m) to e_0.  The oracle for
-    ``hbcalc.spectral._antiperiodic_eigenpairs``, which solves (P R P)[2:, 2:]
-    and reflects its eigenvectors, padded with two zeros, back by P."""
-    p = np.arange(m)
-    cos = np.cos(np.pi * (p[:, None] - p[None, :]) / m)
-    r = build_operator(loop.resample(m)) * np.kron(cos, np.ones((2, 2)))
-    v = (-1.0) ** p / math.sqrt(m) - np.eye(m)[0]
-    return r, np.kron(np.eye(m) - 2 * np.outer(v, v) / (v @ v), np.eye(2))
+def resampled(loop: FlowLoop, m: int) -> FlowLoop:
+    """The loop's trigonometric interpolant sampled on m uniform points."""
+    return loop if m == loop.n else FlowLoop(spectral._uniform_values(loop.samples, m))
+
+
+def collocation_solve(loop: FlowLoop, grid: int):
+    """One dense Fourier-collocation solve of the loop on `grid` points (eigh
+    of reference_build_operator(resampled(loop, grid))), as a function of the
+    window: its table there, with the eigenvectors as the eigenfunctions on
+    the grid, read and audited as spectrum_from_loop audits its Galerkin
+    blocks (hbcalc.spectral._audited_table, cover 1).  Every window shares
+    the one solve and the windings read so far."""
+    check_grid_budget(grid)
+    vals, vecs = np.linalg.eigh(reference_build_operator(resampled(loop, grid)))
+    read = (np.empty(len(vals)), np.full(len(vals), -1))
+
+    def audit(window: float):
+        scan = window + 2.0 * loop.strength() + 8.0
+        return spectral._audited_table(vals, np.zeros(len(vals), dtype=int),
+                                       lambda idx: vecs[:, idx].T.reshape(-1, grid, 2), 1, grid,
+                                       window, scan, grid, read)
+
+    return audit
+
+
+def collocation_table(loop: FlowLoop, window: float, grid: int | None = None):
+    """The table at `window` of one dense Fourier-collocation solve of the
+    loop on `grid` points, by default the grid heuristic of cover 1
+    (collocation_solve).  The oracle of the Galerkin route, and the solve
+    that spectrum_from_loop made before it."""
+    return collocation_solve(loop, grid or default_grid(loop.n, 1, window, loop.strength()))(window)
+
+
+def reference_galerkin_block(loop: FlowLoop, modes) -> np.ndarray:
+    """The Galerkin matrix of A = -J0 d/ds - S on the Fourier modes
+    exp(2 pi i nu s) e_c, nu in `modes` (whose differences are integers),
+    entry by entry: -2 pi i nu J0 on the diagonal and -S^_(nu - mu) in each
+    2x2 block, S^_h = (1/n) sum_p S_p exp(-2 pi i h p / n) the coefficients of
+    the interpolant of the loop's n samples (zero past degree (n - 1) / 2).
+    The oracle for the blocks of ``hbcalc.spectral._bloch_eigenpairs``."""
+    n, p = loop.n, np.arange(loop.n)
+    coef = {}
+    for h in range(-(n - 1) // 2, (n - 1) // 2 + 1):
+        coef[h] = np.einsum("p,pab->ab", np.exp(-2j * math.pi * h * p / n), loop.samples) / n
+    size = len(modes)
+    a = np.zeros((2 * size, 2 * size), dtype=complex)
+    for i, nu in enumerate(modes):
+        for j, mu in enumerate(modes):
+            a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = -coef.get(round(nu - mu), np.zeros((2, 2)))
+        a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] -= 2j * math.pi * nu * J0
+    return a
 
 
 def reference_cluster_means(vals: np.ndarray, starts, ends) -> list[float]:

@@ -340,19 +340,19 @@ class TestLoaderFuzz:
 
     def test_large_covers_fail_the_budget_before_allocating(self, capsys, tmp_path,
                                                             warm_fixture_catalogs, monkeypatch):
-        sizes = {"eigh": [0], "resample": [0]}
-        real_eigh, real_resample = np.linalg.eigh, spectral.FlowLoop.resample
+        sizes = {"eigh": [0], "cover grid": [0]}
+        real_eigh, real_pairs = np.linalg.eigh, spectral._bloch_eigenpairs
 
         def eigh(a, *args, **kwargs):
-            sizes["eigh"].append(np.shape(a)[-1])
+            sizes["eigh"].append(np.shape(a)[-1])  # a stack of blocks: the last axis
             return real_eigh(a, *args, **kwargs)
 
-        def resample(loop, n):
-            sizes["resample"].append(n)
-            return real_resample(loop, n)
+        def pairs(loop, k, m, size):
+            sizes["cover grid"].append(k * m)
+            return real_pairs(loop, k, m, size)
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        monkeypatch.setattr(spectral.FlowLoop, "resample", resample)
+        monkeypatch.setattr(spectral, "_bloch_eigenpairs", pairs)
         path = tmp_path / "input.json"
         cases = list(large_cover_mutants(505))
         assert {cover for _, _, cover, _ in cases} == set(LARGE_COVERS)
@@ -372,9 +372,9 @@ class TestLoaderFuzz:
             assert (code, out) == (2, ""), (case, err)
             assert "budget of 4096" in err, (case, err)
             assert "Traceback" not in err and "internal error" not in err, (case, err)
-        # nothing of a large cover's size was resampled or solved
+        # nothing of a large cover's size was solved or read on its cover grid
         assert max(sizes["eigh"]) <= MAX_DENSE_DIM
-        assert max(sizes["resample"]) <= 2 * MAX_DENSE_DIM
+        assert max(sizes["cover grid"]) <= 2 * MAX_DENSE_DIM
 
     def test_wide_asymptotics_exit_cleanly_in_time(self, capsys, tmp_path, fixture_catalog,
                                                    warm_fixture_catalogs):

@@ -62,8 +62,7 @@ class TestPackageExports:
             "BuildingError", "CatalogError", "DegenerateThresholdError", "FlowLoop",
             "HbcalcError", "IncompleteInputError", "InconsistentDataError", "InputError",
             "InternalCheckError", "NoCoreError", "SpectralEntry", "SpectralResolutionError",
-            "SpectralTable", "build_operator", "cz_crossing", "fourier_diff_matrix",
-            "spectrum_from_loop",
+            "SpectralTable", "cz_crossing", "spectrum_from_loop",
         ]
 
     def test_star_import_binds_all(self):

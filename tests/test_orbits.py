@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 import sys
@@ -22,11 +21,13 @@ from hbcalc.orbits import (
 )
 from hbcalc.cli import load_catalog, main
 from hbcalc import spectral
-from hbcalc.spectral import J0, FlowLoop, build_operator, spectrum_from_loop
+from hbcalc.spectral import FlowLoop, spectrum_from_loop
 
 from support import (
     FIXTURES,
     DenseCoverCatalog,
+    collocation_solve,
+    collocation_table,
     constant_loop,
     cover_outcomes,
     crossing_outcome,
@@ -35,9 +36,10 @@ from support import (
     hyperbolic_loop,
     nondegenerate_trig_loop,
     outcome_differences,
-    reference_antiperiodic_block,
+    random_trig_loop,
     reference_build_operator,
     reference_cluster_means,
+    reference_galerkin_block,
     reference_cz_crossing,
     rotating_axis_loop,
     rotation_loop,
@@ -186,10 +188,10 @@ class TestCoveringLemma:
         # with gcd(k, n) = 1 the covered eigenvector is an index permutation,
         # so its eigen-residual can be checked exactly
         loop = rotating_axis_loop(1, n=n)
-        base = build_operator(loop)
+        base = reference_build_operator(loop)
         vals, vecs = np.linalg.eigh(base)
         cover_loop = dense_cover(loop, k, grid=n)
-        cover_op = build_operator(cover_loop)
+        cover_op = reference_build_operator(cover_loop)
         perm = (k * np.arange(n)) % n
         keep = np.abs(vals) <= 6.0
         for lam, vec in zip(vals[keep], vecs[:, keep].T):
@@ -369,25 +371,29 @@ class TestUnresolvedCut:
 
 
 class TestRoughLoopCut:
-    """A full-degree 33-sample loop (white noise) with a cut between its
-    grid-41 and its fine-grid eigenvalue: the cut table of cz_index (grid 41)
-    puts that eigenvalue at -0.0128231346, below the cut, so it answers
-    mu_cz = 0 without an error; finer grids and the crossing route put it
-    above the cut, where mu_cz is -1.
+    """Full-degree 33-sample loops (white noise) with cuts between the
+    eigenvalue of the cut table of cz_index and a fine solve's.
 
-    CORPUS holds five more such cuts of the same kind of loop (other seeds),
-    as (seed, cut, crossing index).  Each sits 3.4e-6 to 5.2e-6 from both
-    the cut table's eigenvalue (grid 41 or 43) and the grid-321 one, above
-    the cluster tolerance (about 1.05e-6), and the two eigenvalues lie on
-    opposite sides of the cut."""
+    CUT (seed 7) and CORPUS, as (seed, cut, crossing index), are cuts that
+    the collocation solve on grid 41 or 43 put on the wrong side, 3.4e-6 to
+    5.2e-6 from both eigenvalues.  The Galerkin cut table, capped at F = 20 or
+    21 modes on those grids, is within 1.0e-8 to 9.5e-8 of the fine solve and
+    answers them.  CAPPED holds such cuts at the new accuracy, as (cover, seed,
+    cut, crossing index) of loops at scale 3: at covers 2 and 3 the base grid
+    of the cut table is 33 to 43 points, so its blocks are capped at F = 16 to
+    21 modes, about the loop's degree 16, and their eigenvalue next to the cut
+    is 6.5 to 37.7 cluster tolerances from the fine solve's, on the other side
+    of the cut, so cz_index answers the other index with no error."""
 
     CUT = -0.012821648
     CORPUS = [(0, -0.202973487, -1), (4, -0.3572944, 0), (4, 0.146205391, 1),
               (5, -0.037675357, 0), (9, 0.089604814, 0)]
+    CAPPED = [(2, 18, 0.371292, 0), (2, 31, -0.904217005, -1), (3, 20, 0.088212723, -1),
+              (3, 33, 0.254173261, 1), (3, 35, 0.323364417, 1)]
 
     @staticmethod
-    def loop(shift: float = 0.0, seed: int = 7) -> FlowLoop:
-        a = np.random.default_rng(seed).standard_normal((33, 2, 2))
+    def loop(shift: float = 0.0, seed: int = 7, scale: float = 1.0) -> FlowLoop:
+        a = scale * np.random.default_rng(seed).standard_normal((33, 2, 2))
         return FlowLoop((a + a.transpose(0, 2, 1)) / 2 + shift * np.eye(2))
 
     def test_oracles_put_the_eigenvalue_above_the_cut(self):
@@ -399,8 +405,6 @@ class TestRoughLoopCut:
             assert near[0].eigenvalue == pytest.approx(-0.0128201605, abs=1e-10), grid
             assert near[0].eigenvalue > self.CUT
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the grid-41 cut table is trusted uncertified and gives mu_cz 0")
     def test_cz_index_answers_the_crossing_index_or_refuses(self):
         catalog = Catalog([SimpleOrbit("g", 1.0, self.loop())])
         try:
@@ -417,24 +421,49 @@ class TestRoughLoopCut:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_even_covers_answer_the_crossing_index(self, seed):
-        # block k/2 of an even cover is solved real, deflated of its
-        # alternating mode; on these loops, which have Fourier content up to
-        # the sampling limit, cz_index at covers 2, 4 and 6 still answers the
-        # crossing index of the loop shifted by the cut
+        # block k/2 of an even cover is solved real in its cos/sin basis; on
+        # these loops, which have Fourier content up to the sampling limit,
+        # cz_index at covers 2, 4 and 6 answers the crossing index of the loop
+        # shifted by the cut
         catalog = Catalog([SimpleOrbit("g", 1.0, self.loop(seed=seed))])
         for k in (2, 4, 6):
             for cut in (0.0, 0.5, -0.5):
                 mu = spectral.cz_crossing(self.loop(cut / k, seed), k)
                 assert catalog.cz_index(OrbitRef("g", k), cut).mu_cz == mu, (k, cut)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the grid-41/43 cut table is trusted uncertified and gives "
-                              "the other index")
     @pytest.mark.parametrize("seed, cut, mu", CORPUS)
     def test_cz_index_answers_the_crossing_index_or_refuses_on_the_corpus(self, seed, cut, mu):
         catalog = Catalog([SimpleOrbit("g", 1.0, self.loop(seed=seed))])
         try:
             summary = catalog.cz_index(OrbitRef("g", 1), cut)
+        except SpectralResolutionError:
+            return
+        assert summary.mu_cz == mu
+
+
+    @pytest.mark.parametrize("k, seed, cut, mu", CAPPED)
+    def test_the_fine_solve_and_the_crossing_route_agree_on_the_capped_corpus(self, k, seed,
+                                                                              cut, mu):
+        loop = self.loop(seed=seed, scale=3.0)
+        assert spectral.cz_crossing(self.loop(cut / k, seed, 3.0), k) == mu
+        window = abs(cut) + k * loop.strength() + 8.0  # the window of the cut table
+        fine = spectrum_from_loop(loop, window, 161 * k + 1 - k % 2, cover=k)
+        assert fine.alpha_minus(cut) + fine.alpha_plus(cut) == mu
+        table = Catalog([SimpleOrbit("g", 1.0, loop)]).table(OrbitRef("g", k), window)
+        near, far = (min((e.eigenvalue for e in t.entries), key=lambda x: abs(x - cut))
+                     for t in (table, fine))
+        assert (near - cut) * (far - cut) < 0
+        assert min(abs(near - cut), abs(far - cut)) > table.cluster_tol()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the capped cut table is trusted uncertified and gives the "
+                              "other index")
+    @pytest.mark.parametrize("k, seed, cut, mu", CAPPED)
+    def test_cz_index_answers_the_crossing_index_or_refuses_on_the_capped_corpus(self, k, seed,
+                                                                                cut, mu):
+        catalog = Catalog([SimpleOrbit("g", 1.0, self.loop(seed=seed, scale=3.0))])
+        try:
+            summary = catalog.cz_index(OrbitRef("g", k), cut)
         except SpectralResolutionError:
             return
         assert summary.mu_cz == mu
@@ -518,95 +547,43 @@ class TestBlochRoute:
         assert (outcome_differences(cover_outcomes(bloch, OrbitRef("r", 6), (10.0,)),
                                     cover_outcomes(dense, OrbitRef("r", 6), (10.0,))) == [])
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8])
     def test_each_block_is_solved_as_documented(self, k, monkeypatch):
-        # block 0 and blocks 0 < j < k/2: eigh reads the lower triangle only, so
-        # the shift is written there alone, and the eigenpairs must be those of
-        # the whole block, bit for bit; block k/2 of an even cover: a float64
-        # eigh of dimension 2m - 2 on the deflated real antiperiodic block
+        # block 0 real of dimension 2 (2F + 1), blocks 0 < j < k/2 one stacked
+        # complex eigh of that dimension, block k/2 real of dimension 4F; each
+        # has the eigenvalues of its Hermitian Galerkin matrix on the modes
+        # f + j/k built from the loop's DFT (support oracle), and the
+        # eigenfunctions of block k/2 change sign from one period to the next
         loop = rotating_axis_loop(1)
-        n = spectral.default_grid(loop.n, k, 20.0, loop.strength())
-        m = spectral._base_grid(n, k)
-        base = build_operator(loop.resample(m))
+        m, size = 41, 9
         real, solved = np.linalg.eigh, []
 
         def eigh(a, *args, **kwargs):
-            solved.append((a.copy(), real(a, *args, **kwargs)))
+            solved.append((np.array(a), real(a, *args, **kwargs)))
             return solved[-1][1]
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        spectral._bloch_eigenpairs(loop, k, n)
-        assert len(solved) == k // 2 + 1
-        x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
-        for j, (given, (vals, vecs)) in enumerate(solved):
+        vals, blocks, points, _ = spectral._bloch_eigenpairs(loop, k, m, size)
+        assert len(solved) == 1 + (k >= 3) + (k % 2 == 0)
+        stacked = [a for a, _ in solved if a.ndim == 3]
+        assert [a.shape for a in stacked] == [((k - 1) // 2, 38, 38)] * (k >= 3)
+        real_blocks = [a for a, _ in solved if a.ndim == 2]
+        assert [a.shape for a in real_blocks] == [(38, 38)] + [(36, 36)] * (k % 2 == 0)
+        assert all(a.dtype == float for a in real_blocks)
+        matrices = real_blocks[:1] + [a for stack in stacked for a in stack] + real_blocks[1:]
+        for j, a in enumerate(matrices):
             if 2 * j == k:
-                r, p = reference_antiperiodic_block(loop, m)
-                want = (p @ r @ p)[2:, 2:]
-                assert given.dtype == float and given.shape == (2 * m - 2, 2 * m - 2)
-                scale = np.max(np.abs(want))
-                assert np.max(np.abs(np.tril(given) - np.tril(want))) <= 1e-14 * scale
-                want_vals, want_vecs = real(given)
-                assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
-                continue
-            full = base.astype(complex)
-            full[x, y] += 2j * math.pi * j / k
-            full[y, x] -= 2j * math.pi * j / k
-            assert np.array_equal(full, full.conj().T)
-            assert np.array_equal(np.tril(given), np.tril(full))
-            want_vals, want_vecs = real(full if j else base)
-            assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
-
-    def test_the_antiperiodic_block_reflects_its_padded_eigenvectors_back(self):
-        loop = rotating_axis_loop(1)
-        for m in (3, 5, 35):
-            a = build_operator(loop.resample(m))
-            vals, vecs = spectral._antiperiodic_eigenpairs(a, m)
-            reduced_vals, reduced = np.linalg.eigh(a[2:, 2:])  # a holds the reflected block
-            _, p = reference_antiperiodic_block(loop, m)
-            padded = np.zeros((2 * m, 2 * m - 2))
-            padded[2:] = reduced
-            assert np.array_equal(vals, reduced_vals)
-            assert vecs.shape == (2 * m, 2 * m - 2)
-            assert np.max(np.abs(vecs - p @ padded)) <= 1e-14
-            assert np.allclose(vecs.T @ vecs, np.eye(2 * m - 2), atol=1e-13)
-
-    def test_the_antiperiodic_block_matches_the_hermitian_block_in_the_scan(self):
-        # at covers 2, 4, 8 and 16, on the base grids of windows 10, 40 and 100,
-        # block k/2 keeps the eigenvalues of the complex Hermitian block inside
-        # the widest scan: only the alternating-mode pair near +-pi m is
-        # deflated; its rebuilt eigenfunctions change sign from one period of
-        # the cover to the next
-        fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
-        rng = np.random.default_rng(20261018)  # test_trig_loops' corpus
-        loops = ([fixture.orbit(i).model for i in fixture.ids()]
-                 + [nondegenerate_trig_loop(rng, n=25, scale=1.0) for _ in range(5)])
-        for loop, k in itertools.product(loops, (2, 4, 8, 16)):
-            grids = {}
-            for window in (10.0, 40.0, 100.0):
-                n = spectral.default_grid(loop.n, k, window, loop.strength())
-                grids[spectral._base_grid(n, k)] = (n, window)
-            for m, (n, window) in grids.items():
-                scan = (window + 2.0 * k * loop.strength() + 8.0) / k  # in block units
-                r, _ = reference_antiperiodic_block(loop, m)
-                x, y = np.arange(0, 2 * m, 2), np.arange(1, 2 * m, 2)
-                block = build_operator(loop.resample(m)).astype(complex)
-                block[x, y] += 1j * math.pi
-                block[y, x] -= 1j * math.pi
-                # in the basis v = exp(i pi s) w the block is R plus a term on
-                # the alternating vector n alone
-                e = np.exp(1j * math.pi * np.arange(m) / m).repeat(2)
-                alternating = (-1.0) ** np.arange(m) / math.sqrt(m)
-                imaginary = 1j * math.pi * m * np.kron(np.outer(alternating, alternating), J0)
-                assert np.max(np.abs(e[:, None] * block * e.conj() - (r - imaginary))) \
-                    <= 1e-13 * np.max(np.abs(r))
-                want = np.linalg.eigh(block)[0]
-                vals, blocks, points = spectral._bloch_eigenpairs(loop, k, n)
-                mine = np.flatnonzero((blocks == k // 2) & (np.abs(vals) <= k * scan))
-                got, want = vals[mine] / k, want[np.abs(want) <= scan]  # k is a power of 2
-                assert len(got) == len(want), (m, k)
-                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-                u = points(mine)
-                assert np.array_equal(u[:, m:], -u[:, :-m])
+                modes = np.arange(-size, size) + 0.5
+            else:
+                modes = np.arange(-size, size + 1) + j / k
+            want = np.linalg.eigvalsh(reference_galerkin_block(loop, modes))
+            got = np.linalg.eigvalsh(a)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (k, j)
+            mine = np.sort(vals[blocks == j])[:: 1 + (0 < 2 * j < k)] / k  # pairs j, k - j once
+            assert np.max(np.abs(mine - want)) <= 1e-12 * np.max(np.abs(want)), (k, j)
+        if k % 2 == 0:
+            u = points(np.flatnonzero(blocks == k // 2))
+            assert np.array_equal(u[:, m:], -u[:, :-m])
 
     def test_block_index_pins_the_winding(self, monkeypatch):
         loop = rotating_axis_loop(1)
@@ -614,8 +591,8 @@ class TestBlochRoute:
         spectrum_from_loop(loop, 10.0, cover=3)  # correctly labelled: passes the audit
 
         def mislabelled(*args):
-            vals, blocks, points = real(*args)
-            return vals, (blocks + 1) % 3, points
+            vals, blocks, points, residuals = real(*args)
+            return vals, (blocks + 1) % 3, points, residuals
 
         monkeypatch.setattr(spectral, "_bloch_eigenpairs", mislabelled)
         with pytest.raises(SpectralResolutionError, match="Bloch block"):
@@ -626,8 +603,8 @@ class TestBlochRoute:
         # by a spread of phases.  Every rebuilt eigenfunction must keep the norm
         # of a real (j = 0), real or imaginary (0 < j < k/2) or real
         # antiperiodic (j = k/2) part, and for odd k be an eigenvector of the
-        # dense cover operator on the k*m-point grid, whose Fourier modes the
-        # blocks split.
+        # dense collocation operator on the k*m-point grid, which
+        # differentiates its modes exactly.
         loop = rotating_axis_loop(1)
         tables = {k: spectrum_from_loop(loop, 10.0, cover=k) for k in (2, 3, 4)}
         real = np.linalg.eigh
@@ -643,8 +620,8 @@ class TestBlochRoute:
             assert spectrum_from_loop(loop, 10.0, cover=k) == table
             n = spectral.default_grid(loop.n, k, 10.0, loop.strength())
             m = spectral.next_odd(math.ceil(n / k))
-            vals, blocks, points = spectral._bloch_eigenpairs(loop, k, n)
-            dense = build_operator(dense_cover(loop, k, grid=k * m)) if k % 2 else None
+            vals, blocks, points, _ = spectral._bloch_eigenpairs(loop, k, m, 6)
+            dense = reference_build_operator(dense_cover(loop, k, grid=k * m)) if k % 2 else None
             inside = np.flatnonzero(np.abs(vals) <= 10.0)
             basis = points(inside).reshape(len(inside), -1)
             assert basis.dtype == float
@@ -658,27 +635,27 @@ class TestBlochRoute:
             basis /= np.linalg.norm(basis, axis=1)[:, None]
             assert np.allclose(basis @ basis.T, np.eye(len(inside)), atol=1e-8)
 
-    def test_each_cover_is_solved_once_per_grid(self, monkeypatch):
-        # windows 10, 40 and 100 and cz_index's window keep hyp2^16 on grid 529:
-        # one solve of its k//2 + 1 blocks, and the same tables as fresh solves
+    def test_each_cover_is_solved_once_per_base_grid_and_modes(self, monkeypatch):
+        # windows 10, 40 and 100 and cz_index's window keep hyp2^16 on base grid
+        # 35; F0 is 5 for the first three and 6 for window 100: two solves of
+        # three eigh calls each (block 0, the stacked blocks 1..7, block 8),
+        # and the same tables as fresh solves
         fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
         orbits = [fixture.orbit(i) for i in fixture.ids()]
         ref, windows = OrbitRef("hyp2", 16), (10.0, 40.0, 100.0)
         fresh = [Catalog(orbits).table(ref, w) for w in windows]
         fresh_cz = Catalog(orbits).cz_index(ref)
         catalog = Catalog(orbits)
-        dims = []
-        real = np.linalg.eigh
-
-        def eigh(a, *args, **kwargs):
-            dims.append(np.shape(a)[-1])
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        tables = [catalog.spectrum_of(ref, w) for w in windows]
-        assert catalog.cz_index(ref) == fresh_cz
+        solves, real = [], spectral._bloch_eigenpairs
+        monkeypatch.setattr(spectral, "_bloch_eigenpairs",
+                            lambda loop, k, m, size: solves.append((k, m, size))
+                            or real(loop, k, m, size))
+        with eigh_dims() as dims:
+            tables = [catalog.spectrum_of(ref, w) for w in windows]
+            assert catalog.cz_index(ref) == fresh_cz
         assert {t.grid for t in tables} == {529}
-        assert len(dims) == 16 // 2 + 1
+        assert solves == [(16, 35, 5), (16, 35, 6)]
+        assert dims == [22, 22, 20, 26, 26, 24]
         assert tables == fresh
 
     def test_the_kept_solve_is_released_before_the_next(self, monkeypatch):
@@ -687,13 +664,13 @@ class TestBlochRoute:
         # cover is solved
         catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
         catalog.table(OrbitRef("hyp2", 3), 10.0)
-        kept = weakref.ref(catalog._held[0][3][0])  # the solve's eigenvalues
+        kept = weakref.ref(catalog._held[0][4][0])  # the solve's eigenvalues
         alive = []
         real = spectral._bloch_eigenpairs
 
-        def pairs(loop, k, n):
+        def pairs(loop, k, m, size):
             alive.append(kept() is not None)
-            return real(loop, k, n)
+            return real(loop, k, m, size)
 
         monkeypatch.setattr(spectral, "_bloch_eigenpairs", pairs)
         catalog.table(OrbitRef("rot_p", 5), 10.0)
@@ -704,21 +681,21 @@ class TestBlochRoute:
         solves = []
         real = spectral._bloch_eigenpairs
 
-        def pairs(loop, k, n):
+        def pairs(loop, k, m, size):
             assert catalog._held == [None]  # the kept solve is freed first
-            solves.append((k, n))
-            return real(loop, k, n)
+            solves.append((k, m, size))
+            return real(loop, k, m, size)
 
         monkeypatch.setattr(spectral, "_bloch_eigenpairs", pairs)
         a, b = OrbitRef("hyp2", 3), OrbitRef("rot_p", 5)
-        for window in (10.0, 11.0):  # the same grid at both windows
+        for window in (10.0, 11.0):  # the same grid and modes at both windows
             catalog.table(a, window)
             catalog.table(b, window)
-        assert solves == [(3, 99), (5, 165)] * 2
+        assert solves == [(3, 33, 6), (5, 33, 3)] * 2
         assert catalog._held != [None]
         # explicit grids and simple covers are solves like any other: kept
         catalog.spectrum_of(a, 10.0, grid=151)
-        assert solves[-1] == (3, 151) and catalog._held[0][1:3] == (3, 51)
+        assert solves[-1] == (3, 51, 6) and catalog._held[0][1:4] == (3, 51, 6)
         catalog.table(OrbitRef("rot_p", 2), 10.0)
         assert catalog._held[0][1] == 2
         catalog.cz_index(OrbitRef("rot_m", 1), -2.0)  # grows the simple orbit's table
@@ -733,25 +710,27 @@ class TestBlochRoute:
 
     def test_grids_on_one_base_grid_share_the_kept_solve(self, monkeypatch):
         # a wider window can move the default grid by less than the cover, and
-        # the Bloch blocks depend on the grid only through the base grid: hyp2^2
-        # at windows 15 and 16 (grids 67 and 69, base grid 35) and rot3^2 at 18
-        # and 20 (grids 75 and 77, base grid 39) each solve once, and every
-        # table is the one a fresh catalog returns for its window alone
+        # the Galerkin blocks depend on the grid only through the base grid and
+        # their modes: hyp2^2 at windows 15 and 16 (grids 67 and 69, base grid
+        # 35, F = 7) and rot3^2 at 18 and 20 (grids 75 and 77, base grid 39,
+        # F = 7) each solve once, and every table is the one a fresh catalog
+        # returns for its window alone
         fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
         orbits = [fixture.orbit(i) for i in fixture.ids()]
-        cases = [(OrbitRef("hyp2", 2), (15.0, 16.0), [67, 69]),
-                 (OrbitRef("rot3", 2), (18.0, 20.0), [75, 77])]
+        cases = [(OrbitRef("hyp2", 2), (15.0, 16.0), [67, 69], 35),
+                 (OrbitRef("rot3", 2), (18.0, 20.0), [75, 77], 39)]
         solves = []
         real = spectral._bloch_eigenpairs
         monkeypatch.setattr(spectral, "_bloch_eigenpairs",
-                            lambda loop, k, n: solves.append((k, n)) or real(loop, k, n))
-        for ref, windows, grids in cases:
+                            lambda loop, k, m, size: solves.append((k, m, size))
+                            or real(loop, k, m, size))
+        for ref, windows, grids, m in cases:
             fresh = [Catalog(orbits).table(ref, w) for w in windows]
             catalog = Catalog(orbits)
             solves.clear()
             tables = [catalog.table(ref, w) for w in windows]
             assert [t.grid for t in tables] == grids
-            assert solves == [(ref.k, grids[0])]
+            assert solves == [(ref.k, m, 7)]
             assert tables == fresh
 
     def test_concurrent_readers_share_the_kept_solve(self):
@@ -784,15 +763,13 @@ class TestBlochRoute:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_grid_with_a_cover_solves_the_cover_densely(self):
-        # the dense oracle is dense_cover(loop, k, n) solved on its n points; the
-        # Bloch blocks solve on the k * m >= n points of the cover grid, and the
-        # pre-covered loop is sampled once more, which moves eigenvalues by
-        # rounding only
+    def test_a_grid_with_a_cover_matches_the_dense_collocation(self):
+        # the dense oracle is dense_cover(loop, k, n) solved by collocation on
+        # its n points; both are exact on this loop up to rounding
         loop = rotating_axis_loop(1)
         for k in (1, 3):
             got = spectrum_from_loop(loop, 10.0, grid=151, cover=k)
-            want = spectrum_from_loop(dense_cover(loop, k, grid=151), 10.0, grid=151)
+            want = collocation_table(dense_cover(loop, k, grid=151), 10.0, grid=151)
             assert (got.grid, got.window) == (want.grid, want.window) == (151, 10.0)
             assert ([(e.winding, e.multiplicity) for e in got.entries]
                     == [(e.winding, e.multiplicity) for e in want.entries])
@@ -813,17 +790,18 @@ class TestBlochRoute:
             assert held[0] is solve
 
     def test_explicit_grid_and_simple_orbits_solve_bloch_blocks(self):
-        # an explicit grid n, or a simple orbit, solves blocks 0..k//2 of
-        # dimension 2m on the base grid m = next_odd(ceil(n / k)), but for
-        # block k/2 of an even cover, of dimension 2m - 2; the table reports n
+        # an explicit grid n, or a simple orbit, solves blocks 0..k//2 on F0
+        # modes (here 6 for covers 2 and 3 and 8 for the simple orbit at window
+        # 10): dimension 2 (2F + 1), and 4F for block k/2 of an even cover; the
+        # table reports n, and its eigenfunctions are read on the base grid
+        # m = next_odd(ceil(n / k))
         catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
         strength = catalog.orbit("hyp2").model.strength()
         n = spectral.default_grid(33, 3, 10.0, strength)
-        m = spectral.next_odd(math.ceil(n / 3))
-        for k, grid, dims_want, grid_want in ((3, 151, [102, 102], 151),
-                                              (3, None, [2 * m, 2 * m], n),
-                                              (1, 101, [202], 101),
-                                              (2, 101, [102, 100], 101)):
+        for k, grid, dims_want, grid_want in ((3, 151, [26, 26], 151),
+                                              (3, None, [26, 26], n),
+                                              (1, 101, [34], 101),
+                                              (2, 101, [26, 24], 101)):
             with eigh_dims() as dims:
                 table = catalog.spectrum_of(OrbitRef("hyp2", k), 10.0, grid=grid)
             assert (dims, table.grid) == (dims_want, grid_want), (k, grid)
@@ -835,6 +813,112 @@ class TestBlochRoute:
             with pytest.raises(SpectralResolutionError,
                                match=f"grid {grid} gives cover {cover} fewer than 3 points"):
                 spectrum_from_loop(loop, 10.0, grid=grid, cover=cover)
+
+
+class TestGalerkinRoute:
+    """Each Bloch block is solved on the Fourier modes its scan needs: rows
+    equal to dense Fourier collocation of the cover (support oracle), pinned
+    dimensions, residuals under the tolerance and a kept solve reused only for
+    its own loop, cover, base grid and modes."""
+
+    @staticmethod
+    def loops() -> dict:
+        fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        loops = {i: fixture.orbit(i).model for i in fixture.ids()}
+        rng = np.random.default_rng(20261022)
+        loops.update((f"trig{i}", random_trig_loop(rng, n=25, scale=1.0)) for i in range(2))
+        # perfbench's cover_spectra models: a constant rotation and a rotating
+        # axis with two half-turns
+        loops["rot"], loops["axis"] = rotation_loop(1.685692), rotating_axis_loop(2, a=0.6)
+        return loops
+
+    def test_rows_equal_the_dense_collocation(self):
+        # the oracle solves each cover once, on the grid of window 100, and
+        # audits that solve at each window (its clusters and classes depend on
+        # the window).  Every pair a table scans has its
+        # residual under the tolerance, short of the cap: the fixture and
+        # perfbench loops never reach it, the random degree-3 loops (strength
+        # about 3.5) do at some covers, where the scan's edge needs more modes
+        compared, capped = 0, set()
+        for name, loop in self.loops().items():
+            for k in (1, 2, 3, 4, 6, 8, 12, 16):
+                n = spectral.default_grid(loop.n, k, 100.0, loop.strength())
+                try:
+                    oracle = collocation_solve(dense_cover(loop, k, n), n)
+                except SpectralResolutionError as exc:
+                    oracle = type(exc)
+                for window in (10.0, 40.0, 100.0):
+                    held = [None]
+                    try:
+                        table = spectrum_from_loop(loop, window, cover=k, held=held)
+                    except SpectralResolutionError as exc:
+                        assert oracle is type(exc), (name, k, window)
+                        continue
+                    want = oracle(window)
+                    assert ([(e.winding, e.multiplicity) for e in table.entries]
+                            == [(e.winding, e.multiplicity) for e in want.entries]), (name, k)
+                    for got, exact in zip(table.entries, want.entries):
+                        assert abs(got.eigenvalue - exact.eigenvalue) <= \
+                            1e-10 * max(1.0, abs(exact.eigenvalue)), (name, k, window)
+                    _, _, m, size, (vals, _, _, residuals), _ = held[0]
+                    if size == (m - 1) // 2:
+                        capped.add(name)
+                        continue
+                    scan = window + 2.0 * k * loop.strength() + 8.0
+                    assert np.max(residuals[np.abs(vals) <= scan]) <= \
+                        spectral.RESIDUAL_TOL * max(1.0, window), (name, k, window)
+                    compared += len(table.entries)
+        assert capped <= {"trig0", "trig1"} and compared > 3000
+
+    def test_solve_dimensions_are_pinned(self):
+        # hyp2 at cover 1 and window 100 solves at dimension 90, where dense
+        # collocation on its grid 191 took 382; at cover 16 its blocks have
+        # dimension 26 (24 for block 8) where the base grid 35 gave 70; rot3
+        # at cover 3 has blocks of 46 where the base grid 73 gave 146
+        fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        for orbit, k, want, grid in (("hyp2", 1, [90], 191), ("hyp2", 16, [26, 26, 24], 529),
+                                     ("rot3", 3, [46, 46], 217)):
+            with eigh_dims() as dims:
+                table = spectrum_from_loop(fixture.orbit(orbit).model, 100.0, cover=k)
+            assert (dims, table.grid) == (want, grid), (orbit, k)
+        assert want[0] <= 120
+
+    def test_the_held_solve_is_reused_only_for_identical_modes(self):
+        # hyp2^2: windows 15 and 16 (grids 67 and 69) share base grid 35 and
+        # F = 7, one solve; window 12 has grid 67 and base grid 35 but starts at
+        # F = 6, another solve; a new loop over the same samples is another
+        fixture = load_catalog(str(FIXTURES / "catalog_fixture.json"))
+        loop, held = fixture.orbit("hyp2").model, [None]
+        first = spectrum_from_loop(loop, 15.0, cover=2, held=held)
+        solve = held[0]
+        assert solve[1:4] == (2, 35, 7)
+        assert spectrum_from_loop(loop, 16.0, cover=2, held=held) == \
+            spectrum_from_loop(loop, 16.0, cover=2)
+        assert held[0] is solve
+        narrow = spectrum_from_loop(loop, 12.0, cover=2, held=held)
+        assert held[0] is not solve and held[0][1:4] == (2, 35, 6)
+        assert narrow == spectrum_from_loop(loop, 12.0, cover=2)
+        copy = FlowLoop(loop.samples)
+        assert spectrum_from_loop(copy, 12.0, cover=2, held=held) == narrow
+        assert held[0][0] is copy
+        assert spectrum_from_loop(loop, 15.0, cover=2, held=held) == first
+
+    def test_a_rough_loop_doubles_its_modes_up_to_the_cap(self, monkeypatch):
+        # the seed-7 white-noise loop at window 1 (grid 33): F0 = 4 leaves
+        # residuals above the tolerance, so the blocks grow to 8 and then to
+        # the cap 16, where the solve is accepted; a second request walks the
+        # same sizes again (the held cap solve is not its F0), so its table
+        # does not depend on the one before
+        loop = TestRoughLoopCut.loop()
+        sizes, real = [], spectral._bloch_eigenpairs
+        monkeypatch.setattr(spectral, "_bloch_eigenpairs",
+                            lambda lp, k, m, size: sizes.append((m, size)) or real(lp, k, m, size))
+        held = [None]
+        table = spectrum_from_loop(loop, 1.0, held=held)
+        assert sizes == [(33, 4), (33, 8), (33, 16)]
+        assert np.max(held[0][4][3]) > spectral.RESIDUAL_TOL
+        assert spectrum_from_loop(loop, 1.0, held=held) == table
+        assert sizes[3:] == sizes[:3]
 
 
 class TestCrossingRecord:
@@ -1008,19 +1092,18 @@ class TestCrossingRecord:
 
 
 class TestLeanSolve:
-    """Every operator a catalog builds and every cluster mean it takes is the
-    one of the Kronecker-product build and the per-cluster np.mean (support
-    oracles), on the fixture orbits at covers 1..16 and windows 10, 40, 100."""
+    """Every matrix a catalog hands to eigh is exactly Hermitian, and every
+    cluster mean it takes is the per-cluster np.mean (support oracle), on the
+    fixture orbits at covers 1..16 and windows 10, 40, 100."""
 
     def test_fixture_tables(self, monkeypatch):
-        real_build, real_means = spectral.build_operator, spectral._cluster_means
-        seen = {"operators": 0, "clusters": 0}
+        real_eigh, real_means = np.linalg.eigh, spectral._cluster_means
+        seen = {"blocks": 0, "clusters": 0}
 
-        def build(loop):
-            a = real_build(loop)
-            assert a.tobytes() == reference_build_operator(loop).tobytes(), loop.n
-            seen["operators"] += 1
-            return a
+        def eigh(a, *args, **kwargs):
+            assert np.array_equal(a, np.conj(np.swapaxes(a, -1, -2)))
+            seen["blocks"] += 1
+            return real_eigh(a, *args, **kwargs)
 
         def means(vals, starts, ends):
             got = real_means(vals, starts, ends)
@@ -1028,11 +1111,11 @@ class TestLeanSolve:
             seen["clusters"] += len(got)
             return got
 
-        monkeypatch.setattr(spectral, "build_operator", build)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         monkeypatch.setattr(spectral, "_cluster_means", means)
         catalog = load_catalog(str(FIXTURES / "catalog_fixture.json"))
         for i in catalog.ids():
             for k in COVERS:
                 for window in (10.0, 40.0, 100.0):
                     crossing_outcome(lambda: catalog.table(OrbitRef(i, k), window))
-        assert seen["operators"] >= 6 * 16 and seen["clusters"] > 10_000
+        assert seen["blocks"] >= 6 * 16 and seen["clusters"] > 10_000

@@ -85,8 +85,8 @@ def _definitions() -> dict:
 def _documented() -> set:
     """hbcalc.__all__, and each name that a backticked README span outside the
     code blocks begins with, as the last step of a dotted path: `FlowLoop`,
-    `hbcalc.FlowLoop` and `FlowLoop.resample(m)` name FlowLoop, FlowLoop and
-    resample."""
+    `hbcalc.FlowLoop` and `SpectralTable.clip(w)` name FlowLoop, FlowLoop and
+    clip."""
     text = re.sub(r"```.*?```", "", (REPO / "README.md").read_text(encoding="utf-8"),
                   flags=re.S)
     paths = re.findall(r"`([A-Za-z_][\w.]*)[^`]*`", text)

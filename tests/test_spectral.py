@@ -11,11 +11,8 @@ from hbcalc import spectral
 from hbcalc.errors import DegenerateThresholdError, HbcalcError, SpectralResolutionError
 from hbcalc.orbits import Catalog, SimpleOrbit
 from hbcalc.spectral import (
-    J0,
     FlowLoop,
-    build_operator,
     cz_crossing,
-    fourier_diff_matrix,
     monodromy,
     spectrum_from_loop,
 )
@@ -38,6 +35,7 @@ from support import (
     reference_fourier_diff_matrix,
     reference_integrate_frames,
     reference_winding,
+    resampled,
     rotating_axis_loop,
     rotation_loop,
 )
@@ -107,7 +105,7 @@ class TestFlowLoop:
 
     def test_trig_interpolation_is_exact_for_resolved_loops(self):
         loop = rotating_axis_loop(1, n=11)
-        fine = loop.resample(33)
+        fine = resampled(loop, 33)
         ts = np.arange(33) / 33
         expected = rotating_axis_loop(1, n=33).samples
         assert np.max(np.abs(fine.samples - expected)) < 1e-12
@@ -122,29 +120,49 @@ class TestFlowLoop:
 
 
 class TestOperator:
-    def test_zero_potential_matrix(self):
-        loop = FlowLoop(np.zeros((3, 2, 2)))
-        a = build_operator(loop)
-        d = fourier_diff_matrix(3)
-        assert np.array_equal(a, -np.kron(d, J0))
-        assert np.all(np.diag(a) == 0.0)
+    """The Galerkin blocks that spectrum_from_loop hands to eigh."""
+
+    @staticmethod
+    def blocks(loop, k, m, size):
+        matrices, real = [], np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            matrices.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", eigh)
+            spectral._bloch_eigenpairs(loop, k, m, size)
+        return matrices
+
+    def test_zero_potential_blocks(self):
+        # S = 0: block 0 holds 0 and +-2 pi f twice each, block 1/2 of the
+        # double cover +-2 pi (f + 1/2), each complex block of the triple
+        # cover +-2 pi (f + 1/3) once
+        zero = FlowLoop(np.zeros((3, 2, 2)))
+        f = np.arange(1, 6)
+        (block0,) = self.blocks(zero, 1, 11, 5)
+        want = np.sort(np.concatenate([[0.0, 0.0], 2 * math.pi * f, 2 * math.pi * f,
+                                       -2 * math.pi * f, -2 * math.pi * f]))
+        assert np.allclose(np.linalg.eigvalsh(block0), want, atol=1e-12)
+        _, half = self.blocks(zero, 2, 11, 5)
+        nu = 2 * math.pi * (np.arange(5) + 0.5)
+        assert np.allclose(np.linalg.eigvalsh(half), np.sort(np.tile(np.r_[nu, -nu], 2)),
+                           atol=1e-12)
+        _, (third,) = self.blocks(zero, 3, 11, 5)
+        nu = 2 * math.pi * (np.arange(-5, 6) + 1 / 3)
+        assert np.allclose(np.linalg.eigvalsh(third), np.sort(np.r_[nu, -nu]), atol=1e-12)
 
     def test_exact_symmetry(self):
-        loop = rotation_loop(math.pi / 2, n=201)
-        a = build_operator(loop)
-        assert np.max(np.abs(a - a.T)) <= 1e-12
-
-    def test_diff_matrix_matches_the_dense_formula(self):
-        for n in [*range(3, 300, 2), 367, 1025]:
-            got = fourier_diff_matrix(n)
-            assert got.flags.c_contiguous
-            assert got.tobytes() == reference_fourier_diff_matrix(n).tobytes(), n
-        with pytest.raises(ValueError, match="odd"):
-            fourier_diff_matrix(4)
+        loop = random_trig_loop(np.random.default_rng(4), n=33)
+        for k in (1, 2, 5, 6):
+            for a in self.blocks(loop, k, 41, 12):
+                assert np.array_equal(a, np.conj(np.swapaxes(a, -1, -2))), k
 
     def test_diff_matrix_differentiates_modes_exactly(self):
+        # the collocation oracle's differentiation matrix
         n = 9
-        d = fourier_diff_matrix(n)
+        d = reference_fourier_diff_matrix(n)
         ts = np.arange(n) / n
         for m in range(-(n // 2), n // 2 + 1):
             f = np.exp(2j * math.pi * m * ts)
@@ -243,17 +261,19 @@ class TestBatchedWindings:
         # every eigenfunction of the solve, the under-resolved top of the spectrum too
         loop = rotating_axis_loop(1)
         n = spectral.default_grid(loop.n, k, 40.0, loop.strength())
-        vals, _, points = spectral._bloch_eigenpairs(loop, k, n)
+        m = spectral._base_grid(n, k)
+        vals, _, points, _ = spectral._bloch_eigenpairs(loop, k, m, (m - 1) // 2)
         batch = points(np.arange(len(vals)))
         want = [reference_outcome(pts) for pts in batch]
         assert batched_outcomes(batch) == want
         assert {f for _, f in want} == {0, 1}
 
-    @pytest.mark.parametrize("k, held_window", [(1, None), (3, None), (5, 10.0)],
-                             ids=["1", "3", "5-held-10"])
+    @pytest.mark.parametrize("k, held_window", [(1, None), (3, None), (5, 30.0)],
+                             ids=["1", "3", "5-held-30"])
     def test_batches_of_a_bounded_size_read_the_same_table(self, k, held_window, monkeypatch):
         # with held_window, the window-40 table reuses a held solve on the same
-        # grid and reads only the loops that its wider scan adds
+        # base grid and modes (33 points, F = 5) and reads only the loops that
+        # its wider scan adds
         loop = rotating_axis_loop(1)
         sizes, loops = [], []
         real_windings = spectral._windings
@@ -308,7 +328,7 @@ class TestHyperbolicSpectrum:
     def test_constant_eigenvectors(self):
         # (1, 0) and (0, 1) solve A v = -v and A v = +v for S = diag(1, -1)
         loop = hyperbolic_loop()
-        a = build_operator(loop.resample(33))
+        a = reference_build_operator(resampled(loop, 33))
         for value, column in ((-1.0, 0), (1.0, 1)):
             vec = np.zeros(66)
             vec[column::2] = 1.0
@@ -408,25 +428,6 @@ class TestCrossingForm:
             assert error[0] is SpectralResolutionError
 
 
-class TestBuildOperator:
-    """build_operator writes -D (x) J0 and the samples by strided assignments;
-    the Kronecker-product build in support is the oracle, byte for byte."""
-
-    def test_random_and_structured_loops(self):
-        rng = np.random.default_rng(5)
-        loops = [FlowLoop(np.zeros((3, 2, 2))), rotation_loop(1.0, n=5),
-                 hyperbolic_loop(n=33), rotating_axis_loop(2, n=21)]
-        for n in (3, 5, 7, 33, 101):
-            samples = rng.normal(size=(n, 2, 2))
-            samples[rng.random(n) < 0.3] = 0.0  # zero blocks keep signed zeros in play
-            loops.append(FlowLoop(samples + np.transpose(samples, (0, 2, 1))))
-        loops += [random_trig_loop(rng).resample(m) for m in (9, 41)]
-        for loop in loops:
-            got, want = build_operator(loop), reference_build_operator(loop)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes(), loop.n
-
-
 class TestClip:
     def test_a_class_within_the_cluster_tolerance_of_the_edge_is_inside(self):
         for window in (0.5, 5.0, 300.0):
@@ -467,7 +468,7 @@ class TestTableGuards:
 class TestAuditRefusals:
     """Each refusal of _audited_table on a hand-built scan: cover 1, so every
     winding fits block 0; eigenfunctions (cos 2 pi w s, sin 2 pi w s) of chosen
-    windings w on 33 points; strength 0.5, so window 5 scans |lambda| <= 14."""
+    windings w on 33 points; window 5 scans |lambda| <= 14."""
 
     WINDOW = 5.0
 
@@ -483,8 +484,8 @@ class TestAuditRefusals:
             return np.stack((np.cos(angle), np.sin(angle)), axis=-1)
 
         read = (np.empty(len(rows)), np.full(len(rows), -1))
-        return spectral._audited_table(vals, np.zeros(len(rows), dtype=int), points, 1,
-                                       window, 0.5, m, read)
+        return spectral._audited_table(vals, np.zeros(len(rows), dtype=int), points, 1, m,
+                                       window, window + 9.0, m, read)
 
     def refusal(self, rows) -> str:
         with pytest.raises(SpectralResolutionError) as err:
@@ -747,7 +748,7 @@ class TestBottIteration:
                 # the changed loops are trigonometric polynomials of degree 3,
                 # so BOTT_SAMPLES samples carry them exactly, and the Bloch
                 # route fits every changed cover into the grid budget
-                table = spectrum_from_loop(loop.resample(BOTT_SAMPLES), BOTT_WINDOW, cover=k)
+                table = spectrum_from_loop(resampled(loop, BOTT_SAMPLES), BOTT_WINDOW, cover=k)
                 alpha_minus = table.alpha_minus(0.0)
                 parity = table.alpha_plus(0.0) - alpha_minus
                 assert got == 2 * alpha_minus + parity, (name, k)
@@ -782,8 +783,8 @@ class TestMonodromySource:
 
 
 class TestHalfGrid:
-    """_uniform_values, which samples the RK4 half grid and every resample, is the
-    dense Dirichlet-kernel interpolant (support.dense_value_at)."""
+    """_uniform_values, which samples the RK4 half grid, is the dense
+    Dirichlet-kernel interpolant (support.dense_value_at)."""
 
     def test_loads_no_fft_module(self):
         # numpy.fft loads lazily and stays resident: about 0.9 MB of peak RSS
@@ -805,11 +806,11 @@ class TestHalfGrid:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(loop.samples))
 
     @pytest.mark.parametrize("name", FIXTURE_ORBITS)
-    def test_resample_is_the_dense_interpolant(self, name, fixture_catalog):
+    def test_small_grids_are_the_dense_interpolant(self, name, fixture_catalog):
         loop = fixture_catalog.orbit(name).model
         for m in (3, 17, loop.n + 2, 183):
             want = dense_value_at(loop, np.arange(m) / m)
-            got = loop.resample(m).samples
+            got = spectral._uniform_values(loop.samples, m)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(loop.samples)), m
 
     def test_loop_longer_than_the_half_grid(self):

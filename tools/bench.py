@@ -3,7 +3,8 @@
 Run from the repository root:
 
     python3 tools/bench.py [--out BENCH_<n>.json]
-    python3 tools/bench.py --against OTHER_CHECKOUT --out pairs.json
+    python3 tools/bench.py --against OTHER_CHECKOUT --out pairs.json \
+        [--workloads cover_spectra,cli_cold] [--seed 5]
 
 Every run is at seed SEED for SECONDS seconds, so that each BENCH_<n>.json
 can be quoted against the one before it.  The first form runs the unchanged
@@ -21,10 +22,14 @@ count of errors is kept next to passed and failed.
 
 The second form runs PAIRS alternating pairs at --trace 0 instead: in each
 pair the other checkout and this one run the same workload in alternating
-order.  Its output has another layout, so it needs --out: it never takes a
-BENCH_<n>.json name.  For each end-to-end metric it keeps every pair, both
-medians, the other checkout's quartile spread and the relative change of the
-median against the bound BENCHMARK.json sets.  It also keeps the length of
+order.  It runs the workloads that --workloads lists (comma-separated; by
+default every workload of BENCHMARK.json) at the seed --seed (by default
+SEED), so a claim on one workload, and its confirmation at a second seed,
+cost only that workload's pairs; the seed is kept in the output.  Its output
+has another layout, so it needs --out: it never takes a BENCH_<n>.json name.
+For each end-to-end metric it keeps every pair, both medians, the other
+checkout's quartile spread and the relative change of the median against the
+bound BENCHMARK.json sets.  It also keeps the length of
 each checkout's path (under "path_length"), and warns on stderr when the two
 differ: cover_spectra's peak_rss_mb moves by up to 0.5 MB with that length,
 so pairs are compared at paths of one length.
@@ -60,10 +65,10 @@ SEED = 0
 SECONDS = 30.0
 
 
-def run_perfbench(checkout: pathlib.Path, workload: str, trace: int) -> dict:
+def run_perfbench(checkout: pathlib.Path, workload: str, trace: int, seed: int = SEED) -> dict:
     """One perfbench run: its result line and the facts of its report line."""
     argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=600)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("report "):
@@ -130,7 +135,7 @@ def quartile_spread(values: list) -> float:
     return q3 - q1
 
 
-def pair_runs(other: pathlib.Path, workloads, bounds: dict) -> dict:
+def pair_runs(other: pathlib.Path, workloads, bounds: dict, seed: int) -> dict:
     checkouts = {"other": other, "this": ROOT}
     path_length = {side: len(str(path)) for side, path in checkouts.items()}
     if path_length["other"] != path_length["this"]:
@@ -142,7 +147,7 @@ def pair_runs(other: pathlib.Path, workloads, bounds: dict) -> dict:
         rows = []
         for i in range(PAIRS):
             order = ("other", "this") if i % 2 == 0 else ("this", "other")
-            row = {side: run_perfbench(checkouts[side], workload, 0) for side in order}
+            row = {side: run_perfbench(checkouts[side], workload, 0, seed) for side in order}
             rows.append(row)
         metrics = {}
         for name, (better, bound) in bounds.items():
@@ -160,7 +165,7 @@ def pair_runs(other: pathlib.Path, workloads, bounds: dict) -> dict:
             }
         out[workload] = {"metrics": metrics, "pairs": rows}
     state = {side: bytecode(path, pyc_at_start[side]) for side, path in checkouts.items()}
-    return {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS, "bytecode": state,
+    return {"seed": seed, "seconds": SECONDS, "pairs": PAIRS, "bytecode": state,
             "path_length": path_length, "workloads": out}
 
 
@@ -175,16 +180,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=pathlib.Path)
     parser.add_argument("--against", type=pathlib.Path)
+    parser.add_argument("--workloads", help="comma-separated, with --against")
+    parser.add_argument("--seed", type=int, help="with --against")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
+    if args.against is None and (args.workloads is not None or args.seed is not None):
+        parser.error("--workloads and --seed need --against: every BENCH_<n>.json runs "
+                     "all workloads at the seed SEED")
     if args.against is not None and args.out is None:
         parser.error("--against needs --out: pair runs are not a BENCH_<n>.json")
+    if args.workloads is not None:
+        chosen = args.workloads.split(",")
+        unknown = sorted(set(chosen) - set(workloads))
+        if unknown or not chosen:
+            parser.error(f"--workloads: unknown {unknown}; choose from {workloads}")
+        workloads = chosen
     if args.against is None:
         data = single_runs(workloads)
     else:
         bounds = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
-        data = pair_runs(args.against.resolve(), workloads, bounds)
+        seed = SEED if args.seed is None else args.seed
+        data = pair_runs(args.against.resolve(), workloads, bounds, seed)
     out = args.out or next_bench_path()
     out.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out}")

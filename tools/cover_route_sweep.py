@@ -5,17 +5,17 @@ Run from the repository root:  python3 tools/cover_route_sweep.py
 For every orbit of fixtures/catalog_fixture.json at covers k = 1..16 and
 windows 10, 40 and 100, and for the nondegenerate_trig_loop corpus of
 acceptance criterion 02 (20 loops of 201 samples, seed 20240601) at covers
-1, 2, 3, 4, 5 and 8 and windows 10 and 40, it asks a Catalog (Bloch blocks
-for every k, k = 1 included: real symmetric blocks 0 and, for even k, the
-deflated antiperiodic block k/2, and Hermitian blocks between) and a
-DenseCoverCatalog (one dense solve of dimension 2n of the cover loop
-dense_cover(loop, k, n) on the same default grid n; it shares the Catalog's
-orbits, and so their flow loops and crossing records) for the tables at each
-window, then cz_index (both extremal
+1, 2, 3, 4, 5 and 8 and windows 10 and 40, it asks a Catalog (Galerkin Bloch
+blocks for every k, k = 1 included: real symmetric blocks 0 and, for even k,
+k/2, and Hermitian blocks between) and a DenseCoverCatalog (one dense
+collocation solve of dimension 2n of the cover loop dense_cover(loop, k, n)
+on the same default grid n; it shares the Catalog's orbits, and so their flow
+loops and crossing records) for the tables at each window, then cz_index (both extremal
 windings, parity and index at the cut 0) and is_bad.  Rows (winding,
 multiplicity), grids, invariants and exception classes must be identical and
 eigenvalues within CLUSTER_TOL * window.  The Catalog keeps its last solve
-and re-audits it while a growing window keeps the grid, so each of its tables
+and re-audits it while a growing window keeps the base grid and the modes of
+its blocks, so each of its tables
 must also be identical, bit for bit, to the table a fresh Catalog returns for
 that window alone.  For every (orbit, k) it visits, Catalog.cz_via_crossing,
 which serves all covers of an orbit and its is_hyperbolic from one
@@ -23,7 +23,8 @@ integration of its flow (the crossing record its loop keeps), must give the
 integer, or raise the exception class with the message, of cz_crossing on a
 new loop with the same samples, FlowLoop(orbit.model.samples), which
 integrates afresh.  Prints one summary line per corpus, with the Catalog's
-Bloch solves, the tables that reused one and the windings they read (the
+Bloch solves (a table whose blocks grow makes one at each size), the tables
+that made none and reused the kept one, and the windings they read (the
 oracle's dense solves are not counted), and the RK4 integrations of the
 orbits' own loops (the load audits, is_bad and crossing queries of both
 catalogs; each corpus is swept on new loops over its samples, so no crossing
@@ -54,15 +55,15 @@ from support import (  # noqa: E402
 
 class AuditCounter:
     """Counts the Bloch solves of the Catalog's own spectrum_from_loop calls
-    (the oracle's are not counted), the tables they audit (a table that audits
-    a kept solve again reuses it) and the windings they read from Bloch
+    (the oracle's are not counted), the tables they audit, the tables that
+    made no solve (they audit the kept solve again) and the windings they read from Bloch
     eigenfunctions, each of which passed the block-index audit when the table
     was returned.  A table reads its windings in batches, so each batch adds
     its size."""
 
     def __init__(self):
         self.counting = False  # inside a spectrum_from_loop call of a Catalog
-        self.read = self.solves = self.tables = 0
+        self.read = self.solves = self.tables = self.reused = 0
         self.integrated: list[int] = []  # id() of each loop integrated
         real_solve, real_pairs = orbits_module.spectrum_from_loop, spectral._bloch_eigenpairs
         real_audit, real_windings = spectral._audited_table, spectral._windings
@@ -70,10 +71,12 @@ class AuditCounter:
 
         def solve(*args, **kwargs):
             self.counting = True
+            solves, tables = self.solves, self.tables
             try:
                 return real_solve(*args, **kwargs)
             finally:
                 self.counting = False
+                self.reused += self.tables > tables and self.solves == solves
 
         def pairs(*args):
             self.solves += self.counting
@@ -96,8 +99,8 @@ class AuditCounter:
         spectral._bloch_eigenpairs, spectral._audited_table = pairs, audit
         spectral._windings, spectral._integrate_frames = windings, integrate
 
-    def counts(self) -> tuple[int, int, int]:
-        return self.solves, self.tables, self.read
+    def counts(self) -> tuple[int, int, int, int]:
+        return self.solves, self.tables, self.reused, self.read
 
 
 def sweep(name, orbits, covers, windows, audit) -> int:
@@ -133,7 +136,7 @@ def sweep(name, orbits, covers, windows, audit) -> int:
                     if not isinstance(b, type) and a[:2] == b[:2]:  # else a DIFF above
                         gap = max((abs(x - y) for x, y in zip(a[2], b[2])), default=0.0)
                         worst = max(worst, gap / (spectral.CLUSTER_TOL * query[1]))
-    solves, tables, read = (b - a for a, b in zip(before, audit.counts()))
+    solves, _, reused, read = (b - a for a, b in zip(before, audit.counts()))
     # the orbits' loops stay alive, so their ids name them
     models = {id(orbit.model) for orbit in orbits}
     rk4 = sum(i in models for i in audit.integrated)
@@ -145,7 +148,7 @@ def sweep(name, orbits, covers, windows, audit) -> int:
                       "Catalog")
     print(f"{name}: {len(orbits)} orbits x covers {covers[0]}..{covers[-1]} "
           f"({len(covers)}) x windows {list(windows)}: {cases} queries, {rows} table rows, "
-          f"raised {dict(sorted(raised.items()))}, {solves} Bloch solves, {tables - solves} "
+          f"raised {dict(sorted(raised.items()))}, {solves} Bloch solves, {reused} "
           f"tables reusing one, {read} Bloch windings audited, {len(orbits) * len(covers)} "
           f"crossing queries, {rk4} RK4 integrations of the orbit loops, worst eigenvalue gap "
           f"{worst:.2e} of CLUSTER_TOL * window, {failures} differences, "

@@ -79,7 +79,8 @@ def cases() -> list[list[str]]:
     # a union with itself: every component id and site of the other is renamed
     out.append(["surgery", "--building", FIGURE3, "--op", "union", "--other", FIGURE3])
     # even covers on small explicit grids, whose scans reach the top of Bloch
-    # block k/2, where its alternating-mode pair is deflated (exit 2 on grid 5)
+    # block k/2 at the cap of its modes (exit 2 on grid 5: 3 points a period
+    # under-resolve an eigenfunction inside the window)
     for orbit, cover, window, grid in (("rot_p", 2, 10, 5), ("rot_p", 2, 10, 9),
                                        ("hyp_even", 2, 8, 15), ("hyp_even", 4, 20, 41)):
         out.append(["spectrum", "--catalog", "fixtures/catalog_demo.json", "--orbit", orbit,
